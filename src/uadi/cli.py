@@ -262,8 +262,7 @@ def run(config):
             else:
                 report.statuses[tag] = "active"
             try:
-                sol = state.extract(tag)
-                report.ranks[tag] = sol.rank
+                report.ranks[tag] = state.rank(tag)
             except UadiError:
                 report.ranks[tag] = 0
         report.converged = bool(state.enabled) and all(

@@ -1,10 +1,22 @@
 """Dense/sparse numerical kernels.
 
 Shifted sparse solves with factorization reuse, small dense Sylvester and
-Lyapunov solvers (Schur-based, via scipy), small eigendecompositions with
-left vectors, and spectral norms of low-rank products evaluated through the
-small Gram eigenproblem.
+Lyapunov solvers, small eigendecompositions with left vectors, and spectral
+norms of low-rank products evaluated through the small Gram eigenproblem.
+
+The small Sylvester solver F X - X G + H = 0 has two routes, picked by a
+flop count on the operands.  When G is narrow with few distinct eigenvalues
+(an extraction against an m- or 2m-wide companion block), the column route
+takes the Schur form of G and makes one shifted LU of F per distinct
+eigenvalue (Golub, Nash & Van Loan, IEEE TAC 24(6), 1979); for real data
+one complex LU serves a conjugate pair.  Otherwise Bartels-Stewart: one
+Schur form per side, eigenvalues read off the Schur diagonals for the
+separation check, and LAPACK trsyl.  A SchurForm may stand in for an
+operand whose decomposition the caller already holds, so that no Schur
+form is computed twice.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
@@ -23,6 +35,8 @@ __all__ = [
     "ShiftedFactorization",
     "FactorizationCache",
     "shifted_solve",
+    "SchurForm",
+    "schur_form",
     "solve_small_sylvester",
     "solve_small_lyapunov",
     "small_eig",
@@ -106,6 +120,17 @@ def shifted_solve(A, E, shift, rhs):
     return ShiftedFactorization(A, E, shift).solve(rhs)
 
 
+# Relative flop counts (Golub & Van Loan, Matrix Computations, 4th ed.): an
+# LU of a p x p matrix costs about 2/3 p^3 real flops, a complex one four
+# times that, and a real Schur form with its vectors about 25 p^3.  Each
+# column solve against an LU costs 2 p^2 (real) or 8 p^2 (complex).
+_LU_FLOPS = 2.0 / 3.0
+_SCHUR_FLOPS = 25.0
+# Diagonal entries of a Schur factor this close count as one shift; the
+# copies of a repeated eigenvalue differ by a few ulps.
+_SAME_SHIFT_RTOL = 1e-14
+
+
 def _check_separation(lam_f, lam_g, scale):
     gap = np.min(np.abs(lam_f[:, None] - lam_g[None, :]))
     if gap <= 1e-12 * scale:
@@ -114,49 +139,223 @@ def _check_separation(lam_f, lam_g, scale):
         )
 
 
+def _spectral_scale(*lams):
+    return max(max(np.max(np.abs(lam), initial=0.0) for lam in lams), 1.0)
+
+
+def _schur(a):
+    """Schur form (T, Z) of a with a = Z T Z^H, plus the eigenvalues that
+    LAPACK reads off T.  Real input gives the real quasi-triangular form;
+    this is the call scipy.linalg.schur makes, eigenvalues kept."""
+    if a.shape[0] == 0:
+        return a.copy(), a.copy(), np.zeros(0, dtype=complex)
+    gees, = spla.get_lapack_funcs(("gees",), (a,))
+    lwork = int(gees(lambda *x: None, a, lwork=-1)[-2][0].real)
+    res = gees(lambda *x: None, a, lwork=lwork)
+    if res[-1] != 0:
+        raise EigFailure(f"Schur form not found (gees info {res[-1]})")
+    if len(res) == 7:  # real: t, sdim, wr, wi, vs, work, info
+        return res[0], res[4], res[2] + 1j * res[3]
+    return res[0], res[3], res[2]
+
+
+@dataclass(frozen=True)
+class SchurForm:
+    """A square matrix a with its Schur decomposition a = Z T Z^H and the
+    eigenvalues read off T.  Real input keeps the real quasi-triangular form.
+    """
+
+    a: np.ndarray
+    T: np.ndarray
+    Z: np.ndarray
+    eigvals: np.ndarray
+
+    def __neg__(self):
+        return SchurForm(-self.a, -self.T, self.Z, -self.eigvals)
+
+    def extended(self, coupling, block):
+        """SchurForm of [[a, coupling], [0, b]] from ``block``, the SchurForm
+        of b: Z = diag(Z_a, Z_b) keeps T quasi-triangular, so a block
+        triangular matrix is factored one diagonal block at a time."""
+        zeros = np.zeros((block.a.shape[0], self.a.shape[0]))
+        return SchurForm(
+            np.block([[self.a, coupling], [zeros, block.a]]),
+            np.block([[self.T, self.Z.conj().T @ coupling @ block.Z],
+                      [zeros, block.T]]),
+            spla.block_diag(self.Z, block.Z),
+            np.concatenate([self.eigvals, block.eigvals]),
+        )
+
+
+def schur_form(a):
+    """SchurForm of a dense square matrix (one LAPACK gees call)."""
+    a, = _small_operands(a)
+    return SchurForm(a, *_schur(a))
+
+
+def _schur_of(a, form):
+    """Schur factors of operand a, from ``form`` when the caller passed a's
+    SchurForm and its type fits the data (trsyl needs a triangular T, so a
+    real form does not serve complex data)."""
+    if form is not None and (np.iscomplexobj(form.T) or not np.iscomplexobj(a)):
+        return form.T, form.Z, form.eigvals
+    return _schur(a)
+
+
+def _trsyl(r, s, f, trana="N", isgn=1):
+    """Solve op(r) Y + isgn Y s = f for Schur factors r, s."""
+    trsyl, = spla.get_lapack_funcs(("trsyl",), (r, s, f))
+    y, scale, info = trsyl(r, s, f, trana=trana, isgn=isgn)
+    if info != 0:
+        raise SpectraOverlap(f"trsyl info {info}: spectra too close")
+    return y / scale
+
+
+def _small_operands(*arrays):
+    """The operands as 2-D arrays of one float or complex dtype; EigFailure
+    when an entry is not finite."""
+    arrays = [np.atleast_2d(np.asarray(a)) for a in arrays]
+    dtype = np.result_type(*arrays, np.float64)
+    arrays = [a.astype(dtype, copy=False) for a in arrays]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise EigFailure("small solve with non-finite coefficients")
+    return arrays
+
+
+def _distinct_shifts(diag, real):
+    """Group Schur diagonal entries into the shifts that need their own LU.
+
+    Returns (keys, index, conj): entry j is keys[index[j]], conjugated when
+    conj[j].  For real data a conjugate pair shares one key, because
+    conj(F - key I) = F - conj(key) I.
+    """
+    keys, index, conj = [], [], []
+    for t in np.asarray(diag, dtype=complex).tolist():
+        tol = _SAME_SHIFT_RTOL * max(abs(t), 1.0)
+        for g, key in enumerate(keys):
+            if abs(t - key) <= tol or (real and abs(t - key.conjugate()) <= tol):
+                index.append(g)
+                conj.append(abs(t - key) > tol)
+                break
+        else:
+            index.append(len(keys))
+            conj.append(False)
+            keys.append(t)
+    return keys, index, conj
+
+
+def _columns_cheaper(p, q, keys, real):
+    """Flop rule: one shifted LU per distinct shift plus q column solves
+    against a Schur form of F and the trsyl sweep."""
+    weights = [1 if real and key.imag == 0 else 4 for key in keys]
+    cols = _LU_FLOPS * sum(weights) * p ** 3 + 8 * q * p ** 2
+    return q < p and cols < _SCHUR_FLOPS * p ** 3
+
+
+def _shifted_lu(F, shift, scale):
+    """LU of F - shift I; SpectraOverlap when a pivot is at most
+    1e-12 * scale, i.e. shift is numerically an eigenvalue of F."""
+    M = F.astype(np.result_type(F, shift))
+    M.flat[:: F.shape[0] + 1] -= shift
+    getrf, getrs = spla.get_lapack_funcs(("getrf", "getrs"), (M,))
+    lu, piv, info = getrf(M, overwrite_a=True)
+    pivot = np.min(np.abs(np.diagonal(lu)))
+    if info < 0 or not pivot > 1e-12 * scale:
+        raise SpectraOverlap(
+            f"F - ({shift:.6g}) I has pivot {pivot:.3e} <= 1e-12 * {scale:.3e}"
+        )
+    return lambda b: getrs(lu, piv, b)[0]
+
+
+def _sylvester_columns(F, tg, zg, H, real, scale):
+    """Column route: with G = Z T Z^H (T triangular) and Y = X Z, column j
+    of Y solves (F - T_jj I) y_j = sum_{i<j} y_i T_ij - (H Z)_j."""
+    keys, index, conj = _distinct_shifts(np.diagonal(tg), real)
+    solves = []
+    for key in keys:
+        shift = key.real if real and key.imag == 0 else key
+        solves.append(_shifted_lu(F, shift, scale))
+    R = -(H @ zg)
+    Y = np.empty_like(R)
+    for j in range(R.shape[1]):
+        r = R[:, j] + Y[:, :j] @ tg[:j, j]
+        solve = solves[index[j]]
+        if conj[j]:
+            Y[:, j] = solve(r.conj()).conj()
+        elif np.iscomplexobj(r) and real and keys[index[j]].imag == 0:
+            y = solve(np.column_stack((r.real, r.imag)))
+            Y[:, j] = y[:, 0] + 1j * y[:, 1]
+        else:
+            Y[:, j] = solve(r)
+    X = Y @ zg.conj().T
+    return X.real if real else X
+
+
 def solve_small_sylvester(F, G, H):
     """Solve F X - X G + H = 0 for dense F (p x p), G (q x q), H (p x q).
 
-    Schur-based (Bartels-Stewart via scipy).  Raises SpectraOverlap when F
-    and G share an eigenvalue within 1e-12 of the spectral scale.
+    Two routes, picked by a flop count on the operands.  When G is the
+    narrower side and has few distinct eigenvalues, the column route
+    (Golub, Nash & Van Loan 1979) takes the Schur form of G and makes one
+    shifted LU of F per distinct eigenvalue, one for a conjugate pair when
+    the data are real.  Otherwise Bartels-Stewart: one Schur form of each
+    side and LAPACK trsyl.  Raises SpectraOverlap when F and G share an
+    eigenvalue within 1e-12 of the spectral scale: on the Schur route from
+    the eigenvalues on the Schur diagonals, on the column route from the
+    pivots of the shifted LUs.  G may be passed as its SchurForm when the
+    caller holds one; it then is not factored again.
     """
-    F = np.atleast_2d(np.asarray(F))
-    G = np.atleast_2d(np.asarray(G))
-    H = np.atleast_2d(np.asarray(H))
+    g_form = G if isinstance(G, SchurForm) else None
+    F, G, H = _small_operands(F, G if g_form is None else g_form.a, H)
     if F.shape[0] != F.shape[1] or G.shape[0] != G.shape[1]:
         raise DimensionMismatch("F and G must be square")
-    if H.shape != (F.shape[0], G.shape[0]):
-        raise DimensionMismatch(
-            f"H has shape {H.shape}, expected {(F.shape[0], G.shape[0])}"
-        )
-    lam_f = spla.eigvals(F)
-    lam_g = spla.eigvals(G)
-    scale = max(np.max(np.abs(lam_f), initial=0.0), np.max(np.abs(lam_g), initial=0.0), 1.0)
-    _check_separation(lam_f, lam_g, scale)
-    # scipy solves A X + X B = Q; here A=F, B=-G, Q=-H.
-    try:
-        return spla.solve_sylvester(F, -G, -H)
-    except np.linalg.LinAlgError as exc:
-        raise SpectraOverlap(str(exc)) from exc
+    p, q = F.shape[0], G.shape[0]
+    if H.shape != (p, q):
+        raise DimensionMismatch(f"H has shape {H.shape}, expected {(p, q)}")
+    if p == 0 or q == 0:
+        return np.zeros((p, q), dtype=H.dtype)
+    real = not np.iscomplexobj(H)
+    tg, zg, lam_g = _schur_of(G, g_form)
+    if _columns_cheaper(p, q, _distinct_shifts(lam_g, real)[0], real):
+        if real and np.any(lam_g.imag != 0):
+            # the column sweep needs a triangular T: complex Schur form
+            tg, zg, lam_g = _schur(G.astype(complex))
+        scale = max(spla.norm(F, 1), _spectral_scale(lam_g))
+        X = _sylvester_columns(F, tg, zg, H, real, scale)
+    else:
+        tf, zf, lam_f = _schur(F)
+        _check_separation(lam_f, lam_g, _spectral_scale(lam_f, lam_g))
+        # F X - X G = -H with F = U R U^H, G = Z T Z^H: R Y - Y T = -U^H H Z
+        y = _trsyl(tf, tg, zf.conj().T @ (-H @ zg), isgn=-1)
+        X = zf @ y @ zg.conj().T
+    if not np.isfinite(X).all():
+        raise SpectraOverlap("small Sylvester solution is not finite")
+    return X
 
 
 def solve_small_lyapunov(F, Q):
     """Solve F* X + X F + Q = 0 for Hermitian Q; returns Hermitian X.
 
-    The result is symmetrized to suppress roundoff drift.
+    One Schur form F = Z T Z^H (F may be passed as its SchurForm when the
+    caller holds one): the separation check reads the eigenvalues off its
+    diagonal and LAPACK trsyl solves T^H Y + Y T = -Z^H Q Z.  The result is
+    symmetrized to suppress roundoff drift.
     """
-    F = np.atleast_2d(np.asarray(F))
-    Q = np.atleast_2d(np.asarray(Q))
+    f_form = F if isinstance(F, SchurForm) else None
+    F, Q = _small_operands(F if f_form is None else f_form.a, Q)
     if F.shape[0] != F.shape[1] or Q.shape != F.shape:
         raise DimensionMismatch("F, Q must be square and equal-sized")
     qnorm = spla.norm(Q)
     if qnorm > 0 and spla.norm(Q - Q.conj().T) > 1e-10 * qnorm:
         raise NonHermitianRHS("Q deviates from Hermitian beyond 1e-10 relative")
-    lam = spla.eigvals(F)
-    scale = max(np.max(np.abs(lam), initial=0.0), 1.0)
-    _check_separation(lam.conj(), -lam, 2.0 * scale)
-    # scipy solve_continuous_lyapunov(a, q) solves a x + x a^H = q.
-    X = spla.solve_continuous_lyapunov(F.conj().T, -Q)
+    if F.shape[0] == 0:
+        return np.zeros_like(Q)
+    t, z, lam = _schur_of(F, f_form)
+    _check_separation(lam.conj(), -lam, 2.0 * _spectral_scale(lam))
+    y = _trsyl(t, t, z.conj().T @ (-Q @ z), trana="C")
+    X = z @ y @ z.conj().T
+    if not np.isfinite(X).all():
+        raise SpectraOverlap("small Lyapunov solution is not finite")
     return 0.5 * (X + X.conj().T)
 
 

@@ -349,24 +349,21 @@ def rlc_ladder(segments=400, feedthrough=0.25, output_scale=None):
         R, L, Cap, Rl = prm["R"], prm["L"], prm["C"], prm["Rleak"]
         # states x = [i_1, v_1, i_2, v_2, ...]: L i_k' = v_{k-1} - v_k - R i_k,
         # C v_k' = i_k - i_{k+1} - v_k / Rleak, with v_0 the input voltage.
-        E = sps.diags([L if k % 2 == 0 else Cap for k in range(ns)], format="lil")
-        A = sps.lil_matrix((ns, ns))
-        for k in range(segments):
-            ii, iv = 2 * k, 2 * k + 1
-            A[ii, ii] = -R
-            A[ii, iv] = -1.0
-            if k > 0:
-                A[ii, iv - 2] = 1.0
-            A[iv, ii] = 1.0
-            A[iv, iv] = -1.0 / Rl
-            if k + 1 < segments:
-                A[iv, ii + 2] = -1.0
+        E = sps.diags(np.tile([L, Cap], segments), format="csc")
+        ii = np.arange(0, ns, 2)  # current states
+        iv = ii + 1               # voltage states
+        one = np.ones(segments)
+        rows = np.concatenate([ii, ii, ii[1:], iv, iv, iv[:-1]])
+        cols = np.concatenate([ii, iv, iv[:-1], ii, iv, ii[1:]])
+        vals = np.concatenate([-R * one, -one, one[1:], one,
+                               -1.0 / Rl * one, -one[1:]])
+        A = sps.coo_matrix((vals, (rows, cols)), shape=(ns, ns)).tocsc()
         b = np.zeros((ns, 1))
         b[0, 0] = 1.0
         c = np.zeros((1, ns))
         c[0, 0] = output_scale  # scaled port current
-        blocks_E.append(E.tocsc())
-        blocks_A.append(A.tocsc())
+        blocks_E.append(E)
+        blocks_A.append(A)
         cols_B.append(b)
         rows_C.append(c)
     E = sps.block_diag(blocks_E, format="csc")

@@ -24,11 +24,13 @@ from .errors import (
     ExtractionSingular,
     InfeasibleHard,
     SmallSolveFailure,
+    UadiError,
 )
 from .classic import LowRankSolution, ResidualFactor
 from .linalg import (
     FactorizationCache,
     gram_norm2,
+    schur_form,
     solve_small_lyapunov,
     solve_small_sylvester,
 )
@@ -36,6 +38,10 @@ from .realify import ShiftUnit, lyap_sl, realified_columns, sylv_case, sylv_sl
 from .systems import EquationParams
 
 logger = logging.getLogger("uadi")
+
+# Numerical failures of one equation's small solves: the equation is marked
+# degraded and the run goes on.  Anything else is a bug and propagates.
+_NUMERICAL_FAILURES = (UadiError, np.linalg.LinAlgError)
 
 ALL_TAGS = (
     "lyap_p", "lyap_q", "ldl_p", "ldl_q", "mp_p", "mp_q", "sylv",
@@ -103,6 +109,18 @@ def _pad_rows(M, extra):
     return np.vstack([M, np.zeros((extra, M.shape[1]))])
 
 
+def _flush_subnormals(block):
+    """Zero the subnormal entries of a new basis block in place.
+
+    Solution vectors of long ladders decay below the normal range far from
+    the port; products with subnormal operands run many times slower.  The
+    block is flushed before anything is derived from it, so the tracked
+    residual stays exact for the stored basis.
+    """
+    block[np.abs(block) < np.finfo(block.dtype).tiny] = 0.0
+    return block
+
+
 class _EqSide:
     """Standing extraction state of one Riccati-family equation on one side."""
 
@@ -156,9 +174,10 @@ class UadiState:
         n1, n2, m1, p2 = sys1.n, sys2.n, sys1.m, sys2.p
         self.V = np.zeros((n1, 0))
         self.W = np.zeros((n2, 0))
-        self.Sv = np.zeros((0, 0))
+        # Sv, Sw with their Schur forms, grown one diagonal block per unit
+        self.Sv_schur = schur_form(np.zeros((0, 0)))
         self.Lv = np.zeros((m1, 0))
-        self.Sw = np.zeros((0, 0))
+        self.Sw_schur = schur_form(np.zeros((0, 0)))
         self.Lw = np.zeros((p2, 0))
         self.EV = np.zeros((n1, 0))   # E1 @ V
         self.EW = np.zeros((n2, 0))   # E2^T @ W
@@ -179,6 +198,14 @@ class UadiState:
         self._w_bounds = [0]
         self._resolve_feasibility()
         self._prepare_constants()
+
+    @property
+    def Sv(self):
+        return self.Sv_schur.a
+
+    @property
+    def Sw(self):
+        return self.Sw_schur.a
 
     # -- feasibility ------------------------------------------------------
 
@@ -342,10 +369,11 @@ class UadiState:
             F = F - L.T @ cfg["fb"] @ Gx.T
         G = L.T @ cfg["rr"]
         if eq.has_middle:
-            TP = eq.T @ eq.Phat
             if kprev:
-                F = F - _pad_rows(TP @ (eq.T.T @ Gx[:kprev]) @ cfg["qk"] @ Gx.T, wid)
-                G = G - _pad_rows(TP @ L[:, :kprev].T, wid)
+                # T Phat T^T stays factored: O(k^2 m) instead of O(k^3)
+                PTG = eq.Phat @ (eq.T.T @ Gx[:kprev])
+                F = F - _pad_rows(eq.T @ PTG @ cfg["qk"] @ Gx.T, wid)
+                G = G - _pad_rows(eq.T @ (eq.Phat @ L[:, :kprev].T), wid)
         elif kprev:
             G = G - _pad_rows(eq.T @ L[:, :kprev].T, wid)
         t = solve_small_sylvester(F, s, G @ l)
@@ -380,15 +408,13 @@ class UadiState:
             rhs = self.Cperp.T
         sol = cache.solve(unit.value, rhs)
         self.large_solve_count += 1
-        block = realified_columns(unit, sol)
+        block = _flush_subnormals(realified_columns(unit, sol))
         s, l = lyap_sl(unit, m)
         wid = block.shape[1]
         if side == "v":
             kprev = self.V.shape[1]
-            self.Sv = np.block([
-                [self.Sv, self.Lv.T @ l],
-                [np.zeros((wid, kprev)), s],
-            ])
+            self.Sv_schur = self.Sv_schur.extended(self.Lv.T @ l,
+                                                     schur_form(s))
             self.Lv = np.hstack([self.Lv, l])
             self.V = np.hstack([self.V, block])
             Eb = self.sys1.E @ block
@@ -404,7 +430,7 @@ class UadiState:
                         self._extract_side(tag, self.vcfg[tag], self.eqs[tag],
                                            Ahat, self.Lv, self.Gc, s, l,
                                            kprev, self.EV)
-                    except Exception as exc:
+                    except _NUMERICAL_FAILURES as exc:
                         err = SmallSolveFailure(tag, str(exc))
                         self.degraded[tag] = err.reason
                         logger.warning("%s degraded: %s", tag, err)
@@ -413,10 +439,8 @@ class UadiState:
                 self.sylv.pending_a.append((unit, kprev, kprev + wid))
         else:
             kprev = self.W.shape[1]
-            self.Sw = np.block([
-                [self.Sw, self.Lw.T @ l],
-                [np.zeros((wid, kprev)), s],
-            ])
+            self.Sw_schur = self.Sw_schur.extended(self.Lw.T @ l,
+                                                     schur_form(s))
             self.Lw = np.hstack([self.Lw, l])
             self.W = np.hstack([self.W, block])
             Eb = self.sys2.E.T @ block
@@ -432,7 +456,7 @@ class UadiState:
                         self._extract_side(tag, self.wcfg[tag], self.eqs[tag],
                                            Ahat, self.Lw, self.Gb, s, l,
                                            kprev, self.EW)
-                    except Exception as exc:
+                    except _NUMERICAL_FAILURES as exc:
                         err = SmallSolveFailure(tag, str(exc))
                         self.degraded[tag] = err.reason
                         logger.warning("%s degraded: %s", tag, err)
@@ -470,7 +494,7 @@ class UadiState:
                 self._sylv_fire([it[0] for it in a_items],
                                 [it[0] for it in b_items],
                                 a_items[-1][2], b_items[-1][2])
-            except Exception as exc:
+            except _NUMERICAL_FAILURES as exc:
                 self.degraded["sylv"] = str(exc)
                 logger.warning("sylv degraded: %s", exc)
                 return
@@ -549,24 +573,23 @@ class UadiState:
     def _sf_recompute(self):
         sf = self.sf
         try:
-            kv, kw = self.V.shape[1], self.W.shape[1]
             Msv = self.Gb.T @ self.VW.T + self.sys1.D.T @ self.Gc.T
             Fv = -self.Sv.T - self.Lv.T @ self._DtD_i @ Msv
-            Tv = solve_small_sylvester(Fv, self.Sv,
+            Tv = solve_small_sylvester(Fv, self.Sv_schur,
                                        self.Lv.T @ self._DtD_isq @ self.Lv)
             Csv = self._DtD_isq @ Msv @ Tv
-            Xp = solve_small_lyapunov(-self.Sv,
+            Xp = solve_small_lyapunov(-self.Sv_schur,
                                       self.Lv.T @ self.Lv - Csv.T @ Csv)
             Phat = spla.inv(Xp)
             Msw = self.Gc.T @ self.VW + self.sys2.D @ self.Gb.T
             Fw = -self.Sw.T - self.Lw.T @ self._DDt_i @ Msw
-            Tw = solve_small_sylvester(Fw, self.Sw,
+            Tw = solve_small_sylvester(Fw, self.Sw_schur,
                                        self.Lw.T @ self._DDt_isq @ self.Lw)
             Bsw = self._DDt_isq @ Msw @ Tw
-            Xq = solve_small_lyapunov(-self.Sw,
+            Xq = solve_small_lyapunov(-self.Sw_schur,
                                       self.Lw.T @ self.Lw - Bsw.T @ Bsw)
             Qhat = spla.inv(Xq)
-        except Exception as exc:
+        except _NUMERICAL_FAILURES as exc:
             self.degraded["sf_p"] = self.degraded["sf_q"] = str(exc)
             logger.warning("sf degraded: %s", exc)
             return
@@ -593,7 +616,7 @@ class UadiState:
             else:
                 try:
                     self._sylv_direct()
-                except Exception as exc:
+                except _NUMERICAL_FAILURES as exc:
                     self.degraded["sylv"] = str(exc)
                     logger.warning("sylv degraded: %s", exc)
         if self.sf is not None and not {"sf_p", "sf_q"} <= set(self.degraded):
@@ -646,6 +669,26 @@ class UadiState:
         base = self.V if tag in _V_SIDE else self.W
         middle = np.eye(eq.T.shape[1]) if eq.Phat is None else eq.Phat.copy()
         return LowRankSolution(base @ eq.T, middle, tag=tag)
+
+    def rank(self, tag):
+        """Rank of extract(tag), read off the stored transforms without
+        forming the n-row factors."""
+        self._check_tag(tag)
+        kv, kw = self.V.shape[1], self.W.shape[1]
+        if kv == 0 and kw == 0:
+            raise EquationSkipped("no completed iterations")
+        if tag in ("lyap_p", "ldl_p"):
+            return kv
+        if tag in ("lyap_q", "ldl_q"):
+            return kw
+        if tag == "sylv":
+            sy = self.sylv
+            return sy.consumed_v if sy.mode == "direct" else sy.Tv.shape[1]
+        if tag == "sf_p":
+            return self.sf.Tv.shape[1]
+        if tag == "sf_q":
+            return self.sf.Tw.shape[1]
+        return self.eqs[tag].T.shape[1]
 
     def residual_factor(self, tag):
         self._check_tag(tag)

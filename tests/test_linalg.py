@@ -9,14 +9,19 @@ from uadi.errors import (
     SingularShiftedMatrix,
     SpectraOverlap,
 )
+import uadi.linalg as linalg
 from uadi.linalg import (
     FactorizationCache,
     gram_norm2,
+    schur_form,
     shifted_solve,
     small_eig,
     solve_small_lyapunov,
     solve_small_sylvester,
 )
+from uadi.realify import ShiftUnit, lyap_sl, sylv_sl
+
+from conftest import assert_multiset_close
 
 
 class TestShiftedSolve:
@@ -87,6 +92,100 @@ class TestSmallSylvester:
             res = F @ X - X @ G + H
             scale = (spla.norm(F) + spla.norm(G)) * max(spla.norm(X), 1e-300) + spla.norm(H)
             assert spla.norm(res) <= 1e-11 * scale
+
+
+def _stable_dense(rng, k):
+    F = rng.standard_normal((k, k))
+    return F - (np.max(spla.eigvals(F).real) + 0.5) * np.eye(k)
+
+
+def _narrow_blocks(m):
+    """Companion blocks s of lyap_sl and sylv_sl, with the number of shifted
+    LUs the column route needs for each (one per conjugate pair)."""
+    u = ShiftUnit
+    return [
+        (lyap_sl(u(-0.7), m)[0], 1),
+        (lyap_sl(u(-0.3 + 2.0j), m)[0], 1),
+        (sylv_sl(1, [u(-1.0)], [u(-2.0)], m)[0], 1),
+        (sylv_sl(2, [u(-1.0 + 3.0j)], [u(-2.0 + 1.0j)], m)[0], 1),
+        (sylv_sl(2, [u(-1.0 + 3.0j)], [u(-2.0 + 1.0j)], m)[2], 1),
+        (sylv_sl(3, [u(-1.0), u(-1.5)], [u(-2.0 + 1.0j)], m)[0], 2),
+        (sylv_sl(3, [u(-1.0), u(-1.0)], [u(-2.0 + 1.0j)], m)[0], 1),
+        (sylv_sl(4, [u(-1.0 + 3.0j)], [u(-2.0), u(-0.5)], m)[2], 2),
+    ]
+
+
+class TestColumnRoute:
+    """Narrow companion side: one shifted LU per distinct eigenvalue."""
+
+    @pytest.mark.parametrize("k", [9, 40, 120])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_agrees_with_bartels_stewart(self, rng, monkeypatch, k, m):
+        lus = []
+        original = linalg._shifted_lu
+
+        def counting(F, shift, scale):
+            lus.append(shift)
+            return original(F, shift, scale)
+
+        monkeypatch.setattr(linalg, "_shifted_lu", counting)
+        F = _stable_dense(rng, k)
+        for s, expected_lus in _narrow_blocks(m):
+            H = rng.standard_normal((k, s.shape[0]))
+            lus.clear()
+            X = solve_small_sylvester(F, s, H)
+            ref = spla.solve_sylvester(F, -s, -H)
+            assert X.dtype == np.float64
+            assert len(lus) == expected_lus
+            assert spla.norm(X - ref) <= 1e-12 * spla.norm(ref)
+
+    @pytest.mark.parametrize("unit", [-0.7, -0.3 + 2.0j])
+    def test_spectra_overlap(self, rng, unit):
+        k = 12
+        s, _ = lyap_sl(ShiftUnit(unit), 2)
+        lam = complex(-unit.real, unit.imag)  # an eigenvalue of s
+        # F = Q R Q^T with R quasi-triangular and lam among its eigenvalues
+        R = np.triu(rng.standard_normal((k, k)))
+        np.fill_diagonal(R, -1.0 - np.arange(k))
+        if lam.imag:
+            R[:2, :2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
+        else:
+            R[0, 0] = lam.real
+        Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        F = Q @ R @ Q.T
+        with pytest.raises(SpectraOverlap):
+            solve_small_sylvester(F, s, rng.standard_normal((k, s.shape[0])))
+
+
+class TestSchurReuse:
+    def test_schur_form_stands_in_for_the_matrix(self, rng):
+        k = 10
+        F = _stable_dense(rng, k)
+        G = -_stable_dense(rng, k)
+        H = rng.standard_normal((k, k))
+        X = solve_small_sylvester(F, G, H)
+        assert spla.norm(solve_small_sylvester(F, schur_form(G), H) - X) \
+            <= 1e-13 * spla.norm(X)
+        Q = H @ H.T
+        Y = solve_small_lyapunov(F, Q)
+        assert spla.norm(solve_small_lyapunov(schur_form(F), Q) - Y) \
+            <= 1e-13 * spla.norm(Y)
+        assert spla.norm(solve_small_lyapunov(-schur_form(G), Q)
+                         - solve_small_lyapunov(-G, Q)) <= 1e-13 * spla.norm(Y)
+
+    def test_extended_is_a_schur_form(self, rng):
+        blocks = [lyap_sl(ShiftUnit(v), 2)[0] for v in (-0.5, -1 + 3j, -2.0)]
+        S = np.zeros((0, 0))
+        form = schur_form(S)
+        for s in blocks:
+            C = rng.standard_normal((S.shape[0], s.shape[0]))
+            S = np.block([[S, C], [np.zeros((s.shape[0], S.shape[0])), s]])
+            form = form.extended(C, schur_form(s))
+        assert np.allclose(form.Z.T @ form.Z, np.eye(len(S)), atol=1e-14)
+        assert np.array_equal(form.a, S)
+        assert spla.norm(form.Z @ form.T @ form.Z.T - S) <= 1e-14 * spla.norm(S)
+        assert not np.any(np.tril(form.T, -2))  # quasi-triangular
+        assert_multiset_close(form.eigvals, spla.eigvals(S), 1e-10)
 
 
 class TestSmallLyapunov:

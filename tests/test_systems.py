@@ -205,3 +205,41 @@ class TestRlcLadder:
     def test_order_1600(self):
         g = rlc_ladder(400)
         assert g.n == 1600
+
+    def test_matches_entrywise_assembly(self):
+        """The vectorized assembly equals the entry-by-entry construction."""
+        import scipy.sparse as sps
+
+        segments, feedthrough, scale = 3, 0.25, 0.12
+        Es, As, bs, cs = [], [], [], []
+        for R, L, Cap, Rl in ((0.1, 0.1, 0.1, 1.0), (0.5, 0.2, 0.2, 3.0)):
+            ns = 2 * segments
+            E = sps.lil_matrix((ns, ns))
+            A = sps.lil_matrix((ns, ns))
+            for k in range(segments):
+                ii, iv = 2 * k, 2 * k + 1
+                E[ii, ii], E[iv, iv] = L, Cap
+                A[ii, ii] = -R
+                A[ii, iv] = -1.0
+                if k > 0:
+                    A[ii, iv - 2] = 1.0
+                A[iv, ii] = 1.0
+                A[iv, iv] = -1.0 / Rl
+                if k + 1 < segments:
+                    A[iv, ii + 2] = -1.0
+            b = np.zeros((ns, 1))
+            b[0, 0] = 1.0
+            c = np.zeros((1, ns))
+            c[0, 0] = scale
+            Es.append(E)
+            As.append(A)
+            bs.append(b)
+            cs.append(c)
+        E_ref = sps.block_diag(Es, format="csc")
+        A_ref = sps.block_diag(As, format="csc")
+        g = rlc_ladder(segments, feedthrough)
+        assert (g.A != A_ref).nnz == 0 and g.A.nnz == A_ref.nnz
+        assert (g.E != E_ref).nnz == 0 and g.E.nnz == E_ref.nnz
+        assert np.array_equal(g.B, spla.block_diag(*bs))
+        assert np.array_equal(g.C, spla.block_diag(*cs))
+        assert np.array_equal(g.D, feedthrough * np.eye(2))

@@ -526,3 +526,81 @@ class TestDegradation:
         for tag in others:
             residual_norm(st, tag)
         assert st.large_solve_count == 4
+
+
+class TestFailurePropagation:
+    """Numerical failures of the small solves degrade; bugs propagate."""
+
+    def _state(self):
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        uadi_step(st, -0.5, -0.6)
+        return st
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import uadi.uadi as engine
+
+        def broken(F, G, H):
+            raise TypeError("synthetic bug")
+
+        st = self._state()
+        monkeypatch.setattr(engine, "solve_small_sylvester", broken)
+        with pytest.raises(TypeError):
+            uadi_step(st, -1.0, -1.2)
+
+    def test_spectra_overlap_degrades(self, monkeypatch):
+        import uadi.uadi as engine
+        from uadi.errors import SpectraOverlap
+
+        def overlapping(F, G, H):
+            raise SpectraOverlap("synthetic overlap")
+
+        st = self._state()
+        monkeypatch.setattr(engine, "solve_small_sylvester", overlapping)
+        uadi_step(st, -1.0, -1.2)
+        assert {"ricc_p", "ricc_q", "sylv", "sf_p", "sf_q"} <= set(st.degraded)
+        assert "lyap_p" not in st.degraded and st.large_solve_count == 4
+
+
+class TestRankAccessor:
+    @pytest.mark.parametrize("steps", [
+        ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0)),
+        ((-0.5, -1 + 2j), (-1 + 1j, -0.7), (-2.0, -1.5)),  # direct sylv mode
+    ])
+    def test_rank_matches_extract(self, steps):
+        g, st = rlc_state(steps)
+        assert st.sylv.mode == ("cases" if steps[0][1].imag == 0 else "direct")
+        for tag in sorted(st.enabled):
+            assert st.rank(tag) == extract_solution(st, tag).rank
+
+    def test_rank_before_first_step(self):
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        with pytest.raises(EquationSkipped):
+            st.rank("lyap_p")
+
+
+class TestSubnormalFlush:
+    def test_basis_flushed_and_history_unchanged(self, monkeypatch):
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=2000)
+        tiny = np.finfo(float).tiny
+
+        def run():
+            st = uadi_init(g, g, None, "lyap_p,lyap_q,ricc_p,ricc_q")
+            history = []
+            for a in (-0.05, -0.3 + 2j, -1.0, -3 + 10j):
+                uadi_step(st, a, a)
+                history.append([residual_norm(st, t) for t in sorted(st.enabled)])
+            return st, np.array(history)
+
+        def subnormal(M):
+            return np.any((M != 0) & (np.abs(M) < tiny))
+
+        st, flushed = run()
+        assert not subnormal(st.V) and not subnormal(st.W)
+        monkeypatch.setattr(engine, "_flush_subnormals", lambda block: block)
+        raw_st, raw = run()
+        assert subnormal(raw_st.V) and subnormal(raw_st.W)
+        assert np.all(np.abs(flushed - raw) <= 1e-14 * np.abs(raw))
