@@ -93,8 +93,8 @@ class CfAdi:
 
     ``side='observability'`` works on the transposed realization and returns
     the observability Gramian factor instead.  One shifted solve per unit;
-    factorizations are cached by exact shift value, so cyclically reused
-    shift lists refactor nothing.
+    the factorization of the last shift is kept, so a unit that repeats the
+    previous shift refactors nothing.
     """
 
     def __init__(self, sys, side="controllability"):

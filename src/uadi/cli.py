@@ -58,7 +58,6 @@ class RunConfig:
     max_iter: int = 50
     tol: float = 1e-8
     restart_cap: int = 20
-    seed: int = 42
     out: str = None
     gamma1: float = 2.0
     gamma2: float = 3.0
@@ -80,6 +79,7 @@ class RunReport:
     statuses: dict = field(default_factory=dict)
     ranks: dict = field(default_factory=dict)
     solve_count: int = 0
+    factorizations: int = 0
     iterations: int = 0
     converged: bool = False
     elapsed: float = 0.0
@@ -91,6 +91,7 @@ class RunReport:
         return {
             "iterations": self.iterations,
             "large_solves": self.solve_count,
+            "factorizations": self.factorizations,
             "converged": self.converged,
             "elapsed_seconds": self.elapsed,
             "final_residuals": self.final_residuals,
@@ -141,10 +142,13 @@ def _read_static_file(path):
 
 
 class _ShiftDriver:
-    """Bridges a shift strategy to the engine loop."""
+    """Bridges a shift strategy to the engine loop.  ``recurring`` holds
+    the alpha and beta values a static list cycles through, whose LUs are
+    worth keeping; adaptive strategies repeat nothing."""
 
     def __init__(self, config, sys1, sys2):
         self.kind = config.shifts
+        self.recurring = ((), ())
         cap = config.restart_cap
         if self.kind.startswith("static"):
             if config.static_alphas is not None:
@@ -156,6 +160,8 @@ class _ShiftDriver:
                 alphas, betas = _read_static_file(path)
             self.oa = StaticShiftOracle(alphas)
             self.ob = StaticShiftOracle(betas if betas is not None else alphas)
+            self.recurring = tuple([u.value for u in o.units]
+                                   for o in (self.oa, self.ob))
         elif self.kind in ("proj1", "proj2"):
             variant = 1 if self.kind == "proj1" else 2
             self.oa = ProjectionShiftOracle(sys1, variant)
@@ -205,6 +211,7 @@ def run(config):
     selection = EquationSelection.parse(config.equations, strict=config.strict)
     state = uadi_init(sys1, sys2, params, selection)
     driver = _ShiftDriver(config, sys1, sys2)
+    state.declare_recurring(*driver.recurring)
     report = RunReport()
     for tag, reason in state.skipped.items():
         report.statuses[tag] = f"skipped: {reason}"
@@ -252,6 +259,8 @@ def run(config):
     finally:
         report.iterations = state.iteration
         report.solve_count = state.large_solve_count
+        report.factorizations = (state.cache1.factor_count
+                                 + state.cache2.factor_count)
         report.elapsed = time.time() - t0
         for tag in sorted(state.enabled):
             report.final_residuals[tag] = state.residual_norm(tag)
@@ -380,7 +389,6 @@ def main(argv=None):
     ps.add_argument("--max-iter", type=int, default=50)
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--restart-cap", type=int, default=20)
-    ps.add_argument("--seed", type=int, default=42)
     ps.add_argument("--out", default=None, help="report output directory")
     ps.add_argument("--gamma1", type=float, default=2.0)
     ps.add_argument("--gamma2", type=float, default=3.0)
@@ -401,7 +409,7 @@ def main(argv=None):
             config = RunConfig(
                 sys1=args.sys1, sys2=args.sys2, equations=args.equations,
                 shifts=args.shifts, max_iter=args.max_iter, tol=args.tol,
-                restart_cap=args.restart_cap, seed=args.seed, out=args.out,
+                restart_cap=args.restart_cap, out=args.out,
                 gamma1=args.gamma1, gamma2=args.gamma2, strict=args.strict,
             )
             report = run(config)
@@ -409,7 +417,8 @@ def main(argv=None):
                 print(f"{tag:8s} residual {report.final_residuals[tag]:.3e}  "
                       f"[{report.statuses[tag]}]")
             print(f"iterations {report.iterations}, large solves "
-                  f"{report.solve_count}, converged {report.converged}")
+                  f"{report.solve_count}, factorizations "
+                  f"{report.factorizations}, converged {report.converged}")
             return 0 if report.converged else 2
         if args.command == "table1":
             rows = scenario_table1()

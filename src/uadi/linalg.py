@@ -4,6 +4,15 @@ Shifted sparse solves with factorization reuse, small dense Sylvester and
 Lyapunov solvers, small eigendecompositions with left vectors, and spectral
 norms of low-rank products evaluated through the small Gram eigenproblem.
 
+A FactorizationCache holds sparse LUs of A + shift*E keyed by the exact
+shift.  It keeps the LU it used last plus those of the shifts its caller
+declares recurring (a cyclic static list); every other LU is dropped when
+the next shift arrives, so memory is bounded by what will be reused.  The
+cache of a transposed pencil A^T + shift*E^T made by ``transposed()``
+solves with the plain-transpose LU of A + shift*E (SuperLU trans='T', no
+conjugation, so complex shifts are fine) and borrows the LUs its parent
+holds: one LU per shift serves both sides of a single system.
+
 The small Sylvester solver F X - X G + H = 0 has two routes, picked by a
 flop count on the operands.  When G is narrow with few distinct eigenvalues
 (an extraction against an m- or 2m-wide companion block), the column route
@@ -75,17 +84,21 @@ class ShiftedFactorization:
             ) from exc
         # SuperLU happily factors some exactly singular matrices into a U with
         # a zero pivot; probe the diagonal of U.
-        du = self._lu.U.diagonal()
+        U = self._lu.U   # a fresh sparse copy on every access
+        self._dtype = U.dtype
+        du = U.diagonal()
         if not np.all(np.isfinite(du)) or np.min(np.abs(du)) == 0.0:
             raise SingularShiftedMatrix(f"A + ({shift})*E has a zero pivot")
 
-    def solve(self, rhs):
+    def solve(self, rhs, trans="N"):
+        """Solve (A + shift*E) X = rhs, or with trans='T' the plain
+        transpose (A^T + shift*E^T) X = rhs."""
         rhs = np.atleast_2d(np.asarray(rhs))
         if rhs.shape[0] != self.n:
             raise DimensionMismatch(
                 f"rhs has {rhs.shape[0]} rows, expected {self.n}"
             )
-        x = self._lu.solve(np.asarray(rhs, dtype=self._lu.U.dtype))
+        x = self._lu.solve(np.asarray(rhs, dtype=self._dtype), trans=trans)
         if not np.all(np.isfinite(x)):
             raise SingularShiftedMatrix(
                 f"solve with shift {self.shift} produced non-finite values"
@@ -94,25 +107,51 @@ class ShiftedFactorization:
 
 
 class FactorizationCache:
-    """Cache of ShiftedFactorization keyed by exact complex shift value."""
+    """LUs of A + shift*E keyed by exact complex shift value.
 
-    def __init__(self, A, E):
+    Holds the LU used last plus those of the shifts passed to
+    ``declare_recurring``; the others are dropped when a new shift is asked
+    for.  ``factor_count`` counts the LUs this cache made itself.
+    """
+
+    def __init__(self, A, E, parent=None):
         self._A = _as_csc(A)
         self._E = _as_csc(E)
+        self._parent = parent
+        self._trans = "N" if parent is None else "T"
         self._store = {}
+        self._recurring = set()
         self.factor_count = 0
 
+    def transposed(self):
+        """Cache for A^T + shift*E^T that solves transposed with the LUs of
+        A + shift*E: it borrows the ones this cache holds and makes (and
+        counts) the others itself."""
+        return FactorizationCache(self._A, self._E, parent=self)
+
+    def declare_recurring(self, shifts):
+        """Keep the LUs of these shifts for the life of the cache."""
+        self._recurring.update(complex(s) for s in shifts)
+
+    def __len__(self):
+        return len(self._store)
+
     def get(self, shift):
+        """The LU this cache solves with (of A + shift*E, applied
+        transposed when the cache is)."""
         key = complex(shift)
         fac = self._store.get(key)
+        if fac is None and self._parent is not None:
+            fac = self._parent._store.get(key)
         if fac is None:
             fac = ShiftedFactorization(self._A, self._E, key)
-            self._store[key] = fac
             self.factor_count += 1
+        self._store = {s: f for s, f in self._store.items() if s in self._recurring}
+        self._store[key] = fac
         return fac
 
     def solve(self, shift, rhs):
-        return self.get(shift).solve(rhs)
+        return self.get(shift).solve(rhs, trans=self._trans)
 
 
 def shifted_solve(A, E, shift, rhs):

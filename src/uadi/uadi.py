@@ -121,6 +121,38 @@ def _flush_subnormals(block):
     return block
 
 
+class _Columns:
+    """An n-row float array that grows by appending column blocks in place.
+
+    Column-major storage whose capacity doubles when full, so a new block
+    costs O(n m) copied bytes, amortized, instead of a copy of the whole
+    basis; only the filled columns of a buffer are ever written, so the
+    unused capacity is never made resident.  ``view`` is the filled part,
+    read-only.  Filled columns are never written again, so a view taken
+    earlier keeps its values when the buffer is reallocated.
+    """
+
+    def __init__(self, n):
+        self._buf = np.empty((n, 0), order="F")
+        self.k = 0
+
+    @property
+    def view(self):
+        v = self._buf[:, : self.k]
+        v.flags.writeable = False
+        return v
+
+    def append(self, block):
+        k = self.k + block.shape[1]
+        if k > self._buf.shape[1]:
+            buf = np.empty((self._buf.shape[0], max(k, 2 * self._buf.shape[1])),
+                           order="F")
+            buf[:, : self.k] = self._buf[:, : self.k]
+            self._buf = buf
+        self._buf[:, self.k : k] = block
+        self.k = k
+
+
 class _EqSide:
     """Standing extraction state of one Riccati-family equation on one side."""
 
@@ -172,22 +204,19 @@ class UadiState:
         self.large_solve_count = 0
         self.alpha_units, self.beta_units = [], []
         n1, n2, m1, p2 = sys1.n, sys2.n, sys1.m, sys2.p
-        self.V = np.zeros((n1, 0))
-        self.W = np.zeros((n2, 0))
+        # V, W and E1 V, E2^T W: grown in place, read through the properties
+        self._V, self._W = _Columns(n1), _Columns(n2)
+        self._EV, self._EW = _Columns(n1), _Columns(n2)
         # Sv, Sw with their Schur forms, grown one diagonal block per unit
         self.Sv_schur = schur_form(np.zeros((0, 0)))
         self.Lv = np.zeros((m1, 0))
         self.Sw_schur = schur_form(np.zeros((0, 0)))
         self.Lw = np.zeros((p2, 0))
-        self.EV = np.zeros((n1, 0))   # E1 @ V
-        self.EW = np.zeros((n2, 0))   # E2^T @ W
         self.Gc = np.zeros((0, sys1.p))   # V^T C1^T
         self.Gb = np.zeros((0, sys2.m))   # W^T B2
         self.VW = np.zeros((0, 0))        # V^T W (spectral-factor branch only)
         self.Bperp = np.array(sys1.B, dtype=float)
         self.Cperp = np.array(sys2.C, dtype=float)
-        self.cache1 = FactorizationCache(sys1.A, sys1.E)
-        self.cache2 = FactorizationCache(sys2.A.T.tocsc(), sys2.E.T.tocsc())
         self.enabled = set()
         self.skipped = {}
         self.degraded = {}
@@ -198,6 +227,21 @@ class UadiState:
         self._w_bounds = [0]
         self._resolve_feasibility()
         self._prepare_constants()
+        # One system (G1 = G2): the W side solves with the V side's LU of
+        # A + beta E, transposed, so each shift is factored once.
+        self.cache1 = FactorizationCache(sys1.A, sys1.E)
+        self.cache2 = (self.cache1.transposed() if self.single_system else
+                       FactorizationCache(sys2.A.T.tocsc(), sys2.E.T.tocsc()))
+
+    V = property(lambda self: self._V.view, doc="Shared basis of the V side.")
+    W = property(lambda self: self._W.view, doc="Shared basis of the W side.")
+    EV = property(lambda self: self._EV.view, doc="E1 @ V")
+    EW = property(lambda self: self._EW.view, doc="E2^T @ W")
+
+    def declare_recurring(self, alphas, betas):
+        """Shifts the caller will use again: their LUs stay cached."""
+        self.cache1.declare_recurring(alphas)
+        self.cache2.declare_recurring(betas)
 
     @property
     def Sv(self):
@@ -262,7 +306,7 @@ class UadiState:
         else:
             self._skip("br_q", "D2 = 0" if not np.any(s2.D)
                        else "I - D2^T D2 is not positive definite")
-        same = s1.same_realization(s2)
+        same = self.single_system = s1.same_realization(s2)
         if same and _is_spd(s1.D.T @ s1.D) and _is_spd(s2.D @ s2.D.T):
             feasible |= {"sf_p", "sf_q"}
         else:
@@ -381,22 +425,22 @@ class UadiState:
         sv_small = spla.svdvals(t_new)
         if sv_small[-1] <= 1e-13 * max(sv_small[0], 1.0):
             raise ExtractionSingular(f"{tag}: trailing transform block singular")
-        eq.T = np.block([
-            [eq.T, t[:kprev]],
-            [np.zeros((wid, kprev)), t_new],
-        ])
+        Phat, mid = eq.Phat, l.T
         if eq.has_middle:
             xhat = Gx.T @ t  # projected output/input map of the new direction
             small = solve_small_lyapunov(-s, l.T @ l + xhat.T @ cfg["qk"] @ xhat)
             phat = spla.inv(small)
-            eq.Phat = spla.block_diag(eq.Phat, phat)
-            upd = (EX @ t) @ (phat @ l.T)
-        else:
-            upd = (EX @ t) @ l.T
-        if tag in _V_SIDE:
-            eq.perp = eq.perp - upd
-        else:
-            eq.perp = eq.perp - upd.T
+            Phat = spla.block_diag(eq.Phat, phat)
+            mid = phat @ l.T
+        upd = (EX @ t) @ mid
+        # committed together, once every small solve of the step succeeded,
+        # so a degraded equation keeps a consistent T, Phat and perp
+        eq.T = np.block([
+            [eq.T, t[:kprev]],
+            [np.zeros((wid, kprev)), t_new],
+        ])
+        eq.Phat = Phat
+        eq.perp = eq.perp - (upd if tag in _V_SIDE else upd.T)
 
     def _run_side(self, side, unit):
         """Expand one side's shared basis and run its extractions."""
@@ -416,9 +460,9 @@ class UadiState:
             self.Sv_schur = self.Sv_schur.extended(self.Lv.T @ l,
                                                      schur_form(s))
             self.Lv = np.hstack([self.Lv, l])
-            self.V = np.hstack([self.V, block])
+            self._V.append(block)
             Eb = self.sys1.E @ block
-            self.EV = np.hstack([self.EV, Eb])
+            self._EV.append(Eb)
             self.Gc = np.vstack([self.Gc, block.T @ self.sys1.C.T])
             if self.sf is not None:
                 self.VW = np.vstack([self.VW, block.T @ self.W])
@@ -442,9 +486,9 @@ class UadiState:
             self.Sw_schur = self.Sw_schur.extended(self.Lw.T @ l,
                                                      schur_form(s))
             self.Lw = np.hstack([self.Lw, l])
-            self.W = np.hstack([self.W, block])
+            self._W.append(block)
             Eb = self.sys2.E.T @ block
-            self.EW = np.hstack([self.EW, Eb])
+            self._EW.append(Eb)
             self.Gb = np.vstack([self.Gb, block.T @ self.sys2.B])
             if self.sf is not None:
                 self.VW = np.hstack([self.VW, self.V.T @ block])
@@ -666,7 +710,8 @@ class UadiState:
                 return LowRankSolution(self.V @ sf.Tv, sf.Phat.copy(), tag=tag)
             return LowRankSolution(self.W @ sf.Tw, sf.Qhat.copy(), tag=tag)
         eq = self.eqs[tag]
-        base = self.V if tag in _V_SIDE else self.W
+        # a degraded equation's transform covers a prefix of the basis
+        base = (self.V if tag in _V_SIDE else self.W)[:, : eq.T.shape[0]]
         middle = np.eye(eq.T.shape[1]) if eq.Phat is None else eq.Phat.copy()
         return LowRankSolution(base @ eq.T, middle, tag=tag)
 

@@ -50,6 +50,33 @@ class TestRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["large_solves"] == rep.solve_count
 
+    def test_static_cycle_reports_one_factorization_per_unit(self, tmp_path):
+        """G1 = G2 with a 3-unit cyclic list: each LU is made once, kept
+        for the whole run, and serves both sides."""
+        units = [-0.5, -1 + 2j, -1 - 2j, -2.0]
+        cfg = RunConfig(sys1="rlc:20", sys2="rlc:20", equations="lyap_p,lyap_q",
+                        shifts="static:unused", static_alphas=units,
+                        static_betas=units, max_iter=6, tol=1e-300,
+                        out=str(tmp_path))
+        rep = run(cfg)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert rep.iterations == 6
+        assert summary["factorizations"] == 3
+        assert summary["large_solves"] == 12
+        assert len(rep.state.cache1) == len(rep.state.cache2) == 3
+
+    @pytest.mark.parametrize("pair, shifts, lus_per_step", [
+        (("penzl:60,1,2,3", "penzl:60,4,5,6"), "sylv-alt", 2),
+        (("rlc:20", "rlc:20"), "petrov-bt", 1),
+    ])
+    def test_adaptive_run_holds_one_lu_per_cache(self, pair, shifts, lus_per_step):
+        cfg = RunConfig(sys1=pair[0], sys2=pair[1], equations="lyap_p,lyap_q",
+                        shifts=shifts, max_iter=8, tol=1e-300)
+        rep = run(cfg)
+        assert rep.iterations == 8
+        assert len(rep.state.cache1) <= 1 and len(rep.state.cache2) <= 1
+        assert rep.factorizations == lus_per_step * rep.iterations
+
     def test_huge_tolerance_stops_after_one_iteration(self):
         cfg = RunConfig(sys1="illustrative", sys2="illustrative",
                         equations="sylv", shifts="static:unused",
@@ -66,7 +93,7 @@ class TestRun:
         for out in (out1, out2):
             cfg = RunConfig(sys1="penzl:60,1,2,3", sys2="penzl:60,4,5,6",
                             equations="lyap_p,lyap_q,sylv", shifts="sylv-alt",
-                            max_iter=12, tol=1e-9, seed=42, out=str(out))
+                            max_iter=12, tol=1e-9, out=str(out))
             run(cfg)
         assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
 

@@ -60,6 +60,47 @@ class TestShiftedSolve:
         assert cache.factor_count == 2
 
 
+class TestFactorizationCacheBound:
+    """The cache keeps the LU used last plus the declared recurring ones;
+    a transposed cache borrows its parent's LUs."""
+
+    def _pencil(self, n=30):
+        A = sps.random(n, n, density=0.2, random_state=3).tocsc()
+        A = A - sps.eye(n) * (abs(A).sum() / n + 1.0)
+        E = sps.eye(n, format="csc") + 0.01 * sps.random(n, n, density=0.1, random_state=4)
+        return A.tocsc(), E.tocsc()
+
+    def test_keeps_last_and_recurring(self):
+        A, E = self._pencil()
+        cache = FactorizationCache(A, E)
+        cache.declare_recurring([-1.0, -2 + 3j])
+        rhs = np.ones((A.shape[0], 1))
+        for shift in (-1.0, -0.3, -2 + 3j, -0.4, -0.5):
+            cache.solve(shift, rhs)
+        assert len(cache) == 3   # -1, -2+3j and the last one, -0.5
+        for shift in (-0.5, -1.0, -2 + 3j):
+            cache.solve(shift, rhs)
+        assert cache.factor_count == 5 and len(cache) == 2
+        cache.solve(-0.3, rhs)   # dropped earlier: factored again
+        assert cache.factor_count == 6 and len(cache) == 3
+
+    def test_transposed_borrows_and_matches_separate_lu(self, rng):
+        A, E = self._pencil()
+        cache = FactorizationCache(A, E)
+        tcache = cache.transposed()
+        rhs = rng.standard_normal((A.shape[0], 2))
+        for shift in (-0.7, -1.0 + 2.0j):
+            cache.solve(shift, rhs)
+            x = tcache.solve(shift, rhs)
+            ref = shifted_solve(A.T.tocsc(), E.T.tocsc(), shift, rhs)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert cache.factor_count == 2 and tcache.factor_count == 0
+        x = tcache.solve(-3.0, rhs)   # not held by the parent: factored here
+        res = (A.T + (-3.0) * E.T) @ x - rhs
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+        assert cache.factor_count == 2 and tcache.factor_count == 1
+
+
 class TestSmallSylvester:
     def test_scalar(self):
         x = solve_small_sylvester([[-2.0]], [[1.0]], [[3.0]])

@@ -527,6 +527,35 @@ class TestDegradation:
             residual_norm(st, tag)
         assert st.large_solve_count == 4
 
+    def test_degraded_equation_still_extracts(self, monkeypatch):
+        """A failed middle-matrix solve leaves the transform, the middle
+        matrix and the residual factor of the step before, and the equation
+        extracts on the basis prefix they cover."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        uadi_step(st, -0.5, -0.6)
+        before = st.residual_factor("ricc_p").factor.copy()
+        original = engine.solve_small_lyapunov
+        calls = {"n": 0}
+
+        def flaky(F, Q):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise spla.LinAlgError("synthetic failure")
+            return original(F, Q)
+
+        monkeypatch.setattr(engine, "solve_small_lyapunov", flaky)
+        uadi_step(st, -1.0, -1.2)
+        assert "ricc_p" in st.degraded
+        np.testing.assert_array_equal(st.residual_factor("ricc_p").factor, before)
+        uadi_step(st, -2 + 1j, -0.8)
+        sol = extract_solution(st, "ricc_p")
+        X = sol.product()
+        assert X.shape == (g.n, g.n) and np.all(np.isfinite(X))
+        assert st.rank("ricc_p") == sol.left.shape[1] == sol.middle_matrix().shape[0]
+
 
 class TestFailurePropagation:
     """Numerical failures of the small solves degrade; bugs propagate."""
@@ -604,3 +633,81 @@ class TestSubnormalFlush:
         raw_st, raw = run()
         assert subnormal(raw_st.V) and subnormal(raw_st.W)
         assert np.all(np.abs(flushed - raw) <= 1e-14 * np.abs(raw))
+
+
+class TestBasisStorage:
+    """V, W, E V and E^T W grow in place; the public names are read-only
+    views of the filled columns."""
+
+    def test_bases_are_the_stacked_solve_blocks(self, monkeypatch):
+        import uadi.uadi as engine
+
+        blocks = []
+        original = engine.realified_columns
+
+        def recording(unit, v):
+            block = original(unit, v)
+            blocks.append(block)   # flushed in place afterwards, like V
+            return block
+
+        monkeypatch.setattr(engine, "realified_columns", recording)
+        s1 = random_stable_system(30, 2, 2, 61)
+        s2 = random_stable_system(26, 2, 2, 62)
+        st = uadi_init(s1, s2, None, "lyap_p,lyap_q")
+        for a, b in ((-0.5, -1 + 2j), (-1 + 3j, -0.7), (-2.0, -3.0),
+                     (-0.3 + 1j, -0.4 + 5j), (-1.5, -2 + 1j)):
+            uadi_step(st, a, b)
+        V = np.hstack(blocks[0::2])
+        W = np.hstack(blocks[1::2])
+        np.testing.assert_array_equal(st.V, V)
+        np.testing.assert_array_equal(st.W, W)
+        np.testing.assert_allclose(st.EV, s1.E @ V, rtol=0, atol=1e-14 * np.abs(V).max())
+        np.testing.assert_allclose(st.EW, s2.E.T @ W, rtol=0, atol=1e-14 * np.abs(W).max())
+        for M in (st.V, st.W, st.EV, st.EW):
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 1.0
+
+    def test_view_survives_reallocation(self):
+        from uadi.uadi import _Columns
+
+        rng = np.random.default_rng(5)
+        cols = _Columns(7)
+        blocks = [rng.standard_normal((7, 2)) for _ in range(6)]
+        cols.append(blocks[0])
+        buffers, views = {id(cols._buf)}, []
+        for b in blocks[1:]:
+            views.append((cols.view, np.hstack(blocks[: cols.k // 2])))
+            cols.append(b)
+            buffers.add(id(cols._buf))
+        assert len(buffers) > 2   # the capacity doubled more than once
+        for view, expected in views:
+            np.testing.assert_array_equal(view, expected)
+        np.testing.assert_array_equal(cols.view, np.hstack(blocks))
+        assert cols.view.flags.f_contiguous
+
+
+class TestSharedFactorization:
+    """G1 = G2: the W side solves with the V side's LU, transposed."""
+
+    def test_single_system_factors_once_per_step(self):
+        g = random_stable_system(40, 2, 2, 71)
+        units = (-0.5, -1 + 2j, -2.0, -0.3 + 4j, -1.1)
+        st = uadi_init(g, g, None, "lyap_p,lyap_q,ricc_q")
+        for a in units:
+            uadi_step(st, a, a)
+        assert st.single_system
+        assert st.cache1.factor_count + st.cache2.factor_count == len(units)
+        assert st.large_solve_count == 2 * len(units)
+        zq, _, _ = classic.cf_adi(g, "observability",
+                                  expand_units([ShiftUnit(a) for a in units]))
+        assert np.linalg.norm(st.W - zq.left) <= 1e-12 * np.linalg.norm(zq.left)
+
+    def test_two_systems_factor_twice_per_step(self):
+        s1 = penzl_triple_peak(60, 1.0, 2.0, 3.0)
+        s2 = penzl_triple_peak(60, 4.0, 5.0, 6.0)
+        st = uadi_init(s1, s2, None, "lyap_p,lyap_q,sylv")
+        for a, b in ((-0.5, -0.5), (-1 + 2j, -1 + 2j), (-2.0, -2.0)):
+            uadi_step(st, a, b)
+        assert not st.single_system
+        assert st.cache1.factor_count == st.cache2.factor_count == 3
