@@ -53,38 +53,23 @@ class ReducedModel:
         return self.C @ x + self.D
 
 
-def _sqrtm_spd(M):
-    M = 0.5 * (M + M.T)
-    w, U = spla.eigh(M)
-    if np.min(w) <= 0:
-        raise spla.LinAlgError("matrix is not positive definite")
-    return (U * np.sqrt(w)) @ U.T, (U / np.sqrt(w)) @ U.T
-
-
-def _middle_tilde(eq):
-    """T Phat T^T: the equation's middle matrix in shared-basis coordinates."""
-    if eq.Phat is None:
-        return eq.T @ eq.T.T
-    return eq.T @ eq.Phat @ eq.T.T
+_FAMILY = {"lyap": None, "sylv-pole": "sylv", "ricc-observer": "ricc",
+           "inf-filter": "inf", "mp": "mp", "pr": "pr", "br": "br"}
 
 
 def build_rom(state, side, variant):
     """Assemble the reduced model of one side with the variant's free
-    parameter; the variant decides where the reduced poles land."""
+    parameter; the variant decides where the reduced poles land.
+
+    Side 2 is side 1 assembled on the engine's W side, which runs on
+    G2.dual(), and transposed back."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; known: {VARIANTS}")
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    s1, s2 = state.sys1, state.sys2
-    need = {
-        "lyap": None,
-        "sylv-pole": "sylv",
-        "ricc-observer": "ricc_p" if side == 1 else "ricc_q",
-        "inf-filter": "inf_p" if side == 1 else "inf_q",
-        "mp": "mp_p" if side == 1 else "mp_q",
-        "pr": "pr_p" if side == 1 else "pr_q",
-        "br": "br_p" if side == 1 else "br_q",
-    }[variant]
+    this, other = (state.v, state.w) if side == 1 else (state.w, state.v)
+    family = _FAMILY[variant]
+    need = family if family in (None, "sylv") else family + this.suffix
     if need is not None:
         if need not in state.enabled:
             raise VariantUnavailable(
@@ -93,62 +78,26 @@ def build_rom(state, side, variant):
         if need in state.degraded:
             raise VariantUnavailable(f"{need} is degraded: {state.degraded[need]}")
 
-    if side == 1:
-        Sv, Lv = state.Sv, state.Lv
-        Chat = state.Gc.T
-        D = s1.D
-        if variant == "lyap":
-            Bhat = Lv.T
-        elif variant == "sylv-pole":
-            sy = state.sylv
-            kv, kw = sy.consumed_v, sy.consumed_w
-            Sv, Lv = Sv[:kv, :kv], Lv[:, :kv]
-            Chat = state.Gc[:kv].T
-            Xinv = sy.Xinv if sy.mode == "direct" else sy.Tv @ sy.D @ sy.Tw.T
-            Bhat = Xinv @ state.Lw[:, :kw].T
-        elif variant == "ricc-observer":
-            Bhat = _middle_tilde(state.eqs["ricc_p"]) @ Lv.T
-        elif variant == "inf-filter":
-            Bhat = _middle_tilde(state.eqs["inf_p"]) @ Lv.T
-        elif variant == "mp":
-            Bhat = state.eqs["mp_p"].T @ Lv.T @ D
-        elif variant == "pr":
-            sq, _ = _sqrtm_spd(D + D.T)
-            Bhat = _middle_tilde(state.eqs["pr_p"]) @ Lv.T @ sq
-        elif variant == "br":
-            Dbi = spla.inv(np.eye(s1.p) - D @ D.T)
-            _, isq = _sqrtm_spd(np.eye(s1.m) + D.T @ Dbi @ D)
-            Bhat = _middle_tilde(state.eqs["br_p"]) @ Lv.T @ isq
-        Ahat = Sv - Bhat @ Lv
-        return ReducedModel(Ahat, Bhat, Chat, D.copy(), tag=f"side1:{variant}")
-
-    Sw, Lw = state.Sw, state.Lw
-    Bhat = state.Gb
-    D = s2.D
+    S, L, G = this.S, this.L, this.G
     if variant == "lyap":
-        Chat = Lw
+        Bhat = L.T
     elif variant == "sylv-pole":
         sy = state.sylv
-        kv, kw = sy.consumed_v, sy.consumed_w
-        Sw, Lw = Sw[:kw, :kw], Lw[:, :kw]
-        Bhat = state.Gb[:kw]
+        k, k_other = sy.consumed_v, sy.consumed_w
         Xinv = sy.Xinv if sy.mode == "direct" else sy.Tv @ sy.D @ sy.Tw.T
-        Chat = state.Lv[:, :kv] @ Xinv
-    elif variant == "ricc-observer":
-        Chat = Lw @ _middle_tilde(state.eqs["ricc_q"])
-    elif variant == "inf-filter":
-        Chat = Lw @ _middle_tilde(state.eqs["inf_q"])
-    elif variant == "mp":
-        Chat = D @ Lw @ state.eqs["mp_q"].T.T
-    elif variant == "pr":
-        sq, _ = _sqrtm_spd(D + D.T)
-        Chat = sq @ Lw @ _middle_tilde(state.eqs["pr_q"])
-    elif variant == "br":
-        Db2i = spla.inv(np.eye(s2.m) - D.T @ D)
-        _, isq = _sqrtm_spd(np.eye(s2.p) + D @ Db2i @ D.T)
-        Chat = isq @ Lw @ _middle_tilde(state.eqs["br_q"])
-    Ahat = Sw.T - Lw.T @ Chat
-    return ReducedModel(Ahat, Bhat, Chat, D.copy(), tag=f"side2:{variant}")
+        if side == 2:
+            k, k_other, Xinv = k_other, k, Xinv.T
+        S, L, G = S[:k, :k], L[:, :k], G[:k]
+        Bhat = Xinv @ other.L[:, :k_other].T
+    else:
+        eq = this.eqs[family]
+        # the equation's middle matrix in shared-basis coordinates
+        M = eq.T if eq.Phat is None else eq.T @ eq.Phat @ eq.T.T
+        Bhat = M @ L.T @ this.cfg[family]["rri"]
+    A, B, C, D = S - Bhat @ L, Bhat, G.T, this.sys.D
+    if side == 2:
+        A, B, C, D = A.T, C.T, B.T, D.T
+    return ReducedModel(A, B, C, D.copy(), tag=f"side{side}:{variant}")
 
 
 def basis_well_conditioned(V, threshold=1e-13):
@@ -203,6 +152,6 @@ def bt_square_root(state, r):
     single-system mode, G1 = G2)."""
     if not isinstance(state, UadiState):
         raise DimensionMismatch("expected an engine state")
-    if not state.sys1.same_realization(state.sys2):
+    if not state.single_system:
         raise VariantUnavailable("balanced truncation needs G1 = G2")
     return bt_from_factors(state.sys1, state.V, state.W, r)

@@ -250,17 +250,8 @@ class _History:
 class _OracleBase:
     """Common queueing: complex shifts are emitted pair-first as units."""
 
-    strategy = "base"
-
-    def __init__(self, cap=DEFAULT_CAP):
-        self.cap = cap
+    def __init__(self):
         self.queue = []          # pending individual shifts (conjugates)
-        self.emitted = []
-
-    def _emit_unit(self, value):
-        unit = ShiftUnit(value)
-        self.emitted.append(unit.value)
-        return unit
 
     def next_shift(self, *args, **kwargs):
         """Single-shift granularity: conjugates come out one at a time."""
@@ -275,8 +266,6 @@ class _OracleBase:
 class StaticShiftOracle(_OracleBase):
     """Cycles a fixed unit list."""
 
-    strategy = "static"
-
     def __init__(self, shifts):
         super().__init__()
         from .realify import as_units
@@ -289,7 +278,6 @@ class StaticShiftOracle(_OracleBase):
     def next_unit(self):
         unit = self.units[self._k % len(self.units)]
         self._k += 1
-        self.emitted.append(unit.value)
         return unit
 
 
@@ -302,7 +290,6 @@ class ProjectionShiftOracle(_OracleBase):
             raise ValueError("variant must be 1 or 2")
         self.sys = sys
         self.variant = variant
-        self.strategy = f"projection{variant}"
         self._unit_queue = []
         self._started = False
 
@@ -313,7 +300,7 @@ class ProjectionShiftOracle(_OracleBase):
     def next_unit(self):
         if not self._started:
             self._started = True
-            return self._emit_unit(INITIAL_SHIFT)
+            return ShiftUnit(INITIAL_SHIFT)
         if not self._unit_queue:
             if self.variant == 1:
                 vals = next_shifts_projection1(self._perp, self.sys)
@@ -324,9 +311,7 @@ class ProjectionShiftOracle(_OracleBase):
                 if v.imag >= 0:  # one unit per conjugate pair
                     seen.append(ShiftUnit(v if v.imag > 0 else v.real))
             self._unit_queue = seen or [ShiftUnit(INITIAL_SHIFT)]
-        unit = self._unit_queue.pop(0)
-        self.emitted.append(unit.value)
-        return unit
+        return self._unit_queue.pop(0)
 
 
 class SubspaceShiftOracle(_OracleBase):
@@ -337,10 +322,8 @@ class SubspaceShiftOracle(_OracleBase):
     values are ranked, and mirrored, only when no stable one exists.
     """
 
-    strategy = "subspace-galerkin"
-
     def __init__(self, sys, mode="controllable", cap=DEFAULT_CAP):
-        super().__init__(cap)
+        super().__init__()
         self.sys = sys
         self.mode = mode
         self.history = _History(cap)
@@ -354,23 +337,21 @@ class SubspaceShiftOracle(_OracleBase):
 
     def next_unit(self):
         if self.history.width == 0:
-            return self._emit_unit(INITIAL_SHIFT)
+            return ShiftUnit(INITIAL_SHIFT)
         if self._perp is None or not np.any(self._perp):
             raise ZeroResidual("residual factor vanished")
         shift, _ = next_shift_subspace(
             self.history.basis, self._perp, self.sys, self.mode,
             feedback_gain=self._gain,
         )
-        return self._emit_unit(shift if shift.imag != 0 else shift.real)
+        return ShiftUnit(shift if shift.imag != 0 else shift.real)
 
 
 class PetrovBtShiftOracle(_OracleBase):
     """Two-sided dominance ranking; emits alpha = beta units."""
 
-    strategy = "subspace-petrov"
-
     def __init__(self, sys, cap=DEFAULT_CAP):
-        super().__init__(cap)
+        super().__init__()
         self.sys = sys
         self.hist_v = _History(cap)
         self.hist_w = _History(cap)
@@ -385,7 +366,7 @@ class PetrovBtShiftOracle(_OracleBase):
 
     def next_unit(self):
         if self.hist_v.width == 0 or self.hist_w.width == 0:
-            return self._emit_unit(INITIAL_SHIFT)
+            return ShiftUnit(INITIAL_SHIFT)
         if not (np.any(self._bperp) or np.any(self._cperp)):
             raise ZeroResidual("both residual factors vanished")
         try:
@@ -397,7 +378,7 @@ class PetrovBtShiftOracle(_OracleBase):
             shift, _ = next_shift_subspace(
                 self.hist_v.basis, self._bperp, self.sys, "controllable"
             )
-        return self._emit_unit(shift if shift.imag != 0 else shift.real)
+        return ShiftUnit(shift if shift.imag != 0 else shift.real)
 
 
 class SylvesterAlternatingOracle(_OracleBase):
@@ -407,10 +388,8 @@ class SylvesterAlternatingOracle(_OracleBase):
     on (E2, A2, Sylvester C-residual).
     """
 
-    strategy = "sylvester-alternating"
-
     def __init__(self, sys1, sys2, cap=DEFAULT_CAP):
-        super().__init__(cap)
+        super().__init__()
         self.sys1, self.sys2 = sys1, sys2
         self.hist_v = _History(cap)
         self.hist_w = _History(cap)
@@ -427,7 +406,7 @@ class SylvesterAlternatingOracle(_OracleBase):
 
     def next_unit(self):
         if self.hist_v.width == 0 and self.hist_w.width == 0:
-            return self._emit_unit(INITIAL_SHIFT)
+            return ShiftUnit(INITIAL_SHIFT)
         self.projection_calls += 1
         if self.projection_calls % 2 == 1:
             self.last_projected = "sys1"
@@ -439,4 +418,4 @@ class SylvesterAlternatingOracle(_OracleBase):
             shift, _ = next_shift_subspace(
                 self.hist_w.basis, self._cperp, self.sys2, "observable"
             )
-        return self._emit_unit(shift if shift.imag != 0 else shift.real)
+        return ShiftUnit(shift if shift.imag != 0 else shift.real)

@@ -7,6 +7,10 @@ basis times a small block-triangular transform obtained from a small
 Sylvester solve, its middle matrix comes from a small Lyapunov solve, and
 its residual is tracked exactly as a thin factor.
 
+The two sides run one algorithm: the W side (observability, C2^T
+right-hand side) is the V side's ADI on the dual realization
+G2.dual() = (E2^T, A2^T, C2^T, B2^T, D2^T).
+
 Supported equations (17): the controllability/observability Gramian pair,
 the indefinite-weighted pair, the minimum-phase pair, one two-sided
 Sylvester equation, and the regulator/filter, bounded-gain, positive-real,
@@ -49,8 +53,8 @@ ALL_TAGS = (
     "sf_p", "sf_q",
 )
 
-_V_SIDE = ("ricc_p", "inf_p", "pr_p", "br_p", "mp_p")
-_W_SIDE = ("ricc_q", "inf_q", "pr_q", "br_q", "mp_q")
+# Riccati-family equations extracted block by block on each side
+_FAMILIES = ("ricc", "inf", "pr", "br", "mp")
 
 __all__ = [
     "ALL_TAGS",
@@ -105,6 +109,11 @@ def _sqrtm_spd(M):
     return (U * np.sqrt(w)) @ U.T, (U / np.sqrt(w)) @ U.T
 
 
+def _scale(value):
+    """Residual normalization: the initial residual norm, or 1 if it is 0."""
+    return value if value > 0 else 1.0
+
+
 def _pad_rows(M, extra):
     return np.vstack([M, np.zeros((extra, M.shape[1]))])
 
@@ -153,6 +162,65 @@ class _Columns:
         self.k = k
 
 
+def _grow_upper(M, top_right, corner):
+    """Block upper-triangular [[M, top_right], [0, corner]]."""
+    return np.block([
+        [M, top_right],
+        [np.zeros((corner.shape[0], M.shape[1])), corner],
+    ])
+
+
+def _family_configs(sys, gamma, name):
+    """Configs of one side's Riccati-family equations keyed by family, and
+    the reasons the infeasible families are skipped.
+
+    A config holds the feedback ``fb`` and quadratic weight ``qk`` of the
+    projected equation, the scaling ``rr`` of its right-hand side B rr with
+    its inverse ``rri``, and whether the equation has a middle matrix.
+    ``name`` names the system in the skip reasons.
+    """
+    m, p, D = sys.m, sys.p, sys.D
+    I = np.eye(m)
+    cfg = {
+        "ricc": dict(fb=None, qk=np.eye(p), rr=I, rri=I, mid=True),
+        "inf": dict(fb=None, qk=(1.0 - gamma ** -2) * np.eye(p), rr=I, rri=I,
+                    mid=True),
+    }
+    skip = {}
+    if D.shape[0] != D.shape[1]:
+        invertible, why = False, f"D of {name} is not square"
+    else:
+        sv = spla.svdvals(D)
+        invertible = sv[-1] > 0 and sv[0] / sv[-1] <= 1e12
+        why = f"D of {name} is singular or too ill-conditioned"
+    if invertible:
+        Di = spla.inv(D)
+        cfg["mp"] = dict(fb=Di, qk=None, rr=Di, rri=D, mid=False)
+    else:
+        skip["mp"] = why
+    if invertible and _is_spd(D + D.T):
+        Dp = D + D.T
+        Dpi = spla.inv(Dp)
+        sq, isq = _sqrtm_spd(Dp)
+        cfg["pr"] = dict(fb=Dpi, qk=-Dpi, rr=isq, rri=sq, mid=True)
+    else:
+        skip["pr"] = f"D + D^T of {name} is not symmetric positive definite"
+    if np.any(D) and _is_spd(np.eye(p) - D @ D.T):
+        Dbi = spla.inv(np.eye(p) - D @ D.T)
+        sq, isq = _sqrtm_spd(I + D.T @ Dbi @ D)
+        cfg["br"] = dict(fb=-(D.T @ Dbi), qk=-Dbi, rr=sq, rri=isq, mid=True)
+    else:
+        skip["br"] = (f"D of {name} is zero" if not np.any(D)
+                      else f"I - D D^T of {name} is not positive definite")
+    if _is_spd(D.T @ D):
+        DtD = D.T @ D
+        sq, isq = _sqrtm_spd(DtD)
+        cfg["sf"] = dict(fb=spla.inv(DtD), qk=None, rr=isq, rri=sq, mid=True)
+    else:
+        skip["sf"] = f"D^T D of {name} is not positive definite"
+    return cfg, skip
+
+
 class _EqSide:
     """Standing extraction state of one Riccati-family equation on one side."""
 
@@ -163,249 +231,85 @@ class _EqSide:
         self.has_middle = has_middle
 
 
-class _SylvState:
-    def __init__(self, B1, C2):
-        self.Tv = np.zeros((0, 0))
-        self.Tw = np.zeros((0, 0))
-        self.D = np.zeros((0, 0))
-        self.Sv = np.zeros((0, 0))
-        self.Lv = np.zeros((B1.shape[1], 0))
-        self.Sw = np.zeros((0, 0))
-        self.Lw = np.zeros((C2.shape[0], 0))
-        self.Bperp = np.array(B1, dtype=float)
-        self.Cperp = np.array(C2, dtype=float)
-        self.consumed_v = 0
-        self.consumed_w = 0
-        self.pending_a = []  # (ShiftUnit, col_start, col_end) on the V side
-        self.pending_b = []
-        self.mode = "cases"  # or "direct" once grouping becomes impossible
-        self.Xinv = np.zeros((0, 0))
+class _Side:
+    """One side of the engine: the low-rank ADI basis of one system and the
+    Riccati-family equations extracted from it.
 
+    The V side runs on G1.  The W side is the same algorithm on
+    G2.dual() = (E2^T, A2^T, C2^T, B2^T, D2^T): its basis is W, its residual
+    factor the n x p factor Cperp^T and its projected output map W^T B2.
+    """
 
-class _SfState:
-    def __init__(self, Bp0, Cp0):
-        self.Tv = np.zeros((0, 0))
-        self.Phat = np.zeros((0, 0))
-        self.Tw = np.zeros((0, 0))
-        self.Qhat = np.zeros((0, 0))
-        self.Bperp = np.array(Bp0, dtype=float)
-        self.Cperp = np.array(Cp0, dtype=float)
+    def __init__(self, sys, cache, weight, gamma, name, suffix, orient,
+                 degraded):
+        self.sys, self.cache, self.weight = sys, cache, weight
+        self.suffix = suffix        # tag suffix of this side's equations
+        self.orient = orient        # ResidualFactor side of the residual
+        self.degraded = degraded    # the engine's tag -> reason record
+        self._X, self._EX = _Columns(sys.n), _Columns(sys.n)
+        # S with its Schur form, grown one diagonal block per unit
+        self.schur = schur_form(np.zeros((0, 0)))
+        self.L = np.zeros((sys.m, 0))
+        self.G = np.zeros((0, sys.p))   # X^T C^T
+        self.perp = np.array(sys.B, dtype=float)
+        self.bounds = [0]               # basis-column counts at unit boundaries
+        self.cfg, self.skip = _family_configs(sys, gamma, name)
+        self.eqs, self.const = {}, {}
 
+    X = property(lambda self: self._X.view, doc="Shared basis, read-only.")
+    EX = property(lambda self: self._EX.view, doc="E @ X, read-only.")
+    S = property(lambda self: self.schur.a)
+    k = property(lambda self: self._X.k)
 
-class UadiState:
-    """All accumulators of one unified-ADI run (single-owner, mutable)."""
+    def start(self, tags):
+        """Keep the families whose tags are in ``tags``, seed their
+        equations and fix every residual's normalization."""
+        self.cfg = {f: c for f, c in self.cfg.items() if f + self.suffix in tags}
+        self.eqs = {f: _EqSide(self.sys.B @ c["rr"], c["mid"])
+                    for f, c in self.cfg.items()}
+        self.const = {"lyap": _scale(gram_norm2(self.sys.B)),
+                      "ldl": _scale(gram_norm2(self.sys.B, self.weight))}
+        for f, eq in self.eqs.items():
+            self.const[f] = _scale(gram_norm2(eq.perp))
 
-    def __init__(self, sys1, sys2, params, selection):
-        self.sys1, self.sys2 = sys1, sys2
-        self.params = params if params is not None else EquationParams()
-        self.S1, self.S2 = self.params.resolved(sys1, sys2)
-        self.selection = selection
-        self.iteration = 0
-        self.large_solve_count = 0
-        self.alpha_units, self.beta_units = [], []
-        n1, n2, m1, p2 = sys1.n, sys2.n, sys1.m, sys2.p
-        # V, W and E1 V, E2^T W: grown in place, read through the properties
-        self._V, self._W = _Columns(n1), _Columns(n2)
-        self._EV, self._EW = _Columns(n1), _Columns(n2)
-        # Sv, Sw with their Schur forms, grown one diagonal block per unit
-        self.Sv_schur = schur_form(np.zeros((0, 0)))
-        self.Lv = np.zeros((m1, 0))
-        self.Sw_schur = schur_form(np.zeros((0, 0)))
-        self.Lw = np.zeros((p2, 0))
-        self.Gc = np.zeros((0, sys1.p))   # V^T C1^T
-        self.Gb = np.zeros((0, sys2.m))   # W^T B2
-        self.VW = np.zeros((0, 0))        # V^T W (spectral-factor branch only)
-        self.Bperp = np.array(sys1.B, dtype=float)
-        self.Cperp = np.array(sys2.C, dtype=float)
-        self.enabled = set()
-        self.skipped = {}
-        self.degraded = {}
-        self.eqs = {}
-        self.sylv = None
-        self.sf = None
-        self._v_bounds = [0]   # basis-column counts at unit boundaries
-        self._w_bounds = [0]
-        self._resolve_feasibility()
-        self._prepare_constants()
-        # One system (G1 = G2): the W side solves with the V side's LU of
-        # A + beta E, transposed, so each shift is factored once.
-        self.cache1 = FactorizationCache(sys1.A, sys1.E)
-        self.cache2 = (self.cache1.transposed() if self.single_system else
-                       FactorizationCache(sys2.A.T.tocsc(), sys2.E.T.tocsc()))
+    def residual(self, family):
+        """Thin factor and weight of one family's tracked residual."""
+        if family == "lyap":
+            return self.perp, None
+        if family == "ldl":
+            return self.perp, self.weight
+        return self.eqs[family].perp, None
 
-    V = property(lambda self: self._V.view, doc="Shared basis of the V side.")
-    W = property(lambda self: self._W.view, doc="Shared basis of the W side.")
-    EV = property(lambda self: self._EV.view, doc="E1 @ V")
-    EW = property(lambda self: self._EW.view, doc="E2^T @ W")
+    def expand(self, unit):
+        """Extend the basis by one shift unit with one large shifted solve,
+        then S, L, G, the residual factor and every family's extraction."""
+        sol = self.cache.solve(unit.value, self.perp)
+        block = _flush_subnormals(realified_columns(unit, sol))
+        s, l = lyap_sl(unit, self.sys.m)
+        kprev = self.k
+        self.schur = self.schur.extended(self.L.T @ l, schur_form(s))
+        self.L = np.hstack([self.L, l])
+        self._X.append(block)
+        Eb = self.sys.E @ block
+        self._EX.append(Eb)
+        self.G = np.vstack([self.G, block.T @ self.sys.C.T])
+        self.perp = self.perp - Eb @ l.T
+        Ahat = -self.S.T
+        for fam in _FAMILIES:
+            tag = fam + self.suffix
+            if fam in self.eqs and tag not in self.degraded:
+                try:
+                    self._extract(tag, self.cfg[fam], self.eqs[fam], Ahat, s, l,
+                                  kprev)
+                except _NUMERICAL_FAILURES as exc:
+                    err = SmallSolveFailure(tag, str(exc))
+                    self.degraded[tag] = err.reason
+                    logger.warning("%s degraded: %s", tag, err)
+        self.bounds.append(self.k)
 
-    def declare_recurring(self, alphas, betas):
-        """Shifts the caller will use again: their LUs stay cached."""
-        self.cache1.declare_recurring(alphas)
-        self.cache2.declare_recurring(betas)
-
-    @property
-    def Sv(self):
-        return self.Sv_schur.a
-
-    @property
-    def Sw(self):
-        return self.Sw_schur.a
-
-    # -- feasibility ------------------------------------------------------
-
-    def _skip(self, tag, reason):
-        if tag in self.selection.tags:
-            if self.selection.strict:
-                raise InfeasibleHard(f"{tag}: {reason}")
-            self.skipped[tag] = reason
-            logger.info("skipping %s: %s", tag, reason)
-
-    def _resolve_feasibility(self):
-        s1, s2 = self.sys1, self.sys2
-        want = set(self.selection.tags) | {"lyap_p", "lyap_q"}
-        feasible = {"lyap_p", "lyap_q", "ldl_p", "ldl_q", "ricc_p", "ricc_q",
-                    "inf_p", "inf_q"}
-
-        def d_ok(D):
-            if D.shape[0] != D.shape[1]:
-                return False, "D is not square"
-            sv = spla.svdvals(D)
-            if sv[-1] == 0 or sv[0] / sv[-1] > 1e12:
-                return False, "D is singular or too ill-conditioned"
-            return True, ""
-
-        ok1, why1 = d_ok(s1.D)
-        ok2, why2 = d_ok(s2.D)
-        if ok1:
-            feasible.add("mp_p")
-        else:
-            self._skip("mp_p", why1)
-        if ok2:
-            feasible.add("mp_q")
-        else:
-            self._skip("mp_q", why2)
-        if s1.m == s2.p:
-            feasible.add("sylv")
-        else:
-            self._skip("sylv", f"m1={s1.m} != p2={s2.p}")
-        if ok1 and _is_spd(s1.D + s1.D.T):
-            feasible.add("pr_p")
-        else:
-            self._skip("pr_p", "D1 + D1^T is not symmetric positive definite")
-        if ok2 and _is_spd(s2.D + s2.D.T):
-            feasible.add("pr_q")
-        else:
-            self._skip("pr_q", "D2 + D2^T is not symmetric positive definite")
-        if np.any(s1.D) and _is_spd(np.eye(s1.p) - s1.D @ s1.D.T):
-            feasible.add("br_p")
-        else:
-            self._skip("br_p", "D1 = 0" if not np.any(s1.D)
-                       else "I - D1 D1^T is not positive definite")
-        if np.any(s2.D) and _is_spd(np.eye(s2.m) - s2.D.T @ s2.D):
-            feasible.add("br_q")
-        else:
-            self._skip("br_q", "D2 = 0" if not np.any(s2.D)
-                       else "I - D2^T D2 is not positive definite")
-        same = self.single_system = s1.same_realization(s2)
-        if same and _is_spd(s1.D.T @ s1.D) and _is_spd(s2.D @ s2.D.T):
-            feasible |= {"sf_p", "sf_q"}
-        else:
-            why = "G1 != G2" if not same else "D^T D / D D^T not positive definite"
-            self._skip("sf_p", why)
-            self._skip("sf_q", why)
-        if self.params.gamma1 == 1.0 or self.params.gamma2 == 1.0:
-            logger.info("gamma = 1: bounded-gain equations reduce to the "
-                        "plain Lyapunov equations")
-        if self.params.gamma1 < 1.0 or self.params.gamma2 < 1.0:
-            logger.warning("gamma < 1 flips the sign of the quadratic term; "
-                           "the bounded-gain equations become Lyapunov-like")
-        self.enabled = want & feasible
-
-    # -- constants and per-equation configs --------------------------------
-
-    def _prepare_constants(self):
-        s1, s2 = self.sys1, self.sys2
-
-        def cn(value):
-            return value if value > 0 else 1.0
-
-        self.const = {
-            "lyap_p": cn(gram_norm2(s1.B)),
-            "lyap_q": cn(gram_norm2(s2.C.T)),
-            "ldl_p": cn(gram_norm2(s1.B, self.S1)),
-            "ldl_q": cn(gram_norm2(s2.C.T, self.S2)),
-        }
-        if "sylv" in self.enabled:
-            self.const["sylv"] = cn(gram_norm2(s1.B, np.eye(s1.m), s2.C.T))
-        self.const["ricc_p"] = self.const["inf_p"] = self.const["lyap_p"]
-        self.const["ricc_q"] = self.const["inf_q"] = self.const["lyap_q"]
-        self.vcfg, self.wcfg = {}, {}
-        m1, p1, m2, p2 = s1.m, s1.p, s2.m, s2.p
-        g1c = 1.0 - self.params.gamma1 ** -2
-        g2c = 1.0 - self.params.gamma2 ** -2
-        if "ricc_p" in self.enabled:
-            self.vcfg["ricc_p"] = dict(fb=None, qk=np.eye(p1), rr=np.eye(m1), mid=True)
-        if "ricc_q" in self.enabled:
-            self.wcfg["ricc_q"] = dict(fb=None, qk=np.eye(m2), rr=np.eye(p2), mid=True)
-        if "inf_p" in self.enabled:
-            self.vcfg["inf_p"] = dict(fb=None, qk=g1c * np.eye(p1), rr=np.eye(m1), mid=True)
-        if "inf_q" in self.enabled:
-            self.wcfg["inf_q"] = dict(fb=None, qk=g2c * np.eye(m2), rr=np.eye(p2), mid=True)
-        if "mp_p" in self.enabled:
-            D1i = spla.inv(s1.D)
-            self.vcfg["mp_p"] = dict(fb=D1i, qk=None, rr=D1i, mid=False)
-            self.const["mp_p"] = cn(gram_norm2(s1.B @ D1i))
-        if "mp_q" in self.enabled:
-            D2i = spla.inv(s2.D)
-            self.wcfg["mp_q"] = dict(fb=D2i.T, qk=None, rr=D2i.T, mid=False)
-            self.const["mp_q"] = cn(gram_norm2((D2i @ s2.C).T))
-        if "pr_p" in self.enabled:
-            Dp = s1.D + s1.D.T
-            Dpi = spla.inv(Dp)
-            _, Dpis = _sqrtm_spd(Dp)
-            self.vcfg["pr_p"] = dict(fb=Dpi, qk=-Dpi, rr=Dpis, mid=True)
-            self.const["pr_p"] = cn(gram_norm2(s1.B @ Dpis))
-        if "pr_q" in self.enabled:
-            Dp2 = s2.D + s2.D.T
-            Dp2i = spla.inv(Dp2)
-            _, Dp2is = _sqrtm_spd(Dp2)
-            self.wcfg["pr_q"] = dict(fb=Dp2i, qk=-Dp2i, rr=Dp2is, mid=True)
-            self.const["pr_q"] = cn(gram_norm2((Dp2is @ s2.C).T))
-        if "br_p" in self.enabled:
-            Dbi = spla.inv(np.eye(p1) - s1.D @ s1.D.T)
-            Bsc, _ = _sqrtm_spd(np.eye(m1) + s1.D.T @ Dbi @ s1.D)
-            self.vcfg["br_p"] = dict(fb=-(s1.D.T @ Dbi), qk=-Dbi, rr=Bsc, mid=True)
-            self.const["br_p"] = cn(gram_norm2(s1.B @ Bsc))
-        if "br_q" in self.enabled:
-            Db2i = spla.inv(np.eye(m2) - s2.D.T @ s2.D)
-            Csc, _ = _sqrtm_spd(np.eye(p2) + s2.D @ Db2i @ s2.D.T)
-            self.wcfg["br_q"] = dict(fb=-(s2.D @ Db2i), qk=-Db2i, rr=Csc, mid=True)
-            self.const["br_q"] = cn(gram_norm2((Csc @ s2.C).T))
-        for tag in _V_SIDE:
-            if tag in self.enabled:
-                perp0 = s1.B @ self.vcfg[tag]["rr"]
-                self.eqs[tag] = _EqSide(perp0, has_middle=self.vcfg[tag]["mid"])
-        for tag in _W_SIDE:
-            if tag in self.enabled:
-                perp0 = self.wcfg[tag]["rr"].T @ s2.C
-                self.eqs[tag] = _EqSide(perp0, has_middle=self.wcfg[tag]["mid"])
-        if "sylv" in self.enabled:
-            self.sylv = _SylvState(s1.B, s2.C)
-        if "sf_p" in self.enabled or "sf_q" in self.enabled:
-            DtD = s1.D.T @ s1.D
-            DDt = s2.D @ s2.D.T
-            _, self._DtD_isq = _sqrtm_spd(DtD)
-            self._DtD_i = spla.inv(DtD)
-            _, self._DDt_isq = _sqrtm_spd(DDt)
-            self._DDt_i = spla.inv(DDt)
-            self.sf = _SfState(s1.B @ self._DtD_isq, self._DDt_isq @ s2.C)
-            self.const["sf_p"] = cn(gram_norm2(s1.B @ self._DtD_isq))
-            self.const["sf_q"] = cn(gram_norm2((self._DDt_isq @ s2.C).T))
-
-    # -- generic Riccati-family extraction ---------------------------------
-
-    def _extract_side(self, tag, cfg, eq, Ahat, L, Gx, s, l, kprev, EX):
-        """Advance one equation by one basis block of its side."""
+    def _extract(self, tag, cfg, eq, Ahat, s, l, kprev):
+        """Advance one equation by one basis block."""
+        L, Gx = self.L, self.G
         k = Ahat.shape[0]
         wid = k - kprev
         F = Ahat
@@ -427,86 +331,161 @@ class UadiState:
             raise ExtractionSingular(f"{tag}: trailing transform block singular")
         Phat, mid = eq.Phat, l.T
         if eq.has_middle:
-            xhat = Gx.T @ t  # projected output/input map of the new direction
+            xhat = Gx.T @ t  # projected output map of the new direction
             small = solve_small_lyapunov(-s, l.T @ l + xhat.T @ cfg["qk"] @ xhat)
             phat = spla.inv(small)
             Phat = spla.block_diag(eq.Phat, phat)
             mid = phat @ l.T
-        upd = (EX @ t) @ mid
+        upd = (self.EX @ t) @ mid
         # committed together, once every small solve of the step succeeded,
         # so a degraded equation keeps a consistent T, Phat and perp
-        eq.T = np.block([
-            [eq.T, t[:kprev]],
-            [np.zeros((wid, kprev)), t_new],
-        ])
+        eq.T = _grow_upper(eq.T, t[:kprev], t_new)
         eq.Phat = Phat
-        eq.perp = eq.perp - (upd if tag in _V_SIDE else upd.T)
+        eq.perp = eq.perp - upd
 
-    def _run_side(self, side, unit):
-        """Expand one side's shared basis and run its extractions."""
-        if side == "v":
-            cache, m = self.cache1, self.sys1.m
-            rhs = self.Bperp
+
+def _sylv_transform(side, k, kp, T, D, L_other, s, l):
+    """Transform of the basis prefix X[:, :k] of one side into the
+    factored-ADI Sylvester direction of the next shift group; ``D`` is the
+    coupling in this side's orientation (transposed for the W side)."""
+    G = side.L[:, :k].T
+    if kp:
+        G = G - _pad_rows(T @ D @ L_other.T, k - kp)
+    t = solve_small_sylvester(-side.S[:k, :k].T, s, G @ l)
+    svals = spla.svdvals(t[kp:])
+    if svals[-1] <= 1e-13 * max(svals[0], 1.0):
+        raise ExtractionSingular(
+            f"sylv: trailing {side.suffix} transform block singular")
+    return t
+
+
+def _sf_side(side, other, VW):
+    """Spectral-factor transform and middle matrix of one side, recomputed
+    on the whole basis; ``VW`` is X^T X_other of this side."""
+    c = side.cfg["sf"]
+    M = other.G.T @ VW.T + side.sys.D.T @ side.G.T
+    F = -side.S.T - side.L.T @ c["fb"] @ M
+    T = solve_small_sylvester(F, side.schur, side.L.T @ c["rr"] @ side.L)
+    Cs = c["rr"] @ M @ T
+    X = solve_small_lyapunov(-side.schur, side.L.T @ side.L - Cs.T @ Cs)
+    return T, spla.inv(X)
+
+
+class _SylvState:
+    def __init__(self, B1, C2):
+        self.Tv = np.zeros((0, 0))
+        self.Tw = np.zeros((0, 0))
+        self.D = np.zeros((0, 0))
+        self.Sv = np.zeros((0, 0))
+        self.Lv = np.zeros((B1.shape[1], 0))
+        self.Sw = np.zeros((0, 0))
+        self.Lw = np.zeros((C2.shape[0], 0))
+        self.Bperp = np.array(B1, dtype=float)
+        self.Cperp = np.array(C2, dtype=float)
+        self.consumed_v = 0
+        self.consumed_w = 0
+        self.pending_a = []  # (ShiftUnit, col_start, col_end) on the V side
+        self.pending_b = []
+        self.mode = "cases"  # or "direct" once grouping becomes impossible
+        self.Xinv = np.zeros((0, 0))
+
+
+class UadiState:
+    """All accumulators of one unified-ADI run (single-owner, mutable)."""
+
+    def __init__(self, sys1, sys2, params, selection):
+        self.sys1, self.sys2 = sys1, sys2
+        self.params = params if params is not None else EquationParams()
+        S1, S2 = self.params.resolved(sys1, sys2)
+        self.selection = selection
+        self.iteration = 0
+        self.large_solve_count = 0
+        self.alpha_units, self.beta_units = [], []
+        self.enabled = set()
+        self.skipped = {}
+        self.degraded = {}
+        self.single_system = sys1.same_realization(sys2)
+        # One system (G1 = G2): the W side solves with the V side's LU of
+        # A + beta E, transposed, so each shift is factored once.
+        cache1 = FactorizationCache(sys1.A, sys1.E)
+        dual = sys2.dual()
+        cache2 = (cache1.transposed() if self.single_system else
+                  FactorizationCache(dual.A, dual.E))
+        self.v = _Side(sys1, cache1, S1, self.params.gamma1, "G1", "_p",
+                       "left", self.degraded)
+        self.w = _Side(dual, cache2, S2, self.params.gamma2, "G2.dual()", "_q",
+                       "right", self.degraded)
+        self.VW = np.zeros((0, 0))   # V^T W (spectral-factor branch only)
+        self.sylv = None
+        self.sf = None
+        self._resolve_feasibility()
+        self._prepare_constants()
+
+    V = property(lambda self: self.v.X, doc="Shared basis of the V side.")
+    W = property(lambda self: self.w.X, doc="Shared basis of the W side.")
+    Bperp = property(lambda self: self.v.perp,
+                     doc="Residual factor of the Lyapunov equation of G1.")
+    Cperp = property(lambda self: self.w.perp.T,
+                     doc="Residual factor of the Lyapunov equation of G2^T.")
+    cache1 = property(lambda self: self.v.cache)
+    cache2 = property(lambda self: self.w.cache)
+
+    def declare_recurring(self, alphas, betas):
+        """Shifts the caller will use again: their LUs stay cached."""
+        self.v.cache.declare_recurring(alphas)
+        self.w.cache.declare_recurring(betas)
+
+    # -- feasibility ------------------------------------------------------
+
+    def _skip(self, tag, reason):
+        if tag in self.selection.tags:
+            if self.selection.strict:
+                raise InfeasibleHard(f"{tag}: {reason}")
+            self.skipped[tag] = reason
+            logger.info("skipping %s: %s", tag, reason)
+
+    def _resolve_feasibility(self):
+        s1, s2 = self.sys1, self.sys2
+        want = set(self.selection.tags) | {"lyap_p", "lyap_q"}
+        feasible = {"lyap_p", "lyap_q", "ldl_p", "ldl_q"}
+        if s1.m == s2.p:
+            feasible.add("sylv")
         else:
-            cache, m = self.cache2, self.sys2.p
-            rhs = self.Cperp.T
-        sol = cache.solve(unit.value, rhs)
-        self.large_solve_count += 1
-        block = _flush_subnormals(realified_columns(unit, sol))
-        s, l = lyap_sl(unit, m)
-        wid = block.shape[1]
-        if side == "v":
-            kprev = self.V.shape[1]
-            self.Sv_schur = self.Sv_schur.extended(self.Lv.T @ l,
-                                                     schur_form(s))
-            self.Lv = np.hstack([self.Lv, l])
-            self._V.append(block)
-            Eb = self.sys1.E @ block
-            self._EV.append(Eb)
-            self.Gc = np.vstack([self.Gc, block.T @ self.sys1.C.T])
-            if self.sf is not None:
-                self.VW = np.vstack([self.VW, block.T @ self.W])
-            self.Bperp = self.Bperp - Eb @ l.T
-            Ahat = -self.Sv.T
-            for tag in _V_SIDE:
-                if tag in self.enabled and tag not in self.degraded:
-                    try:
-                        self._extract_side(tag, self.vcfg[tag], self.eqs[tag],
-                                           Ahat, self.Lv, self.Gc, s, l,
-                                           kprev, self.EV)
-                    except _NUMERICAL_FAILURES as exc:
-                        err = SmallSolveFailure(tag, str(exc))
-                        self.degraded[tag] = err.reason
-                        logger.warning("%s degraded: %s", tag, err)
-            self._v_bounds.append(kprev + wid)
-            if self.sylv is not None:
-                self.sylv.pending_a.append((unit, kprev, kprev + wid))
-        else:
-            kprev = self.W.shape[1]
-            self.Sw_schur = self.Sw_schur.extended(self.Lw.T @ l,
-                                                     schur_form(s))
-            self.Lw = np.hstack([self.Lw, l])
-            self._W.append(block)
-            Eb = self.sys2.E.T @ block
-            self._EW.append(Eb)
-            self.Gb = np.vstack([self.Gb, block.T @ self.sys2.B])
-            if self.sf is not None:
-                self.VW = np.hstack([self.VW, self.V.T @ block])
-            self.Cperp = self.Cperp - l @ Eb.T
-            Ahat = -self.Sw.T
-            for tag in _W_SIDE:
-                if tag in self.enabled and tag not in self.degraded:
-                    try:
-                        self._extract_side(tag, self.wcfg[tag], self.eqs[tag],
-                                           Ahat, self.Lw, self.Gb, s, l,
-                                           kprev, self.EW)
-                    except _NUMERICAL_FAILURES as exc:
-                        err = SmallSolveFailure(tag, str(exc))
-                        self.degraded[tag] = err.reason
-                        logger.warning("%s degraded: %s", tag, err)
-            self._w_bounds.append(kprev + wid)
-            if self.sylv is not None:
-                self.sylv.pending_b.append((unit, kprev, kprev + wid))
+            self._skip("sylv", f"m1={s1.m} != p2={s2.p}")
+        sides = (self.v, self.w)
+        sf_why = ("G1 != G2" if not self.single_system else
+                  self.v.skip.get("sf") or self.w.skip.get("sf"))
+        for side in sides:
+            if sf_why:
+                side.cfg.pop("sf", None)
+                side.skip["sf"] = sf_why
+            feasible |= {f + side.suffix for f in side.cfg}
+            for fam, why in side.skip.items():
+                self._skip(fam + side.suffix, why)
+        if self.params.gamma1 == 1.0 or self.params.gamma2 == 1.0:
+            logger.info("gamma = 1: bounded-gain equations reduce to the "
+                        "plain Lyapunov equations")
+        if self.params.gamma1 < 1.0 or self.params.gamma2 < 1.0:
+            logger.warning("gamma < 1 flips the sign of the quadratic term; "
+                           "the bounded-gain equations become Lyapunov-like")
+        self.enabled = want & feasible
+
+    # -- constants and per-equation state -----------------------------------
+
+    def _prepare_constants(self):
+        sf_tags = {"sf_p", "sf_q"}
+        # the spectral-factor pair is recomputed together
+        keep = self.enabled | (sf_tags if self.enabled & sf_tags else set())
+        self.const = {}
+        for side in (self.v, self.w):
+            side.start(keep)
+            self.const.update({f + side.suffix: c for f, c in side.const.items()})
+        if "sylv" in self.enabled:
+            s1, s2 = self.sys1, self.sys2
+            self.const["sylv"] = _scale(gram_norm2(s1.B, np.eye(s1.m), s2.C.T))
+            self.sylv = _SylvState(s1.B, s2.C)
+        if "sf" in self.v.eqs:
+            self.sf = (self.v.eqs["sf"], self.w.eqs["sf"])
 
     # -- Sylvester branch ---------------------------------------------------
 
@@ -558,88 +537,54 @@ class UadiState:
         coupling matrix is square; with equally many scalar shifts consumed
         per side this is the full basis.
         """
-        sy = self.sylv
-        q = max(set(self._v_bounds) & set(self._w_bounds))
+        sy, v, w = self.sylv, self.v, self.w
+        q = max(set(v.bounds) & set(w.bounds))
         if q == 0:
             return
         X = solve_small_sylvester(
-            -self.Sw[:q, :q].T, self.Sv[:q, :q],
-            self.Lw[:, :q].T @ self.Lv[:, :q],
+            -w.S[:q, :q].T, v.S[:q, :q], w.L[:, :q].T @ v.L[:, :q],
         )
         sy.Xinv = spla.inv(X)
-        sy.Bperp = self.sys1.B - self.EV[:, :q] @ (sy.Xinv @ self.Lw[:, :q].T)
-        sy.Cperp = self.sys2.C - (self.Lv[:, :q] @ sy.Xinv) @ self.EW[:, :q].T
+        sy.Bperp = self.sys1.B - v.EX[:, :q] @ (sy.Xinv @ w.L[:, :q].T)
+        sy.Cperp = self.sys2.C - (v.L[:, :q] @ sy.Xinv) @ w.EX[:, :q].T
         sy.consumed_v = sy.consumed_w = q
 
     def _sylv_fire(self, a_units, b_units, kv, kw):
         sy = self.sylv
-        m = self.sys1.m
         case = sylv_case(a_units, b_units)
-        sv, lv, sw, lw = sylv_sl(case, a_units, b_units, m)
+        sv, lv, sw, lw = sylv_sl(case, a_units, b_units, self.sys1.m)
         kvp, kwp = sy.consumed_v, sy.consumed_w
-        wid = lv.shape[1]
-        # transform of the shared V prefix into the factored-ADI direction
-        Fv = -self.Sv[:kv, :kv].T
-        Gv = self.Lv[:, :kv].T
-        if kvp:
-            Gv = Gv - _pad_rows(sy.Tv @ sy.D @ sy.Lw.T, kv - kvp)
-        tv = solve_small_sylvester(Fv, sv, Gv @ lv)
-        Fw = -self.Sw[:kw, :kw].T
-        Gw = self.Lw[:, :kw].T
-        if kwp:
-            Gw = Gw - _pad_rows(sy.Tw @ sy.D.T @ sy.Lv.T, kw - kwp)
-        tw = solve_small_sylvester(Fw, sw, Gw @ lw)
-        for name, t, kp in (("v", tv, kvp), ("w", tw, kwp)):
-            svals = spla.svdvals(t[kp:])
-            if svals[-1] <= 1e-13 * max(svals[0], 1.0):
-                raise ExtractionSingular(f"sylv {name}: trailing block singular")
+        tv = _sylv_transform(self.v, kv, kvp, sy.Tv, sy.D, sy.Lw, sv, lv)
+        tw = _sylv_transform(self.w, kw, kwp, sy.Tw, sy.D.T, sy.Lv, sw, lw)
         d = solve_small_sylvester(-sw.T, sv, lw.T @ lv)
         dinv = spla.inv(d)
-        sy.Sv = np.block([
-            [sy.Sv, sy.D @ sy.Lw.T @ lv],
-            [np.zeros((wid, kvp)), sv],
-        ])
-        sy.Sw = np.block([
-            [sy.Sw, sy.D.T @ sy.Lv.T @ lw],
-            [np.zeros((wid, kwp)), sw],
-        ])
+        sy.Sv = _grow_upper(sy.Sv, sy.D @ sy.Lw.T @ lv, sv)
+        sy.Sw = _grow_upper(sy.Sw, sy.D.T @ sy.Lv.T @ lw, sw)
         sy.Lv = np.hstack([sy.Lv, lv])
         sy.Lw = np.hstack([sy.Lw, lw])
-        sy.Tv = np.block([[sy.Tv, tv[:kvp]], [np.zeros((wid, kvp)), tv[kvp:]]])
-        sy.Tw = np.block([[sy.Tw, tw[:kwp]], [np.zeros((wid, kwp)), tw[kwp:]]])
+        sy.Tv = _grow_upper(sy.Tv, tv[:kvp], tv[kvp:])
+        sy.Tw = _grow_upper(sy.Tw, tw[:kwp], tw[kwp:])
         sy.D = spla.block_diag(sy.D, dinv)
-        sy.Bperp = sy.Bperp - (self.EV[:, :kv] @ tv) @ (dinv @ lw.T)
-        sy.Cperp = sy.Cperp - (lv @ dinv) @ (self.EW[:, :kw] @ tw).T
+        sy.Bperp = sy.Bperp - (self.v.EX[:, :kv] @ tv) @ (dinv @ lw.T)
+        sy.Cperp = sy.Cperp - (lv @ dinv) @ (self.w.EX[:, :kw] @ tw).T
         sy.consumed_v, sy.consumed_w = kv, kw
 
     # -- spectral-factor branch (recomputed whole each step) ----------------
 
     def _sf_recompute(self):
-        sf = self.sf
+        v, w = self.v, self.w
         try:
-            Msv = self.Gb.T @ self.VW.T + self.sys1.D.T @ self.Gc.T
-            Fv = -self.Sv.T - self.Lv.T @ self._DtD_i @ Msv
-            Tv = solve_small_sylvester(Fv, self.Sv_schur,
-                                       self.Lv.T @ self._DtD_isq @ self.Lv)
-            Csv = self._DtD_isq @ Msv @ Tv
-            Xp = solve_small_lyapunov(-self.Sv_schur,
-                                      self.Lv.T @ self.Lv - Csv.T @ Csv)
-            Phat = spla.inv(Xp)
-            Msw = self.Gc.T @ self.VW + self.sys2.D @ self.Gb.T
-            Fw = -self.Sw.T - self.Lw.T @ self._DDt_i @ Msw
-            Tw = solve_small_sylvester(Fw, self.Sw_schur,
-                                       self.Lw.T @ self._DDt_isq @ self.Lw)
-            Bsw = self._DDt_isq @ Msw @ Tw
-            Xq = solve_small_lyapunov(-self.Sw_schur,
-                                      self.Lw.T @ self.Lw - Bsw.T @ Bsw)
-            Qhat = spla.inv(Xq)
+            found = [(v, *_sf_side(v, w, self.VW)),
+                     (w, *_sf_side(w, v, self.VW.T))]
         except _NUMERICAL_FAILURES as exc:
             self.degraded["sf_p"] = self.degraded["sf_q"] = str(exc)
             logger.warning("sf degraded: %s", exc)
             return
-        sf.Tv, sf.Phat, sf.Tw, sf.Qhat = Tv, Phat, Tw, Qhat
-        sf.Bperp = self.sys1.B @ self._DtD_isq - self.EV @ (Tv @ Phat @ self.Lv.T)
-        sf.Cperp = self._DDt_isq @ self.sys2.C - (self.Lw @ Qhat @ Tw.T) @ self.EW.T
+        for side, T, Phat in found:
+            eq = side.eqs["sf"]
+            eq.T, eq.Phat = T, Phat
+            eq.perp = (side.sys.B @ side.cfg["sf"]["rr"]
+                       - side.EX @ (T @ Phat @ side.L.T))
         self.degraded.pop("sf_p", None)
         self.degraded.pop("sf_q", None)
 
@@ -650,10 +595,18 @@ class UadiState:
         conjugate pair) with exactly two large shifted solves."""
         au = alpha if isinstance(alpha, ShiftUnit) else ShiftUnit(alpha)
         bu = beta if isinstance(beta, ShiftUnit) else ShiftUnit(beta)
-        self._run_side("v", au)
-        self._run_side("w", bu)
+        kv, kw = self.v.k, self.w.k
+        for side, unit in ((self.v, au), (self.w, bu)):
+            side.expand(unit)
+            self.large_solve_count += 1
         self.alpha_units.append(au)
         self.beta_units.append(bu)
+        if self.sf is not None:
+            self.VW = np.vstack([self.VW, self.V[:, kv:].T @ self.W[:, :kw]])
+            self.VW = np.hstack([self.VW, self.V.T @ self.W[:, kw:]])
+        if self.sylv is not None:
+            self.sylv.pending_a.append((au, kv, self.v.k))
+            self.sylv.pending_b.append((bu, kw, self.w.k))
         if self.sylv is not None and "sylv" not in self.degraded:
             if self.sylv.mode == "cases":
                 self._sylv_try_fire()
@@ -678,23 +631,14 @@ class UadiState:
                 f"{tag} not enabled: {self.skipped.get(tag, 'not selected')}"
             )
 
+    def _locate(self, tag):
+        """The side and family of a one-sided equation tag."""
+        return (self.v if tag.endswith("_p") else self.w), tag[:-2]
+
     def extract(self, tag):
         self._check_tag(tag)
-        kv, kw = self.V.shape[1], self.W.shape[1]
-        if kv == 0 and kw == 0:
+        if self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
-        m1 = self.sys1.m
-        p2 = self.sys2.p
-        if tag == "lyap_p":
-            return LowRankSolution(self.V.copy(), tag=tag)
-        if tag == "lyap_q":
-            return LowRankSolution(self.W.copy(), tag=tag)
-        if tag == "ldl_p":
-            return LowRankSolution(self.V.copy(),
-                                   np.kron(np.eye(kv // m1), self.S1), tag=tag)
-        if tag == "ldl_q":
-            return LowRankSolution(self.W.copy(),
-                                   np.kron(np.eye(kw // p2), self.S2), tag=tag)
         if tag == "sylv":
             sy = self.sylv
             if sy.mode == "direct":
@@ -704,14 +648,16 @@ class UadiState:
             return LowRankSolution(self.V[:, : sy.consumed_v] @ sy.Tv,
                                    sy.D.copy(),
                                    self.W[:, : sy.consumed_w] @ sy.Tw, tag=tag)
-        if tag in ("sf_p", "sf_q"):
-            sf = self.sf
-            if tag == "sf_p":
-                return LowRankSolution(self.V @ sf.Tv, sf.Phat.copy(), tag=tag)
-            return LowRankSolution(self.W @ sf.Tw, sf.Qhat.copy(), tag=tag)
-        eq = self.eqs[tag]
+        side, fam = self._locate(tag)
+        if fam == "lyap":
+            return LowRankSolution(side.X.copy(), tag=tag)
+        if fam == "ldl":
+            return LowRankSolution(side.X.copy(),
+                                   np.kron(np.eye(side.k // side.sys.m),
+                                           side.weight), tag=tag)
+        eq = side.eqs[fam]
         # a degraded equation's transform covers a prefix of the basis
-        base = (self.V if tag in _V_SIDE else self.W)[:, : eq.T.shape[0]]
+        base = side.X[:, : eq.T.shape[0]]
         middle = np.eye(eq.T.shape[1]) if eq.Phat is None else eq.Phat.copy()
         return LowRankSolution(base @ eq.T, middle, tag=tag)
 
@@ -719,65 +665,35 @@ class UadiState:
         """Rank of extract(tag), read off the stored transforms without
         forming the n-row factors."""
         self._check_tag(tag)
-        kv, kw = self.V.shape[1], self.W.shape[1]
-        if kv == 0 and kw == 0:
+        if self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
-        if tag in ("lyap_p", "ldl_p"):
-            return kv
-        if tag in ("lyap_q", "ldl_q"):
-            return kw
         if tag == "sylv":
             sy = self.sylv
             return sy.consumed_v if sy.mode == "direct" else sy.Tv.shape[1]
-        if tag == "sf_p":
-            return self.sf.Tv.shape[1]
-        if tag == "sf_q":
-            return self.sf.Tw.shape[1]
-        return self.eqs[tag].T.shape[1]
+        side, fam = self._locate(tag)
+        if fam in ("lyap", "ldl"):
+            return side.k
+        return side.eqs[fam].T.shape[1]
 
     def residual_factor(self, tag):
         self._check_tag(tag)
-        if tag == "lyap_p":
-            return ResidualFactor(self.Bperp.copy())
-        if tag == "lyap_q":
-            return ResidualFactor(self.Cperp.T.copy(), side="right")
-        if tag == "ldl_p":
-            return ResidualFactor(self.Bperp.copy(), self.S1.copy())
-        if tag == "ldl_q":
-            return ResidualFactor(self.Cperp.T.copy(), self.S2.copy(), side="right")
         if tag == "sylv":
             return (ResidualFactor(self.sylv.Bperp.copy()),
                     ResidualFactor(self.sylv.Cperp.copy(), side="right"))
-        if tag == "sf_p":
-            return ResidualFactor(self.sf.Bperp.copy())
-        if tag == "sf_q":
-            return ResidualFactor(self.sf.Cperp.T.copy(), side="right")
-        eq = self.eqs[tag]
-        if tag in _V_SIDE:
-            return ResidualFactor(eq.perp.copy())
-        return ResidualFactor(eq.perp.T.copy(), side="right")
+        side, fam = self._locate(tag)
+        factor, weight = side.residual(fam)
+        return ResidualFactor(factor.copy(),
+                              None if weight is None else weight.copy(),
+                              side=side.orient)
 
     def residual_norm(self, tag):
         self._check_tag(tag)
         if tag == "sylv":
             sy = self.sylv
             raw = gram_norm2(sy.Bperp, np.eye(sy.Bperp.shape[1]), sy.Cperp.T)
-        elif tag == "ldl_p":
-            raw = gram_norm2(self.Bperp, self.S1)
-        elif tag == "ldl_q":
-            raw = gram_norm2(self.Cperp.T, self.S2)
-        elif tag == "lyap_p":
-            raw = gram_norm2(self.Bperp)
-        elif tag == "lyap_q":
-            raw = gram_norm2(self.Cperp.T)
-        elif tag == "sf_p":
-            raw = gram_norm2(self.sf.Bperp)
-        elif tag == "sf_q":
-            raw = gram_norm2(self.sf.Cperp.T)
-        elif tag in _V_SIDE:
-            raw = gram_norm2(self.eqs[tag].perp)
         else:
-            raw = gram_norm2(self.eqs[tag].perp.T)
+            side, fam = self._locate(tag)
+            raw = gram_norm2(*side.residual(fam))
         return raw / self.const[tag]
 
 

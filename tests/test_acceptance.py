@@ -157,10 +157,10 @@ def test_criterion_4_projected_invariants():
     worst = 0.0
     for a, b in [(-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0), (-4.0, -0.9)]:
         uadi_step(st, a, b)
-        dev = np.abs(-st.Sv.T - st.Sv + st.Lv.T @ st.Lv).max()
-        worst = max(worst, dev / max(np.abs(st.Sv).max(), 1.0))
-        dev = np.abs(-st.Sw.T - st.Sw + st.Lw.T @ st.Lw).max()
-        worst = max(worst, dev / max(np.abs(st.Sw).max(), 1.0))
+        dev = np.abs(-st.v.S.T - st.v.S + st.v.L.T @ st.v.L).max()
+        worst = max(worst, dev / max(np.abs(st.v.S).max(), 1.0))
+        dev = np.abs(-st.w.S.T - st.w.S + st.w.L.T @ st.w.L).max()
+        worst = max(worst, dev / max(np.abs(st.w.S).max(), 1.0))
         sy = st.sylv
         if sy.consumed_v:
             Bh = sy.D @ sy.Lw.T
@@ -168,10 +168,10 @@ def test_criterion_4_projected_invariants():
             resid = (sy.Sv - Bh @ sy.Lv) @ sy.D + sy.D @ (sy.Sw.T - sy.Lw.T @ Ch) \
                 + Bh @ Ch
             worst = max(worst, np.abs(resid).max() / max(np.abs(sy.D).max(), 1.0))
-        eq = st.eqs["ricc_p"]
-        Sr = spla.solve(eq.T, st.Sv @ eq.T)
-        Lr = st.Lv @ eq.T
-        Cr = st.Gc.T @ eq.T
+        eq = st.v.eqs["ricc"]
+        Sr = spla.solve(eq.T, st.v.S @ eq.T)
+        Lr = st.v.L @ eq.T
+        Cr = st.v.G.T @ eq.T
         Br = eq.Phat @ Lr.T
         Ar = Sr - Br @ Lr
         resid = (Ar @ eq.Phat + eq.Phat @ Ar.T + Br @ Br.T
@@ -225,11 +225,11 @@ def test_criterion_5_pole_placement():
         k += 1
     alphas = expand_units(units_a)
     betas = expand_units(units_b)
-    scale_v = max(np.abs(st.Sv).max(), 1.0)
+    scale_v = max(np.abs(st.v.S).max(), 1.0)
     # free-parameter identity: S - L^T L equals the transposed-negated S
-    assert np.abs((st.Sv - st.Lv.T @ st.Lv) - (-st.Sv.T)).max() <= 1e-10 * scale_v
-    _assert_placed(-st.Sv, units_a, True, 1e-10)
-    _assert_placed(-st.Sw, units_b, True, 1e-10)
+    assert np.abs((st.v.S - st.v.L.T @ st.v.L) - (-st.v.S.T)).max() <= 1e-10 * scale_v
+    _assert_placed(-st.v.S, units_a, True, 1e-10)
+    _assert_placed(-st.w.S, units_b, True, 1e-10)
     sy = st.sylv
     A1h = sy.Sv - (sy.D @ sy.Lw.T) @ sy.Lv
     # the coupling matrix conjugates the placed matrix onto -Sw^T, which
@@ -243,10 +243,10 @@ def test_criterion_5_pole_placement():
     rhs = -sy.Sv @ sy.D
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
     _assert_placed(-sy.Sv, units_a, False, 1e-10)
-    eq = st.eqs["ricc_p"]
-    Sr = spla.solve(eq.T, st.Sv @ eq.T)
-    Lr = st.Lv @ eq.T
-    Cr = st.Gc.T @ eq.T
+    eq = st.v.eqs["ricc"]
+    Sr = spla.solve(eq.T, st.v.S @ eq.T)
+    Lr = st.v.L @ eq.T
+    Cr = st.v.G.T @ eq.T
     Ar = Sr - (eq.Phat @ Lr.T) @ Lr
     placed = Ar - eq.Phat @ Cr.T @ Cr
     # similarity identity: placed @ Phat = Phat @ (-S_ricc^T)

@@ -63,7 +63,7 @@ class TestVariantPolePlacement:
     def test_ricc_observer_variant(self):
         g, st = engine_state()
         rom = build_rom(st, 1, "ricc-observer")
-        eq = st.eqs["ricc_p"]
+        eq = st.v.eqs["ricc"]
         Ptilde = eq.T @ eq.Phat @ eq.T.T
         closed = rom.A - Ptilde @ rom.C.T @ rom.C
         want = np.conj(unit_multiset(st.alpha_units, g.m))

@@ -97,17 +97,17 @@ class TestInitialSeeds:
         Dp = D + D.T
         w, U = np.linalg.eigh(Dp)
         Dpis = (U / np.sqrt(w)) @ U.T
-        np.testing.assert_allclose(st.eqs["pr_p"].perp, np.asarray(g.B) @ Dpis,
+        np.testing.assert_allclose(st.v.eqs["pr"].perp, np.asarray(g.B) @ Dpis,
                                    atol=1e-14)
         Dbi = np.linalg.inv(np.eye(2) - D @ D.T)
         wb, Ub = np.linalg.eigh(np.eye(2) + D.T @ Dbi @ D)
         Bsc = (Ub * np.sqrt(wb)) @ Ub.T
-        np.testing.assert_allclose(st.eqs["br_p"].perp, np.asarray(g.B) @ Bsc,
+        np.testing.assert_allclose(st.v.eqs["br"].perp, np.asarray(g.B) @ Bsc,
                                    atol=1e-14)
         Di = np.linalg.inv(D)
-        np.testing.assert_allclose(st.eqs["mp_p"].perp, np.asarray(g.B) @ Di,
+        np.testing.assert_allclose(st.v.eqs["mp"].perp, np.asarray(g.B) @ Di,
                                    atol=1e-14)
-        np.testing.assert_allclose(st.eqs["mp_q"].perp, Di @ np.asarray(g.C),
+        np.testing.assert_allclose(st.w.eqs["mp"].perp, (Di @ np.asarray(g.C)).T,
                                    atol=1e-14)
         np.testing.assert_allclose(st.Bperp, np.asarray(g.B), atol=0)
         np.testing.assert_allclose(st.Cperp, np.asarray(g.C), atol=0)
@@ -362,9 +362,9 @@ class TestProjectedInvariants:
             uadi_step(st, a, b)
             kv = st.V.shape[1]
             # implicit-middle identity of the shared basis bookkeeping
-            proj = -st.Sv.T + -st.Sv + st.Lv.T @ st.Lv
+            proj = -st.v.S.T + -st.v.S + st.v.L.T @ st.v.L
             assert np.abs(proj).max() <= 1e-12
-            projw = -st.Sw.T + -st.Sw + st.Lw.T @ st.Lw
+            projw = -st.w.S.T + -st.w.S + st.w.L.T @ st.w.L
             assert np.abs(projw).max() <= 1e-12
             # projected Sylvester identity on the coupling bookkeeping
             sy = st.sylv
@@ -376,10 +376,10 @@ class TestProjectedInvariants:
                 resid = A1h @ sy.D + sy.D @ A2h + Bh @ Ch
                 assert np.abs(resid).max() <= 1e-10 * max(np.abs(sy.D).max(), 1.0)
             # projected Riccati identity on the extracted small matrices
-            eq = st.eqs["ricc_p"]
-            Sricc = spla.solve(eq.T, st.Sv @ eq.T)
-            Lricc = st.Lv @ eq.T
-            Ch1 = st.Gc.T @ eq.T
+            eq = st.v.eqs["ricc"]
+            Sricc = spla.solve(eq.T, st.v.S @ eq.T)
+            Lricc = st.v.L @ eq.T
+            Ch1 = st.v.G.T @ eq.T
             Bh1 = eq.Phat @ Lricc.T
             A1r = Sricc - Bh1 @ Lricc
             resid = (A1r @ eq.Phat + eq.Phat @ A1r.T + Bh1 @ Bh1.T
@@ -401,8 +401,8 @@ class TestPolePlacement:
             betas += list(u.shifts()) * m
 
         # shared-basis rows: eig(-Sv^T) = conj(alpha), eig(-Sw) = conj(beta)
-        assert_multiset_close(spla.eigvals(-st.Sv.T), conj_a, 1e-10)
-        assert_multiset_close(spla.eigvals(-st.Sw), np.conj(betas), 1e-10)
+        assert_multiset_close(spla.eigvals(-st.v.S.T), conj_a, 1e-10)
+        assert_multiset_close(spla.eigvals(-st.w.S), np.conj(betas), 1e-10)
 
         # Sylvester rows: coupling-extracted matrices place beta / alpha
         sy = st.sylv
@@ -413,9 +413,9 @@ class TestPolePlacement:
 
         # Riccati-family rows, checked in each equation's own frame
         def frame_placed(tag, A_eq, Cw, sign):
-            eq = st.eqs[tag]
+            eq = st.v.eqs[tag[:-2]]
             Vf = st.V @ eq.T
-            Af = spla.lstsq(E @ Vf, A_eq @ Vf + eq.perp @ st.Lv)[0]
+            Af = spla.lstsq(E @ Vf, A_eq @ Vf + eq.perp @ st.v.L)[0]
             Cf = Cw @ Vf
             return spla.eigvals(Af + sign * eq.Phat @ Cf.T @ Cf)
 
@@ -438,15 +438,15 @@ class TestPolePlacement:
             frame_placed("br_p", A + g.B @ (D.T @ Dbi) @ g.C, Dbis @ g.C, +1.0),
             conj_a, 1e-7)
         # minimum-phase frame has an identity middle: placed matrix directly
-        eqm = st.eqs["mp_p"]
+        eqm = st.v.eqs["mp"]
         Di = np.linalg.inv(D)
         Vf = st.V @ eqm.T
-        Af = spla.lstsq(E @ Vf, (A - g.B @ Di @ g.C) @ Vf + eqm.perp @ st.Lv)[0]
+        Af = spla.lstsq(E @ Vf, (A - g.B @ Di @ g.C) @ Vf + eqm.perp @ st.v.L)[0]
         assert_multiset_close(spla.eigvals(Af), conj_a, 1e-7)
         # dual side spot check
-        eqq = st.eqs["ricc_q"]
+        eqq = st.w.eqs["ricc"]
         Wf = st.W @ eqq.T
-        Afq = spla.lstsq(E.T @ Wf, A.T @ Wf + eqq.perp.T @ st.Lw)[0]
+        Afq = spla.lstsq(E.T @ Wf, A.T @ Wf + eqq.perp @ st.w.L)[0]
         Bfq = g.B.T @ Wf
         assert_multiset_close(
             spla.eigvals(Afq - eqq.Phat @ Bfq.T @ Bfq), betas, 1e-7)
@@ -661,9 +661,9 @@ class TestBasisStorage:
         W = np.hstack(blocks[1::2])
         np.testing.assert_array_equal(st.V, V)
         np.testing.assert_array_equal(st.W, W)
-        np.testing.assert_allclose(st.EV, s1.E @ V, rtol=0, atol=1e-14 * np.abs(V).max())
-        np.testing.assert_allclose(st.EW, s2.E.T @ W, rtol=0, atol=1e-14 * np.abs(W).max())
-        for M in (st.V, st.W, st.EV, st.EW):
+        np.testing.assert_allclose(st.v.EX, s1.E @ V, rtol=0, atol=1e-14 * np.abs(V).max())
+        np.testing.assert_allclose(st.w.EX, s2.E.T @ W, rtol=0, atol=1e-14 * np.abs(W).max())
+        for M in (st.V, st.W, st.v.EX, st.w.EX):
             assert not M.flags.writeable
             with pytest.raises(ValueError):
                 M[0, 0] = 1.0
