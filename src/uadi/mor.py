@@ -24,7 +24,10 @@ __all__ = [
     "bt_from_factors",
 ]
 
-VARIANTS = ("lyap", "sylv-pole", "ricc-observer", "inf-filter", "mp", "pr", "br")
+# ROM variant -> the equation family whose solution sets its free parameter
+_FAMILY = {"lyap": None, "sylv-pole": "sylv", "ricc-observer": "ricc",
+           "inf-filter": "inf", "mp": "mp", "pr": "pr", "br": "br"}
+VARIANTS = tuple(_FAMILY)
 
 
 @dataclass
@@ -51,10 +54,6 @@ class ReducedModel:
             return self.D.copy()
         x = spla.solve(complex(s) * np.eye(self.order) - self.A, self.B)
         return self.C @ x + self.D
-
-
-_FAMILY = {"lyap": None, "sylv-pole": "sylv", "ricc-observer": "ricc",
-           "inf-filter": "inf", "mp": "mp", "pr": "pr", "br": "br"}
 
 
 def build_rom(state, side, variant):
@@ -91,7 +90,8 @@ def build_rom(state, side, variant):
         Bhat = Xinv @ other.L[:, :k_other].T
     else:
         eq = this.eqs[family]
-        # the equation's middle matrix in shared-basis coordinates
+        # T Phat T^T, the middle matrix in shared-basis coordinates; the
+        # minimum-phase equation has no middle matrix and uses T
         M = eq.T if eq.Phat is None else eq.T @ eq.Phat @ eq.T.T
         Bhat = M @ L.T @ this.cfg[family]["rri"]
     A, B, C, D = S - Bhat @ L, Bhat, G.T, this.sys.D

@@ -424,9 +424,9 @@ class UadiState:
     V = property(lambda self: self.v.X, doc="Shared basis of the V side.")
     W = property(lambda self: self.w.X, doc="Shared basis of the W side.")
     Bperp = property(lambda self: self.v.perp,
-                     doc="Residual factor of the Lyapunov equation of G1.")
+                     doc="Residual factor of the controllability Gramian of G1.")
     Cperp = property(lambda self: self.w.perp.T,
-                     doc="Residual factor of the Lyapunov equation of G2^T.")
+                     doc="Residual factor (p x n) of the observability Gramian of G2.")
     cache1 = property(lambda self: self.v.cache)
     cache2 = property(lambda self: self.w.cache)
 
@@ -452,10 +452,9 @@ class UadiState:
             feasible.add("sylv")
         else:
             self._skip("sylv", f"m1={s1.m} != p2={s2.p}")
-        sides = (self.v, self.w)
         sf_why = ("G1 != G2" if not self.single_system else
                   self.v.skip.get("sf") or self.w.skip.get("sf"))
-        for side in sides:
+        for side in (self.v, self.w):
             if sf_why:
                 side.cfg.pop("sf", None)
                 side.skip["sf"] = sf_why

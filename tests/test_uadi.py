@@ -556,6 +556,28 @@ class TestDegradation:
         assert X.shape == (g.n, g.n) and np.all(np.isfinite(X))
         assert st.rank("ricc_p") == sol.left.shape[1] == sol.middle_matrix().shape[0]
 
+    def test_degraded_spectral_factor_still_extracts(self, monkeypatch):
+        """A failed spectral-factor recompute keeps the previous step's
+        transform, which covers a prefix of the grown basis."""
+        import uadi.uadi as engine
+
+        def failing(F, Q):
+            raise spla.LinAlgError("synthetic failure")
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "sf_p,sf_q")
+        uadi_step(st, -0.5, -0.6)
+        before = st.residual_factor("sf_q").factor.copy()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "solve_small_lyapunov", failing)
+            uadi_step(st, -1.0, -1.2)
+        assert {"sf_p", "sf_q"} <= set(st.degraded)
+        np.testing.assert_array_equal(st.residual_factor("sf_q").factor, before)
+        for tag in ("sf_p", "sf_q"):
+            sol = extract_solution(st, tag)
+            assert np.all(np.isfinite(sol.product()))
+            assert st.rank(tag) == sol.left.shape[1] < st.V.shape[1]
+
 
 class TestFailurePropagation:
     """Numerical failures of the small solves degrade; bugs propagate."""
