@@ -194,10 +194,10 @@ class _ShiftDriver:
         elif self.kind == "petrov-bt":
             self.single.observe(v_block, w_block, state.Bperp, state.Cperp)
         elif self.kind == "sylv-alt":
-            sy = state.sylv
-            bperp = sy.Bperp if sy is not None else state.Bperp
-            cperp = sy.Cperp if sy is not None else state.Cperp
-            self.single.observe(v_block, w_block, bperp, cperp)
+            v, w = state.v, state.w
+            if state.sylv is not None:
+                v, w = v.sylv, w.sylv
+            self.single.observe(v_block, w_block, v.perp, w.perp.T)
 
 
 def run(config):
@@ -348,7 +348,7 @@ def scenario_equivalence(seed=42, n=60, iters=8):
         return float(np.linalg.norm(X - Y) / max(np.linalg.norm(Y), 1e-300))
 
     out = {}
-    if state.sylv is not None and state.sylv.consumed_v == state.V.shape[1]:
+    if state.sylv is not None and state.sylv.q == state.V.shape[1]:
         ref, _, _ = classic.fadi(sys1, sys2, alphas, betas)
         out["sylv"] = relerr(state.extract("sylv").product(), ref.product())
     refp, _, _ = classic.radi(sys1, alphas)

@@ -81,13 +81,9 @@ def build_rom(state, side, variant):
     if variant == "lyap":
         Bhat = L.T
     elif variant == "sylv-pole":
-        sy = state.sylv
-        k, k_other = sy.consumed_v, sy.consumed_w
-        Xinv = sy.Xinv if sy.mode == "direct" else sy.Tv @ sy.D @ sy.Tw.T
-        if side == 2:
-            k, k_other, Xinv = k_other, k, Xinv.T
+        k, D = state.sylv.q, state.sylv.D if side == 1 else state.sylv.D.T
         S, L, G = S[:k, :k], L[:, :k], G[:k]
-        Bhat = Xinv @ other.L[:, :k_other].T
+        Bhat = this.sylv.T @ D @ other.sylv.T.T @ other.L[:, :k].T
     else:
         eq = this.eqs[family]
         # T Phat T^T, the middle matrix in shared-basis coordinates; the

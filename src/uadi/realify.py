@@ -5,7 +5,9 @@ open left half-plane standing for itself plus its conjugate.  Every unit
 contributes a real basis block: one column block for a real shift, two for a
 pair.  The (s, l) companion blocks below encode the unit inside the shift
 bookkeeping matrices so that all stored ADI quantities stay real and the
-identity  A V - E V S + B_perp L = 0  holds exactly.
+identity  A V - E V S + B_perp L = 0  holds exactly.  The Sylvester case
+blocks (sylv_case, sylv_sl) serve only the reference classic.fadi: the
+engine groups Sylvester shifts with the lyap_sl blocks of both sides.
 """
 
 import math

@@ -68,7 +68,10 @@ class DominanceRanking:
     order: np.ndarray
 
     def top(self):
-        return self.eigenvalues[self.order[0]]
+        """The top-ranked eigenvalue.  Of a conjugate pair it is the member
+        with Im > 0, so roundoff in the two scores cannot pick the member."""
+        lam = complex(self.eigenvalues[self.order[0]])
+        return complex(lam.real, abs(lam.imag))
 
 
 def rank_dominance(eigenvalues, residue_norms):
@@ -219,13 +222,8 @@ def next_shift_petrov_bt(history_V, history_W, B_perp, C_perp, sys):
     w, T, Tl = small_eig(At)
     rb = np.array([np.linalg.norm(Tl[l] @ Bt) for l in range(len(w))])
     rc = np.array([np.linalg.norm(Ch @ T[:, l]) for l in range(len(w))])
-    damp = np.maximum(np.abs(w.real), 1e-12 * (1.0 + np.abs(w)))
-    scores = rc * rb / damp
-    order = np.array(sorted(
-        range(len(w)), key=lambda l: (-scores[l], -abs(w[l].imag), l)
-    ))
-    ranking = DominanceRanking(w, np.sqrt(rb * rc), scores, order)
-    return sanitize_shift(w[order[0]]), ranking
+    ranking = rank_dominance(w, np.sqrt(rb * rc))
+    return sanitize_shift(ranking.top()), ranking
 
 
 class _History:

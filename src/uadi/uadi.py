@@ -11,6 +11,11 @@ The two sides run one algorithm: the W side (observability, C2^T
 right-hand side) is the V side's ADI on the dual realization
 G2.dual() = (E2^T, A2^T, C2^T, B2^T, D2^T).
 
+The Sylvester branch fires at every unit boundary the two bases share,
+with the two sides' own (S, L) blocks of the new columns as the group's
+companion blocks, so every shift pattern groups and the coupling X of the
+Petrov-Galerkin product V X^-1 W^T is never formed.
+
 Supported equations (17): the controllability/observability Gramian pair,
 the indefinite-weighted pair, the minimum-phase pair, one two-sided
 Sylvester equation, and the regulator/filter, bounded-gain, positive-real,
@@ -38,7 +43,7 @@ from .linalg import (
     solve_small_lyapunov,
     solve_small_sylvester,
 )
-from .realify import ShiftUnit, lyap_sl, realified_columns, sylv_case, sylv_sl
+from .realify import ShiftUnit, lyap_sl, realified_columns
 from .systems import EquationParams
 
 logger = logging.getLogger("uadi")
@@ -170,6 +175,13 @@ def _grow_upper(M, top_right, corner):
     ])
 
 
+def _check_trailing(t_new, what):
+    """Raise ExtractionSingular if a transform's trailing block is singular."""
+    svals = spla.svdvals(t_new)
+    if svals[-1] <= 1e-13 * max(svals[0], 1.0):
+        raise ExtractionSingular(f"{what}: trailing transform block singular")
+
+
 def _family_configs(sys, gamma, name):
     """Configs of one side's Riccati-family equations keyed by family, and
     the reasons the infeasible families are skipped.
@@ -263,7 +275,7 @@ class _Side:
 
     def start(self, tags):
         """Keep the families whose tags are in ``tags``, seed their
-        equations and fix every residual's normalization."""
+        equations and Sylvester half, fix every residual's normalization."""
         self.cfg = {f: c for f, c in self.cfg.items() if f + self.suffix in tags}
         self.eqs = {f: _EqSide(self.sys.B @ c["rr"], c["mid"])
                     for f, c in self.cfg.items()}
@@ -271,6 +283,8 @@ class _Side:
                       "ldl": _scale(gram_norm2(self.sys.B, self.weight))}
         for f, eq in self.eqs.items():
             self.const[f] = _scale(gram_norm2(eq.perp))
+        self.sylv = (_SylvHalf(np.zeros((0, 0)), np.zeros((0, 0)), self.perp.copy())
+                     if "sylv" in tags else None)
 
     def residual(self, family):
         """Thin factor and weight of one family's tracked residual."""
@@ -326,9 +340,7 @@ class _Side:
             G = G - _pad_rows(eq.T @ L[:, :kprev].T, wid)
         t = solve_small_sylvester(F, s, G @ l)
         t_new = t[kprev:]
-        sv_small = spla.svdvals(t_new)
-        if sv_small[-1] <= 1e-13 * max(sv_small[0], 1.0):
-            raise ExtractionSingular(f"{tag}: trailing transform block singular")
+        _check_trailing(t_new, tag)
         Phat, mid = eq.Phat, l.T
         if eq.has_middle:
             xhat = Gx.T @ t  # projected output map of the new direction
@@ -344,19 +356,35 @@ class _Side:
         eq.perp = eq.perp - upd
 
 
-def _sylv_transform(side, k, kp, T, D, L_other, s, l):
-    """Transform of the basis prefix X[:, :k] of one side into the
-    factored-ADI Sylvester direction of the next shift group; ``D`` is the
-    coupling in this side's orientation (transposed for the W side)."""
-    G = side.L[:, :k].T
+@dataclass
+class _SylvHalf:
+    """One side's half of the Sylvester solution V T_v D T_w^T W^T: the
+    transform T of the consumed basis prefix, its shift matrix S (its L is
+    the side's L on the prefix) and the residual factor perp (n x m on the
+    V side, the n x p Cperp^T on the W side)."""
+
+    T: np.ndarray
+    S: np.ndarray
+    perp: np.ndarray
+
+
+def _sylv_advanced(side, other, q, D, dinv):
+    """``side``'s Sylvester half after the group of basis columns kp:q,
+    whose companion blocks are the side's own S and L on those columns.
+    ``D`` (the coupling so far) and ``dinv`` (its new block) are in this
+    side's orientation, transposed for the W side.  Mutates nothing."""
+    half, kp = side.sylv, side.sylv.T.shape[0]
+    s, l = side.S[kp:q, kp:q], side.L[:, kp:q]
+    G = side.L[:, :q].T
     if kp:
-        G = G - _pad_rows(T @ D @ L_other.T, k - kp)
-    t = solve_small_sylvester(-side.S[:k, :k].T, s, G @ l)
-    svals = spla.svdvals(t[kp:])
-    if svals[-1] <= 1e-13 * max(svals[0], 1.0):
-        raise ExtractionSingular(
-            f"sylv: trailing {side.suffix} transform block singular")
-    return t
+        G = G - _pad_rows(half.T @ D @ other.L[:, :kp].T, q - kp)
+    t = solve_small_sylvester(-side.S[:q, :q].T, s, G @ l)
+    _check_trailing(t[kp:], f"sylv {side.suffix} half")
+    return _SylvHalf(
+        _grow_upper(half.T, t[:kp], t[kp:]),
+        _grow_upper(half.S, D @ other.L[:, :kp].T @ l, s),
+        half.perp - (side.EX[:, :q] @ t) @ (dinv @ other.L[:, kp:q].T),
+    )
 
 
 def _sf_side(side, other, VW):
@@ -372,22 +400,12 @@ def _sf_side(side, other, VW):
 
 
 class _SylvState:
-    def __init__(self, B1, C2):
-        self.Tv = np.zeros((0, 0))
-        self.Tw = np.zeros((0, 0))
+    """The coupling D shared by the two Sylvester halves and the basis
+    prefix q they have consumed, equal on both sides by construction."""
+
+    def __init__(self):
         self.D = np.zeros((0, 0))
-        self.Sv = np.zeros((0, 0))
-        self.Lv = np.zeros((B1.shape[1], 0))
-        self.Sw = np.zeros((0, 0))
-        self.Lw = np.zeros((C2.shape[0], 0))
-        self.Bperp = np.array(B1, dtype=float)
-        self.Cperp = np.array(C2, dtype=float)
-        self.consumed_v = 0
-        self.consumed_w = 0
-        self.pending_a = []  # (ShiftUnit, col_start, col_end) on the V side
-        self.pending_b = []
-        self.mode = "cases"  # or "direct" once grouping becomes impossible
-        self.Xinv = np.zeros((0, 0))
+        self.q = 0
 
 
 class UadiState:
@@ -482,91 +500,32 @@ class UadiState:
         if "sylv" in self.enabled:
             s1, s2 = self.sys1, self.sys2
             self.const["sylv"] = _scale(gram_norm2(s1.B, np.eye(s1.m), s2.C.T))
-            self.sylv = _SylvState(s1.B, s2.C)
+            self.sylv = _SylvState()
         if "sf" in self.v.eqs:
             self.sf = (self.v.eqs["sf"], self.w.eqs["sf"])
 
     # -- Sylvester branch ---------------------------------------------------
 
-    def _sylv_try_fire(self):
-        sy = self.sylv
-        while sy.pending_a and sy.pending_b:
-            a0, b0 = sy.pending_a[0][0], sy.pending_b[0][0]
-            if a0.is_pair == b0.is_pair:
-                na, nb = 1, 1
-            elif not a0.is_pair:
-                if len(sy.pending_a) < 2:
-                    return  # wait for the second real alpha unit
-                if sy.pending_a[1][0].is_pair:
-                    self._sylv_to_direct("a real alpha shift faces a beta "
-                                         "pair with no second real alpha")
-                    return
-                na, nb = 2, 1
-            else:
-                if len(sy.pending_b) < 2:
-                    return
-                if sy.pending_b[1][0].is_pair:
-                    self._sylv_to_direct("an alpha pair faces a real beta "
-                                         "shift with no second real beta")
-                    return
-                na, nb = 1, 2
-            a_items = [sy.pending_a.pop(0) for _ in range(na)]
-            b_items = [sy.pending_b.pop(0) for _ in range(nb)]
-            try:
-                self._sylv_fire([it[0] for it in a_items],
-                                [it[0] for it in b_items],
-                                a_items[-1][2], b_items[-1][2])
-            except _NUMERICAL_FAILURES as exc:
-                self.degraded["sylv"] = str(exc)
-                logger.warning("sylv degraded: %s", exc)
-                return
-
-    def _sylv_to_direct(self, why):
-        """Ungroupable shift pattern: switch the Sylvester branch to the
-        one-shot coupling solve on the full shift bookkeeping.  The product
-        is the factored-ADI one whenever the case route is also defined."""
-        logger.info("sylv: %s; switching to the direct coupling solve", why)
-        self.sylv.mode = "direct"
-        self._sylv_direct()
-
-    def _sylv_direct(self):
-        """One-shot coupling solve on the largest aligned basis prefixes.
-
-        The prefixes must end at unit boundaries on both sides so that the
-        coupling matrix is square; with equally many scalar shifts consumed
-        per side this is the full basis.
-        """
+    def _sylv_fire(self):
+        """Consume the columns up to the largest unit boundary the two
+        bases share, if it lies past the consumed prefix."""
         sy, v, w = self.sylv, self.v, self.w
-        q = max(set(v.bounds) & set(w.bounds))
-        if q == 0:
+        q, kp = max(set(v.bounds) & set(w.bounds)), sy.q
+        if q == kp:
             return
-        X = solve_small_sylvester(
-            -w.S[:q, :q].T, v.S[:q, :q], w.L[:, :q].T @ v.L[:, :q],
-        )
-        sy.Xinv = spla.inv(X)
-        sy.Bperp = self.sys1.B - v.EX[:, :q] @ (sy.Xinv @ w.L[:, :q].T)
-        sy.Cperp = self.sys2.C - (v.L[:, :q] @ sy.Xinv) @ w.EX[:, :q].T
-        sy.consumed_v = sy.consumed_w = q
-
-    def _sylv_fire(self, a_units, b_units, kv, kw):
-        sy = self.sylv
-        case = sylv_case(a_units, b_units)
-        sv, lv, sw, lw = sylv_sl(case, a_units, b_units, self.sys1.m)
-        kvp, kwp = sy.consumed_v, sy.consumed_w
-        tv = _sylv_transform(self.v, kv, kvp, sy.Tv, sy.D, sy.Lw, sv, lv)
-        tw = _sylv_transform(self.w, kw, kwp, sy.Tw, sy.D.T, sy.Lv, sw, lw)
-        d = solve_small_sylvester(-sw.T, sv, lw.T @ lv)
-        dinv = spla.inv(d)
-        sy.Sv = _grow_upper(sy.Sv, sy.D @ sy.Lw.T @ lv, sv)
-        sy.Sw = _grow_upper(sy.Sw, sy.D.T @ sy.Lv.T @ lw, sw)
-        sy.Lv = np.hstack([sy.Lv, lv])
-        sy.Lw = np.hstack([sy.Lw, lw])
-        sy.Tv = _grow_upper(sy.Tv, tv[:kvp], tv[kvp:])
-        sy.Tw = _grow_upper(sy.Tw, tw[:kwp], tw[kwp:])
+        try:
+            d = solve_small_sylvester(-w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
+                                      w.L[:, kp:q].T @ v.L[:, kp:q])
+            dinv = spla.inv(d)
+            halves = (_sylv_advanced(v, w, q, sy.D, dinv),
+                      _sylv_advanced(w, v, q, sy.D.T, dinv.T))
+        except _NUMERICAL_FAILURES as exc:
+            self.degraded["sylv"] = str(exc)
+            logger.warning("sylv degraded: %s", exc)
+            return
+        v.sylv, w.sylv = halves
         sy.D = spla.block_diag(sy.D, dinv)
-        sy.Bperp = sy.Bperp - (self.v.EX[:, :kv] @ tv) @ (dinv @ lw.T)
-        sy.Cperp = sy.Cperp - (lv @ dinv) @ (self.w.EX[:, :kw] @ tw).T
-        sy.consumed_v, sy.consumed_w = kv, kw
+        sy.q = q
 
     # -- spectral-factor branch (recomputed whole each step) ----------------
 
@@ -603,18 +562,8 @@ class UadiState:
         if self.sf is not None:
             self.VW = np.vstack([self.VW, self.V[:, kv:].T @ self.W[:, :kw]])
             self.VW = np.hstack([self.VW, self.V.T @ self.W[:, kw:]])
-        if self.sylv is not None:
-            self.sylv.pending_a.append((au, kv, self.v.k))
-            self.sylv.pending_b.append((bu, kw, self.w.k))
         if self.sylv is not None and "sylv" not in self.degraded:
-            if self.sylv.mode == "cases":
-                self._sylv_try_fire()
-            else:
-                try:
-                    self._sylv_direct()
-                except _NUMERICAL_FAILURES as exc:
-                    self.degraded["sylv"] = str(exc)
-                    logger.warning("sylv degraded: %s", exc)
+            self._sylv_fire()
         if self.sf is not None and not {"sf_p", "sf_q"} <= set(self.degraded):
             self._sf_recompute()
         self.iteration += 1
@@ -639,14 +588,10 @@ class UadiState:
         if self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
         if tag == "sylv":
-            sy = self.sylv
-            if sy.mode == "direct":
-                return LowRankSolution(self.V[:, : sy.consumed_v].copy(),
-                                       sy.Xinv.copy(),
-                                       self.W[:, : sy.consumed_w].copy(), tag=tag)
-            return LowRankSolution(self.V[:, : sy.consumed_v] @ sy.Tv,
-                                   sy.D.copy(),
-                                   self.W[:, : sy.consumed_w] @ sy.Tw, tag=tag)
+            q = self.sylv.q
+            return LowRankSolution(self.V[:, :q] @ self.v.sylv.T,
+                                   self.sylv.D.copy(),
+                                   self.W[:, :q] @ self.w.sylv.T, tag=tag)
         side, fam = self._locate(tag)
         if fam == "lyap":
             return LowRankSolution(side.X.copy(), tag=tag)
@@ -667,8 +612,7 @@ class UadiState:
         if self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
         if tag == "sylv":
-            sy = self.sylv
-            return sy.consumed_v if sy.mode == "direct" else sy.Tv.shape[1]
+            return self.sylv.q
         side, fam = self._locate(tag)
         if fam in ("lyap", "ldl"):
             return side.k
@@ -677,8 +621,8 @@ class UadiState:
     def residual_factor(self, tag):
         self._check_tag(tag)
         if tag == "sylv":
-            return (ResidualFactor(self.sylv.Bperp.copy()),
-                    ResidualFactor(self.sylv.Cperp.copy(), side="right"))
+            return (ResidualFactor(self.v.sylv.perp.copy()),
+                    ResidualFactor(self.w.sylv.perp.T.copy(), side="right"))
         side, fam = self._locate(tag)
         factor, weight = side.residual(fam)
         return ResidualFactor(factor.copy(),
@@ -688,8 +632,7 @@ class UadiState:
     def residual_norm(self, tag):
         self._check_tag(tag)
         if tag == "sylv":
-            sy = self.sylv
-            raw = gram_norm2(sy.Bperp, np.eye(sy.Bperp.shape[1]), sy.Cperp.T)
+            raw = gram_norm2(self.v.sylv.perp, None, self.w.sylv.perp)
         else:
             side, fam = self._locate(tag)
             raw = gram_norm2(*side.residual(fam))

@@ -104,7 +104,7 @@ def test_criterion_2_extraction_equivalence():
         def rel(x, y):
             return np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300)
 
-        assert st.sylv.mode == "cases" and st.sylv.consumed_v == st.V.shape[1]
+        assert st.sylv.q == st.V.shape[1]
         fs, _, _ = classic.fadi(s1, s2, alphas, betas)
         worst = max(worst, rel(extract_solution(st, "sylv").product(),
                                fs.product()))
@@ -141,7 +141,7 @@ def test_criterion_3_residual_factorization():
     for a, b in [(-0.5, -0.9), (-1 + 2j, -2 + 1j), (-2.0, -1.4)]:
         uadi_step(st2, a, b)
         for tag in sorted(st2.enabled):
-            if tag == "sylv" and st2.sylv.consumed_v == 0:
+            if tag == "sylv" and st2.sylv.q == 0:
                 continue
             sol = extract_solution(st2, tag).product()
             R = equation_residual(tag, s1, s2, sol, RLC_PARAMS)
@@ -162,10 +162,12 @@ def test_criterion_4_projected_invariants():
         dev = np.abs(-st.w.S.T - st.w.S + st.w.L.T @ st.w.L).max()
         worst = max(worst, dev / max(np.abs(st.w.S).max(), 1.0))
         sy = st.sylv
-        if sy.consumed_v:
-            Bh = sy.D @ sy.Lw.T
-            Ch = sy.Lv @ sy.D
-            resid = (sy.Sv - Bh @ sy.Lv) @ sy.D + sy.D @ (sy.Sw.T - sy.Lw.T @ Ch) \
+        if sy.q:
+            Sv, Sw = st.v.sylv.S, st.w.sylv.S
+            Lv, Lw = st.v.L[:, :sy.q], st.w.L[:, :sy.q]
+            Bh = sy.D @ Lw.T
+            Ch = Lv @ sy.D
+            resid = (Sv - Bh @ Lv) @ sy.D + sy.D @ (Sw.T - Lw.T @ Ch) \
                 + Bh @ Ch
             worst = max(worst, np.abs(resid).max() / max(np.abs(sy.D).max(), 1.0))
         eq = st.v.eqs["ricc"]
@@ -231,18 +233,20 @@ def test_criterion_5_pole_placement():
     _assert_placed(-st.v.S, units_a, True, 1e-10)
     _assert_placed(-st.w.S, units_b, True, 1e-10)
     sy = st.sylv
-    A1h = sy.Sv - (sy.D @ sy.Lw.T) @ sy.Lv
+    Sv, Sw = st.v.sylv.S, st.w.sylv.S
+    Lv, Lw = st.v.L[:, :sy.q], st.w.L[:, :sy.q]
+    A1h = Sv - (sy.D @ Lw.T) @ Lv
     # the coupling matrix conjugates the placed matrix onto -Sw^T, which
     # carries the beta units on its diagonal
     lhs = A1h @ sy.D
-    rhs = -sy.D @ sy.Sw.T
+    rhs = -sy.D @ Sw.T
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
-    _assert_placed(-sy.Sw, units_b, False, 1e-10)
-    A2h = sy.Sw.T - sy.Lw.T @ (sy.Lv @ sy.D)
+    _assert_placed(-Sw, units_b, False, 1e-10)
+    A2h = Sw.T - Lw.T @ (Lv @ sy.D)
     lhs = sy.D @ A2h
-    rhs = -sy.Sv @ sy.D
+    rhs = -Sv @ sy.D
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
-    _assert_placed(-sy.Sv, units_a, False, 1e-10)
+    _assert_placed(-Sv, units_a, False, 1e-10)
     eq = st.v.eqs["ricc"]
     Sr = spla.solve(eq.T, st.v.S @ eq.T)
     Lr = st.v.L @ eq.T

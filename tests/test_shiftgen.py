@@ -63,6 +63,12 @@ class TestDominance:
         assert ranking.order[0] == 2
         assert tuple(ranking.order[1:3]) == (0, 1)
 
+    def test_top_is_canonical_member_of_conjugate_pair(self):
+        # the partners' scores differ by roundoff only; the emitted member
+        # must not depend on it
+        ranking = rank_dominance([-1 - 2j, -1 + 2j], [1 + 1e-15, 1.0])
+        assert ranking.order[0] == 0 and ranking.top().imag > 0
+
     def test_scores_nonnegative_sorted(self, rng):
         lam = -np.abs(rng.standard_normal(8)) - 0.1 + 1j * rng.standard_normal(8)
         rn = np.abs(rng.standard_normal(8))

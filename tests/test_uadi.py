@@ -154,6 +154,19 @@ SHIFT_PATTERNS = {
               [-0.7, -0.9 + 1j, -2.5, -1.1, -4.0]),
 }
 
+# Unit patterns of the Sylvester branch: matched shifts, the four
+# realification cases, two patterns no case groups, and a repeated real shift
+GROUP_PATTERNS = {
+    "matched": ([-0.5, -1 + 2j, -2.0], [-0.5, -1 + 2j, -2.0]),
+    "case1": ([-0.5, -1.2], [-0.8, -2.0]),
+    "case2": ([-0.5 + 1j], [-0.8 + 2j]),
+    "case3": ([-0.5, -1.2], [-0.8 + 2j, -1.0]),
+    "case4": ([-0.5 + 1j, -1.0], [-0.8, -1.5]),
+    "ungroupable": ([-0.5, -2 + 1j, -1.5], [-1 + 1j, -0.9, -2.5]),
+    "ungroupable-rank": ([-0.5, -1 + 1j, -2.0], [-1 + 2j, -0.7, -1.5]),
+    "repeated-real": ([-1.0, -1.0], [-0.7 + 1j, -0.4]),
+}
+
 
 class TestExtractionEquivalence:
     """The engine's extracted factors must reproduce the direct solvers
@@ -173,7 +186,7 @@ class TestExtractionEquivalence:
         def rel(x, y):
             return np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300)
 
-        if st.sylv.consumed_v == st.V.shape[1]:
+        if st.sylv.q == st.V.shape[1]:
             fs, (fb, fc), _ = classic.fadi(s1, s2, alphas, betas)
             assert rel(extract_solution(st, "sylv").product(), fs.product()) < 1e-10
             sb, sc = st.residual_factor("sylv")
@@ -290,29 +303,46 @@ class TestExtractionEquivalence:
         X = extract_solution(st, "sylv").product()
         assert np.linalg.norm(X - st.V @ st.W.T) < 1e-9 * np.linalg.norm(X)
 
-    def test_direct_mode_matches_case_mode(self):
-        s1 = random_stable_system(20, 2, 2, 33)
-        s2 = random_stable_system(18, 2, 2, 34)
-        stA = uadi_init(s1, s2, None, "sylv")
-        stB = uadi_init(s1, s2, None, "sylv")
-        stB.sylv.mode = "direct"
-        for a, b in [(-0.5, -0.8), (-1 + 2j, -2 + 1j), (-3.0, -1.5)]:
-            uadi_step(stA, a, b)
-            uadi_step(stB, a, b)
-        XA = extract_solution(stA, "sylv").product()
-        XB = extract_solution(stB, "sylv").product()
-        assert np.linalg.norm(XA - XB) < 1e-10 * np.linalg.norm(XA)
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("pattern", sorted(GROUP_PATTERNS))
+    def test_sylvester_fires_at_common_boundary(self, pattern, m):
+        """Any unit pattern groups: the branch consumes the basis up to the
+        largest column count at which both sides end a unit, and its product
+        is the Petrov-Galerkin one, V X^-1 W^T with the coupling X solving
+        Sw^T X + X Sv = Lw^T Lv on that prefix."""
+        aus, bus = GROUP_PATTERNS[pattern]
+        s1 = random_stable_system(20, m, m, 61)
+        s2 = random_stable_system(18, m, m, 62)
+        st = uadi_init(s1, s2, None, "sylv")
+        for a, b in zip(aus, bus):
+            uadi_step(st, a, b)
 
-    def test_ungroupable_pattern_switches_to_direct(self):
+        def ends(units):
+            return set(np.cumsum([0] + [m * ShiftUnit(u).width_factor
+                                        for u in units]))
+
+        q = max(ends(aus) & ends(bus))
+        assert st.sylv.q == q and "sylv" not in st.degraded
+        v, w = st.v, st.w
+        X = spla.solve_sylvester(w.S[:q, :q].T, v.S[:q, :q],
+                                 w.L[:, :q].T @ v.L[:, :q])
+        ref = st.V[:, :q] @ spla.solve(X, st.W[:, :q].T)
+        got = extract_solution(st, "sylv").product()
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        R = equation_residual("sylv", s1, s2, got)
+        scale = np.linalg.norm(s1.B @ s2.C)
+        assert np.linalg.norm(R - residual_product(st, "sylv")) < 1e-9 * scale
+
+    def test_ungroupable_pattern_fires_at_common_boundary(self):
         s1 = random_stable_system(16, 1, 1, 35)
         s2 = random_stable_system(14, 1, 1, 36)
         st = uadi_init(s1, s2, None, "sylv")
         uadi_step(st, -0.5, -1 + 1j)       # real vs pair: waits
-        uadi_step(st, -2 + 1j, -0.9)       # second alpha is a pair: ungroupable
-        assert st.sylv.mode == "direct"
+        uadi_step(st, -2 + 1j, -0.9)       # second alpha is a pair
+        assert st.sylv.q == st.V.shape[1]
         assert "sylv" not in st.degraded
         uadi_step(st, -1.5, -2.5)
-        # residual identity still exact in direct mode
+        # residual identity stays exact
         X = extract_solution(st, "sylv").product()
         R = equation_residual("sylv", s1, s2, X)
         scale = np.linalg.norm(s1.B @ s2.C)
@@ -347,7 +377,7 @@ class TestResidualFactorization:
         for a, b in [(-0.4, -0.7), (-1 + 2j, -0.9 + 1j), (-1.5, -2.5)]:
             uadi_step(st, a, b)
             for tag in sorted(st.enabled):
-                if tag == "sylv" and st.sylv.consumed_v == 0:
+                if tag == "sylv" and st.sylv.q == 0:
                     continue
                 sol = extract_solution(st, tag).product()
                 R = equation_residual(tag, s1, s2, sol, params)
@@ -368,11 +398,13 @@ class TestProjectedInvariants:
             assert np.abs(projw).max() <= 1e-12
             # projected Sylvester identity on the coupling bookkeeping
             sy = st.sylv
-            if sy.consumed_v:
-                Bh = sy.D @ sy.Lw.T
-                Ch = sy.Lv @ sy.D
-                A1h = sy.Sv - Bh @ sy.Lv
-                A2h = sy.Sw.T - sy.Lw.T @ Ch
+            if sy.q:
+                Sv, Sw = st.v.sylv.S, st.w.sylv.S
+                Lv, Lw = st.v.L[:, :sy.q], st.w.L[:, :sy.q]
+                Bh = sy.D @ Lw.T
+                Ch = Lv @ sy.D
+                A1h = Sv - Bh @ Lv
+                A2h = Sw.T - Lw.T @ Ch
                 resid = A1h @ sy.D + sy.D @ A2h + Bh @ Ch
                 assert np.abs(resid).max() <= 1e-10 * max(np.abs(sy.D).max(), 1.0)
             # projected Riccati identity on the extracted small matrices
@@ -406,9 +438,11 @@ class TestPolePlacement:
 
         # Sylvester rows: coupling-extracted matrices place beta / alpha
         sy = st.sylv
-        A1h = sy.Sv - (sy.D @ sy.Lw.T) @ sy.Lv
+        Sv, Sw = st.v.sylv.S, st.w.sylv.S
+        Lv, Lw = st.v.L[:, :sy.q], st.w.L[:, :sy.q]
+        A1h = Sv - (sy.D @ Lw.T) @ Lv
         assert_multiset_close(spla.eigvals(A1h), betas, 1e-8)
-        A2h = sy.Sw.T - sy.Lw.T @ (sy.Lv @ sy.D)
+        A2h = Sw.T - Lw.T @ (Lv @ sy.D)
         assert_multiset_close(spla.eigvals(A2h), np.conj(conj_a), 1e-8)
 
         # Riccati-family rows, checked in each equation's own frame
@@ -616,11 +650,10 @@ class TestFailurePropagation:
 class TestRankAccessor:
     @pytest.mark.parametrize("steps", [
         ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0)),
-        ((-0.5, -1 + 2j), (-1 + 1j, -0.7), (-2.0, -1.5)),  # direct sylv mode
+        ((-0.5, -1 + 2j), (-1 + 1j, -0.7), (-2.0, -1.5)),  # no case groups it
     ])
     def test_rank_matches_extract(self, steps):
         g, st = rlc_state(steps)
-        assert st.sylv.mode == ("cases" if steps[0][1].imag == 0 else "direct")
         for tag in sorted(st.enabled):
             assert st.rank(tag) == extract_solution(st, tag).rank
 
