@@ -4,7 +4,9 @@ Reference implementations of the Cholesky-factor ADI iteration for Lyapunov
 equations (with the LDL^T weighting variant), the factored ADI iteration for
 Sylvester equations, and the ADI-type Riccati iteration.  All stored factors
 are real: complex shifts are consumed as conjugate pairs through the
-realified column blocks of :mod:`uadi.realify`.
+realified column blocks of :mod:`uadi.realify`.  An observability-side
+problem is the same solver on ``sys.dual()``: ``cf_adi(sys.dual(), shifts)``
+gives the observability Gramian factor.
 
 These solvers are useful on their own and double as independent references
 for the shared-solve engine's extraction identities.
@@ -91,23 +93,16 @@ def ldl_residual(res, S):
 class CfAdi:
     """Low-rank Lyapunov iteration A P E^T + E P A^T + B B^T = 0.
 
-    ``side='observability'`` works on the transposed realization and returns
-    the observability Gramian factor instead.  One shifted solve per unit;
-    the factorization of the last shift is kept, so a unit that repeats the
-    previous shift refactors nothing.
+    The observability Gramian of ``sys`` is the controllability Gramian of
+    ``sys.dual()``, so ``CfAdi(sys.dual())`` computes its factor.  One
+    shifted solve per unit; the factorization of the last shift is kept, so
+    a unit that repeats the previous shift refactors nothing.
     """
 
-    def __init__(self, sys, side="controllability"):
-        if side not in ("controllability", "observability"):
-            raise ValueError(f"unknown side {side!r}")
+    def __init__(self, sys):
         self.sys = sys
-        self.side = side
-        if side == "controllability":
-            self._A, self._E, rhs = sys.A, sys.E, sys.B
-        else:
-            self._A, self._E, rhs = sys.A.T.tocsc(), sys.E.T.tocsc(), sys.C.T
-        self._cache = FactorizationCache(self._A, self._E)
-        self.B0 = np.array(rhs, dtype=float)
+        self._cache = FactorizationCache(sys.A, sys.E)
+        self.B0 = np.array(sys.B, dtype=float)
         self.Bperp = self.B0.copy()
         self.Z = np.zeros((sys.n, 0))
         self.rhs_norm = gram_norm2(self.B0)
@@ -129,19 +124,20 @@ class CfAdi:
         block = realified_columns(unit, v)
         _, l = lyap_sl(unit, self.m)
         self.Z = np.hstack([self.Z, block])
-        self.Bperp = self.Bperp - (self._E @ block) @ l.T
+        self.Bperp = self.Bperp - (self.sys.E @ block) @ l.T
         self.iterations += len(unit.shifts())
         self.history.append((self.iterations, self.residual_norm()))
 
     def solution(self):
-        return LowRankSolution(self.Z, tag="gramian_" + self.side[:4])
+        return LowRankSolution(self.Z, tag="gramian")
 
     def residual_factor(self):
         return ResidualFactor(self.Bperp.copy())
 
 
-def cf_adi(sys, side, shifts, max_iter=None, tol=0.0):
+def cf_adi(sys, shifts, max_iter=None, tol=0.0):
     """Run CF-ADI over a shift list (cycled unit-wise if max_iter exceeds it).
+    ``cf_adi(sys.dual(), shifts)`` gives the observability Gramian factor.
 
     Returns (LowRankSolution, ResidualFactor, history); history holds
     (iteration, normalized residual) pairs.
@@ -149,7 +145,7 @@ def cf_adi(sys, side, shifts, max_iter=None, tol=0.0):
     units = as_units(shifts)
     if max_iter is None:
         max_iter = len(units)
-    it = CfAdi(sys, side)
+    it = CfAdi(sys)
     k = 0
     while k < max_iter:
         it.step(units[k % len(units)])

@@ -142,19 +142,24 @@ def _read_static_file(path):
 
 
 class _ShiftDriver:
-    """Bridges a shift strategy to the engine loop.  ``recurring`` holds
-    the alpha and beta values a static list cycles through, whose LUs are
-    worth keeping; adaptive strategies repeat nothing."""
+    """Bridges a shift strategy to the engine loop.  Each oracle runs on its
+    engine side's own system (G1, or G2.dual() on the W side) and observes
+    that side's residual factor as is (``sylv-alt``: the Sylvester halves').
+    ``recurring`` holds the alpha and beta values a static list cycles
+    through, whose LUs are worth keeping; adaptive strategies repeat
+    nothing."""
 
-    def __init__(self, config, sys1, sys2):
-        self.kind = config.shifts
+    def __init__(self, config, state):
+        kind, cap = config.shifts, config.restart_cap
+        v, w = state.v.sys, state.w.sys
         self.recurring = ((), ())
-        cap = config.restart_cap
-        if self.kind.startswith("static"):
+        self.single = None          # the one oracle of an alpha = beta strategy
+        self.sylv_halves = kind == "sylv-alt"
+        if kind.startswith("static"):
             if config.static_alphas is not None:
                 alphas, betas = config.static_alphas, config.static_betas
             else:
-                _, _, path = self.kind.partition(":")
+                _, _, path = kind.partition(":")
                 if not path:
                     raise ValueError("static strategy needs static:<file>")
                 alphas, betas = _read_static_file(path)
@@ -162,42 +167,35 @@ class _ShiftDriver:
             self.ob = StaticShiftOracle(betas if betas is not None else alphas)
             self.recurring = tuple([u.value for u in o.units]
                                    for o in (self.oa, self.ob))
-        elif self.kind in ("proj1", "proj2"):
-            variant = 1 if self.kind == "proj1" else 2
-            self.oa = ProjectionShiftOracle(sys1, variant)
-            self.ob = ProjectionShiftOracle(sys2.dual(), variant)
-        elif self.kind == "subspace":
-            self.oa = SubspaceShiftOracle(sys1, "controllable", cap)
-            self.ob = SubspaceShiftOracle(sys2, "observable", cap)
-        elif self.kind == "petrov-bt":
-            self.single = PetrovBtShiftOracle(sys1, cap)
-        elif self.kind == "sylv-alt":
-            self.single = SylvesterAlternatingOracle(sys1, sys2, cap)
+        elif kind in ("proj1", "proj2"):
+            variant = 1 if kind == "proj1" else 2
+            self.oa = ProjectionShiftOracle(v, variant)
+            self.ob = ProjectionShiftOracle(w, variant)
+        elif kind == "subspace":
+            self.oa = SubspaceShiftOracle(v, cap)
+            self.ob = SubspaceShiftOracle(w, cap)
+        elif kind == "petrov-bt":
+            self.single = PetrovBtShiftOracle(v, cap)
+        elif kind == "sylv-alt":
+            self.single = SylvesterAlternatingOracle(v, w, cap)
         else:
-            raise ValueError(f"unknown shift strategy {self.kind!r}")
+            raise ValueError(f"unknown shift strategy {kind!r}")
 
     def next_pair(self):
-        if self.kind in ("petrov-bt", "sylv-alt"):
+        if self.single is not None:
             unit = self.single.next_unit()
             return unit, ShiftUnit(unit.value)
         return self.oa.next_unit(), self.ob.next_unit()
 
     def after_step(self, state, v_block, w_block):
-        if self.kind.startswith("static"):
-            return
-        if self.kind in ("proj1", "proj2"):
-            self.oa.observe(v_block, state.Bperp)
-            self.ob.observe(w_block, state.Cperp.T)
-        elif self.kind == "subspace":
-            self.oa.observe(v_block, state.Bperp)
-            self.ob.observe(w_block, state.Cperp)
-        elif self.kind == "petrov-bt":
-            self.single.observe(v_block, w_block, state.Bperp, state.Cperp)
-        elif self.kind == "sylv-alt":
-            v, w = state.v, state.w
-            if state.sylv is not None:
-                v, w = v.sylv, w.sylv
-            self.single.observe(v_block, w_block, v.perp, w.perp.T)
+        v, w = state.v, state.w
+        if self.sylv_halves and state.sylv is not None:
+            v, w = v.sylv, w.sylv
+        if self.single is not None:
+            self.single.observe(v_block, w_block, v.perp, w.perp)
+        else:
+            self.oa.observe(v_block, v.perp)
+            self.ob.observe(w_block, w.perp)
 
 
 def run(config):
@@ -210,7 +208,7 @@ def run(config):
     params = EquationParams(gamma1=config.gamma1, gamma2=config.gamma2)
     selection = EquationSelection.parse(config.equations, strict=config.strict)
     state = uadi_init(sys1, sys2, params, selection)
-    driver = _ShiftDriver(config, sys1, sys2)
+    driver = _ShiftDriver(config, state)
     state.declare_recurring(*driver.recurring)
     report = RunReport()
     for tag, reason in state.skipped.items():

@@ -3,12 +3,15 @@
 Static lists, the two residual/direction projection strategies, and the
 subspace-accelerated strategies: Galerkin dominance ranking per side,
 two-sided (Petrov) ranking for balanced truncation, and the alternating
-single-shift strategy that prioritizes the Sylvester equation.  The Galerkin
-ranking skips Ritz values in the closed right half-plane while a stable one
-exists: such values are projection artefacts of a non-normal pencil, not
-pole estimates.  Subspace histories are orthonormalized solve-direction
-blocks with implicit restart: once a history would exceed its column cap it
-is discarded and restarted from the newest block.
+single-shift strategy that prioritizes the Sylvester equation.  Every oracle
+ranks on its engine side's own system with that side's residual factor as
+the side holds it: the V side on G1 with the n x m factor, the W side on
+G2.dual() with the n x p factor, so one Galerkin ranking serves both.  It
+skips Ritz values in the closed right half-plane while a stable one exists:
+such values are projection artefacts of a non-normal pencil, not pole
+estimates.  Subspace histories are orthonormalized solve-direction blocks
+with implicit restart: once a history would exceed its column cap it is
+discarded and restarted from the newest block.
 """
 
 import logging
@@ -19,7 +22,7 @@ import scipy.linalg as spla
 
 from .errors import NonFiniteShift, SingularProjectedE, ZeroResidual
 from .linalg import small_eig
-from .realify import ShiftUnit
+from .realify import ShiftUnit, as_units
 
 logger = logging.getLogger("uadi")
 
@@ -123,10 +126,8 @@ def _paired(values):
                     best, bdist = j, d
         if best is not None and bdist <= 1e-8 * (1.0 + abs(v)):
             used[best] = True
-            out.extend([v, v.conjugate()])
-        else:
-            # unpaired complex Ritz value (roundoff); keep it with its mirror
-            out.extend([v, v.conjugate()])
+        # an unpaired complex Ritz value (roundoff) is kept with its mirror
+        out.extend([v, v.conjugate()])
     return out
 
 
@@ -142,17 +143,15 @@ def next_shifts_projection2(v_last, sys):
     return [sanitize_shift(w) for w in _paired(_pencil_ritz(V1, sys))]
 
 
-def next_shift_subspace(history_V, B_or_C_perp, sys, mode="controllable",
-                        feedback_gain=None):
+def next_shift_subspace(history_V, perp, sys, feedback_gain=None):
     """Dominant pole of the deflated transfer map projected on a history.
 
-    ``history_V`` must be orthonormal.  In controllable mode the residues
-    come from the rows of the inverse eigenvector matrix applied to the
-    projected residual factor; in observable mode from the output map times
-    the eigenvector columns.  ``feedback_gain`` deflates the projected
-    dynamics by the current low-rank gain (A - K C resp. A - B K^T), which
-    steers the ranking toward the closed-loop spectrum a Riccati iteration
-    converges against.
+    ``history_V`` must be orthonormal and ``perp`` is the residual factor
+    of ``sys``'s right-hand side (on the W side: ``G2.dual()`` and n x p).
+    The residues are the rows of the inverse eigenvector matrix applied to
+    its projection.  ``feedback_gain`` deflates the projected dynamics by
+    the current low-rank gain (A - K C), which steers the ranking toward the
+    closed-loop spectrum a Riccati iteration converges against.
 
     Only Ritz values with ``Re < 0`` are ranked while at least one exists,
     and the returned ranking holds just those.  A Galerkin projection of a
@@ -166,24 +165,10 @@ def next_shift_subspace(history_V, B_or_C_perp, sys, mode="controllable",
         raise ZeroResidual("empty history")
     AV = sys.A @ V1
     if feedback_gain is not None:
-        if mode == "controllable":
-            AV = AV - feedback_gain @ (sys.C @ V1)
-        else:
-            AV = AV - sys.B @ (feedback_gain.T @ V1)
-    Ah = V1.T @ AV
-    Eh = V1.T @ (sys.E @ V1)
-    if mode == "controllable":
-        w, T, Tl = small_eig(Ah, Eh)  # eig of Eh^{-1} Ah
-        Bh = V1.T @ np.atleast_2d(B_or_C_perp)
-        rn = np.array([np.linalg.norm(Tl[l] @ Bh) for l in range(len(w))])
-    elif mode == "observable":
-        # eig of Ah Eh^{-1}: transpose trick keeps the left/right roles
-        M = spla.solve(Eh.T, Ah.T).T
-        w, T, _ = small_eig(M)
-        Ch = np.atleast_2d(B_or_C_perp) @ V1
-        rn = np.array([np.linalg.norm(Ch @ T[:, l]) for l in range(len(w))])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        AV = AV - feedback_gain @ (sys.C @ V1)
+    w, _, Tl = small_eig(V1.T @ AV, V1.T @ (sys.E @ V1))  # eig of Eh^{-1} Ah
+    Bh = V1.T @ np.atleast_2d(perp)
+    rn = np.array([np.linalg.norm(Tl[l] @ Bh) for l in range(len(w))])
     stable = w.real < 0
     if np.any(stable):
         w, rn = w[stable], rn[stable]
@@ -194,15 +179,16 @@ def next_shift_subspace(history_V, B_or_C_perp, sys, mode="controllable",
 def next_shift_petrov_bt(history_V, history_W, B_perp, C_perp, sys):
     """Pole that is simultaneously most controllable and most observable.
 
-    Two-sided projection; singular projected E falls back to the Galerkin
-    controllable ranking with a warning.
+    Two-sided projection with the residual factors of the two engine
+    sides as they hold them: ``B_perp`` n x m, ``C_perp`` the n x p factor
+    of ``sys.dual()``.  A singular projected E raises SingularProjectedE.
     """
     V1, W2 = history_V, history_W
     EV = sys.E @ V1
     Eh = W2.T @ EV
     Ah = W2.T @ (sys.A @ V1)
     Bh = W2.T @ np.atleast_2d(B_perp)
-    Ch = np.atleast_2d(C_perp) @ V1
+    Ch = np.atleast_2d(C_perp).T @ V1
     try:
         sv = spla.svdvals(Eh)
         scale = max(np.linalg.norm(EV, 2), 1e-300)  # W2 is orthonormal
@@ -251,11 +237,11 @@ class _OracleBase:
     def __init__(self):
         self.queue = []          # pending individual shifts (conjugates)
 
-    def next_shift(self, *args, **kwargs):
+    def next_shift(self):
         """Single-shift granularity: conjugates come out one at a time."""
         if self.queue:
             return self.queue.pop(0)
-        unit = self.next_unit(*args, **kwargs)
+        unit = self.next_unit()
         shifts = unit.shifts()
         self.queue.extend(shifts[1:])
         return shifts[0]
@@ -266,12 +252,13 @@ class StaticShiftOracle(_OracleBase):
 
     def __init__(self, shifts):
         super().__init__()
-        from .realify import as_units
-
         self.units = as_units(shifts)
         if not self.units:
             raise ValueError("empty shift list")
         self._k = 0
+
+    def observe(self, *_):
+        """A fixed list learns nothing from a step."""
 
     def next_unit(self):
         unit = self.units[self._k % len(self.units)]
@@ -289,41 +276,38 @@ class ProjectionShiftOracle(_OracleBase):
         self.sys = sys
         self.variant = variant
         self._unit_queue = []
-        self._started = False
+        self._perp = None
 
     def observe(self, solve_block, perp):
         self._last_block = np.asarray(solve_block)
         self._perp = np.asarray(perp)
 
     def next_unit(self):
-        if not self._started:
-            self._started = True
+        if self._perp is None:
             return ShiftUnit(INITIAL_SHIFT)
         if not self._unit_queue:
             if self.variant == 1:
                 vals = next_shifts_projection1(self._perp, self.sys)
             else:
                 vals = next_shifts_projection2(self._last_block, self.sys)
-            seen = []
-            for v in vals:
-                if v.imag >= 0:  # one unit per conjugate pair
-                    seen.append(ShiftUnit(v if v.imag > 0 else v.real))
-            self._unit_queue = seen or [ShiftUnit(INITIAL_SHIFT)]
+            # one unit per conjugate pair
+            units = [ShiftUnit(v) for v in vals if v.imag >= 0]
+            self._unit_queue = units or [ShiftUnit(INITIAL_SHIFT)]
         return self._unit_queue.pop(0)
 
 
 class SubspaceShiftOracle(_OracleBase):
-    """Subspace-accelerated Galerkin dominance ranking on one side.
+    """Subspace-accelerated Galerkin dominance ranking on one engine side.
 
     Each unit is the most dominant stable Ritz value of the pencil projected
     on the history (see ``next_shift_subspace``); right-half-plane Ritz
-    values are ranked, and mirrored, only when no stable one exists.
+    values are ranked, and mirrored, only when no stable one exists.  The
+    W-side oracle is built on ``G2.dual()`` and observes the n x p factor.
     """
 
-    def __init__(self, sys, mode="controllable", cap=DEFAULT_CAP):
+    def __init__(self, sys, cap=DEFAULT_CAP):
         super().__init__()
         self.sys = sys
-        self.mode = mode
         self.history = _History(cap)
         self._perp = None
         self._gain = None
@@ -338,69 +322,63 @@ class SubspaceShiftOracle(_OracleBase):
             return ShiftUnit(INITIAL_SHIFT)
         if self._perp is None or not np.any(self._perp):
             raise ZeroResidual("residual factor vanished")
-        shift, _ = next_shift_subspace(
-            self.history.basis, self._perp, self.sys, self.mode,
-            feedback_gain=self._gain,
-        )
-        return ShiftUnit(shift if shift.imag != 0 else shift.real)
+        shift, _ = next_shift_subspace(self.history.basis, self._perp,
+                                       self.sys, self._gain)
+        return ShiftUnit(shift)
 
 
-class PetrovBtShiftOracle(_OracleBase):
-    """Two-sided dominance ranking; emits alpha = beta units."""
+class _TwoSidedOracle(_OracleBase):
+    """Solve-direction histories and residual factors of both engine sides,
+    each as its side holds it (n x m on V, n x p on W)."""
 
-    def __init__(self, sys, cap=DEFAULT_CAP):
+    def __init__(self, cap):
         super().__init__()
-        self.sys = sys
         self.hist_v = _History(cap)
         self.hist_w = _History(cap)
-        self._bperp = None
-        self._cperp = None
+        self._vperp = None
+        self._wperp = None
 
-    def observe(self, v_block, w_block, b_perp, c_perp):
+    def observe(self, v_block, w_block, v_perp, w_perp):
         self.hist_v.push(v_block)
         self.hist_w.push(w_block)
-        self._bperp = np.asarray(b_perp)
-        self._cperp = np.asarray(c_perp)
+        self._vperp = np.asarray(v_perp)
+        self._wperp = np.asarray(w_perp)
+
+
+class PetrovBtShiftOracle(_TwoSidedOracle):
+    """Two-sided dominance ranking on one system; emits alpha = beta units.
+    A singular projected E falls back to the V side's Galerkin ranking."""
+
+    def __init__(self, sys, cap=DEFAULT_CAP):
+        super().__init__(cap)
+        self.sys = sys
 
     def next_unit(self):
         if self.hist_v.width == 0 or self.hist_w.width == 0:
             return ShiftUnit(INITIAL_SHIFT)
-        if not (np.any(self._bperp) or np.any(self._cperp)):
+        if not (np.any(self._vperp) or np.any(self._wperp)):
             raise ZeroResidual("both residual factors vanished")
         try:
-            shift, _ = next_shift_petrov_bt(
-                self.hist_v.basis, self.hist_w.basis,
-                self._bperp, self._cperp, self.sys,
-            )
+            shift, _ = next_shift_petrov_bt(self.hist_v.basis, self.hist_w.basis,
+                                            self._vperp, self._wperp, self.sys)
         except SingularProjectedE:
-            shift, _ = next_shift_subspace(
-                self.hist_v.basis, self._bperp, self.sys, "controllable"
-            )
-        return ShiftUnit(shift if shift.imag != 0 else shift.real)
+            shift, _ = next_shift_subspace(self.hist_v.basis, self._vperp, self.sys)
+        return ShiftUnit(shift)
 
 
-class SylvesterAlternatingOracle(_OracleBase):
+class SylvesterAlternatingOracle(_TwoSidedOracle):
     """Alternates most-controllable / most-observable poles, alpha = beta.
 
-    Odd projection calls rank on (E1, A1, Sylvester B-residual), even calls
-    on (E2, A2, Sylvester C-residual).
+    Odd projection calls rank the V side (``sys1`` = G1 with the Sylvester
+    B-residual), even calls the W side (``sys2`` = G2.dual() with the n x p
+    Sylvester C-residual), both with the same Galerkin ranking.
     """
 
     def __init__(self, sys1, sys2, cap=DEFAULT_CAP):
-        super().__init__()
+        super().__init__(cap)
         self.sys1, self.sys2 = sys1, sys2
-        self.hist_v = _History(cap)
-        self.hist_w = _History(cap)
-        self._bperp = None
-        self._cperp = None
         self.projection_calls = 0
         self.last_projected = "none"
-
-    def observe(self, v_block, w_block, b_perp, c_perp):
-        self.hist_v.push(v_block)
-        self.hist_w.push(w_block)
-        self._bperp = np.asarray(b_perp)
-        self._cperp = np.asarray(c_perp)
 
     def next_unit(self):
         if self.hist_v.width == 0 and self.hist_w.width == 0:
@@ -408,12 +386,9 @@ class SylvesterAlternatingOracle(_OracleBase):
         self.projection_calls += 1
         if self.projection_calls % 2 == 1:
             self.last_projected = "sys1"
-            shift, _ = next_shift_subspace(
-                self.hist_v.basis, self._bperp, self.sys1, "controllable"
-            )
+            hist, perp, sys = self.hist_v, self._vperp, self.sys1
         else:
             self.last_projected = "sys2"
-            shift, _ = next_shift_subspace(
-                self.hist_w.basis, self._cperp, self.sys2, "observable"
-            )
-        return ShiftUnit(shift if shift.imag != 0 else shift.real)
+            hist, perp, sys = self.hist_w, self._wperp, self.sys2
+        shift, _ = next_shift_subspace(hist.basis, perp, sys)
+        return ShiftUnit(shift)

@@ -334,7 +334,7 @@ def test_criterion_9_dense_oracle_convergence():
     worst = 0.0
     for seed in (17, 29):
         sys = random_stable_system(60, 2, 2, seed)
-        oracle = SubspaceShiftOracle(sys, "controllable", cap=20)
+        oracle = SubspaceShiftOracle(sys, cap=20)
         it = classic.CfAdi(sys)
         for _ in range(30):
             unit = oracle.next_unit()
@@ -346,7 +346,7 @@ def test_criterion_9_dense_oracle_convergence():
     for seed in (17, 41):
         base = random_stable_system(60, 2, 2, seed)
         sys = StateSpaceSystem(base.E, base.A, base.B, 0.1 * base.C)
-        oracle = SubspaceShiftOracle(sys, "controllable", cap=20)
+        oracle = SubspaceShiftOracle(sys, cap=20)
         it = classic.Radi(sys)
         for _ in range(30):
             unit = oracle.next_unit()

@@ -25,7 +25,7 @@ def scalar_system(a=-1.0, b=1.0, c=1.0, d=0.0):
 
 class TestCfAdi:
     def test_scalar_one_step_exact(self):
-        sol, res, hist = cf_adi(scalar_system(), "controllability", [-1.0])
+        sol, res, hist = cf_adi(scalar_system(), [-1.0])
         assert sol.left[0, 0] == pytest.approx(-np.sqrt(2) / 2)
         assert sol.product()[0, 0] == pytest.approx(0.5)   # exact Gramian
         assert abs(res.factor[0, 0]) < 1e-14
@@ -34,13 +34,13 @@ class TestCfAdi:
     def test_rejects_unstable_and_unpaired(self):
         sys = scalar_system()
         with pytest.raises(UnstableShift):
-            cf_adi(sys, "controllability", [1.0])
+            cf_adi(sys, [1.0])
         with pytest.raises(UnpairedComplexShift):
-            cf_adi(sys, "controllability", [-1.0 + 1.0j, -2.0])
+            cf_adi(sys, [-1.0 + 1.0j, -2.0])
 
     def test_realification_closure(self):
         sys = random_stable_system(4, 1, 1, 2)
-        sol, res, _ = cf_adi(sys, "controllability", [-1 + 1j, -1 - 1j])
+        sol, res, _ = cf_adi(sys, [-1 + 1j, -1 - 1j])
         assert np.isrealobj(sol.left) and np.isrealobj(res.factor)
 
     def test_converges_to_dense_solution(self):
@@ -48,7 +48,7 @@ class TestCfAdi:
         lam = spla.eigvals(spla.solve(sys.E.toarray(), sys.A.toarray()))
         lo, hi = np.abs(lam.real).min(), np.abs(lam).max()
         shifts = [-x for x in np.logspace(np.log10(lo), np.log10(hi), 20)]
-        sol, _, hist = cf_adi(sys, "controllability", shifts)
+        sol, _, hist = cf_adi(sys, shifts)
         assert hist[-1][1] <= 1e-6
         P = dense_lyap_p(sys)
         assert np.linalg.norm(sol.product() - P) <= 1e-6 * np.linalg.norm(P)
@@ -58,7 +58,7 @@ class TestCfAdi:
         sys = random_stable_system(30, 2, 3, 8)
         E, A = sys.E.toarray(), sys.A.toarray()
         scale = np.linalg.norm(sys.B @ sys.B.T)
-        it = CfAdi(sys, "controllability")
+        it = CfAdi(sys)
         for u in as_units([-0.4, -1 + 2j, -1 - 2j, -3.0, -0.7 + 1j, -0.7 - 1j]):
             it.step(u)
             P = it.Z @ it.Z.T
@@ -70,7 +70,7 @@ class TestCfAdi:
         lam = spla.eigvals(spla.solve(sys.E.toarray(), sys.A.toarray()))
         shifts = [-x for x in np.logspace(np.log10(abs(lam.real).min()),
                                           np.log10(abs(lam).max()), 20)]
-        sol, _, hist = cf_adi(sys, "observability", shifts)
+        sol, _, hist = cf_adi(sys.dual(), shifts)
         E, A = sys.E.toarray(), sys.A.toarray()
         Q = sol.product()
         R = A.T @ Q @ E + E.T @ Q @ A + sys.C.T @ sys.C
@@ -85,13 +85,13 @@ class TestLdlResidual:
 
     def test_identity_weight_reduces_to_plain(self):
         sys = random_stable_system(10, 2, 2, 3)
-        _, res, _ = cf_adi(sys, "controllability", [-0.5, -2.0])
+        _, res, _ = cf_adi(sys, [-0.5, -2.0])
         assert ldl_residual(res, np.eye(2)) == pytest.approx(res.norm2(), rel=1e-12)
 
     def test_matches_dense_weighted_residual(self):
         sys = random_stable_system(30, 2, 2, 4)
         S = np.array([[1.0, 1.0], [1.0, -1.0]])
-        sol, res, _ = cf_adi(sys, "controllability", [-0.5, -1 + 1j, -1 - 1j])
+        sol, res, _ = cf_adi(sys, [-0.5, -1 + 1j, -1 - 1j])
         E, A = sys.E.toarray(), sys.A.toarray()
         kv = sol.left.shape[1]
         Ps = sol.left @ np.kron(np.eye(kv // 2), S) @ sol.left.T
@@ -217,7 +217,7 @@ class TestRadi:
 
         base = random_stable_system(40, 2, 2, 17)
         sys = StateSpaceSystem(base.E, base.A, base.B, 0.1 * base.C)
-        oracle = SubspaceShiftOracle(sys, "controllable", cap=20)
+        oracle = SubspaceShiftOracle(sys, cap=20)
         it = Radi(sys)
         for _ in range(30):
             unit = oracle.next_unit()

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from uadi.cli import (
@@ -127,6 +128,42 @@ class TestRun:
                         max_iter=1, tol=1e-12)
         rep = run(cfg)
         assert rep.final_residuals["sylv"] == pytest.approx(0.0412, rel=0.05)
+
+
+class TestShiftDuality:
+    """The W side is the V side run on G2.dual(): swapping the pair
+    (G1, G2) for (G2.dual(), G1.dual()) swaps the two sides, so every
+    adaptive strategy must swap its alpha and beta sequences and the _p and
+    _q residual histories."""
+
+    @staticmethod
+    def _histories(rep):
+        out = {}
+        for rec in rep.records:
+            out.setdefault(rec["equation"], []).append(rec["residual"])
+        return {tag: np.array(h) for tag, h in out.items()}
+
+    @pytest.mark.parametrize("shifts", ["subspace", "proj1", "proj2"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_swapped_pair_swaps_sides(self, tmp_path, shifts, seed):
+        g1 = random_stable_system(40, 1, 2, seed)
+        g2 = random_stable_system(50, 2, 1, seed + 100)
+        path = {name: str(save_system(g, tmp_path / name))
+                for name, g in (("g1", g1), ("g2", g2),
+                                ("g1d", g1.dual()), ("g2d", g2.dual()))}
+        reps = [run(RunConfig(sys1=path[a], sys2=path[b],
+                              equations="lyap_p,lyap_q,ricc_p,ricc_q",
+                              shifts=shifts, max_iter=10, tol=1e-300))
+                for a, b in (("g1", "g2"), ("g2d", "g1d"))]
+        fwd, back = reps
+        assert fwd.iterations == back.iterations == 10
+        for x, y in ((fwd.alphas, back.betas), (fwd.betas, back.alphas)):
+            assert len(x) == len(y)
+            np.testing.assert_allclose(x, y, rtol=1e-12)
+        hf, hb = self._histories(fwd), self._histories(back)
+        for fam in ("lyap", "ricc"):
+            np.testing.assert_allclose(hf[fam + "_p"], hb[fam + "_q"], rtol=1e-10)
+            np.testing.assert_allclose(hf[fam + "_q"], hb[fam + "_p"], rtol=1e-10)
 
 
 class TestCsvSchema:

@@ -128,9 +128,9 @@ class TestSubspaceOracle:
         sys = StateSpaceSystem(np.eye(4), A, np.ones((4, 1)), np.ones((1, 4)))
         hist = np.vstack([np.eye(2), np.zeros((2, 2))])
         bperp = np.array([[1.0], [1.0], [0.0], [0.0]])
-        shift, ranking = next_shift_subspace(hist, bperp, sys, "controllable")
+        shift, ranking = next_shift_subspace(hist, bperp, sys)
         assert shift == pytest.approx(-1 + 10j) or shift == pytest.approx(-1 - 10j)
-        oracle = SubspaceShiftOracle(sys, "controllable")
+        oracle = SubspaceShiftOracle(sys)
         oracle.observe(hist, bperp)
         s1 = oracle.next_shift()
         s2 = oracle.next_shift()
@@ -138,7 +138,7 @@ class TestSubspaceOracle:
 
     def test_restart_cap_property(self):
         sys = random_stable_system(30, 2, 2, 6)
-        oracle = SubspaceShiftOracle(sys, "controllable", cap=6)
+        oracle = SubspaceShiftOracle(sys, cap=6)
         rng = np.random.default_rng(0)
         for _ in range(10):
             oracle.observe(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
@@ -157,17 +157,17 @@ class TestSubspaceOracle:
         junk = [rng.standard_normal((30, 2)) for _ in range(3)]
         block = rng.standard_normal((30, 6))
         perp = rng.standard_normal((30, 2))
-        a = SubspaceShiftOracle(sys, "controllable", cap=6)
+        a = SubspaceShiftOracle(sys, cap=6)
         for j in junk:
             a.observe(j, perp)   # width reaches the cap
         a.observe(block, perp)   # 6 + 6 > 6: restart on this block
-        b = SubspaceShiftOracle(sys, "controllable", cap=6)
+        b = SubspaceShiftOracle(sys, cap=6)
         b.observe(block, perp)
         assert a.next_unit().value == b.next_unit().value
 
     def test_conjugate_pairing_invariant(self):
         sys = penzl_triple_peak(60, 5, 15, 25)
-        oracle = SubspaceShiftOracle(sys, "controllable", cap=20)
+        oracle = SubspaceShiftOracle(sys, cap=20)
         from uadi.classic import CfAdi
 
         it = CfAdi(sys)
@@ -202,21 +202,24 @@ class TestRightHalfPlaneRitz:
     def _jordan(lam, c):
         return np.array([[lam, c], [0.0, lam]])
 
-    @pytest.mark.parametrize("mode", ["controllable", "observable"])
-    def test_top_stable_ritz_value_wins(self, mode):
+    @pytest.mark.parametrize("dual", [False, True],
+                             ids=["controllable", "observable"])
+    def test_top_stable_ritz_value_wins(self, dual):
         # stable A; on span{(e1+e2)/sqrt2, e3} the projection is diag(4, -2)
         A = spla.block_diag(self._jordan(-1.0, 10.0), [[-2.0]])
         b = np.array([[1.0], [1.0], [0.1]])
         sys = StateSpaceSystem(np.eye(3), A, b, b.T)
+        if dual:   # the W side ranks on the dual with the n x p factor
+            sys = sys.dual()
         hist = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, np.sqrt(2.0)]]) / np.sqrt(2.0)
-        perp = b if mode == "controllable" else b.T
+        perp = b
         np.testing.assert_allclose(hist.T @ A @ hist, np.diag([4.0, -2.0]), atol=1e-14)
         # residues sqrt2 and 0.1: the plain score ranks Ritz value 4 first
         assert rank_dominance([4.0, -2.0], [np.sqrt(2.0), 0.1]).top() == 4.0
-        shift, ranking = next_shift_subspace(hist, perp, sys, mode)
+        shift, ranking = next_shift_subspace(hist, perp, sys)
         assert shift == pytest.approx(-2.0)
         assert np.all(ranking.eigenvalues.real < 0)
-        oracle = SubspaceShiftOracle(sys, mode)
+        oracle = SubspaceShiftOracle(sys)
         oracle.observe(hist, perp)
         assert oracle.next_unit().value == pytest.approx(-2.0)
 
@@ -226,7 +229,7 @@ class TestRightHalfPlaneRitz:
         b = np.ones((4, 1))
         sys = StateSpaceSystem(np.eye(4), A, b, b.T)
         hist = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]) / np.sqrt(2.0)
-        shift, ranking = next_shift_subspace(hist, b, sys, "controllable")
+        shift, ranking = next_shift_subspace(hist, b, sys)
         np.testing.assert_allclose(np.sort(ranking.eigenvalues.real), [1.0, 4.0])
         assert ranking.top() == pytest.approx(1.0)   # score 2/1 beats 2/4
         assert shift == pytest.approx(-1.0)
@@ -243,8 +246,8 @@ class TestPetrovOracle:
         sys = StateSpaceSystem(np.eye(12), A, B, B.T)
         hist = spla.orth(rng.standard_normal((12, 4)))
         perp = sys.B.copy()
-        s_p, _ = next_shift_petrov_bt(hist, hist, perp, perp.T, sys)
-        s_g, _ = next_shift_subspace(hist, perp, sys, "controllable")
+        s_p, _ = next_shift_petrov_bt(hist, hist, perp, perp, sys)
+        s_g, _ = next_shift_subspace(hist, perp, sys)
         assert s_p == pytest.approx(s_g)
 
     def test_unobservable_pole_never_selected(self):
@@ -253,7 +256,7 @@ class TestPetrovOracle:
         sys = StateSpaceSystem(np.eye(2), A, np.array([[10.0], [1.0]]),
                                np.array([[0.0, 1.0]]))
         hist = np.eye(2)
-        s, ranking = next_shift_petrov_bt(hist, hist, sys.B, sys.C, sys)
+        s, ranking = next_shift_petrov_bt(hist, hist, sys.B, sys.C.T, sys)
         assert s == pytest.approx(-2.0)
         assert ranking.scores[0] == pytest.approx(0.0)
 
@@ -264,12 +267,9 @@ class TestPetrovOracle:
         EV = np.asarray(sys.E @ V)
         W = spla.orth(np.eye(10) - EV @ np.linalg.pinv(EV))[:, :2]
         with pytest.raises(SingularProjectedE):
-            next_shift_petrov_bt(V, W, np.asarray(sys.B), np.asarray(sys.C), sys)
+            next_shift_petrov_bt(V, W, np.asarray(sys.B), np.asarray(sys.C).T, sys)
         oracle = PetrovBtShiftOracle(sys, cap=8)
-        oracle.hist_v.basis = V
-        oracle.hist_w.basis = W
-        oracle._bperp = np.asarray(sys.B)
-        oracle._cperp = np.asarray(sys.C)
+        oracle.observe(V, W, np.asarray(sys.B), np.asarray(sys.C).T)
         unit = oracle.next_unit()   # falls back to Galerkin, must not raise
         assert unit.value.real < 0
 
@@ -278,13 +278,13 @@ class TestSylvesterAlternating:
     def test_alternation_parity(self):
         s1 = random_stable_system(12, 1, 1, 10)
         s2 = random_stable_system(12, 1, 1, 11)
-        oracle = SylvesterAlternatingOracle(s1, s2, cap=10)
+        oracle = SylvesterAlternatingOracle(s1, s2.dual(), cap=10)
         assert oracle.next_unit().value == -0.001
         assert oracle.last_projected == "none"
         rng = np.random.default_rng(4)
         for expect in ("sys1", "sys2", "sys1", "sys2"):
             oracle.observe(rng.standard_normal((12, 1)), rng.standard_normal((12, 1)),
-                           rng.standard_normal((12, 1)), rng.standard_normal((1, 12)))
+                           rng.standard_normal((12, 1)), rng.standard_normal((12, 1)))
             oracle.next_unit()
             assert oracle.last_projected == expect
 
@@ -313,7 +313,7 @@ class TestPetrovDominantPoleCapture:
             emitted.extend(unit.shifts())
             kv, kw = st.V.shape[1], st.W.shape[1]
             uadi_step(st, unit, ShiftUnit(unit.value))
-            oracle.observe(st.V[:, kv:], st.W[:, kw:], st.Bperp, st.Cperp)
+            oracle.observe(st.V[:, kv:], st.W[:, kw:], st.v.perp, st.w.perp)
         dist = min(min(abs(s - dom), abs(s - np.conj(dom))) for s in emitted)
         assert dist <= 0.05 * abs(dom), (dom, emitted)
 
@@ -323,7 +323,7 @@ class TestIllustrativeRanking:
         g1, _ = illustrative_pair()
         # full-basis projection: ranking must put the 100 rad/s pair first
         hist = np.eye(6)
-        _, ranking = next_shift_subspace(hist, np.asarray(g1.B), g1, "controllable")
+        _, ranking = next_shift_subspace(hist, np.asarray(g1.B), g1)
         top = ranking.eigenvalues[ranking.order[0]]
         assert abs(top.imag) == pytest.approx(100, rel=0.01)
 

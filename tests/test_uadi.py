@@ -207,7 +207,7 @@ class TestExtractionEquivalence:
         D = g.D
         Di = np.linalg.inv(D)
         gmp = StateSpaceSystem(g.E, g.A - (g.B @ Di) @ g.C, g.B @ Di, Di @ g.C)
-        mp_ref, _, _ = classic.cf_adi(gmp, "controllability", shifts)
+        mp_ref, _, _ = classic.cf_adi(gmp, shifts)
         got = extract_solution(st, "mp_p").product()
         assert np.linalg.norm(got - mp_ref.product()) < 1e-10 * np.linalg.norm(got)
 
@@ -250,7 +250,7 @@ class TestExtractionEquivalence:
         Di = np.linalg.inv(D)
         gmpq = StateSpaceSystem(gd.E, (g2.A.toarray() - g2.B @ Di @ g2.C).T,
                                 g2.C.T @ Di.T, (g2.B @ Di).T)
-        ref, _, _ = classic.cf_adi(gmpq, "controllability", betas)
+        ref, _, _ = classic.cf_adi(gmpq, betas)
         assert rel(extract_solution(st, "mp_q").product(), ref.product()) < 1e-10
 
         Dp = D + D.T
@@ -285,10 +285,9 @@ class TestExtractionEquivalence:
         st = uadi_init(s1, s2, None, "lyap_p,lyap_q")
         for a, b in zip(aus, bus):
             uadi_step(st, a, b)
-        zp, _, _ = classic.cf_adi(s1, "controllability",
-                                  expand_units([ShiftUnit(a) for a in aus]))
+        zp, _, _ = classic.cf_adi(s1, expand_units([ShiftUnit(a) for a in aus]))
         np.testing.assert_allclose(st.V, zp.left, atol=1e-12)
-        zq, _, _ = classic.cf_adi(s2, "observability",
+        zq, _, _ = classic.cf_adi(s2.dual(),
                                   expand_units([ShiftUnit(b) for b in bus]))
         np.testing.assert_allclose(st.W, zq.left, atol=1e-12)
 
@@ -499,7 +498,7 @@ class TestSpectralFactor:
             unit = oracle.next_unit()
             kv, kw = st.V.shape[1], st.W.shape[1]
             uadi_step(st, unit, ShiftUnit(unit.value))
-            oracle.observe(st.V[:, kv:], st.W[:, kw:], st.Bperp, st.Cperp)
+            oracle.observe(st.V[:, kv:], st.W[:, kw:], st.v.perp, st.w.perp)
             if max(residual_norm(st, "lyap_p"), residual_norm(st, "lyap_q")) <= 1e-10:
                 break
         assert residual_norm(st, "lyap_p") <= 1e-10
@@ -754,7 +753,7 @@ class TestSharedFactorization:
         assert st.single_system
         assert st.cache1.factor_count + st.cache2.factor_count == len(units)
         assert st.large_solve_count == 2 * len(units)
-        zq, _, _ = classic.cf_adi(g, "observability",
+        zq, _, _ = classic.cf_adi(g.dual(),
                                   expand_units([ShiftUnit(a) for a in units]))
         assert np.linalg.norm(st.W - zq.left) <= 1e-12 * np.linalg.norm(zq.left)
 
