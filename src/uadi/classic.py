@@ -2,11 +2,14 @@
 
 Reference implementations of the Cholesky-factor ADI iteration for Lyapunov
 equations (with the LDL^T weighting variant), the factored ADI iteration for
-Sylvester equations, and the ADI-type Riccati iteration.  All stored factors
-are real: complex shifts are consumed as conjugate pairs through the
-realified column blocks of :mod:`uadi.realify`.  An observability-side
-problem is the same solver on ``sys.dual()``: ``cf_adi(sys.dual(), shifts)``
-gives the observability Gramian factor.
+Sylvester equations, and the ADI-type Riccati iteration.  CfAdi and Radi
+keep real factors: complex shifts are consumed as conjugate pairs through
+the realified column blocks of :mod:`uadi.realify`.  Fadi is the textbook
+iteration in complex arithmetic, with complex factors and a product that is
+real up to roundoff; it shares no grouping or realification with the
+engine.  An observability-side problem is the same solver on
+``sys.dual()``: ``cf_adi(sys.dual(), shifts)`` gives the observability
+Gramian factor.
 
 These solvers are useful on their own and double as independent references
 for the shared-solve engine's extraction identities.
@@ -17,21 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as spla
 
-from .errors import (
-    DimensionMismatch,
-    InnerSolveSingular,
-    UnpairedComplexShift,
-)
-from .linalg import FactorizationCache, gram_norm2, solve_small_lyapunov, solve_small_sylvester
-from .realify import (
-    ShiftUnit,
-    as_units,
-    lyap_sl,
-    realified_columns,
-    sylv_basis_block,
-    sylv_case,
-    sylv_sl,
-)
+from .errors import DimensionMismatch, InnerSolveSingular
+from .linalg import FactorizationCache, gram_norm2, solve_small_lyapunov
+from .realify import ShiftUnit, as_units, expand_units, lyap_sl, realified_columns
 
 __all__ = [
     "LowRankSolution",
@@ -43,7 +34,6 @@ __all__ = [
     "fadi",
     "radi",
     "ldl_residual",
-    "group_sylvester_cases",
 ]
 
 
@@ -240,47 +230,35 @@ def radi(sys, shifts, max_iter=None, tol=0.0, quad_weight=1.0):
     return it.solution(), it.residual_factor(), it.history
 
 
-def group_sylvester_cases(alpha_units, beta_units, reorder=True):
-    """Group per-side shift units into valid realification cases.
+class _FadiSide:
+    """One side of factored ADI on ``sys``: basis columns and the residual
+    factor, which starts at ``sys.B``."""
 
-    Greedy front-of-queue matching; a mixed front (real vs pair) pulls the
-    next unit of the needed kind forward when ``reorder`` is set.  Raises
-    UnpairedComplexShift when no valid grouping exists.
-    """
-    au, bu = list(alpha_units), list(beta_units)
-    groups = []
+    def __init__(self, sys):
+        self.E = sys.E
+        self._cache = FactorizationCache(sys.A, sys.E)
+        self.perp = np.array(sys.B, dtype=complex)
+        self.columns = []
 
-    def take_real(queue):
-        for j, u in enumerate(queue):
-            if not u.is_pair:
-                return queue.pop(j)
-            if not reorder:
-                break
-        raise UnpairedComplexShift(
-            "a lone real shift faces a conjugate pair and no second real "
-            "shift is available to complete the group"
-        )
+    def step(self, shift, g):
+        v = self._cache.solve(shift, self.perp)
+        self.perp = self.perp - g * (self.E @ v)
+        self.columns.append(v)
 
-    while au and bu:
-        a0, b0 = au.pop(0), bu.pop(0)
-        if a0.is_pair == b0.is_pair:
-            groups.append(([a0], [b0]))
-        elif not a0.is_pair:  # real alpha vs beta pair: need 2nd real alpha
-            groups.append(([a0, take_real(au)], [b0]))
-        else:  # alpha pair vs real beta: need 2nd real beta
-            groups.append(([a0], [b0, take_real(bu)]))
-    if au or bu:
-        raise DimensionMismatch(
-            "alpha and beta shift sequences have unequal effective lengths"
-        )
-    return groups
+    def basis(self):
+        return np.hstack([np.zeros((len(self.perp), 0), complex), *self.columns])
 
 
 class Fadi:
-    """Factored ADI iteration for A1 X E2 + E1 X A2 + B1 C2 = 0.
+    """Factored ADI iteration for A1 X E2 + E1 X A2 + B1 C2 = 0, in complex
+    arithmetic (Benner, Li & Truhar, J. Comput. Appl. Math. 233, 2009).
 
-    Approximates X as V @ D @ W^T with block-diagonal D; the residual is the
-    outer product of the two thin factors B_perp and C_perp.
+    The V side solves with A1 + alpha E1 on ``sys1``; the W side is the
+    same side run on ``sys2.dual()``, solving with A2^T + beta E2^T.  A step
+    (alpha, beta) with g = alpha + beta appends v and w, adds -g v w^T to X
+    and updates B_perp -= g E1 v, C_perp^T -= g E2^T w, so the residual is
+    B_perp C_perp.  X depends only on the two shift multisets: conjugate-
+    closed lists give a real X up to roundoff, with complex factors.
     """
 
     def __init__(self, sys1, sys2):
@@ -288,73 +266,51 @@ class Fadi:
             raise DimensionMismatch(
                 f"m1={sys1.m} must equal p2={sys2.p} for the Sylvester equation"
             )
-        self.sys1, self.sys2 = sys1, sys2
-        self._cache_v = FactorizationCache(sys1.A, sys1.E)
-        self._cache_w = FactorizationCache(sys2.A.T.tocsc(), sys2.E.T.tocsc())
-        self.Bperp = np.array(sys1.B, dtype=float)
-        self.Cperp = np.array(sys2.C, dtype=float)
-        self.V = np.zeros((sys1.n, 0))
-        self.W = np.zeros((sys2.n, 0))
-        self.D = np.zeros((0, 0))
+        self.v, self.w = _FadiSide(sys1), _FadiSide(sys2.dual())
+        self.g = []
         self.rhs_norm = gram_norm2(sys1.B, np.eye(sys1.m), sys2.C.T)
-        self.iterations = 0
         self.history = []
-
-    @property
-    def m(self):
-        return self.sys1.m
 
     def residual_norm(self):
         den = self.rhs_norm if self.rhs_norm > 0 else 1.0
-        return gram_norm2(self.Bperp, np.eye(self.Bperp.shape[1]), self.Cperp.T) / den
+        return gram_norm2(self.v.perp, None, self.w.perp.conj()) / den
 
-    def step_case(self, alpha_units, beta_units):
-        case = sylv_case(alpha_units, beta_units)
-        sv, lv, sw, lw = sylv_sl(case, alpha_units, beta_units, self.m)
-        Vb = sylv_basis_block(
-            case, "v", alpha_units,
-            lambda sh, rhs: self._cache_v.solve(sh, rhs),
-            (self.Bperp, lambda x: self.sys1.E @ x),
-        )
-        Wb = sylv_basis_block(
-            case, "w", beta_units,
-            lambda sh, rhs: self._cache_w.solve(sh, rhs),
-            (self.Cperp.T, lambda x: self.sys2.E.T @ x),
-        )
-        Vb, Wb = np.real(Vb), np.real(Wb)
-        d = solve_small_sylvester(-sw.T, sv, lw.T @ lv)
-        dinv = spla.inv(d)
-        self.V = np.hstack([self.V, Vb])
-        self.W = np.hstack([self.W, Wb])
-        self.D = spla.block_diag(self.D, dinv)
-        self.Bperp = self.Bperp - (self.sys1.E @ Vb) @ (dinv @ lw.T)
-        self.Cperp = self.Cperp - (lv @ dinv) @ (Wb.T @ self.sys2.E)
-        self.iterations += sum(len(u.shifts()) for u in alpha_units)
-        self.history.append((self.iterations, self.residual_norm()))
+    def step(self, alpha, beta):
+        g = complex(alpha) + complex(beta)
+        self.v.step(alpha, g)
+        self.w.step(beta, g)
+        self.g.append(g)
+        self.history.append((len(self.g), self.residual_norm()))
 
     def solution(self):
-        return LowRankSolution(self.V, self.D.copy(), self.W, tag="sylvester")
+        """X = V D W^T; ``right`` is conj(W) because a LowRankSolution
+        multiplies by ``right*``."""
+        D = np.kron(np.diag(-np.array(self.g, dtype=complex)),
+                    np.eye(self.v.perp.shape[1]))
+        return LowRankSolution(self.v.basis(), D, self.w.basis().conj(),
+                               tag="sylvester")
 
     def residual_factors(self):
         return (
-            ResidualFactor(self.Bperp.copy(), side="left"),
-            ResidualFactor(self.Cperp.copy(), side="right"),
+            ResidualFactor(self.v.perp.copy(), side="left"),
+            ResidualFactor(self.w.perp.T.copy(), side="right"),
         )
 
 
-def fadi(sys1, sys2, alphas, betas, max_iter=None, tol=0.0):
-    """Run factored ADI over two shift lists grouped into valid cases.
+def fadi(sys1, sys2, alphas, betas):
+    """Run factored ADI over two shift lists of equal length, pairing them
+    index by index; each list must be conjugate-closed (``as_units``).
 
-    Returns (LowRankSolution, (ResidualFactor, ResidualFactor), history).
+    Returns (LowRankSolution, (ResidualFactor, ResidualFactor), history),
+    with one history row per shift pair.
     """
-    groups = group_sylvester_cases(as_units(alphas), as_units(betas))
+    alphas = expand_units(as_units(alphas))
+    betas = expand_units(as_units(betas))
+    if len(alphas) != len(betas):
+        raise DimensionMismatch(
+            f"{len(alphas)} alpha shifts against {len(betas)} beta shifts"
+        )
     it = Fadi(sys1, sys2)
-    consumed = 0
-    for ga, gb in groups:
-        it.step_case(ga, gb)
-        consumed += sum(len(u.shifts()) for u in ga)
-        if tol and it.residual_norm() <= tol:
-            break
-        if max_iter is not None and consumed >= max_iter:
-            break
+    for alpha, beta in zip(alphas, betas):
+        it.step(alpha, beta)
     return it.solution(), it.residual_factors(), it.history

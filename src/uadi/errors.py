@@ -30,11 +30,7 @@ class UnstableShift(UadiError):
 
 
 class UnpairedComplexShift(UadiError):
-    """Complex shifts must come in consecutive conjugate pairs / groupable cases."""
-
-
-class ShiftCollision(UadiError):
-    """alpha_i == -beta_i makes the Sylvester ADI step undefined."""
+    """Complex shifts must come in consecutive conjugate pairs."""
 
 
 class InnerSolveSingular(UadiError):

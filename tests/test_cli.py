@@ -114,6 +114,23 @@ class TestRun:
             rep = run(cfg)
             assert rep.final_residuals["lyap_p"] < 1e-2
 
+    def test_degraded_equation_does_not_hold_the_run(self, tmp_path):
+        """A degraded equation no longer counts as pending: the run stops
+        once the others converged, and the report still says degraded."""
+        path = [str(save_system(random_stable_system(n, 2, 2, seed),
+                                tmp_path / f"g{seed}"))
+                for n, seed in ((60, 12), (70, 112))]
+        rep = run(RunConfig(sys1=path[0], sys2=path[1],
+                            equations="lyap_p,lyap_q,sylv", shifts="subspace",
+                            max_iter=60, tol=1e-8))
+        assert rep.statuses["sylv"].startswith("degraded")
+        assert rep.statuses["lyap_p"] == rep.statuses["lyap_q"] == "converged"
+        last = max(min(r["iter"] for r in rep.records
+                       if r["equation"] == tag and r["residual"] <= 1e-8)
+                   for tag in ("lyap_p", "lyap_q"))
+        assert rep.iterations == last < 60
+        assert not rep.converged
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(tol=0.0)

@@ -19,7 +19,7 @@ from uadi.linalg import (
     solve_small_lyapunov,
     solve_small_sylvester,
 )
-from uadi.realify import ShiftUnit, lyap_sl, sylv_sl
+from uadi.realify import ShiftUnit, lyap_sl
 
 from conftest import assert_multiset_close
 
@@ -141,18 +141,27 @@ def _stable_dense(rng, k):
 
 
 def _narrow_blocks(m):
-    """Companion blocks s of lyap_sl and sylv_sl, with the number of shifted
+    """Companion blocks s of lyap_sl, a real shift, rotation blocks of a
+    conjugate pair and chains of two real shifts, with the number of shifted
     LUs the column route needs for each (one per conjugate pair)."""
     u = ShiftUnit
+    I = np.eye(m)
+
+    def rot(a, b):  # eigenvalues -a -+ i b
+        return np.kron(np.array([[-a, -b], [b, -a]]), I)
+
+    def chain(a1, a2):  # eigenvalues -a1, -a2, one Jordan block if equal
+        return np.kron(np.array([[-a1, 1.0], [0.0, -a2]]), I)
+
     return [
         (lyap_sl(u(-0.7), m)[0], 1),
         (lyap_sl(u(-0.3 + 2.0j), m)[0], 1),
-        (sylv_sl(1, [u(-1.0)], [u(-2.0)], m)[0], 1),
-        (sylv_sl(2, [u(-1.0 + 3.0j)], [u(-2.0 + 1.0j)], m)[0], 1),
-        (sylv_sl(2, [u(-1.0 + 3.0j)], [u(-2.0 + 1.0j)], m)[2], 1),
-        (sylv_sl(3, [u(-1.0), u(-1.5)], [u(-2.0 + 1.0j)], m)[0], 2),
-        (sylv_sl(3, [u(-1.0), u(-1.0)], [u(-2.0 + 1.0j)], m)[0], 1),
-        (sylv_sl(4, [u(-1.0 + 3.0j)], [u(-2.0), u(-0.5)], m)[2], 2),
+        (1.0 * I, 1),
+        (rot(-1.0, 3.0), 1),
+        (rot(-2.0, -1.0), 1),
+        (chain(-1.0, -1.5), 2),
+        (chain(-1.0, -1.0), 1),
+        (chain(-2.0, -0.5), 2),
     ]
 
 

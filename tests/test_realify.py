@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uadi.errors import ShiftCollision, UnpairedComplexShift, UnstableShift
+from uadi.errors import UnpairedComplexShift, UnstableShift
 from uadi.linalg import shifted_solve
 from uadi.realify import (
     ShiftUnit,
@@ -9,8 +9,6 @@ from uadi.realify import (
     expand_units,
     lyap_sl,
     realified_columns,
-    sylv_case,
-    sylv_sl,
 )
 from uadi.systems import random_stable_system
 
@@ -59,25 +57,3 @@ def test_pair_block_eigenvalues():
         np.sort_complex(w), np.sort_complex(np.array([-unit.value.conjugate(), -unit.value])),
         atol=1e-12,
     )
-
-
-def test_sylv_cases():
-    r = ShiftUnit(-1.0)
-    p = ShiftUnit(-1.0 + 2.0j)
-    assert sylv_case([r], [r]) == 1
-    assert sylv_case([p], [p]) == 2
-    assert sylv_case([r, r], [p]) == 3
-    assert sylv_case([p], [r, r]) == 4
-    with pytest.raises(UnpairedComplexShift):
-        sylv_case([r], [p])
-
-
-def test_sylv_shift_collision():
-    """alpha ~ -conj(beta) across near-axis pairs makes the coupling blow up;
-    for strictly damped shifts the stability guard already precludes it."""
-    a = ShiftUnit(-1e-15 + 1.0j)
-    b = ShiftUnit(-1e-15 - 1.0j)  # contains -1e-15 + 1j whose mirror hits alpha
-    with pytest.raises(ShiftCollision):
-        sylv_sl(2, [a], [b], 1)
-    # well-damped mirrored pairs are fine
-    sylv_sl(2, [ShiftUnit(-1.0 + 1.0j)], [ShiftUnit(-1.0 + 1.0j)], 1)

@@ -328,6 +328,16 @@ class TestExtractionEquivalence:
         ref = st.V[:, :q] @ spla.solve(X, st.W[:, :q].T)
         got = extract_solution(st, "sylv").product()
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+        def consumed(units):  # shifts of the units that end by column q
+            ends = np.cumsum([m * ShiftUnit(u).width_factor for u in units])
+            return expand_units([ShiftUnit(u)
+                                 for u, end in zip(units, ends) if end <= q])
+
+        fs, _, _ = classic.fadi(s1, s2, consumed(aus), consumed(bus))
+        ref = fs.product()  # the complex reference: no grouping at all
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
         R = equation_residual("sylv", s1, s2, got)
         scale = np.linalg.norm(s1.B @ s2.C)
         assert np.linalg.norm(R - residual_product(st, "sylv")) < 1e-9 * scale
