@@ -125,23 +125,16 @@ class CfAdi:
         return ResidualFactor(self.Bperp.copy())
 
 
-def cf_adi(sys, shifts, max_iter=None, tol=0.0):
-    """Run CF-ADI over a shift list (cycled unit-wise if max_iter exceeds it).
+def cf_adi(sys, shifts):
+    """Run CF-ADI over a shift list, one step per shift unit.
     ``cf_adi(sys.dual(), shifts)`` gives the observability Gramian factor.
 
     Returns (LowRankSolution, ResidualFactor, history); history holds
     (iteration, normalized residual) pairs.
     """
-    units = as_units(shifts)
-    if max_iter is None:
-        max_iter = len(units)
     it = CfAdi(sys)
-    k = 0
-    while k < max_iter:
-        it.step(units[k % len(units)])
-        k += 1
-        if tol and it.residual_norm() <= tol:
-            break
+    for unit in as_units(shifts):
+        it.step(unit)
     return it.solution(), it.residual_factor(), it.history
 
 
@@ -215,18 +208,11 @@ class Radi:
         return ResidualFactor(self.Bperp.copy())
 
 
-def radi(sys, shifts, max_iter=None, tol=0.0, quad_weight=1.0):
-    """Run the Riccati ADI iteration over a shift list (cycled unit-wise)."""
-    units = as_units(shifts)
-    if max_iter is None:
-        max_iter = len(units)
+def radi(sys, shifts, quad_weight=1.0):
+    """Run the Riccati ADI iteration over a shift list, one step per unit."""
     it = Radi(sys, quad_weight=quad_weight)
-    k = 0
-    while k < max_iter:
-        it.step(units[k % len(units)])
-        k += 1
-        if tol and it.residual_norm() <= tol:
-            break
+    for unit in as_units(shifts):
+        it.step(unit)
     return it.solution(), it.residual_factor(), it.history
 
 

@@ -42,7 +42,7 @@ from .uadi import EquationSelection, uadi_init, uadi_step
 
 logger = logging.getLogger("uadi")
 
-TABLE1_EXPECTED = (
+TABLE1_REFERENCE = (
     ((100.0, 400.0), 3.51e4),
     ((400.0, 100.0), 12.2839),
     ((100.0, 100.0), 0.0412),
@@ -63,8 +63,6 @@ class RunConfig:
     gamma1: float = 2.0
     gamma2: float = 3.0
     strict: bool = False
-    static_alphas: list = None   # programmatic alternative to static:<file>
-    static_betas: list = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -157,15 +155,12 @@ class _ShiftDriver:
         self.single = None          # the one oracle of an alpha = beta strategy
         self.sylv_halves = kind == "sylv-alt"
         if kind.startswith("static"):
-            if config.static_alphas is not None:
-                alphas, betas = config.static_alphas, config.static_betas
-            else:
-                _, _, path = kind.partition(":")
-                if not path:
-                    raise ValueError("static strategy needs static:<file>")
-                alphas, betas = _read_static_file(path)
+            _, _, path = kind.partition(":")
+            if not path:
+                raise ValueError("static strategy needs static:<file>")
+            alphas, betas = _read_static_file(path)
             self.oa = StaticShiftOracle(alphas)
-            self.ob = StaticShiftOracle(betas if betas is not None else alphas)
+            self.ob = StaticShiftOracle(betas)
             self.recurring = tuple([u.value for u in o.units]
                                    for o in (self.oa, self.ob))
         elif kind in ("proj1", "proj2"):
@@ -290,7 +285,7 @@ def scenario_table1():
     study and compare the measured normalized residuals with the reference
     values; returns a list of row dicts."""
     rows = []
-    for (fa, fb), expected in TABLE1_EXPECTED:
+    for (fa, fb), expected in TABLE1_REFERENCE:
         g1, g2 = illustrative_pair()
         state = uadi_init(g1, g2, None, EquationSelection.parse("sylv"))
         uadi_step(state, complex(-1.0, fa), complex(-1.0, fb))

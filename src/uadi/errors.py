@@ -65,15 +65,6 @@ class ExtractionSingular(UadiError):
     """Trailing block of an extraction transform is singular."""
 
 
-class SmallSolveFailure(UadiError):
-    """A small-scale projected solve failed; carries the equation tag."""
-
-    def __init__(self, tag, reason):
-        super().__init__(f"{tag}: {reason}")
-        self.tag = tag
-        self.reason = reason
-
-
 class ZeroResidual(UadiError):
     """Residual factor vanished; iteration converged, no shift needed."""
 

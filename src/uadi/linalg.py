@@ -111,7 +111,8 @@ class FactorizationCache:
 
     Holds the LU used last plus those of the shifts passed to
     ``declare_recurring``; the others are dropped when a new shift is asked
-    for.  ``factor_count`` counts the LUs this cache made itself.
+    for.  ``factor_count`` counts the LUs this cache made itself and
+    ``solve_count`` the calls of its ``solve``.
     """
 
     def __init__(self, A, E, parent=None):
@@ -122,6 +123,7 @@ class FactorizationCache:
         self._store = {}
         self._recurring = set()
         self.factor_count = 0
+        self.solve_count = 0
 
     def transposed(self):
         """Cache for A^T + shift*E^T that solves transposed with the LUs of
@@ -151,6 +153,7 @@ class FactorizationCache:
         return fac
 
     def solve(self, shift, rhs):
+        self.solve_count += 1
         return self.get(shift).solve(rhs, trans=self._trans)
 
 

@@ -4,8 +4,11 @@ One engine step performs exactly two large shifted solves (one per system
 side) and feeds every selected matrix equation through small-scale
 extraction transforms: each equation's basis is the shared Lyapunov-ADI
 basis times a small block-triangular transform obtained from a small
-Sylvester solve, its middle matrix comes from a small Lyapunov solve, and
-its residual is tracked exactly as a thin factor.
+Sylvester solve, and its middle matrix comes from a small Lyapunov solve.
+Its residual is tracked exactly as a thin factor B rr - E X Y, recomputed
+from the committed transform T, middle matrix M and shift block L as
+Y = T M L^T; only the Lyapunov factor, the next solve's right-hand side,
+is updated in place.
 
 The two sides run one algorithm: the W side (observability, C2^T
 right-hand side) is the V side's ADI on the dual realization
@@ -32,7 +35,6 @@ from .errors import (
     EquationSkipped,
     ExtractionSingular,
     InfeasibleHard,
-    SmallSolveFailure,
     UadiError,
 )
 from .classic import LowRankSolution, ResidualFactor
@@ -234,13 +236,13 @@ def _family_configs(sys, gamma, name):
 
 
 class _EqSide:
-    """Standing extraction state of one Riccati-family equation on one side."""
+    """Standing extraction state of one Riccati-family equation on one side;
+    Phat is None when the equation has no middle matrix."""
 
-    def __init__(self, perp, has_middle=True):
+    def __init__(self, perp, mid=True):
         self.T = np.zeros((0, 0))
-        self.Phat = np.zeros((0, 0)) if has_middle else None
+        self.Phat = np.zeros((0, 0)) if mid else None
         self.perp = np.array(perp, dtype=float)
-        self.has_middle = has_middle
 
 
 class _Side:
@@ -258,7 +260,7 @@ class _Side:
         self.suffix = suffix        # tag suffix of this side's equations
         self.orient = orient        # ResidualFactor side of the residual
         self.degraded = degraded    # the engine's tag -> reason record
-        self._X, self._EX = _Columns(sys.n), _Columns(sys.n)
+        self._X = _Columns(sys.n)
         # S with its Schur form, grown one diagonal block per unit
         self.schur = schur_form(np.zeros((0, 0)))
         self.L = np.zeros((sys.m, 0))
@@ -269,7 +271,6 @@ class _Side:
         self.eqs, self.const = {}, {}
 
     X = property(lambda self: self._X.view, doc="Shared basis, read-only.")
-    EX = property(lambda self: self._EX.view, doc="E @ X, read-only.")
     S = property(lambda self: self.schur.a)
     k = property(lambda self: self._X.k)
 
@@ -285,6 +286,13 @@ class _Side:
             self.const[f] = _scale(gram_norm2(eq.perp))
         self.sylv = (_SylvHalf(np.zeros((0, 0)), np.zeros((0, 0)), self.perp.copy())
                      if "sylv" in tags else None)
+
+    def factor(self, Y, rr=None):
+        """Residual factor B rr - E X[:, :len(Y)] Y on this side's basis;
+        an equation's Y = T M L^T comes from its transform T, middle matrix
+        M and shift block L.  rr defaults to the identity."""
+        B = self.sys.B if rr is None else self.sys.B @ rr
+        return B - self.sys.E @ (self.X[:, : Y.shape[0]] @ Y)
 
     def residual(self, family):
         """Thin factor and weight of one family's tracked residual."""
@@ -304,10 +312,8 @@ class _Side:
         self.schur = self.schur.extended(self.L.T @ l, schur_form(s))
         self.L = np.hstack([self.L, l])
         self._X.append(block)
-        Eb = self.sys.E @ block
-        self._EX.append(Eb)
         self.G = np.vstack([self.G, block.T @ self.sys.C.T])
-        self.perp = self.perp - Eb @ l.T
+        self.perp = self.perp - (self.sys.E @ block) @ l.T
         Ahat = -self.S.T
         for fam in _FAMILIES:
             tag = fam + self.suffix
@@ -316,9 +322,8 @@ class _Side:
                     self._extract(tag, self.cfg[fam], self.eqs[fam], Ahat, s, l,
                                   kprev)
                 except _NUMERICAL_FAILURES as exc:
-                    err = SmallSolveFailure(tag, str(exc))
-                    self.degraded[tag] = err.reason
-                    logger.warning("%s degraded: %s", tag, err)
+                    self.degraded[tag] = str(exc)
+                    logger.warning("%s degraded: %s", tag, exc)
         self.bounds.append(self.k)
 
     def _extract(self, tag, cfg, eq, Ahat, s, l, kprev):
@@ -330,61 +335,59 @@ class _Side:
         if cfg["fb"] is not None:
             F = F - L.T @ cfg["fb"] @ Gx.T
         G = L.T @ cfg["rr"]
-        if eq.has_middle:
+        if eq.Phat is None:
             if kprev:
-                # T Phat T^T stays factored: O(k^2 m) instead of O(k^3)
-                PTG = eq.Phat @ (eq.T.T @ Gx[:kprev])
-                F = F - _pad_rows(eq.T @ PTG @ cfg["qk"] @ Gx.T, wid)
-                G = G - _pad_rows(eq.T @ (eq.Phat @ L[:, :kprev].T), wid)
+                G = G - _pad_rows(eq.T @ L[:, :kprev].T, wid)
         elif kprev:
-            G = G - _pad_rows(eq.T @ L[:, :kprev].T, wid)
+            # T Phat T^T stays factored: O(k^2 m) instead of O(k^3)
+            PTG = eq.Phat @ (eq.T.T @ Gx[:kprev])
+            F = F - _pad_rows(eq.T @ PTG @ cfg["qk"] @ Gx.T, wid)
+            G = G - _pad_rows(eq.T @ (eq.Phat @ L[:, :kprev].T), wid)
         t = solve_small_sylvester(F, s, G @ l)
         t_new = t[kprev:]
         _check_trailing(t_new, tag)
-        Phat, mid = eq.Phat, l.T
-        if eq.has_middle:
+        T = _grow_upper(eq.T, t[:kprev], t_new)
+        if eq.Phat is None:
+            Phat, Y = None, T @ L.T
+        else:
             xhat = Gx.T @ t  # projected output map of the new direction
             small = solve_small_lyapunov(-s, l.T @ l + xhat.T @ cfg["qk"] @ xhat)
-            phat = spla.inv(small)
-            Phat = spla.block_diag(eq.Phat, phat)
-            mid = phat @ l.T
-        upd = (self.EX @ t) @ mid
+            Phat = spla.block_diag(eq.Phat, spla.inv(small))
+            Y = T @ (Phat @ L.T)
         # committed together, once every small solve of the step succeeded,
         # so a degraded equation keeps a consistent T, Phat and perp
-        eq.T = _grow_upper(eq.T, t[:kprev], t_new)
-        eq.Phat = Phat
-        eq.perp = eq.perp - upd
+        eq.T, eq.Phat, eq.perp = T, Phat, self.factor(Y, cfg["rr"])
 
 
 @dataclass
 class _SylvHalf:
     """One side's half of the Sylvester solution V T_v D T_w^T W^T: the
     transform T of the consumed basis prefix, its shift matrix S (its L is
-    the side's L on the prefix) and the residual factor perp (n x m on the
-    V side, the n x p Cperp^T on the W side)."""
+    the side's L on the prefix) and the residual factor perp = B - E X T D
+    L_other^T on the prefix (n x m on the V side, the n x p Cperp^T on the
+    W side)."""
 
     T: np.ndarray
     S: np.ndarray
     perp: np.ndarray
 
 
-def _sylv_advanced(side, other, q, D, dinv):
+def _sylv_advanced(side, other, q, D):
     """``side``'s Sylvester half after the group of basis columns kp:q,
     whose companion blocks are the side's own S and L on those columns.
-    ``D`` (the coupling so far) and ``dinv`` (its new block) are in this
-    side's orientation, transposed for the W side.  Mutates nothing."""
+    ``D`` is the coupling grown by the group's block, in this side's
+    orientation (transposed for the W side).  Mutates nothing."""
     half, kp = side.sylv, side.sylv.T.shape[0]
     s, l = side.S[kp:q, kp:q], side.L[:, kp:q]
+    DL = D[:kp, :kp] @ other.L[:, :kp].T
     G = side.L[:, :q].T
     if kp:
-        G = G - _pad_rows(half.T @ D @ other.L[:, :kp].T, q - kp)
+        G = G - _pad_rows(half.T @ DL, q - kp)
     t = solve_small_sylvester(-side.S[:q, :q].T, s, G @ l)
     _check_trailing(t[kp:], f"sylv {side.suffix} half")
-    return _SylvHalf(
-        _grow_upper(half.T, t[:kp], t[kp:]),
-        _grow_upper(half.S, D @ other.L[:, :kp].T @ l, s),
-        half.perp - (side.EX[:, :q] @ t) @ (dinv @ other.L[:, kp:q].T),
-    )
+    T = _grow_upper(half.T, t[:kp], t[kp:])
+    return _SylvHalf(T, _grow_upper(half.S, DL @ l, s),
+                     side.factor(T @ (D @ other.L[:, :q].T)))
 
 
 def _sf_side(side, other, VW):
@@ -417,7 +420,6 @@ class UadiState:
         S1, S2 = self.params.resolved(sys1, sys2)
         self.selection = selection
         self.iteration = 0
-        self.large_solve_count = 0
         self.alpha_units, self.beta_units = [], []
         self.enabled = set()
         self.skipped = {}
@@ -435,7 +437,6 @@ class UadiState:
                        "right", self.degraded)
         self.VW = np.zeros((0, 0))   # V^T W (spectral-factor branch only)
         self.sylv = None
-        self.sf = None
         self._resolve_feasibility()
         self._prepare_constants()
 
@@ -447,6 +448,9 @@ class UadiState:
                      doc="Residual factor (p x n) of the observability Gramian of G2.")
     cache1 = property(lambda self: self.v.cache)
     cache2 = property(lambda self: self.w.cache)
+    large_solve_count = property(
+        lambda self: self.v.cache.solve_count + self.w.cache.solve_count,
+        doc="Large shifted solves made by the two sides' caches.")
 
     def declare_recurring(self, alphas, betas):
         """Shifts the caller will use again: their LUs stay cached."""
@@ -501,8 +505,6 @@ class UadiState:
             s1, s2 = self.sys1, self.sys2
             self.const["sylv"] = _scale(gram_norm2(s1.B, np.eye(s1.m), s2.C.T))
             self.sylv = _SylvState()
-        if "sf" in self.v.eqs:
-            self.sf = (self.v.eqs["sf"], self.w.eqs["sf"])
 
     # -- Sylvester branch ---------------------------------------------------
 
@@ -516,16 +518,14 @@ class UadiState:
         try:
             d = solve_small_sylvester(-w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
                                       w.L[:, kp:q].T @ v.L[:, kp:q])
-            dinv = spla.inv(d)
-            halves = (_sylv_advanced(v, w, q, sy.D, dinv),
-                      _sylv_advanced(w, v, q, sy.D.T, dinv.T))
+            D = spla.block_diag(sy.D, spla.inv(d))
+            halves = (_sylv_advanced(v, w, q, D), _sylv_advanced(w, v, q, D.T))
         except _NUMERICAL_FAILURES as exc:
             self.degraded["sylv"] = str(exc)
             logger.warning("sylv degraded: %s", exc)
             return
         v.sylv, w.sylv = halves
-        sy.D = spla.block_diag(sy.D, dinv)
-        sy.q = q
+        sy.D, sy.q = D, q
 
     # -- spectral-factor branch (recomputed whole each step) ----------------
 
@@ -541,10 +541,7 @@ class UadiState:
         for side, T, Phat in found:
             eq = side.eqs["sf"]
             eq.T, eq.Phat = T, Phat
-            eq.perp = (side.sys.B @ side.cfg["sf"]["rr"]
-                       - side.EX @ (T @ Phat @ side.L.T))
-        self.degraded.pop("sf_p", None)
-        self.degraded.pop("sf_q", None)
+            eq.perp = side.factor(T @ (Phat @ side.L.T), side.cfg["sf"]["rr"])
 
     # -- public stepping ----------------------------------------------------
 
@@ -556,15 +553,15 @@ class UadiState:
         kv, kw = self.v.k, self.w.k
         for side, unit in ((self.v, au), (self.w, bu)):
             side.expand(unit)
-            self.large_solve_count += 1
         self.alpha_units.append(au)
         self.beta_units.append(bu)
-        if self.sf is not None:
+        sf = "sf" in self.v.eqs
+        if sf:
             self.VW = np.vstack([self.VW, self.V[:, kv:].T @ self.W[:, :kw]])
             self.VW = np.hstack([self.VW, self.V.T @ self.W[:, kw:]])
         if self.sylv is not None and "sylv" not in self.degraded:
             self._sylv_fire()
-        if self.sf is not None and not {"sf_p", "sf_q"} <= set(self.degraded):
+        if sf and "sf_p" not in self.degraded:   # the pair degrades together
             self._sf_recompute()
         self.iteration += 1
         return self

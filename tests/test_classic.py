@@ -177,7 +177,7 @@ class TestRadi:
         """One step at shift -1 on the unit system: solve direction -0.5,
         step weight 1.6 in the unscaled convention, approximation 0.4 with
         residual factor 0.2; the true solution is sqrt(2) - 1."""
-        sol, res, _ = radi(scalar_system(), [-1.0], 1)
+        sol, res, _ = radi(scalar_system(), [-1.0])
         v_unscaled = sol.left[0, 0] / np.sqrt(2.0)      # undo sqrt(-2a) scaling
         assert v_unscaled == pytest.approx(-0.5)
         phat_unscaled = sol.middle[0, 0] * 2.0

@@ -16,6 +16,15 @@ from uadi.cli import (
 from uadi.systems import save_system, random_stable_system
 
 
+def static_spec(tmp_path, units):
+    """``static:<file>`` strategy whose file lists each unit as both the
+    alpha and the beta of one line."""
+    f = tmp_path / "shifts.txt"
+    f.write_text("".join(f"{u.real!r} {u.imag!r} {u.real!r} {u.imag!r}\n"
+                         for u in map(complex, units)))
+    return f"static:{f}"
+
+
 class TestBuildSystem:
     def test_sources(self, tmp_path):
         g1 = build_system("illustrative", 1)
@@ -38,9 +47,8 @@ class TestBuildSystem:
 class TestRun:
     def test_static_pair_matches_reference_value(self, tmp_path):
         cfg = RunConfig(sys1="illustrative", sys2="illustrative",
-                        equations="sylv", shifts="static:unused",
-                        static_alphas=[-1 + 100j, -1 - 100j],
-                        static_betas=[-1 + 100j, -1 - 100j],
+                        equations="sylv",
+                        shifts=static_spec(tmp_path, [-1 + 100j, -1 - 100j]),
                         max_iter=1, tol=1e-12, out=str(tmp_path))
         rep = run(cfg)
         assert rep.final_residuals["sylv"] == pytest.approx(0.0412, rel=0.05)
@@ -56,9 +64,8 @@ class TestRun:
         for the whole run, and serves both sides."""
         units = [-0.5, -1 + 2j, -1 - 2j, -2.0]
         cfg = RunConfig(sys1="rlc:20", sys2="rlc:20", equations="lyap_p,lyap_q",
-                        shifts="static:unused", static_alphas=units,
-                        static_betas=units, max_iter=6, tol=1e-300,
-                        out=str(tmp_path))
+                        shifts=static_spec(tmp_path, units), max_iter=6,
+                        tol=1e-300, out=str(tmp_path))
         rep = run(cfg)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert rep.iterations == 6
@@ -78,11 +85,10 @@ class TestRun:
         assert len(rep.state.cache1) <= 1 and len(rep.state.cache2) <= 1
         assert rep.factorizations == lus_per_step * rep.iterations
 
-    def test_huge_tolerance_stops_after_one_iteration(self):
+    def test_huge_tolerance_stops_after_one_iteration(self, tmp_path):
         cfg = RunConfig(sys1="illustrative", sys2="illustrative",
-                        equations="sylv", shifts="static:unused",
-                        static_alphas=[-1 + 100j, -1 - 100j],
-                        static_betas=[-1 + 100j, -1 - 100j],
+                        equations="sylv",
+                        shifts=static_spec(tmp_path, [-1 + 100j, -1 - 100j]),
                         max_iter=9, tol=1e300)
         rep = run(cfg)
         assert rep.iterations == 1

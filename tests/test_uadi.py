@@ -145,6 +145,22 @@ class TestSolveBudget:
             assert st.large_solve_count == 2 * k
             assert st.iteration == k
 
+    def test_count_measures_the_solves(self, monkeypatch):
+        """The count is read off the caches, so a step that solves more
+        than twice shows up in it."""
+        import uadi.uadi as engine
+
+        g, st = rlc_state(steps=((-0.5, -0.6),))
+        original = engine._Side.expand
+
+        def solving_twice(side, unit):
+            side.cache.solve(unit.value, side.perp)
+            return original(side, unit)
+
+        monkeypatch.setattr(engine._Side, "expand", solving_twice)
+        uadi_step(st, -1.0, -1.2)
+        assert st.large_solve_count == 6
+
 
 SHIFT_PATTERNS = {
     "case1": ([-0.5, -1.2, -3.0], [-0.8, -2.0, -4.0]),
@@ -700,8 +716,9 @@ class TestSubnormalFlush:
 
 
 class TestBasisStorage:
-    """V, W, E V and E^T W grow in place; the public names are read-only
-    views of the filled columns."""
+    """V and W grow in place; the public names are read-only views of the
+    filled columns, and no other n-row array on a side is wider than the
+    residual factors."""
 
     def test_bases_are_the_stacked_solve_blocks(self, monkeypatch):
         import uadi.uadi as engine
@@ -725,9 +742,7 @@ class TestBasisStorage:
         W = np.hstack(blocks[1::2])
         np.testing.assert_array_equal(st.V, V)
         np.testing.assert_array_equal(st.W, W)
-        np.testing.assert_allclose(st.v.EX, s1.E @ V, rtol=0, atol=1e-14 * np.abs(V).max())
-        np.testing.assert_allclose(st.w.EX, s2.E.T @ W, rtol=0, atol=1e-14 * np.abs(W).max())
-        for M in (st.V, st.W, st.v.EX, st.w.EX):
+        for M in (st.V, st.W):
             assert not M.flags.writeable
             with pytest.raises(ValueError):
                 M[0, 0] = 1.0
@@ -749,6 +764,39 @@ class TestBasisStorage:
             np.testing.assert_array_equal(view, expected)
         np.testing.assert_array_equal(cols.view, np.hstack(blocks))
         assert cols.view.flags.f_contiguous
+
+    def test_basis_is_the_only_wide_array(self):
+        """Every residual factor is recomputed from the basis and the small
+        matrices, so the basis buffer is the one n-row array per side that
+        grows with the iteration."""
+        g, st = rlc_state(steps=((-0.5, -0.6), (-2 + 4j, -1 + 2j),
+                                 (-1.0, -3.0), (-0.8, -1.5)), segments=6)
+        bases = {id(st.v._X._buf), id(st.w._X._buf)}
+        width, seen, wide = max(g.m, g.p), set(), []
+
+        def walk(obj, path):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if (obj.ndim == 2 and obj.shape[0] == g.n
+                        and obj.shape[1] > width and id(obj) not in bases):
+                    wide.append((path, obj.shape))
+            elif isinstance(obj, dict):
+                for key, value in obj.items():
+                    walk(value, f"{path}[{key!r}]")
+            elif isinstance(obj, (list, tuple)):
+                for i, value in enumerate(obj):
+                    walk(value, f"{path}[{i}]")
+            elif hasattr(obj, "__dict__"):
+                for key, value in vars(obj).items():
+                    walk(value, f"{path}.{key}")
+
+        walk(st.v, "v")
+        walk(st.w, "w")
+        assert bases <= seen and st.v.k > 2 * width
+        assert {"ricc", "mp", "sf"} <= set(st.v.eqs) and st.v.sylv.perp.shape[0] == g.n
+        assert not wide, wide
 
 
 class TestSharedFactorization:
