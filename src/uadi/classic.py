@@ -65,7 +65,6 @@ class ResidualFactor:
 
     factor: np.ndarray
     weight: np.ndarray = None
-    side: str = "left"
 
     def norm2(self):
         return gram_norm2(self.factor, self.weight)
@@ -278,8 +277,8 @@ class Fadi:
 
     def residual_factors(self):
         return (
-            ResidualFactor(self.v.perp.copy(), side="left"),
-            ResidualFactor(self.w.perp.T.copy(), side="right"),
+            ResidualFactor(self.v.perp.copy()),
+            ResidualFactor(self.w.perp.T.copy()),
         )
 
 

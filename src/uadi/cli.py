@@ -143,7 +143,8 @@ def _read_static_file(path):
 class _ShiftDriver:
     """Bridges a shift strategy to the engine loop.  Each oracle runs on its
     engine side's own system (G1, or G2.dual() on the W side) and observes
-    that side's residual factor as is (``sylv-alt``: the Sylvester halves').
+    that side's basis and residual factor as the side holds them
+    (``sylv-alt``: the Sylvester halves' factors).
     ``recurring`` holds the alpha and beta values a static list cycles
     through, whose LUs are worth keeping; adaptive strategies repeat
     nothing."""
@@ -183,15 +184,16 @@ class _ShiftDriver:
             return unit, ShiftUnit(unit.value)
         return self.oa.next_unit(), self.ob.next_unit()
 
-    def after_step(self, state, v_block, w_block):
+    def after_step(self, state):
         v, w = state.v, state.w
+        fv, fw = v, w      # the holders of the observed residual factors
         if self.sylv_halves and state.sylv is not None:
-            v, w = v.sylv, w.sylv
+            fv, fw = v.sylv, w.sylv
         if self.single is not None:
-            self.single.observe(v_block, w_block, v.perp, w.perp)
+            self.single.observe(v.X, w.X, fv.perp, fw.perp)
         else:
-            self.oa.observe(v_block, v.perp)
-            self.ob.observe(w_block, w.perp)
+            self.oa.observe(v.X, fv.perp)
+            self.ob.observe(w.X, fw.perp)
 
 
 def run(config):
@@ -224,11 +226,8 @@ def run(config):
             except ZeroResidual:
                 logger.info("shift oracle reports zero residual; stopping")
                 break
-            kv, kw = state.V.shape[1], state.W.shape[1]
             uadi_step(state, au, bu)
-            v_block = state.V[:, kv:]
-            w_block = state.W[:, kw:]
-            driver.after_step(state, v_block, w_block)
+            driver.after_step(state)
             report.alphas.extend(au.shifts())
             report.betas.extend(bu.shifts())
             all_done = True
@@ -257,11 +256,13 @@ def run(config):
                                  + state.cache2.factor_count)
         report.elapsed = time.time() - t0
         for tag in sorted(state.enabled):
-            report.final_residuals[tag] = state.residual_norm(tag)
+            res = report.final_residuals[tag] = state.residual_norm(tag)
             if tag in state.degraded:
                 report.statuses[tag] = f"degraded: {state.degraded[tag]}"
-            elif report.final_residuals[tag] <= config.tol:
+            elif res <= config.tol:
                 report.statuses[tag] = "converged"
+            elif not res <= 1.0:   # worse than X = 0, or not finite
+                report.statuses[tag] = "diverged"
             else:
                 report.statuses[tag] = "active"
             try:

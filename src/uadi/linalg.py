@@ -5,7 +5,7 @@ Lyapunov solvers, small eigendecompositions with left vectors, and spectral
 norms of low-rank products evaluated through the small Gram eigenproblem.
 
 A FactorizationCache holds sparse LUs of A + shift*E keyed by the exact
-shift.  It keeps the LU it used last plus those of the shifts its caller
+shift; a real shift is factored in real arithmetic.  It keeps the LU it used last plus those of the shifts its caller
 declares recurring (a cyclic static list); every other LU is dropped when
 the next shift arrives, so memory is bounded by what will be reused.  The
 cache of a transposed pencil A^T + shift*E^T made by ``transposed()``
@@ -60,10 +60,11 @@ def _as_csc(A):
 
 
 class ShiftedFactorization:
-    """Reusable LU factorization of (A + shift*E).
+    """Reusable LU factorization of (A + shift*E), real for a real shift.
 
     Singularity is reported at construction time.  The factorization is
-    read-only afterwards and may serve any number of right-hand sides.
+    read-only afterwards and may serve any number of right-hand sides; a
+    complex one is solved against a real LU as its real and imaginary parts.
     """
 
     def __init__(self, A, E, shift):
@@ -75,7 +76,8 @@ class ShiftedFactorization:
             )
         self.n = A.shape[0]
         self.shift = complex(shift)
-        M = (A + shift * E).tocsc()
+        s = self.shift.real if self.shift.imag == 0 else self.shift
+        M = (A + s * E).tocsc()
         try:
             self._lu = splu(M)
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
@@ -98,7 +100,11 @@ class ShiftedFactorization:
             raise DimensionMismatch(
                 f"rhs has {rhs.shape[0]} rows, expected {self.n}"
             )
-        x = self._lu.solve(np.asarray(rhs, dtype=self._dtype), trans=trans)
+        if np.iscomplexobj(rhs) and self._dtype.kind != "c":
+            x = self._lu.solve(np.hstack([rhs.real, rhs.imag]), trans=trans)
+            x = x[:, : rhs.shape[1]] + 1j * x[:, rhs.shape[1]:]
+        else:
+            x = self._lu.solve(np.asarray(rhs, dtype=self._dtype), trans=trans)
         if not np.all(np.isfinite(x)):
             raise SingularShiftedMatrix(
                 f"solve with shift {self.shift} produced non-finite values"

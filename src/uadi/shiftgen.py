@@ -9,9 +9,11 @@ the side holds it: the V side on G1 with the n x m factor, the W side on
 G2.dual() with the n x p factor, so one Galerkin ranking serves both.  It
 skips Ritz values in the closed right half-plane while a stable one exists:
 such values are projection artefacts of a non-normal pencil, not pole
-estimates.  Subspace histories are orthonormalized solve-direction blocks
-with implicit restart: once a history would exceed its column cap it is
-discarded and restarted from the newest block.
+estimates.  A subspace history is a window onto the solve-direction basis
+the iteration already holds (the engine side's X, CfAdi.Z, Radi.V), kept by
+reference with no copy, and orthonormalized only when a ranking asks for
+it.  Once the window would pass its column cap it restarts at the newest
+block.
 """
 
 import logging
@@ -213,45 +215,35 @@ def next_shift_petrov_bt(history_V, history_W, B_perp, C_perp, sys):
 
 
 class _History:
-    """Orthonormal solve-direction history with implicit restart."""
+    """Window onto the solve-direction basis the caller holds: a reference
+    to that basis (no copy) and the restart column ``start``.  Once the
+    window would pass ``cap`` columns it restarts at the newest block, the
+    columns added since the previous observation."""
 
     def __init__(self, cap):
         self.cap = cap
-        self.basis = None
+        self.X = None
+        self.start = 0
 
-    def push(self, block):
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        if self.basis is None or self.basis.shape[1] + block.shape[1] > self.cap:
-            self.basis = spla.orth(block)  # restart: keep only the newest block
-        else:
-            self.basis = spla.orth(np.hstack([self.basis, block]))
+    def observe(self, X):
+        if self.X is not None and X.shape[1] - self.start > self.cap:
+            self.start = self.X.shape[1]
+        self.X = X
 
     @property
     def width(self):
-        return 0 if self.basis is None else self.basis.shape[1]
+        return 0 if self.X is None else self.X.shape[1] - self.start
+
+    @property
+    def basis(self):
+        """Orthonormal basis of the window, computed on each call."""
+        return spla.orth(self.X[:, self.start:])
 
 
-class _OracleBase:
-    """Common queueing: complex shifts are emitted pair-first as units."""
-
-    def __init__(self):
-        self.queue = []          # pending individual shifts (conjugates)
-
-    def next_shift(self):
-        """Single-shift granularity: conjugates come out one at a time."""
-        if self.queue:
-            return self.queue.pop(0)
-        unit = self.next_unit()
-        shifts = unit.shifts()
-        self.queue.extend(shifts[1:])
-        return shifts[0]
-
-
-class StaticShiftOracle(_OracleBase):
+class StaticShiftOracle:
     """Cycles a fixed unit list."""
 
     def __init__(self, shifts):
-        super().__init__()
         self.units = as_units(shifts)
         if not self.units:
             raise ValueError("empty shift list")
@@ -266,20 +258,22 @@ class StaticShiftOracle(_OracleBase):
         return unit
 
 
-class ProjectionShiftOracle(_OracleBase):
-    """Projection-I (residual-factor basis) or Projection-II (last solve)."""
+class ProjectionShiftOracle:
+    """Projection-I (residual-factor basis) or Projection-II (last solve
+    block of the observed basis)."""
 
     def __init__(self, sys, variant=1):
-        super().__init__()
         if variant not in (1, 2):
             raise ValueError("variant must be 1 or 2")
         self.sys = sys
         self.variant = variant
         self._unit_queue = []
         self._perp = None
+        self._width = 0
 
-    def observe(self, solve_block, perp):
-        self._last_block = np.asarray(solve_block)
+    def observe(self, X, perp):
+        self._last_block = X[:, self._width:]
+        self._width = X.shape[1]
         self._perp = np.asarray(perp)
 
     def next_unit(self):
@@ -296,24 +290,24 @@ class ProjectionShiftOracle(_OracleBase):
         return self._unit_queue.pop(0)
 
 
-class SubspaceShiftOracle(_OracleBase):
+class SubspaceShiftOracle:
     """Subspace-accelerated Galerkin dominance ranking on one engine side.
 
     Each unit is the most dominant stable Ritz value of the pencil projected
     on the history (see ``next_shift_subspace``); right-half-plane Ritz
     values are ranked, and mirrored, only when no stable one exists.  The
     W-side oracle is built on ``G2.dual()`` and observes the n x p factor.
+    ``observe`` takes the basis as the iteration holds it.
     """
 
     def __init__(self, sys, cap=DEFAULT_CAP):
-        super().__init__()
         self.sys = sys
         self.history = _History(cap)
         self._perp = None
         self._gain = None
 
-    def observe(self, solve_block, perp, feedback_gain=None):
-        self.history.push(solve_block)
+    def observe(self, X, perp, feedback_gain=None):
+        self.history.observe(X)
         self._perp = np.asarray(perp)
         self._gain = feedback_gain
 
@@ -327,20 +321,19 @@ class SubspaceShiftOracle(_OracleBase):
         return ShiftUnit(shift)
 
 
-class _TwoSidedOracle(_OracleBase):
-    """Solve-direction histories and residual factors of both engine sides,
-    each as its side holds it (n x m on V, n x p on W)."""
+class _TwoSidedOracle:
+    """Windows onto the bases of both engine sides and their residual
+    factors, each as its side holds it (n x m on V, n x p on W)."""
 
     def __init__(self, cap):
-        super().__init__()
         self.hist_v = _History(cap)
         self.hist_w = _History(cap)
         self._vperp = None
         self._wperp = None
 
-    def observe(self, v_block, w_block, v_perp, w_perp):
-        self.hist_v.push(v_block)
-        self.hist_w.push(w_block)
+    def observe(self, V, W, v_perp, w_perp):
+        self.hist_v.observe(V)
+        self.hist_w.observe(W)
         self._vperp = np.asarray(v_perp)
         self._wperp = np.asarray(w_perp)
 
@@ -358,11 +351,12 @@ class PetrovBtShiftOracle(_TwoSidedOracle):
             return ShiftUnit(INITIAL_SHIFT)
         if not (np.any(self._vperp) or np.any(self._wperp)):
             raise ZeroResidual("both residual factors vanished")
+        V1 = self.hist_v.basis
         try:
-            shift, _ = next_shift_petrov_bt(self.hist_v.basis, self.hist_w.basis,
+            shift, _ = next_shift_petrov_bt(V1, self.hist_w.basis,
                                             self._vperp, self._wperp, self.sys)
         except SingularProjectedE:
-            shift, _ = next_shift_subspace(self.hist_v.basis, self._vperp, self.sys)
+            shift, _ = next_shift_subspace(V1, self._vperp, self.sys)
         return ShiftUnit(shift)
 
 

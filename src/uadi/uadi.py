@@ -254,11 +254,9 @@ class _Side:
     factor the n x p factor Cperp^T and its projected output map W^T B2.
     """
 
-    def __init__(self, sys, cache, weight, gamma, name, suffix, orient,
-                 degraded):
+    def __init__(self, sys, cache, weight, gamma, name, suffix, degraded):
         self.sys, self.cache, self.weight = sys, cache, weight
         self.suffix = suffix        # tag suffix of this side's equations
-        self.orient = orient        # ResidualFactor side of the residual
         self.degraded = degraded    # the engine's tag -> reason record
         self._X = _Columns(sys.n)
         # S with its Schur form, grown one diagonal block per unit
@@ -432,9 +430,9 @@ class UadiState:
         cache2 = (cache1.transposed() if self.single_system else
                   FactorizationCache(dual.A, dual.E))
         self.v = _Side(sys1, cache1, S1, self.params.gamma1, "G1", "_p",
-                       "left", self.degraded)
+                       self.degraded)
         self.w = _Side(dual, cache2, S2, self.params.gamma2, "G2.dual()", "_q",
-                       "right", self.degraded)
+                       self.degraded)
         self.VW = np.zeros((0, 0))   # V^T W (spectral-factor branch only)
         self.sylv = None
         self._resolve_feasibility()
@@ -619,12 +617,11 @@ class UadiState:
         self._check_tag(tag)
         if tag == "sylv":
             return (ResidualFactor(self.v.sylv.perp.copy()),
-                    ResidualFactor(self.w.sylv.perp.T.copy(), side="right"))
+                    ResidualFactor(self.w.sylv.perp.T.copy()))
         side, fam = self._locate(tag)
         factor, weight = side.residual(fam)
         return ResidualFactor(factor.copy(),
-                              None if weight is None else weight.copy(),
-                              side=side.orient)
+                              None if weight is None else weight.copy())
 
     def residual_norm(self, tag):
         self._check_tag(tag)

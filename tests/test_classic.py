@@ -214,9 +214,8 @@ class TestRadi:
         it = Radi(sys)
         for _ in range(30):
             unit = oracle.next_unit()
-            kv = it.V.shape[1]
             it.step(unit)
-            oracle.observe(it.V[:, kv:], it.Bperp, feedback_gain=it.K)
+            oracle.observe(it.V, it.Bperp, feedback_gain=it.K)
         assert it.residual_norm() <= 1e-8
         P = dense_riccati_p(sys)
         sol = it.solution()

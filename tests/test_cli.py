@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from uadi import cli
 from uadi.cli import (
     RunConfig,
     build_system,
@@ -137,6 +138,19 @@ class TestRun:
         assert rep.iterations == last < 60
         assert not rep.converged
 
+    def test_growing_residual_is_reported_diverged(self):
+        """Mismatched subspace shifts on the scaled triple-peak pair: the
+        Gramians converge while the Sylvester residual grows far past 1,
+        i.e. worse than X = 0, so it is diverged, not active."""
+        rep = run(RunConfig(sys1="penzl:2000,10,20,30",
+                            sys2="penzl:2000,40,50,60",
+                            equations="lyap_p,lyap_q,sylv", shifts="subspace",
+                            max_iter=70, tol=1e-12))
+        assert rep.final_residuals["sylv"] > 1.0
+        assert rep.statuses["sylv"] == "diverged"
+        assert rep.statuses["lyap_p"] == rep.statuses["lyap_q"] == "converged"
+        assert rep.iterations == 70 and not rep.converged
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(tol=0.0)
@@ -187,6 +201,56 @@ class TestShiftDuality:
         for fam in ("lyap", "ricc"):
             np.testing.assert_allclose(hf[fam + "_p"], hb[fam + "_q"], rtol=1e-10)
             np.testing.assert_allclose(hf[fam + "_q"], hb[fam + "_p"], rtol=1e-10)
+
+
+class TestOracleStorage:
+    """A shift oracle ranks on a window of the iteration's own basis: every
+    n-row array it holds is a view of an engine basis buffer or a residual
+    factor it observed, never a copy of its own."""
+
+    @pytest.mark.parametrize("pair, shifts", [
+        (("penzl:60,1,2,3", "penzl:60,4,5,6"), "sylv-alt"),
+        (("rlc:15", "rlc:15"), "petrov-bt"),
+    ])
+    def test_oracle_holds_no_basis_copy(self, monkeypatch, pair, shifts):
+        drivers = []
+
+        class Recording(cli._ShiftDriver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                drivers.append(self)
+
+        monkeypatch.setattr(cli, "_ShiftDriver", Recording)
+        rep = run(RunConfig(sys1=pair[0], sys2=pair[1],
+                            equations="lyap_p,lyap_q,sylv", shifts=shifts,
+                            max_iter=8, tol=1e-300, restart_cap=6))
+        st, oracle = rep.state, drivers[0].single
+        observed = (st.v.sylv, st.w.sylv) if shifts == "sylv-alt" else (st.v, st.w)
+        factors = {id(h.perp) for h in observed}
+        buffers = (st.v._X._buf, st.w._X._buf)
+        systems = {id(st.v.sys), id(st.w.sys)}
+        seen, arrays = set(), []
+
+        def walk(obj):
+            if id(obj) in seen or id(obj) in systems:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if obj.ndim == 2 and obj.shape[0] == st.v.sys.n:
+                    arrays.append(obj)
+            elif isinstance(obj, (list, tuple)):
+                for value in obj:
+                    walk(value)
+            elif hasattr(obj, "__dict__"):
+                for value in vars(obj).values():
+                    walk(value)
+
+        walk(oracle)
+        assert len(arrays) >= 4
+        for a in arrays:
+            assert (id(a) in factors
+                    or any(np.shares_memory(a, buf) for buf in buffers)), a.shape
+        assert oracle.hist_v.start > 0 and oracle.hist_w.start > 0   # restarted
 
 
 class TestCsvSchema:

@@ -100,6 +100,25 @@ class TestFactorizationCacheBound:
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
         assert cache.factor_count == 2 and tcache.factor_count == 1
 
+    def test_real_shift_is_factored_real(self, rng):
+        """A real shift, also when given as a complex number, has a float64
+        LU; a complex right-hand side is solved as its real and imaginary
+        parts and matches the complex LU's solution."""
+        from scipy.sparse.linalg import splu
+
+        A, E = self._pencil()
+        cache = FactorizationCache(A, E)
+        assert cache.get(complex(-1.5))._lu.U.dtype == np.float64
+        assert cache.get(-1.5 + 2j)._lu.U.dtype == np.complex128
+        n = A.shape[0]
+        rhs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        ref_lu = splu((A - 1.5 * E).astype(complex).tocsc())
+        for c, trans in ((cache, "N"), (cache.transposed(), "T")):
+            x = c.solve(-1.5, rhs)
+            ref = ref_lu.solve(rhs, trans=trans)
+            assert x.dtype == np.complex128
+            assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+
 
 class TestSmallSylvester:
     def test_scalar(self):

@@ -132,37 +132,38 @@ class TestSubspaceOracle:
         assert shift == pytest.approx(-1 + 10j) or shift == pytest.approx(-1 - 10j)
         oracle = SubspaceShiftOracle(sys)
         oracle.observe(hist, bperp)
-        s1 = oracle.next_shift()
-        s2 = oracle.next_shift()
+        s1, s2 = oracle.next_unit().shifts()
         assert s2 == np.conj(s1) and s1.imag != 0
 
     def test_restart_cap_property(self):
         sys = random_stable_system(30, 2, 2, 6)
         oracle = SubspaceShiftOracle(sys, cap=6)
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            oracle.observe(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)))
+        X = rng.standard_normal((30, 30))
+        for k in range(2, 22, 2):   # the basis grows by 2 columns per step
+            oracle.observe(X[:, :k], rng.standard_normal((30, 2)))
             assert oracle.history.width <= 6
-        # after a restart the basis is exactly the newest block's span
-        oracle.observe(rng.standard_normal((30, 4)), rng.standard_normal((30, 2)))
-        block = rng.standard_normal((30, 4))
-        oracle.observe(block, rng.standard_normal((30, 2)))  # 4+4 > 6: restart
+        # widths 2, 4, 6, then 8 > 6: each restart keeps only the newest block
+        assert oracle.history.start == 18 and oracle.history.width == 2
+        oracle.observe(X[:, :24], rng.standard_normal((30, 2)))   # 6 <= 6
+        oracle.observe(X[:, :28], rng.standard_normal((30, 2)))   # 10 > 6
         got = oracle.history.basis
-        ref = spla.orth(block)
+        ref = spla.orth(X[:, 24:28])
         assert np.linalg.norm(got @ got.T - ref @ ref.T) < 1e-12
+        assert np.shares_memory(oracle.history.X, X)   # a window, no copy
 
     def test_post_restart_shift_depends_only_on_new_history(self):
         sys = random_stable_system(30, 2, 2, 7)
         rng = np.random.default_rng(1)
-        junk = [rng.standard_normal((30, 2)) for _ in range(3)]
-        block = rng.standard_normal((30, 6))
+        X = rng.standard_normal((30, 12))   # three 2-column blocks, then 6
         perp = rng.standard_normal((30, 2))
         a = SubspaceShiftOracle(sys, cap=6)
-        for j in junk:
-            a.observe(j, perp)   # width reaches the cap
-        a.observe(block, perp)   # 6 + 6 > 6: restart on this block
+        for k in (2, 4, 6):
+            a.observe(X[:, :k], perp)   # width reaches the cap
+        a.observe(X, perp)              # 6 + 6 > 6: restart on the new block
+        assert a.history.start == 6
         b = SubspaceShiftOracle(sys, cap=6)
-        b.observe(block, perp)
+        b.observe(X[:, 6:], perp)
         assert a.next_unit().value == b.next_unit().value
 
     def test_conjugate_pairing_invariant(self):
@@ -172,17 +173,11 @@ class TestSubspaceOracle:
 
         it = CfAdi(sys)
         emitted = []
-        for _ in range(24):
-            s = oracle.next_shift()
-            emitted.append(s)
-            if emitted[-1].imag != 0 and len(emitted) >= 2 \
-                    and emitted[-2] == np.conj(emitted[-1]):
-                pass
-            kv = it.Z.shape[1]
-            if s.imag < 0:   # second of a pair: already consumed by the unit
-                continue
-            it.step(ShiftUnit(s if s.imag != 0 else s.real))
-            oracle.observe(it.Z[:, kv:], it.Bperp)
+        while len(emitted) < 24:
+            unit = oracle.next_unit()
+            emitted.extend(unit.shifts())
+            it.step(unit)
+            oracle.observe(it.Z, it.Bperp)
         k = 0
         while k < len(emitted):
             assert emitted[k].real < 0 and np.isfinite(emitted[k].real)
@@ -311,9 +306,8 @@ class TestPetrovDominantPoleCapture:
         for _ in range(8):
             unit = oracle.next_unit()
             emitted.extend(unit.shifts())
-            kv, kw = st.V.shape[1], st.W.shape[1]
             uadi_step(st, unit, ShiftUnit(unit.value))
-            oracle.observe(st.V[:, kv:], st.W[:, kw:], st.v.perp, st.w.perp)
+            oracle.observe(st.V, st.W, st.v.perp, st.w.perp)
         dist = min(min(abs(s - dom), abs(s - np.conj(dom))) for s in emitted)
         assert dist <= 0.05 * abs(dom), (dom, emitted)
 
