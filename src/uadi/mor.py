@@ -81,14 +81,14 @@ def build_rom(state, side, variant):
     if variant == "lyap":
         Bhat = L.T
     elif variant == "sylv-pole":
-        k, D = state.sylv.q, state.sylv.D if side == 1 else state.sylv.D.T
+        k = this.sylv.T.shape[0]
         S, L, G = S[:k, :k], L[:, :k], G[:k]
-        Bhat = this.sylv.T @ D @ other.sylv.T.T @ other.L[:, :k].T
+        Bhat = this.sylv.T @ this.sylv.M @ other.sylv.T.T @ other.L[:, :k].T
     else:
         eq = this.eqs[family]
-        # T Phat T^T, the middle matrix in shared-basis coordinates; the
-        # minimum-phase equation has no middle matrix and uses T
-        M = eq.T if eq.Phat is None else eq.T @ eq.Phat @ eq.T.T
+        # T M T^T, the middle matrix in shared-basis coordinates; the
+        # minimum-phase equation has an identity middle and uses T
+        M = eq.T if eq.M is None else eq.T @ eq.M @ eq.T.T
         Bhat = M @ L.T @ this.cfg[family]["rri"]
     A, B, C, D = S - Bhat @ L, Bhat, G.T, this.sys.D
     if side == 2:

@@ -4,11 +4,15 @@ One engine step performs exactly two large shifted solves (one per system
 side) and feeds every selected matrix equation through small-scale
 extraction transforms: each equation's basis is the shared Lyapunov-ADI
 basis times a small block-triangular transform obtained from a small
-Sylvester solve, and its middle matrix comes from a small Lyapunov solve.
-Its residual is tracked exactly as a thin factor B rr - E X Y, recomputed
-from the committed transform T, middle matrix M and shift block L as
-Y = T M L^T; only the Lyapunov factor, the next solve's right-hand side,
-is updated in place.
+Sylvester solve.  One kernel, ``_advance``, advances every Riccati family
+and both Sylvester halves; they differ only in pole placement (feedback,
+quadratic weight, companion shift block) and in the rule that grows the
+middle matrix.  Each such equation is one ``_Eq`` record: its transform T,
+middle matrix M and residual factor B rr - E X Y, recomputed from
+Y = T M L_c^T once the step's small solves have all succeeded; only the
+Lyapunov factor, the next solve's right-hand side, is updated in place.
+A Sylvester half holds T, M (the shared coupling) and its residual factor,
+and its shift matrix is T^-1 S T on the consumed prefix.
 
 The two sides run one algorithm: the W side (observability, C2^T
 right-hand side) is the V side's ADI on the dual realization
@@ -50,7 +54,7 @@ from .systems import EquationParams
 
 logger = logging.getLogger("uadi")
 
-# Numerical failures of one equation's small solves: the equation is marked
+# Numerical failures of one equation's small solves: its tag group is marked
 # degraded and the run goes on.  Anything else is a bug and propagates.
 _NUMERICAL_FAILURES = (UadiError, np.linalg.LinAlgError)
 
@@ -59,9 +63,6 @@ ALL_TAGS = (
     "ricc_p", "ricc_q", "inf_p", "inf_q", "pr_p", "pr_q", "br_p", "br_q",
     "sf_p", "sf_q",
 )
-
-# Riccati-family equations extracted block by block on each side
-_FAMILIES = ("ricc", "inf", "pr", "br", "mp")
 
 __all__ = [
     "ALL_TAGS",
@@ -169,36 +170,19 @@ class _Columns:
         self.k = k
 
 
-def _grow_upper(M, top_right, corner):
-    """Block upper-triangular [[M, top_right], [0, corner]]."""
-    return np.block([
-        [M, top_right],
-        [np.zeros((corner.shape[0], M.shape[1])), corner],
-    ])
-
-
-def _check_trailing(t_new, what):
-    """Raise ExtractionSingular if a transform's trailing block is singular."""
-    svals = spla.svdvals(t_new)
-    if svals[-1] <= 1e-13 * max(svals[0], 1.0):
-        raise ExtractionSingular(f"{what}: trailing transform block singular")
-
-
 def _family_configs(sys, gamma, name):
     """Configs of one side's Riccati-family equations keyed by family, and
     the reasons the infeasible families are skipped.
 
     A config holds the feedback ``fb`` and quadratic weight ``qk`` of the
-    projected equation, the scaling ``rr`` of its right-hand side B rr with
-    its inverse ``rri``, and whether the equation has a middle matrix.
-    ``name`` names the system in the skip reasons.
+    projected equation and the scaling ``rr`` of its right-hand side B rr
+    with its inverse ``rri``.  ``name`` names the system in the skip reasons.
     """
     m, p, D = sys.m, sys.p, sys.D
     I = np.eye(m)
     cfg = {
-        "ricc": dict(fb=None, qk=np.eye(p), rr=I, rri=I, mid=True),
-        "inf": dict(fb=None, qk=(1.0 - gamma ** -2) * np.eye(p), rr=I, rri=I,
-                    mid=True),
+        "ricc": dict(fb=None, qk=np.eye(p), rr=I, rri=I),
+        "inf": dict(fb=None, qk=(1.0 - gamma ** -2) * np.eye(p), rr=I, rri=I),
     }
     skip = {}
     if D.shape[0] != D.shape[1]:
@@ -209,55 +193,104 @@ def _family_configs(sys, gamma, name):
         why = f"D of {name} is singular or too ill-conditioned"
     if invertible:
         Di = spla.inv(D)
-        cfg["mp"] = dict(fb=Di, qk=None, rr=Di, rri=D, mid=False)
+        cfg["mp"] = dict(fb=Di, qk=None, rr=Di, rri=D)
     else:
         skip["mp"] = why
     if invertible and _is_spd(D + D.T):
         Dp = D + D.T
         Dpi = spla.inv(Dp)
         sq, isq = _sqrtm_spd(Dp)
-        cfg["pr"] = dict(fb=Dpi, qk=-Dpi, rr=isq, rri=sq, mid=True)
+        cfg["pr"] = dict(fb=Dpi, qk=-Dpi, rr=isq, rri=sq)
     else:
         skip["pr"] = f"D + D^T of {name} is not symmetric positive definite"
     if np.any(D) and _is_spd(np.eye(p) - D @ D.T):
         Dbi = spla.inv(np.eye(p) - D @ D.T)
         sq, isq = _sqrtm_spd(I + D.T @ Dbi @ D)
-        cfg["br"] = dict(fb=-(D.T @ Dbi), qk=-Dbi, rr=sq, rri=isq, mid=True)
+        cfg["br"] = dict(fb=-(D.T @ Dbi), qk=-Dbi, rr=sq, rri=isq)
     else:
         skip["br"] = (f"D of {name} is zero" if not np.any(D)
                       else f"I - D D^T of {name} is not positive definite")
     if _is_spd(D.T @ D):
         DtD = D.T @ D
         sq, isq = _sqrtm_spd(DtD)
-        cfg["sf"] = dict(fb=spla.inv(DtD), qk=None, rr=isq, rri=sq, mid=True)
+        cfg["sf"] = dict(fb=spla.inv(DtD), qk=None, rr=isq, rri=sq)
     else:
         skip["sf"] = f"D^T D of {name} is not positive definite"
     return cfg, skip
 
 
-class _EqSide:
-    """Standing extraction state of one Riccati-family equation on one side;
-    Phat is None when the equation has no middle matrix."""
+@dataclass
+class _Eq:
+    """Standing state of one equation extracted from a side's basis X: the
+    transform T of the consumed basis prefix, the middle matrix M and the
+    residual factor perp = B rr - E X T M L_c^T on that prefix.  L_c is the
+    side's own L, except for a Sylvester half, whose L_c is the other
+    side's L and whose M is the shared coupling D (transposed on the W
+    side).  An identity M is kept as None."""
 
-    def __init__(self, perp, mid=True):
-        self.T = np.zeros((0, 0))
-        self.Phat = np.zeros((0, 0)) if mid else None
-        self.perp = np.array(perp, dtype=float)
+    T: np.ndarray
+    M: np.ndarray
+    perp: np.ndarray
+
+    @classmethod
+    def empty(cls, perp):
+        return cls(np.zeros((0, 0)), np.zeros((0, 0)), np.array(perp, dtype=float))
+
+
+def _advance(side, eq, q, Lc, fb=None, qk=None, rr=None, D=None):
+    """Advance one equation of ``side`` over the basis columns kp:q, where
+    kp is the prefix ``eq`` has consumed.  Returns (T, M, Y) with
+    Y = T M Lc^T on the columns :q; mutates nothing.
+
+    The equations differ only in pole placement: the new transform columns
+    solve a small Sylvester equation against the new (s, l) block with the
+    placed matrix -S^T - L^T fb G^T - T M T^T G qk G^T.  The middle matrix
+    grows to the coupling ``D`` when given, by the inverse of a small
+    Lyapunov solution when the equation has a quadratic weight ``qk``, and
+    is the identity, kept as None, otherwise.
+    """
+    kp = eq.T.shape[0]
+    wid = q - kp
+    s, l = side.S[kp:q, kp:q], side.L[:, kp:q]
+    L, G = side.L[:, :q], side.G[:q]
+    F = -side.S[:q, :q].T
+    if fb is not None:
+        F = F - L.T @ fb @ G.T
+    rhs = L.T if rr is None else L.T @ rr
+    if kp:
+        if qk is not None:
+            # T M T^T stays factored: O(k^2 m) instead of O(k^3)
+            F = F - _pad_rows(eq.T @ (eq.M @ (eq.T.T @ G[:kp])) @ qk @ G.T, wid)
+        ML = Lc[:, :kp].T if eq.M is None else eq.M @ Lc[:, :kp].T
+        rhs = rhs - _pad_rows(eq.T @ ML, wid)
+    t = solve_small_sylvester(F, s, rhs @ l)
+    svals = spla.svdvals(t[kp:])
+    if svals[-1] <= 1e-13 * max(svals[0], 1.0):
+        raise ExtractionSingular("trailing transform block singular")
+    T = np.hstack([_pad_rows(eq.T, wid), t])
+    if D is not None:
+        M = D
+    elif qk is not None:
+        x = G.T @ t  # projected output map of the new direction
+        small = solve_small_lyapunov(-s, l.T @ l + x.T @ qk @ x)
+        M = spla.block_diag(eq.M, spla.inv(small))
+    else:
+        M = None
+    return T, M, T @ (Lc[:, :q].T if M is None else M @ Lc[:, :q].T)
 
 
 class _Side:
     """One side of the engine: the low-rank ADI basis of one system and the
-    Riccati-family equations extracted from it.
+    equations extracted from it.
 
     The V side runs on G1.  The W side is the same algorithm on
     G2.dual() = (E2^T, A2^T, C2^T, B2^T, D2^T): its basis is W, its residual
     factor the n x p factor Cperp^T and its projected output map W^T B2.
     """
 
-    def __init__(self, sys, cache, weight, gamma, name, suffix, degraded):
+    def __init__(self, sys, cache, weight, gamma, name, suffix):
         self.sys, self.cache, self.weight = sys, cache, weight
         self.suffix = suffix        # tag suffix of this side's equations
-        self.degraded = degraded    # the engine's tag -> reason record
         self._X = _Columns(sys.n)
         # S with its Schur form, grown one diagonal block per unit
         self.schur = schur_form(np.zeros((0, 0)))
@@ -276,19 +309,18 @@ class _Side:
         """Keep the families whose tags are in ``tags``, seed their
         equations and Sylvester half, fix every residual's normalization."""
         self.cfg = {f: c for f, c in self.cfg.items() if f + self.suffix in tags}
-        self.eqs = {f: _EqSide(self.sys.B @ c["rr"], c["mid"])
-                    for f, c in self.cfg.items()}
+        self.eqs = {f: _Eq.empty(self.sys.B @ c["rr"]) for f, c in self.cfg.items()}
         self.const = {"lyap": _scale(gram_norm2(self.sys.B)),
                       "ldl": _scale(gram_norm2(self.sys.B, self.weight))}
         for f, eq in self.eqs.items():
             self.const[f] = _scale(gram_norm2(eq.perp))
-        self.sylv = (_SylvHalf(np.zeros((0, 0)), np.zeros((0, 0)), self.perp.copy())
-                     if "sylv" in tags else None)
+        self.sylv = _Eq.empty(self.perp) if "sylv" in tags else None
 
     def factor(self, Y, rr=None):
         """Residual factor B rr - E X[:, :len(Y)] Y on this side's basis;
-        an equation's Y = T M L^T comes from its transform T, middle matrix
-        M and shift block L.  rr defaults to the identity."""
+        an equation's Y = T M L_c^T comes from its transform T, middle
+        matrix M and companion shift block L_c.  rr defaults to the
+        identity."""
         B = self.sys.B if rr is None else self.sys.B @ rr
         return B - self.sys.E @ (self.X[:, : Y.shape[0]] @ Y)
 
@@ -302,111 +334,44 @@ class _Side:
 
     def expand(self, unit):
         """Extend the basis by one shift unit with one large shifted solve,
-        then S, L, G, the residual factor and every family's extraction."""
+        then S, L, G and the Lyapunov residual factor."""
         sol = self.cache.solve(unit.value, self.perp)
         block = _flush_subnormals(realified_columns(unit, sol))
         s, l = lyap_sl(unit, self.sys.m)
-        kprev = self.k
         self.schur = self.schur.extended(self.L.T @ l, schur_form(s))
         self.L = np.hstack([self.L, l])
         self._X.append(block)
         self.G = np.vstack([self.G, block.T @ self.sys.C.T])
         self.perp = self.perp - (self.sys.E @ block) @ l.T
-        Ahat = -self.S.T
-        for fam in _FAMILIES:
-            tag = fam + self.suffix
-            if fam in self.eqs and tag not in self.degraded:
-                try:
-                    self._extract(tag, self.cfg[fam], self.eqs[fam], Ahat, s, l,
-                                  kprev)
-                except _NUMERICAL_FAILURES as exc:
-                    self.degraded[tag] = str(exc)
-                    logger.warning("%s degraded: %s", tag, exc)
         self.bounds.append(self.k)
 
-    def _extract(self, tag, cfg, eq, Ahat, s, l, kprev):
-        """Advance one equation by one basis block."""
-        L, Gx = self.L, self.G
-        k = Ahat.shape[0]
-        wid = k - kprev
-        F = Ahat
-        if cfg["fb"] is not None:
-            F = F - L.T @ cfg["fb"] @ Gx.T
-        G = L.T @ cfg["rr"]
-        if eq.Phat is None:
-            if kprev:
-                G = G - _pad_rows(eq.T @ L[:, :kprev].T, wid)
-        elif kprev:
-            # T Phat T^T stays factored: O(k^2 m) instead of O(k^3)
-            PTG = eq.Phat @ (eq.T.T @ Gx[:kprev])
-            F = F - _pad_rows(eq.T @ PTG @ cfg["qk"] @ Gx.T, wid)
-            G = G - _pad_rows(eq.T @ (eq.Phat @ L[:, :kprev].T), wid)
-        t = solve_small_sylvester(F, s, G @ l)
-        t_new = t[kprev:]
-        _check_trailing(t_new, tag)
-        T = _grow_upper(eq.T, t[:kprev], t_new)
-        if eq.Phat is None:
-            Phat, Y = None, T @ L.T
-        else:
-            xhat = Gx.T @ t  # projected output map of the new direction
-            small = solve_small_lyapunov(-s, l.T @ l + xhat.T @ cfg["qk"] @ xhat)
-            Phat = spla.block_diag(eq.Phat, spla.inv(small))
-            Y = T @ (Phat @ L.T)
-        # committed together, once every small solve of the step succeeded,
-        # so a degraded equation keeps a consistent T, Phat and perp
-        eq.T, eq.Phat, eq.perp = T, Phat, self.factor(Y, cfg["rr"])
-
-
-@dataclass
-class _SylvHalf:
-    """One side's half of the Sylvester solution V T_v D T_w^T W^T: the
-    transform T of the consumed basis prefix, its shift matrix S (its L is
-    the side's L on the prefix) and the residual factor perp = B - E X T D
-    L_other^T on the prefix (n x m on the V side, the n x p Cperp^T on the
-    W side)."""
-
-    T: np.ndarray
-    S: np.ndarray
-    perp: np.ndarray
-
-
-def _sylv_advanced(side, other, q, D):
-    """``side``'s Sylvester half after the group of basis columns kp:q,
-    whose companion blocks are the side's own S and L on those columns.
-    ``D`` is the coupling grown by the group's block, in this side's
-    orientation (transposed for the W side).  Mutates nothing."""
-    half, kp = side.sylv, side.sylv.T.shape[0]
-    s, l = side.S[kp:q, kp:q], side.L[:, kp:q]
-    DL = D[:kp, :kp] @ other.L[:, :kp].T
-    G = side.L[:, :q].T
-    if kp:
-        G = G - _pad_rows(half.T @ DL, q - kp)
-    t = solve_small_sylvester(-side.S[:q, :q].T, s, G @ l)
-    _check_trailing(t[kp:], f"sylv {side.suffix} half")
-    T = _grow_upper(half.T, t[:kp], t[kp:])
-    return _SylvHalf(T, _grow_upper(half.S, DL @ l, s),
-                     side.factor(T @ (D @ other.L[:, :q].T)))
+    def advance(self, fam):
+        """Update of one Riccati-family equation over the new block."""
+        c, eq = self.cfg[fam], self.eqs[fam]
+        return [(self, eq, _advance(self, eq, self.k, self.L, c["fb"], c["qk"],
+                                    c["rr"]), c["rr"])]
 
 
 def _sf_side(side, other, VW):
-    """Spectral-factor transform and middle matrix of one side, recomputed
-    on the whole basis; ``VW`` is X^T X_other of this side."""
+    """Spectral-factor (T, M, Y) of one side, recomputed on the whole basis;
+    ``VW`` is X^T X_other of this side."""
     c = side.cfg["sf"]
-    M = other.G.T @ VW.T + side.sys.D.T @ side.G.T
-    F = -side.S.T - side.L.T @ c["fb"] @ M
+    Cm = other.G.T @ VW.T + side.sys.D.T @ side.G.T
+    F = -side.S.T - side.L.T @ c["fb"] @ Cm
     T = solve_small_sylvester(F, side.schur, side.L.T @ c["rr"] @ side.L)
-    Cs = c["rr"] @ M @ T
+    Cs = c["rr"] @ Cm @ T
     X = solve_small_lyapunov(-side.schur, side.L.T @ side.L - Cs.T @ Cs)
-    return T, spla.inv(X)
+    M = spla.inv(X)
+    return T, M, T @ (M @ side.L.T)
 
 
-class _SylvState:
-    """The coupling D shared by the two Sylvester halves and the basis
-    prefix q they have consumed, equal on both sides by construction."""
-
-    def __init__(self):
-        self.D = np.zeros((0, 0))
-        self.q = 0
+def _solved(group, *args):
+    """The updates ``group(*args)`` returns, or the numerical failure that
+    stopped its small solves."""
+    try:
+        return group(*args)
+    except _NUMERICAL_FAILURES as exc:
+        return exc
 
 
 class UadiState:
@@ -429,12 +394,9 @@ class UadiState:
         dual = sys2.dual()
         cache2 = (cache1.transposed() if self.single_system else
                   FactorizationCache(dual.A, dual.E))
-        self.v = _Side(sys1, cache1, S1, self.params.gamma1, "G1", "_p",
-                       self.degraded)
-        self.w = _Side(dual, cache2, S2, self.params.gamma2, "G2.dual()", "_q",
-                       self.degraded)
+        self.v = _Side(sys1, cache1, S1, self.params.gamma1, "G1", "_p")
+        self.w = _Side(dual, cache2, S2, self.params.gamma2, "G2.dual()", "_q")
         self.VW = np.zeros((0, 0))   # V^T W (spectral-factor branch only)
-        self.sylv = None
         self._resolve_feasibility()
         self._prepare_constants()
 
@@ -502,46 +464,41 @@ class UadiState:
         if "sylv" in self.enabled:
             s1, s2 = self.sys1, self.sys2
             self.const["sylv"] = _scale(gram_norm2(s1.B, np.eye(s1.m), s2.C.T))
-            self.sylv = _SylvState()
 
-    # -- Sylvester branch ---------------------------------------------------
+    # -- stepping -----------------------------------------------------------
 
-    def _sylv_fire(self):
-        """Consume the columns up to the largest unit boundary the two
-        bases share, if it lies past the consumed prefix."""
-        sy, v, w = self.sylv, self.v, self.w
-        q, kp = max(set(v.bounds) & set(w.bounds)), sy.q
-        if q == kp:
-            return
-        try:
-            d = solve_small_sylvester(-w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
-                                      w.L[:, kp:q].T @ v.L[:, kp:q])
-            D = spla.block_diag(sy.D, spla.inv(d))
-            halves = (_sylv_advanced(v, w, q, D), _sylv_advanced(w, v, q, D.T))
-        except _NUMERICAL_FAILURES as exc:
-            self.degraded["sylv"] = str(exc)
-            logger.warning("sylv degraded: %s", exc)
-            return
-        v.sylv, w.sylv = halves
-        sy.D, sy.q = D, q
-
-    # -- spectral-factor branch (recomputed whole each step) ----------------
-
-    def _sf_recompute(self):
+    def _sylv_group(self):
+        """Updates of the two Sylvester halves consuming the columns up to
+        the largest unit boundary the two bases share, if it lies past the
+        consumed prefix."""
         v, w = self.v, self.w
-        try:
-            found = [(v, *_sf_side(v, w, self.VW)),
-                     (w, *_sf_side(w, v, self.VW.T))]
-        except _NUMERICAL_FAILURES as exc:
-            self.degraded["sf_p"] = self.degraded["sf_q"] = str(exc)
-            logger.warning("sf degraded: %s", exc)
-            return
-        for side, T, Phat in found:
-            eq = side.eqs["sf"]
-            eq.T, eq.Phat = T, Phat
-            eq.perp = side.factor(T @ (Phat @ side.L.T), side.cfg["sf"]["rr"])
+        q, kp = max(set(v.bounds) & set(w.bounds)), v.sylv.T.shape[0]
+        if q == kp:
+            return []
+        d = solve_small_sylvester(-w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
+                                  w.L[:, kp:q].T @ v.L[:, kp:q])
+        D = spla.block_diag(v.sylv.M, spla.inv(d))
+        return [(v, v.sylv, _advance(v, v.sylv, q, w.L, D=D), None),
+                (w, w.sylv, _advance(w, w.sylv, q, v.L, D=D.T), None)]
 
-    # -- public stepping ----------------------------------------------------
+    def _sf_group(self):
+        """Updates of the spectral-factor pair, recomputed whole each step."""
+        v, w = self.v, self.w
+        return [(v, v.eqs["sf"], _sf_side(v, w, self.VW), v.cfg["sf"]["rr"]),
+                (w, w.eqs["sf"], _sf_side(w, v, self.VW.T), w.cfg["sf"]["rr"])]
+
+    def _commit(self, tags, outcome):
+        """Commit one tag group's updates (side, eq, (T, M, Y), rr) as
+        eq.T, eq.M, eq.perp = T, M, B rr - E X Y, or mark the whole group
+        degraded when ``outcome`` is the failure of its small solves; a
+        degraded equation keeps the T, M and perp of its last good step."""
+        if isinstance(outcome, Exception):
+            for tag in tags:
+                self.degraded[tag] = str(outcome)
+            logger.warning("%s degraded: %s", "/".join(tags), outcome)
+            return
+        for side, eq, (T, M, Y), rr in outcome:
+            eq.T, eq.M, eq.perp = T, M, side.factor(Y, rr)
 
     def step(self, alpha, beta):
         """Consume one shift unit per side (a complex shift stands for its
@@ -553,14 +510,19 @@ class UadiState:
             side.expand(unit)
         self.alpha_units.append(au)
         self.beta_units.append(bu)
-        sf = "sf" in self.v.eqs
-        if sf:
+        groups = [((f + side.suffix,), side.advance, f)
+                  for side in (self.v, self.w) for f in side.eqs if f != "sf"]
+        if self.v.sylv is not None:
+            groups.append((("sylv",), self._sylv_group))
+        if "sf" in self.v.eqs:
             self.VW = np.vstack([self.VW, self.V[:, kv:].T @ self.W[:, :kw]])
             self.VW = np.hstack([self.VW, self.V.T @ self.W[:, kw:]])
-        if self.sylv is not None and "sylv" not in self.degraded:
-            self._sylv_fire()
-        if sf and "sf_p" not in self.degraded:   # the pair degrades together
-            self._sf_recompute()
+            groups.append((("sf_p", "sf_q"), self._sf_group))
+        # every small solve of the step runs before any residual factor
+        solved = [(tags, _solved(*group)) for tags, *group in groups
+                  if not self.degraded.keys() & set(tags)]
+        for tags, outcome in solved:
+            self._commit(tags, outcome)
         self.iteration += 1
         return self
 
@@ -583,10 +545,10 @@ class UadiState:
         if self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
         if tag == "sylv":
-            q = self.sylv.q
-            return LowRankSolution(self.V[:, :q] @ self.v.sylv.T,
-                                   self.sylv.D.copy(),
-                                   self.W[:, :q] @ self.w.sylv.T, tag=tag)
+            v, w = self.v.sylv, self.w.sylv
+            q = v.T.shape[0]
+            return LowRankSolution(self.V[:, :q] @ v.T, v.M.copy(),
+                                   self.W[:, :q] @ w.T, tag=tag)
         side, fam = self._locate(tag)
         if fam == "lyap":
             return LowRankSolution(side.X.copy(), tag=tag)
@@ -596,9 +558,8 @@ class UadiState:
                                            side.weight), tag=tag)
         eq = side.eqs[fam]
         # a degraded equation's transform covers a prefix of the basis
-        base = side.X[:, : eq.T.shape[0]]
-        middle = np.eye(eq.T.shape[1]) if eq.Phat is None else eq.Phat.copy()
-        return LowRankSolution(base @ eq.T, middle, tag=tag)
+        middle = np.eye(eq.T.shape[1]) if eq.M is None else eq.M.copy()
+        return LowRankSolution(side.X[:, : eq.T.shape[0]] @ eq.T, middle, tag=tag)
 
     def rank(self, tag):
         """Rank of extract(tag), read off the stored transforms without
@@ -607,7 +568,7 @@ class UadiState:
         if self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
         if tag == "sylv":
-            return self.sylv.q
+            return self.v.sylv.T.shape[1]
         side, fam = self._locate(tag)
         if fam in ("lyap", "ldl"):
             return side.k

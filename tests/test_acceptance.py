@@ -104,7 +104,7 @@ def test_criterion_2_extraction_equivalence():
         def rel(x, y):
             return np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300)
 
-        assert st.sylv.q == st.V.shape[1]
+        assert st.rank("sylv") == st.V.shape[1]
         fs, _, _ = classic.fadi(s1, s2, alphas, betas)
         worst = max(worst, rel(extract_solution(st, "sylv").product(),
                                fs.product()))
@@ -141,7 +141,7 @@ def test_criterion_3_residual_factorization():
     for a, b in [(-0.5, -0.9), (-1 + 2j, -2 + 1j), (-2.0, -1.4)]:
         uadi_step(st2, a, b)
         for tag in sorted(st2.enabled):
-            if tag == "sylv" and st2.sylv.q == 0:
+            if tag == "sylv" and st2.rank("sylv") == 0:
                 continue
             sol = extract_solution(st2, tag).product()
             R = equation_residual(tag, s1, s2, sol, RLC_PARAMS)
@@ -161,24 +161,25 @@ def test_criterion_4_projected_invariants():
         worst = max(worst, dev / max(np.abs(st.v.S).max(), 1.0))
         dev = np.abs(-st.w.S.T - st.w.S + st.w.L.T @ st.w.L).max()
         worst = max(worst, dev / max(np.abs(st.w.S).max(), 1.0))
-        sy = st.sylv
-        if sy.q:
-            Sv, Sw = st.v.sylv.S, st.w.sylv.S
-            Lv, Lw = st.v.L[:, :sy.q], st.w.L[:, :sy.q]
-            Bh = sy.D @ Lw.T
-            Ch = Lv @ sy.D
-            resid = (Sv - Bh @ Lv) @ sy.D + sy.D @ (Sw.T - Lw.T @ Ch) \
+        q, hv, hw = st.rank("sylv"), st.v.sylv, st.w.sylv
+        if q:
+            Sv = spla.solve(hv.T, st.v.S[:q, :q] @ hv.T)
+            Sw = spla.solve(hw.T, st.w.S[:q, :q] @ hw.T)
+            Lv, Lw = st.v.L[:, :q], st.w.L[:, :q]
+            Bh = hv.M @ Lw.T
+            Ch = Lv @ hv.M
+            resid = (Sv - Bh @ Lv) @ hv.M + hv.M @ (Sw.T - Lw.T @ Ch) \
                 + Bh @ Ch
-            worst = max(worst, np.abs(resid).max() / max(np.abs(sy.D).max(), 1.0))
+            worst = max(worst, np.abs(resid).max() / max(np.abs(hv.M).max(), 1.0))
         eq = st.v.eqs["ricc"]
         Sr = spla.solve(eq.T, st.v.S @ eq.T)
         Lr = st.v.L @ eq.T
         Cr = st.v.G.T @ eq.T
-        Br = eq.Phat @ Lr.T
+        Br = eq.M @ Lr.T
         Ar = Sr - Br @ Lr
-        resid = (Ar @ eq.Phat + eq.Phat @ Ar.T + Br @ Br.T
-                 - eq.Phat @ Cr.T @ Cr @ eq.Phat)
-        worst = max(worst, np.abs(resid).max() / max(np.abs(eq.Phat).max(), 1.0))
+        resid = (Ar @ eq.M + eq.M @ Ar.T + Br @ Br.T
+                 - eq.M @ Cr.T @ Cr @ eq.M)
+        worst = max(worst, np.abs(resid).max() / max(np.abs(eq.M).max(), 1.0))
     _report(4, "projected Lyapunov/Sylvester/Riccati identities", worst <= 1e-10,
             f"(worst {worst:.2e})")
 
@@ -232,30 +233,31 @@ def test_criterion_5_pole_placement():
     assert np.abs((st.v.S - st.v.L.T @ st.v.L) - (-st.v.S.T)).max() <= 1e-10 * scale_v
     _assert_placed(-st.v.S, units_a, True, 1e-10)
     _assert_placed(-st.w.S, units_b, True, 1e-10)
-    sy = st.sylv
-    Sv, Sw = st.v.sylv.S, st.w.sylv.S
-    Lv, Lw = st.v.L[:, :sy.q], st.w.L[:, :sy.q]
-    A1h = Sv - (sy.D @ Lw.T) @ Lv
+    q, hv, hw = st.rank("sylv"), st.v.sylv, st.w.sylv
+    Sv = spla.solve(hv.T, st.v.S[:q, :q] @ hv.T)
+    Sw = spla.solve(hw.T, st.w.S[:q, :q] @ hw.T)
+    Lv, Lw = st.v.L[:, :q], st.w.L[:, :q]
+    A1h = Sv - (hv.M @ Lw.T) @ Lv
     # the coupling matrix conjugates the placed matrix onto -Sw^T, which
     # carries the beta units on its diagonal
-    lhs = A1h @ sy.D
-    rhs = -sy.D @ Sw.T
+    lhs = A1h @ hv.M
+    rhs = -hv.M @ Sw.T
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
     _assert_placed(-Sw, units_b, False, 1e-10)
-    A2h = Sw.T - Lw.T @ (Lv @ sy.D)
-    lhs = sy.D @ A2h
-    rhs = -Sv @ sy.D
+    A2h = Sw.T - Lw.T @ (Lv @ hv.M)
+    lhs = hv.M @ A2h
+    rhs = -Sv @ hv.M
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
     _assert_placed(-Sv, units_a, False, 1e-10)
     eq = st.v.eqs["ricc"]
     Sr = spla.solve(eq.T, st.v.S @ eq.T)
     Lr = st.v.L @ eq.T
     Cr = st.v.G.T @ eq.T
-    Ar = Sr - (eq.Phat @ Lr.T) @ Lr
-    placed = Ar - eq.Phat @ Cr.T @ Cr
-    # similarity identity: placed @ Phat = Phat @ (-S_ricc^T)
-    lhs = placed @ eq.Phat
-    rhs = eq.Phat @ (-Sr.T)
+    Ar = Sr - (eq.M @ Lr.T) @ Lr
+    placed = Ar - eq.M @ Cr.T @ Cr
+    # similarity identity: placed @ M = M @ (-S_ricc^T)
+    lhs = placed @ eq.M
+    rhs = eq.M @ (-Sr.T)
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
     _assert_placed(-Sr, units_a, True, 1e-10)
     _report(5, "pole placement over 50 shifts", True,

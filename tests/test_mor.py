@@ -64,7 +64,7 @@ class TestVariantPolePlacement:
         g, st = engine_state()
         rom = build_rom(st, 1, "ricc-observer")
         eq = st.v.eqs["ricc"]
-        Ptilde = eq.T @ eq.Phat @ eq.T.T
+        Ptilde = eq.T @ eq.M @ eq.T.T
         closed = rom.A - Ptilde @ rom.C.T @ rom.C
         want = np.conj(unit_multiset(st.alpha_units, g.m))
         assert_multiset_close(spla.eigvals(closed), want, 1e-8)

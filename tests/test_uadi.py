@@ -202,7 +202,7 @@ class TestExtractionEquivalence:
         def rel(x, y):
             return np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300)
 
-        if st.sylv.q == st.V.shape[1]:
+        if st.rank("sylv") == st.V.shape[1]:
             fs, (fb, fc), _ = classic.fadi(s1, s2, alphas, betas)
             assert rel(extract_solution(st, "sylv").product(), fs.product()) < 1e-10
             sb, sc = st.residual_factor("sylv")
@@ -337,7 +337,7 @@ class TestExtractionEquivalence:
                                         for u in units]))
 
         q = max(ends(aus) & ends(bus))
-        assert st.sylv.q == q and "sylv" not in st.degraded
+        assert st.rank("sylv") == q and "sylv" not in st.degraded
         v, w = st.v, st.w
         X = spla.solve_sylvester(w.S[:q, :q].T, v.S[:q, :q],
                                  w.L[:, :q].T @ v.L[:, :q])
@@ -364,7 +364,7 @@ class TestExtractionEquivalence:
         st = uadi_init(s1, s2, None, "sylv")
         uadi_step(st, -0.5, -1 + 1j)       # real vs pair: waits
         uadi_step(st, -2 + 1j, -0.9)       # second alpha is a pair
-        assert st.sylv.q == st.V.shape[1]
+        assert st.rank("sylv") == st.V.shape[1]
         assert "sylv" not in st.degraded
         uadi_step(st, -1.5, -2.5)
         # residual identity stays exact
@@ -402,7 +402,7 @@ class TestResidualFactorization:
         for a, b in [(-0.4, -0.7), (-1 + 2j, -0.9 + 1j), (-1.5, -2.5)]:
             uadi_step(st, a, b)
             for tag in sorted(st.enabled):
-                if tag == "sylv" and st.sylv.q == 0:
+                if tag == "sylv" and st.rank("sylv") == 0:
                     continue
                 sol = extract_solution(st, tag).product()
                 R = equation_residual(tag, s1, s2, sol, params)
@@ -422,26 +422,53 @@ class TestProjectedInvariants:
             projw = -st.w.S.T + -st.w.S + st.w.L.T @ st.w.L
             assert np.abs(projw).max() <= 1e-12
             # projected Sylvester identity on the coupling bookkeeping
-            sy = st.sylv
-            if sy.q:
-                Sv, Sw = st.v.sylv.S, st.w.sylv.S
-                Lv, Lw = st.v.L[:, :sy.q], st.w.L[:, :sy.q]
-                Bh = sy.D @ Lw.T
-                Ch = Lv @ sy.D
+            q, hv, hw = st.rank("sylv"), st.v.sylv, st.w.sylv
+            if q:
+                Sv = spla.solve(hv.T, st.v.S[:q, :q] @ hv.T)
+                Sw = spla.solve(hw.T, st.w.S[:q, :q] @ hw.T)
+                Lv, Lw = st.v.L[:, :q], st.w.L[:, :q]
+                Bh = hv.M @ Lw.T
+                Ch = Lv @ hv.M
                 A1h = Sv - Bh @ Lv
                 A2h = Sw.T - Lw.T @ Ch
-                resid = A1h @ sy.D + sy.D @ A2h + Bh @ Ch
-                assert np.abs(resid).max() <= 1e-10 * max(np.abs(sy.D).max(), 1.0)
+                resid = A1h @ hv.M + hv.M @ A2h + Bh @ Ch
+                assert np.abs(resid).max() <= 1e-10 * max(np.abs(hv.M).max(), 1.0)
             # projected Riccati identity on the extracted small matrices
             eq = st.v.eqs["ricc"]
             Sricc = spla.solve(eq.T, st.v.S @ eq.T)
             Lricc = st.v.L @ eq.T
             Ch1 = st.v.G.T @ eq.T
-            Bh1 = eq.Phat @ Lricc.T
+            Bh1 = eq.M @ Lricc.T
             A1r = Sricc - Bh1 @ Lricc
-            resid = (A1r @ eq.Phat + eq.Phat @ A1r.T + Bh1 @ Bh1.T
-                     - eq.Phat @ Ch1.T @ Ch1 @ eq.Phat)
-            assert np.abs(resid).max() <= 1e-10 * max(np.abs(eq.Phat).max(), 1.0)
+            resid = (A1r @ eq.M + eq.M @ A1r.T + Bh1 @ Bh1.T
+                     - eq.M @ Ch1.T @ Ch1 @ eq.M)
+            assert np.abs(resid).max() <= 1e-10 * max(np.abs(eq.M).max(), 1.0)
+
+
+class TestExtractionKernel:
+    """The Lyapunov pair is the kernel's case with no feedback, no weight,
+    the side's own L and an identity middle: the transform is the identity
+    and the residual factor is the one updated in place."""
+
+    @pytest.mark.parametrize("pair", ["rlc", "random"])
+    def test_lyapunov_case_is_the_identity(self, pair):
+        import uadi.uadi as engine
+
+        if pair == "rlc":
+            g1 = g2 = rlc_ladder(segments=8)
+        else:
+            g1 = random_stable_system(40, 2, 2, 41)
+            g2 = random_stable_system(36, 2, 2, 42)
+        st = uadi_init(g1, g2, None, "lyap_p,lyap_q")
+        for a, b in [(-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0)]:
+            uadi_step(st, a, b)
+        for side in (st.v, st.w):
+            eq = engine._Eq.empty(side.sys.B)
+            for q in side.bounds[1:]:   # one unit block at a time
+                eq.T, eq.M, Y = engine._advance(side, eq, q, side.L)
+            assert np.abs(eq.T - np.eye(side.k)).max() <= 1e-12
+            dev = np.linalg.norm(side.factor(Y) - side.perp)
+            assert dev <= 1e-12 * np.linalg.norm(side.perp)
 
 
 class TestPolePlacement:
@@ -462,12 +489,13 @@ class TestPolePlacement:
         assert_multiset_close(spla.eigvals(-st.w.S), np.conj(betas), 1e-10)
 
         # Sylvester rows: coupling-extracted matrices place beta / alpha
-        sy = st.sylv
-        Sv, Sw = st.v.sylv.S, st.w.sylv.S
-        Lv, Lw = st.v.L[:, :sy.q], st.w.L[:, :sy.q]
-        A1h = Sv - (sy.D @ Lw.T) @ Lv
+        q, hv, hw = st.rank("sylv"), st.v.sylv, st.w.sylv
+        Sv = spla.solve(hv.T, st.v.S[:q, :q] @ hv.T)
+        Sw = spla.solve(hw.T, st.w.S[:q, :q] @ hw.T)
+        Lv, Lw = st.v.L[:, :q], st.w.L[:, :q]
+        A1h = Sv - (hv.M @ Lw.T) @ Lv
         assert_multiset_close(spla.eigvals(A1h), betas, 1e-8)
-        A2h = Sw.T - Lw.T @ (Lv @ sy.D)
+        A2h = Sw.T - Lw.T @ (Lv @ hv.M)
         assert_multiset_close(spla.eigvals(A2h), np.conj(conj_a), 1e-8)
 
         # Riccati-family rows, checked in each equation's own frame
@@ -476,7 +504,7 @@ class TestPolePlacement:
             Vf = st.V @ eq.T
             Af = spla.lstsq(E @ Vf, A_eq @ Vf + eq.perp @ st.v.L)[0]
             Cf = Cw @ Vf
-            return spla.eigvals(Af + sign * eq.Phat @ Cf.T @ Cf)
+            return spla.eigvals(Af + sign * eq.M @ Cf.T @ Cf)
 
         assert_multiset_close(frame_placed("ricc_p", A, g.C, -1.0), conj_a, 1e-7)
         assert_multiset_close(
@@ -508,7 +536,7 @@ class TestPolePlacement:
         Afq = spla.lstsq(E.T @ Wf, A.T @ Wf + eqq.perp @ st.w.L)[0]
         Bfq = g.B.T @ Wf
         assert_multiset_close(
-            spla.eigvals(Afq - eqq.Phat @ Bfq.T @ Bfq), betas, 1e-7)
+            spla.eigvals(Afq - eqq.M @ Bfq.T @ Bfq), betas, 1e-7)
 
 
 class TestSpectralFactor:
@@ -585,34 +613,47 @@ class TestDegradation:
             residual_norm(st, tag)
         assert st.large_solve_count == 4
 
-    def test_degraded_equation_still_extracts(self, monkeypatch):
-        """A failed middle-matrix solve leaves the transform, the middle
-        matrix and the residual factor of the step before, and the equation
-        extracts on the basis prefix they cover."""
+    @pytest.mark.parametrize("tag, select, name, fail_at", [
+        pytest.param("ricc_p", "all", "solve_small_lyapunov", 1, id="ricc_p"),
+        # the coupling and V-half solves succeed, the W half's fails
+        pytest.param("sylv", "lyap_p,lyap_q,sylv", "solve_small_sylvester", 3,
+                     id="sylv"),
+    ])
+    def test_degraded_equation_still_extracts(self, monkeypatch, tag, select,
+                                              name, fail_at):
+        """A failed small solve leaves the transforms, the middle matrix and
+        the residual factors of the step before for the whole tag group,
+        and the equation extracts on the basis prefix they cover."""
         import uadi.uadi as engine
 
         g = rlc_ladder(segments=6)
-        st = uadi_init(g, g, RLC_PARAMS, "all")
+        st = uadi_init(g, g, RLC_PARAMS, select)
         uadi_step(st, -0.5, -0.6)
-        before = st.residual_factor("ricc_p").factor.copy()
-        original = engine.solve_small_lyapunov
+
+        def factors():
+            got = st.residual_factor(tag)
+            return [f.factor.copy() for f in (got if tag == "sylv" else (got,))]
+
+        before, q = factors(), st.rank(tag)
+        original = getattr(engine, name)
         calls = {"n": 0}
 
-        def flaky(F, Q):
+        def flaky(*args):
             calls["n"] += 1
-            if calls["n"] == 1:
+            if calls["n"] == fail_at:
                 raise spla.LinAlgError("synthetic failure")
-            return original(F, Q)
+            return original(*args)
 
-        monkeypatch.setattr(engine, "solve_small_lyapunov", flaky)
+        monkeypatch.setattr(engine, name, flaky)
         uadi_step(st, -1.0, -1.2)
-        assert "ricc_p" in st.degraded
-        np.testing.assert_array_equal(st.residual_factor("ricc_p").factor, before)
+        assert tag in st.degraded and calls["n"] >= fail_at
+        for got, old in zip(factors(), before, strict=True):
+            np.testing.assert_array_equal(got, old)
         uadi_step(st, -2 + 1j, -0.8)
-        sol = extract_solution(st, "ricc_p")
+        sol = extract_solution(st, tag)
         X = sol.product()
         assert X.shape == (g.n, g.n) and np.all(np.isfinite(X))
-        assert st.rank("ricc_p") == sol.left.shape[1] == sol.middle_matrix().shape[0]
+        assert st.rank(tag) == q == sol.left.shape[1] == sol.middle_matrix().shape[0]
 
     def test_degraded_spectral_factor_still_extracts(self, monkeypatch):
         """A failed spectral-factor recompute keeps the previous step's
