@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classic
-from .errors import UadiError, ZeroResidual
+from .errors import ParseError, UadiError, ZeroResidual
 from .realify import ShiftUnit, expand_units
 from .shiftgen import (
     PetrovBtShiftOracle,
@@ -66,9 +66,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ParseError("tol must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ParseError("max_iter must be >= 1")
 
 
 @dataclass
@@ -111,32 +111,37 @@ def build_system(spec, slot=1):
     if spec == "illustrative":
         pair = illustrative_pair()
         return pair[0] if slot == 1 else pair[1]
-    if spec.startswith("penzl:"):
-        parts = spec[len("penzl:"):].split(",")
-        if len(parts) != 4:
-            raise ValueError("penzl spec must be penzl:n,w1,w2,w3")
-        n = int(parts[0])
-        return penzl_triple_peak(n, *(float(x) for x in parts[1:]))
-    if spec.startswith("rlc:"):
-        return rlc_ladder(int(spec[len("rlc:"):]))
+    if spec.startswith(("penzl:", "rlc:")):
+        make, kinds = ((penzl_triple_peak, (int, float, float, float))
+                       if spec.startswith("penzl:") else (rlc_ladder, (int,)))
+        parts = spec.partition(":")[2].split(",")
+        try:
+            args = [kind(x) for kind, x in zip(kinds, parts, strict=True)]
+        except ValueError:
+            raise ParseError(f"bad system spec {spec!r}; expected "
+                             "penzl:n,w1,w2,w3 or rlc:segments") from None
+        return make(*args)
     return load_system(spec)
 
 
 def _read_static_file(path):
     alphas, betas = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            vals = [float(t) for t in line.replace(",", " ").split()]
-            if len(vals) != 4:
-                raise ValueError(
-                    "static shift file lines must be: alpha_re alpha_im "
-                    "beta_re beta_im"
-                )
-            alphas.append(complex(vals[0], vals[1]))
-            betas.append(complex(vals[2], vals[3]))
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.split("#")[0].strip()
+                if not line:
+                    continue
+                vals = [float(t) for t in line.replace(",", " ").split()]
+                if len(vals) != 4:
+                    raise ValueError("lines must be: alpha_re alpha_im "
+                                     "beta_re beta_im")
+                alphas.append(complex(vals[0], vals[1]))
+                betas.append(complex(vals[2], vals[3]))
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"static shift file {path}: {exc}") from exc
+    if not alphas:
+        raise ParseError(f"static shift file {path} holds no shifts")
     return alphas, betas
 
 
@@ -158,7 +163,7 @@ class _ShiftDriver:
         if kind.startswith("static"):
             _, _, path = kind.partition(":")
             if not path:
-                raise ValueError("static strategy needs static:<file>")
+                raise ParseError("static strategy needs static:<file>")
             alphas, betas = _read_static_file(path)
             self.oa = StaticShiftOracle(alphas)
             self.ob = StaticShiftOracle(betas)
@@ -176,7 +181,7 @@ class _ShiftDriver:
         elif kind == "sylv-alt":
             self.single = SylvesterAlternatingOracle(v, w, cap)
         else:
-            raise ValueError(f"unknown shift strategy {kind!r}")
+            raise ParseError(f"unknown shift strategy {kind!r}")
 
     def next_pair(self):
         if self.single is not None:
@@ -186,9 +191,8 @@ class _ShiftDriver:
 
     def after_step(self, state):
         v, w = state.v, state.w
-        fv, fw = v, w      # the holders of the observed residual factors
-        if self.sylv_halves and v.sylv is not None:
-            fv, fw = v.sylv, w.sylv
+        fv, fw = ((v.sylv, w.sylv) if self.sylv_halves and v.sylv is not None
+                  else (v.lyap, w.lyap))
         if self.single is not None:
             self.single.observe(v.X, w.X, fv.perp, fw.perp)
         else:

@@ -37,8 +37,8 @@ class InnerSolveSingular(UadiError):
     """Low-rank (SMW) capacitance matrix of a Riccati solve is singular."""
 
 
-class ParseError(UadiError):
-    pass
+class ParseError(UadiError, ValueError):
+    """Malformed input: a file, a system spec, a tag or an option value."""
 
 
 class MissingMatrix(UadiError):

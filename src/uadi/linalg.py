@@ -5,13 +5,14 @@ Lyapunov solvers, small eigendecompositions with left vectors, and spectral
 norms of low-rank products evaluated through the small Gram eigenproblem.
 
 A FactorizationCache holds sparse LUs of A + shift*E keyed by the exact
-shift; a real shift is factored in real arithmetic.  It keeps the LU it used last plus those of the shifts its caller
-declares recurring (a cyclic static list); every other LU is dropped when
-the next shift arrives, so memory is bounded by what will be reused.  The
-cache of a transposed pencil A^T + shift*E^T made by ``transposed()``
-solves with the plain-transpose LU of A + shift*E (SuperLU trans='T', no
-conjugation, so complex shifts are fine) and borrows the LUs its parent
-holds: one LU per shift serves both sides of a single system.
+shift; a real shift is factored in real arithmetic.  It keeps the LU it
+used last plus those of the shifts its caller declares recurring (a cyclic
+static list); every other LU is dropped when the next shift arrives, so
+memory is bounded by what will be reused.  The cache of a transposed pencil
+A^T + shift*E^T made by ``transposed()`` solves with the plain-transpose LU
+of A + shift*E (SuperLU trans='T', no conjugation, so complex shifts are
+fine) and borrows the LUs its parent holds: one LU per shift serves both
+sides of a single system.
 
 The small Sylvester solver F X - X G + H = 0 has two routes, picked by a
 flop count on the operands.  When G is narrow with few distinct eigenvalues

@@ -17,6 +17,7 @@ from .errors import (
     MissingMatrix,
     ParseError,
     SingularE,
+    SingularShiftedMatrix,
 )
 from .linalg import ShiftedFactorization, solve_small_lyapunov
 
@@ -57,7 +58,7 @@ class StateSpaceSystem:
         if check_E:
             try:
                 ShiftedFactorization(E, sps.csc_matrix((n, n)), 0.0)
-            except Exception as exc:
+            except SingularShiftedMatrix as exc:
                 raise SingularE(f"E is singular: {exc}") from exc
         self.E, self.A, self.B, self.C, self.D = E, A, B, C, D
         self.label = label
@@ -111,7 +112,7 @@ class EquationParams:
 
     def __init__(self, S1=None, S2=None, gamma1=2.0, gamma2=2.0):
         if gamma1 <= 0 or gamma2 <= 0:
-            raise ValueError("gamma1 and gamma2 must be positive")
+            raise ParseError("gamma1 and gamma2 must be positive")
         self.S1 = None if S1 is None else np.atleast_2d(np.asarray(S1, dtype=float))
         self.S2 = None if S2 is None else np.atleast_2d(np.asarray(S2, dtype=float))
         for name, S in (("S1", self.S1), ("S2", self.S2)):

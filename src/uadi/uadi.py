@@ -7,12 +7,17 @@ basis times a small block-triangular transform obtained from a small
 Sylvester solve.  One kernel, ``_advance``, advances every Riccati family
 and both Sylvester halves; they differ only in pole placement (feedback,
 quadratic weight, companion shift block) and in the rule that grows the
-middle matrix.  Each such equation is one ``_Eq`` record: its transform T,
-middle matrix M and residual factor B rr - E X Y, recomputed from
-Y = T M L_c^T once the step's small solves have all succeeded; only the
-Lyapunov factor, the next solve's right-hand side, is updated in place.
-A Sylvester half holds T, M (the shared coupling) and its residual factor,
-and its shift matrix is T^-1 S T on the consumed prefix.
+middle matrix.
+
+Each equation is one ``_Eq`` record: transform T, middle matrix M and
+residual factor B rr - E X Y.  A side's Lyapunov record has T = None, the
+untransformed basis; its factor, the next solve's right-hand side, is
+updated in place.  Every other record is recomputed from Y = T M L_c^T
+once the step's small solves have all succeeded.  At init each enabled tag
+resolves once to one table entry (side, eq, weight, right): ldl reads the
+Lyapunov record with a weight, sylv the V half with the W half as right.
+Every reader goes through the table, and every residual is normalized by
+its own norm at X = 0.
 
 The two sides run one algorithm: the W side (observability, C2^T
 right-hand side) is the V side's ADI on the dual realization
@@ -39,6 +44,7 @@ from .errors import (
     EquationSkipped,
     ExtractionSingular,
     InfeasibleHard,
+    ParseError,
     UadiError,
 )
 from .classic import LowRankSolution, ResidualFactor
@@ -95,7 +101,7 @@ class EquationSelection:
         tags = tuple(spec)
         for t in tags:
             if t not in ALL_TAGS:
-                raise ValueError(f"unknown equation tag {t!r}; known: {ALL_TAGS}")
+                raise ParseError(f"unknown equation tag {t!r}; known: {ALL_TAGS}")
         return cls(tags, strict)
 
 
@@ -226,7 +232,8 @@ class _Eq:
     residual factor perp = B rr - E X T M L_c^T on that prefix.  L_c is the
     side's own L, except for a Sylvester half, whose L_c is the other
     side's L and whose M is the shared coupling D (transposed on the W
-    side).  An identity M is kept as None."""
+    side).  An identity M is kept as None; T = None is the whole
+    untransformed basis, the side's Lyapunov equation."""
 
     T: np.ndarray
     M: np.ndarray
@@ -296,25 +303,16 @@ class _Side:
         self.schur = schur_form(np.zeros((0, 0)))
         self.L = np.zeros((sys.m, 0))
         self.G = np.zeros((0, sys.p))   # X^T C^T
-        self.perp = np.array(sys.B, dtype=float)
+        self.lyap = _Eq(None, None, np.array(sys.B, dtype=float))
         self.bounds = [0]               # basis-column counts at unit boundaries
         self.cfg, self.skip = _family_configs(sys, gamma, name)
-        self.eqs, self.const = {}, {}
+        self.eqs, self.sylv = {}, None
 
     X = property(lambda self: self._X.view, doc="Shared basis, read-only.")
     S = property(lambda self: self.schur.a)
     k = property(lambda self: self._X.k)
-
-    def start(self, tags):
-        """Keep the families whose tags are in ``tags``, seed their
-        equations and Sylvester half, fix every residual's normalization."""
-        self.cfg = {f: c for f, c in self.cfg.items() if f + self.suffix in tags}
-        self.eqs = {f: _Eq.empty(self.sys.B @ c["rr"]) for f, c in self.cfg.items()}
-        self.const = {"lyap": _scale(gram_norm2(self.sys.B)),
-                      "ldl": _scale(gram_norm2(self.sys.B, self.weight))}
-        for f, eq in self.eqs.items():
-            self.const[f] = _scale(gram_norm2(eq.perp))
-        self.sylv = _Eq.empty(self.perp) if "sylv" in tags else None
+    perp = property(lambda self: self.lyap.perp,
+                    doc="Residual factor of the Lyapunov record, read-only.")
 
     def factor(self, Y, rr=None):
         """Residual factor B rr - E X[:, :len(Y)] Y on this side's basis;
@@ -323,14 +321,6 @@ class _Side:
         identity."""
         B = self.sys.B if rr is None else self.sys.B @ rr
         return B - self.sys.E @ (self.X[:, : Y.shape[0]] @ Y)
-
-    def residual(self, family):
-        """Thin factor and weight of one family's tracked residual."""
-        if family == "lyap":
-            return self.perp, None
-        if family == "ldl":
-            return self.perp, self.weight
-        return self.eqs[family].perp, None
 
     def expand(self, unit):
         """Extend the basis by one shift unit with one large shifted solve,
@@ -342,7 +332,7 @@ class _Side:
         self.L = np.hstack([self.L, l])
         self._X.append(block)
         self.G = np.vstack([self.G, block.T @ self.sys.C.T])
-        self.perp = self.perp - (self.sys.E @ block) @ l.T
+        self.lyap.perp = self.perp - (self.sys.E @ block) @ l.T
         self.bounds.append(self.k)
 
     def advance(self, fam):
@@ -398,7 +388,7 @@ class UadiState:
         self.w = _Side(dual, cache2, S2, self.params.gamma2, "G2.dual()", "_q")
         self.VW = np.zeros((0, 0))   # V^T W (spectral-factor branch only)
         self._resolve_feasibility()
-        self._prepare_constants()
+        self._build_table()
 
     V = property(lambda self: self.v.X, doc="Shared basis of the V side.")
     W = property(lambda self: self.w.X, doc="Shared basis of the W side.")
@@ -451,19 +441,38 @@ class UadiState:
                            "the bounded-gain equations become Lyapunov-like")
         self.enabled = want & feasible
 
-    # -- constants and per-equation state -----------------------------------
+    # -- the equation table -------------------------------------------------
 
-    def _prepare_constants(self):
-        sf_tags = {"sf_p", "sf_q"}
+    def _build_table(self):
+        """Seed the enabled equations' records, map each enabled tag to its
+        entry (side, eq, weight, right), and fix each tag's normalization,
+        its residual norm at X = 0, and the tag groups every step runs."""
+        on = self.enabled
         # the spectral-factor pair is recomputed together
-        keep = self.enabled | (sf_tags if self.enabled & sf_tags else set())
-        self.const = {}
+        pair = {"sf"} if on & {"sf_p", "sf_q"} else set()
+        table, self._groups = {}, []
         for side in (self.v, self.w):
-            side.start(keep)
-            self.const.update({f + side.suffix: c for f, c in side.const.items()})
-        if "sylv" in self.enabled:
-            s1, s2 = self.sys1, self.sys2
-            self.const["sylv"] = _scale(gram_norm2(s1.B, np.eye(s1.m), s2.C.T))
+            sfx = side.suffix
+            side.cfg = {f: c for f, c in side.cfg.items()
+                        if f + sfx in on or f in pair}
+            side.eqs = {f: _Eq.empty(side.sys.B @ c["rr"])
+                        for f, c in side.cfg.items()}
+            if "sylv" in on:
+                side.sylv = _Eq.empty(side.perp)
+            table["lyap" + sfx] = (side, side.lyap, None, None)
+            table["ldl" + sfx] = (side, side.lyap, side.weight, None)
+            for f, eq in side.eqs.items():
+                table[f + sfx] = (side, eq, None, None)
+                if f != "sf":
+                    self._groups.append(((f + sfx,), side.advance, f))
+        table["sylv"] = (self.v, self.v.sylv, None, self.w.sylv)
+        if "sylv" in on:
+            self._groups.append((("sylv",), self._sylv_group))
+        if pair:
+            self._groups.append((("sf_p", "sf_q"), self._sf_group))
+        self.table = {tag: table[tag] for tag in on}
+        self.const = {tag: _scale(gram_norm2(eq.perp, weight, right and right.perp))
+                      for tag, (_, eq, weight, right) in self.table.items()}
 
     # -- stepping -----------------------------------------------------------
 
@@ -482,8 +491,12 @@ class UadiState:
                 (w, w.sylv, _advance(w, w.sylv, q, v.L, D=D.T), None)]
 
     def _sf_group(self):
-        """Updates of the spectral-factor pair, recomputed whole each step."""
+        """Updates of the spectral-factor pair, recomputed whole each step;
+        first grows V^T W by the new columns."""
         v, w = self.v, self.w
+        kv, kw = self.VW.shape
+        self.VW = np.vstack([self.VW, v.X[:, kv:].T @ w.X[:, :kw]])
+        self.VW = np.hstack([self.VW, v.X.T @ w.X[:, kw:]])
         return [(v, v.eqs["sf"], _sf_side(v, w, self.VW), v.cfg["sf"]["rr"]),
                 (w, w.eqs["sf"], _sf_side(w, v, self.VW.T), w.cfg["sf"]["rr"])]
 
@@ -505,21 +518,12 @@ class UadiState:
         conjugate pair) with exactly two large shifted solves."""
         au = alpha if isinstance(alpha, ShiftUnit) else ShiftUnit(alpha)
         bu = beta if isinstance(beta, ShiftUnit) else ShiftUnit(beta)
-        kv, kw = self.v.k, self.w.k
         for side, unit in ((self.v, au), (self.w, bu)):
             side.expand(unit)
         self.alpha_units.append(au)
         self.beta_units.append(bu)
-        groups = [((f + side.suffix,), side.advance, f)
-                  for side in (self.v, self.w) for f in side.eqs if f != "sf"]
-        if self.v.sylv is not None:
-            groups.append((("sylv",), self._sylv_group))
-        if "sf" in self.v.eqs:
-            self.VW = np.vstack([self.VW, self.V[:, kv:].T @ self.W[:, :kw]])
-            self.VW = np.hstack([self.VW, self.V.T @ self.W[:, kw:]])
-            groups.append((("sf_p", "sf_q"), self._sf_group))
         # every small solve of the step runs before any residual factor
-        solved = [(tags, _solved(*group)) for tags, *group in groups
+        solved = [(tags, _solved(*group)) for tags, *group in self._groups
                   if not self.degraded.keys() & set(tags)]
         for tags, outcome in solved:
             self._commit(tags, outcome)
@@ -528,70 +532,46 @@ class UadiState:
 
     # -- outputs ------------------------------------------------------------
 
-    def _check_tag(self, tag):
-        if tag not in ALL_TAGS:
-            raise EquationSkipped(f"unknown equation tag {tag!r}")
-        if tag not in self.enabled:
+    def _entry(self, tag, started=False):
+        """The table entry (side, eq, weight, right) of an enabled tag; with
+        ``started``, the engine must have taken a step."""
+        if tag not in self.table:
             raise EquationSkipped(
                 f"{tag} not enabled: {self.skipped.get(tag, 'not selected')}"
-            )
-
-    def _locate(self, tag):
-        """The side and family of a one-sided equation tag."""
-        return (self.v if tag.endswith("_p") else self.w), tag[:-2]
+                if tag in ALL_TAGS else f"unknown equation tag {tag!r}")
+        if started and self.v.k == 0 and self.w.k == 0:
+            raise EquationSkipped("no completed iterations")
+        return self.table[tag]
 
     def extract(self, tag):
-        self._check_tag(tag)
-        if self.v.k == 0 and self.w.k == 0:
-            raise EquationSkipped("no completed iterations")
-        if tag == "sylv":
-            v, w = self.v.sylv, self.w.sylv
-            q = v.T.shape[0]
-            return LowRankSolution(self.V[:, :q] @ v.T, v.M.copy(),
-                                   self.W[:, :q] @ w.T, tag=tag)
-        side, fam = self._locate(tag)
-        if fam == "lyap":
-            return LowRankSolution(side.X.copy(), tag=tag)
-        if fam == "ldl":
-            return LowRankSolution(side.X.copy(),
-                                   np.kron(np.eye(side.k // side.sys.m),
-                                           side.weight), tag=tag)
-        eq = side.eqs[fam]
+        side, eq, weight, right = self._entry(tag, started=True)
+        if eq.T is None:
+            middle = (None if weight is None else
+                      np.kron(np.eye(side.k // side.sys.m), weight))
+            return LowRankSolution(side.X.copy(), middle, tag=tag)
         # a degraded equation's transform covers a prefix of the basis
+        q = eq.T.shape[0]
         middle = np.eye(eq.T.shape[1]) if eq.M is None else eq.M.copy()
-        return LowRankSolution(side.X[:, : eq.T.shape[0]] @ eq.T, middle, tag=tag)
+        other = None if right is None else self.W[:, :q] @ right.T  # sylv's W half
+        return LowRankSolution(side.X[:, :q] @ eq.T, middle, other, tag=tag)
 
     def rank(self, tag):
         """Rank of extract(tag), read off the stored transforms without
         forming the n-row factors."""
-        self._check_tag(tag)
-        if self.v.k == 0 and self.w.k == 0:
-            raise EquationSkipped("no completed iterations")
-        if tag == "sylv":
-            return self.v.sylv.T.shape[1]
-        side, fam = self._locate(tag)
-        if fam in ("lyap", "ldl"):
-            return side.k
-        return side.eqs[fam].T.shape[1]
+        side, eq, _, _ = self._entry(tag, started=True)
+        return side.k if eq.T is None else eq.T.shape[1]
 
     def residual_factor(self, tag):
-        self._check_tag(tag)
-        if tag == "sylv":
-            return (ResidualFactor(self.v.sylv.perp.copy()),
-                    ResidualFactor(self.w.sylv.perp.T.copy()))
-        side, fam = self._locate(tag)
-        factor, weight = side.residual(fam)
-        return ResidualFactor(factor.copy(),
+        _, eq, weight, right = self._entry(tag)
+        if right is not None:
+            return (ResidualFactor(eq.perp.copy()),
+                    ResidualFactor(right.perp.T.copy()))
+        return ResidualFactor(eq.perp.copy(),
                               None if weight is None else weight.copy())
 
     def residual_norm(self, tag):
-        self._check_tag(tag)
-        if tag == "sylv":
-            raw = gram_norm2(self.v.sylv.perp, None, self.w.sylv.perp)
-        else:
-            side, fam = self._locate(tag)
-            raw = gram_norm2(*side.residual(fam))
-        return raw / self.const[tag]
+        _, eq, weight, right = self._entry(tag)
+        return gram_norm2(eq.perp, weight, right and right.perp) / self.const[tag]
 
 
 def uadi_init(sys1, sys2, params=None, select=None):

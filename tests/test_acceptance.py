@@ -72,9 +72,9 @@ def _case_plan(rng, groups):
 
 
 def test_criterion_1_table_reproduction():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = scenario_table1()
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = all(r["ok"] for r in rows) and elapsed < 5.0
     detail = ", ".join(f"{r['measured']:.4g}/{r['expected']:.4g}" for r in rows)
     _report(1, "illustrative shift-study reproduction", ok,
@@ -82,7 +82,7 @@ def test_criterion_1_table_reproduction():
 
 
 def test_criterion_2_extraction_equivalence():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst = 0.0
     case_seen = set()
@@ -115,7 +115,7 @@ def test_criterion_2_extraction_equivalence():
         rq, _, _ = classic.radi(s2.dual(), betas)
         worst = max(worst, rel(extract_solution(st, "ricc_q").product(),
                                rq.product()))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     # every grouping case must occur across the trials
     ok = worst <= 1e-8 and elapsed < 60.0 and case_seen == {"1", "2", "34"}
     _report(2, "extraction equals direct solvers on 50 random pairs", ok,
@@ -280,7 +280,7 @@ def test_criterion_6_two_solve_budget():
 
 
 def test_criterion_7_scaled_triple_peak():
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = RunConfig(sys1="penzl:2000,10,20,30", sys2="penzl:2000,40,50,60",
                     equations="lyap_p,lyap_q", shifts="subspace",
                     max_iter=70, tol=1e-6, restart_cap=20)
@@ -305,7 +305,7 @@ def test_criterion_7_scaled_triple_peak():
     hist = [r["residual"] for r in rep_m.records if r["equation"] == "sylv"]
     mismatched_grows = hist[-1] > hist[0]
 
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = gramians_ok and hits >= 5 and sylv_ok and mismatched_grows and elapsed < 120
     _report(7, "scaled triple-peak experiment", ok,
             f"(res {rep.final_residuals['lyap_p']:.1e}/{rep.final_residuals['lyap_q']:.1e} "
@@ -361,7 +361,7 @@ def test_criterion_9_dense_oracle_convergence():
 
 
 def test_criterion_10_rlc_scenario():
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = RunConfig(sys1="rlc:400", sys2="rlc:400", equations="all",
                     shifts="petrov-bt", max_iter=50, tol=1e-6, restart_cap=10,
                     gamma1=2.0, gamma2=3.0)
@@ -396,6 +396,6 @@ def test_criterion_10_rlc_scenario():
     hs = np.sort(np.concatenate(hs))[::-1]
     hankel_dev = np.max(np.abs(hank[:10] - hs[:10]) / hs[:10])
     ok = ok and hankel_dev <= 1e-6
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(10, "regenerated RLC network: all 17 equations + balanced truncation",
             ok, f"(iters {rep.iterations}; hankel dev {hankel_dev:.1e}; {elapsed:.0f}s)")

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,10 +333,34 @@ class TestMainEntry:
         rc = main(["solve", "--sys1", "nonexistent.manifest"])
         assert rc == 1
 
+    @pytest.mark.parametrize("args", [
+        ["--sys1", "penzl:100,1,2"],
+        ["--sys2", "rlc:ten"],
+        ["--shifts", "newton"],
+        ["--shifts", "static:"],
+        ["--shifts", "static:{tmp}/missing.txt"],
+        ["--shifts", "static:{tmp}/bad.txt"],
+        ["--shifts", "static:{tmp}/empty.txt"],
+        ["--equations", "lyap_p,lyap_x"],
+        ["--tol", "0"],
+        ["--max-iter", "0"],
+        ["--gamma1", "0"],
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, args):
+        (tmp_path / "bad.txt").write_text("-1 0 -1\n")
+        (tmp_path / "empty.txt").write_text("# no shifts\n")
+        args = [a.format(tmp=tmp_path) for a in args]
+        assert main(["solve", "--max-iter", "1", *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     def test_console_script(self):
+        # the child imports uadi from where this process did, installed or not
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-m", "uadi.cli", "table1"],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert "ok" in proc.stdout

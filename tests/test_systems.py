@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
+import uadi.systems
 from uadi.errors import DimensionMismatch, InvalidSize, MissingMatrix, ParseError, SingularE
 from uadi.linalg import solve_small_lyapunov
 from conftest import assert_multiset_close
@@ -28,6 +29,14 @@ class TestContainer:
         E = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularE):
             StateSpaceSystem(E, -np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+
+    def test_factorization_bug_is_not_singular_e(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug inside the factorization")
+
+        monkeypatch.setattr(uadi.systems, "ShiftedFactorization", broken)
+        with pytest.raises(TypeError, match="bug inside"):
+            StateSpaceSystem(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
 
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):

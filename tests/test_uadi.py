@@ -113,6 +113,21 @@ class TestInitialSeeds:
         np.testing.assert_allclose(st.Cperp, np.asarray(g.C), atol=0)
 
 
+    @pytest.mark.parametrize("pair", ["rlc", "random"])
+    def test_every_residual_starts_at_one(self, pair):
+        """One normalization for every tag: its own residual norm at X = 0."""
+        if pair == "rlc":
+            g = rlc_ladder(6)
+            st = uadi_init(g, g, RLC_PARAMS, "all")
+            assert st.enabled == set(ALL_TAGS)
+        else:
+            st = uadi_init(random_stable_system(12, 2, 3, 5),
+                           random_stable_system(9, 1, 2, 6), None, "all")
+            assert "sylv" in st.enabled
+        for tag in st.enabled:
+            assert residual_norm(st, tag) == 1.0, tag
+
+
 class TestScalarCrossCheck:
     def test_unit_system_exact_values(self):
         sc = StateSpaceSystem(np.eye(1), -np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
