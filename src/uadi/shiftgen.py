@@ -3,17 +3,17 @@
 Static lists, the two residual/direction projection strategies, and the
 subspace-accelerated strategies: Galerkin dominance ranking per side,
 two-sided (Petrov) ranking for balanced truncation, and the alternating
-single-shift strategy that prioritizes the Sylvester equation.  Every oracle
-ranks on its engine side's own system with that side's residual factor as
-the side holds it: the V side on G1 with the n x m factor, the W side on
-G2.dual() with the n x p factor, so one Galerkin ranking serves both.  It
-skips Ritz values in the closed right half-plane while a stable one exists:
-such values are projection artefacts of a non-normal pencil, not pole
-estimates.  A subspace history is a window onto the solve-direction basis
-the iteration already holds (the engine side's X, CfAdi.Z, Radi.V), kept by
-reference with no copy, and orthonormalized only when a ranking asks for
-it.  Once the window would pass its column cap it restarts at the newest
-block.
+single-shift strategy that prioritizes the Sylvester equation.  An adaptive
+oracle holds one window per engine side with all a ranking reads of it: the
+side's own system (G1, or G2.dual() on the W side), the residual factor as
+the side holds it (n x m on V, n x p on W) and the last feedback gain, so
+one Galerkin ranking serves both sides.  It skips Ritz values in the closed
+right half-plane while a stable one exists: such values are projection
+artefacts of a non-normal pencil, not pole estimates.  A window looks onto
+the solve-direction basis the iteration already holds (the engine side's X,
+CfAdi.Z, Radi.V) by reference, with no copy, and is orthonormalized only
+when a ranking asks for it.  Once it would pass its column cap it restarts
+at the newest block; Projection-II's window has cap 0.
 """
 
 import logging
@@ -102,11 +102,12 @@ def _orth(M):
     return spla.orth(M)
 
 
-def _pencil_ritz(V1, sys):
-    Ah = V1.T @ (sys.A @ V1)
-    Eh = V1.T @ (sys.E @ V1)
-    w, _, _ = small_eig(Ah, Eh)
-    return w
+def _projected_pencil(V1, sys, gain=None):
+    """Galerkin projection (V1^T (A - gain C) V1, V1^T E V1) of the pencil."""
+    AV = sys.A @ V1
+    if gain is not None:
+        AV = AV - gain @ (sys.C @ V1)
+    return V1.T @ AV, V1.T @ (sys.E @ V1)
 
 
 def _paired(values):
@@ -135,14 +136,13 @@ def _paired(values):
 
 def next_shifts_projection1(B_perp, sys):
     """Ritz values of the pencil projected by orth(residual factor)."""
-    V1 = _orth(B_perp)
-    return [sanitize_shift(w) for w in _paired(_pencil_ritz(V1, sys))]
+    w, _, _ = small_eig(*_projected_pencil(_orth(B_perp), sys))
+    return [sanitize_shift(v) for v in _paired(w)]
 
 
 def next_shifts_projection2(v_last, sys):
     """Ritz values of the pencil projected by orth(last solve direction)."""
-    V1 = _orth(np.real(v_last))
-    return [sanitize_shift(w) for w in _paired(_pencil_ritz(V1, sys))]
+    return next_shifts_projection1(np.real(v_last), sys)
 
 
 def next_shift_subspace(history_V, perp, sys, feedback_gain=None):
@@ -165,10 +165,7 @@ def next_shift_subspace(history_V, perp, sys, feedback_gain=None):
     V1 = history_V
     if V1.shape[1] == 0:
         raise ZeroResidual("empty history")
-    AV = sys.A @ V1
-    if feedback_gain is not None:
-        AV = AV - feedback_gain @ (sys.C @ V1)
-    w, _, Tl = small_eig(V1.T @ AV, V1.T @ (sys.E @ V1))  # eig of Eh^{-1} Ah
+    w, _, Tl = small_eig(*_projected_pencil(V1, sys, feedback_gain))
     Bh = V1.T @ np.atleast_2d(perp)
     rn = np.array([np.linalg.norm(Tl[l] @ Bh) for l in range(len(w))])
     stable = w.real < 0
@@ -214,21 +211,24 @@ def next_shift_petrov_bt(history_V, history_W, B_perp, C_perp, sys):
     return sanitize_shift(ranking.top()), ranking
 
 
-class _History:
-    """Window onto the solve-direction basis the caller holds: a reference
-    to that basis (no copy) and the restart column ``start``.  Once the
-    window would pass ``cap`` columns it restarts at the newest block, the
-    columns added since the previous observation."""
+class _Window:
+    """One engine side as an oracle sees it: the side's system, a window
+    onto the side's basis (a reference to it, no copy, from the restart
+    column ``start``), and the residual factor and feedback gain it last
+    observed.  Once the window would pass ``cap`` columns it restarts at
+    the newest block, the columns added since the previous observation."""
 
-    def __init__(self, cap):
-        self.cap = cap
-        self.X = None
-        self.start = 0
+    def __init__(self, sys, cap):
+        self.sys, self.cap = sys, cap
+        self.X, self.start = None, 0
+        self.perp = self.gain = None
 
-    def observe(self, X):
+    def observe(self, X, perp, gain=None):
         if self.X is not None and X.shape[1] - self.start > self.cap:
             self.start = self.X.shape[1]
         self.X = X
+        self.perp = np.asarray(perp)
+        self.gain = gain
 
     @property
     def width(self):
@@ -238,6 +238,12 @@ class _History:
     def basis(self):
         """Orthonormal basis of the window, computed on each call."""
         return spla.orth(self.X[:, self.start:])
+
+    def rank(self):
+        """The unit of the Galerkin ranking on the window."""
+        shift, _ = next_shift_subspace(self.basis, self.perp, self.sys,
+                                       self.gain)
+        return ShiftUnit(shift)
 
 
 class StaticShiftOracle:
@@ -259,31 +265,28 @@ class StaticShiftOracle:
 
 
 class ProjectionShiftOracle:
-    """Projection-I (residual-factor basis) or Projection-II (last solve
-    block of the observed basis)."""
+    """Projection-I (residual-factor basis) or Projection-II (the newest
+    block of the observed basis: a window of cap 0)."""
 
     def __init__(self, sys, variant=1):
         if variant not in (1, 2):
             raise ValueError("variant must be 1 or 2")
-        self.sys = sys
         self.variant = variant
+        self.history = _Window(sys, 0)
         self._unit_queue = []
-        self._perp = None
-        self._width = 0
 
     def observe(self, X, perp):
-        self._last_block = X[:, self._width:]
-        self._width = X.shape[1]
-        self._perp = np.asarray(perp)
+        self.history.observe(X, perp)
 
     def next_unit(self):
-        if self._perp is None:
+        h = self.history
+        if h.perp is None:
             return ShiftUnit(INITIAL_SHIFT)
         if not self._unit_queue:
             if self.variant == 1:
-                vals = next_shifts_projection1(self._perp, self.sys)
+                vals = next_shifts_projection1(h.perp, h.sys)
             else:
-                vals = next_shifts_projection2(self._last_block, self.sys)
+                vals = next_shifts_projection2(h.X[:, h.start:], h.sys)
             # one unit per conjugate pair
             units = [ShiftUnit(v) for v in vals if v.imag >= 0]
             self._unit_queue = units or [ShiftUnit(INITIAL_SHIFT)]
@@ -294,95 +297,79 @@ class SubspaceShiftOracle:
     """Subspace-accelerated Galerkin dominance ranking on one engine side.
 
     Each unit is the most dominant stable Ritz value of the pencil projected
-    on the history (see ``next_shift_subspace``); right-half-plane Ritz
-    values are ranked, and mirrored, only when no stable one exists.  The
-    W-side oracle is built on ``G2.dual()`` and observes the n x p factor.
-    ``observe`` takes the basis as the iteration holds it.
+    on the side's window (see ``next_shift_subspace``); right-half-plane
+    Ritz values are ranked, and mirrored, only when no stable one exists.
+    The W-side oracle is built on ``G2.dual()`` and observes the n x p
+    factor.  ``observe`` takes the basis as the iteration holds it.
     """
 
     def __init__(self, sys, cap=DEFAULT_CAP):
-        self.sys = sys
-        self.history = _History(cap)
-        self._perp = None
-        self._gain = None
+        self.history = _Window(sys, cap)
 
     def observe(self, X, perp, feedback_gain=None):
-        self.history.observe(X)
-        self._perp = np.asarray(perp)
-        self._gain = feedback_gain
+        self.history.observe(X, perp, feedback_gain)
 
     def next_unit(self):
         if self.history.width == 0:
             return ShiftUnit(INITIAL_SHIFT)
-        if self._perp is None or not np.any(self._perp):
+        if not np.any(self.history.perp):
             raise ZeroResidual("residual factor vanished")
-        shift, _ = next_shift_subspace(self.history.basis, self._perp,
-                                       self.sys, self._gain)
-        return ShiftUnit(shift)
+        return self.history.rank()
 
 
 class _TwoSidedOracle:
-    """Windows onto the bases of both engine sides and their residual
-    factors, each as its side holds it (n x m on V, n x p on W)."""
+    """One window per engine side, each observing its side's basis and
+    residual factor as the side holds them (n x m on V, n x p on W)."""
 
-    def __init__(self, cap):
-        self.hist_v = _History(cap)
-        self.hist_w = _History(cap)
-        self._vperp = None
-        self._wperp = None
+    def __init__(self, sys_v, sys_w, cap):
+        self.hist_v = _Window(sys_v, cap)
+        self.hist_w = _Window(sys_w, cap)
 
     def observe(self, V, W, v_perp, w_perp):
-        self.hist_v.observe(V)
-        self.hist_w.observe(W)
-        self._vperp = np.asarray(v_perp)
-        self._wperp = np.asarray(w_perp)
+        self.hist_v.observe(V, v_perp)
+        self.hist_w.observe(W, w_perp)
 
 
 class PetrovBtShiftOracle(_TwoSidedOracle):
     """Two-sided dominance ranking on one system; emits alpha = beta units.
-    A singular projected E falls back to the V side's Galerkin ranking."""
+    A singular projected E falls back to the V side's Galerkin ranking.  The
+    W window never ranks on its own, so it holds no system."""
 
     def __init__(self, sys, cap=DEFAULT_CAP):
-        super().__init__(cap)
-        self.sys = sys
+        super().__init__(sys, None, cap)
 
     def next_unit(self):
-        if self.hist_v.width == 0 or self.hist_w.width == 0:
+        v, w = self.hist_v, self.hist_w
+        if v.width == 0 or w.width == 0:
             return ShiftUnit(INITIAL_SHIFT)
-        if not (np.any(self._vperp) or np.any(self._wperp)):
+        if not (np.any(v.perp) or np.any(w.perp)):
             raise ZeroResidual("both residual factors vanished")
-        V1 = self.hist_v.basis
         try:
-            shift, _ = next_shift_petrov_bt(V1, self.hist_w.basis,
-                                            self._vperp, self._wperp, self.sys)
+            shift, _ = next_shift_petrov_bt(v.basis, w.basis, v.perp, w.perp,
+                                            v.sys)
         except SingularProjectedE:
-            shift, _ = next_shift_subspace(V1, self._vperp, self.sys)
+            return v.rank()
         return ShiftUnit(shift)
 
 
 class SylvesterAlternatingOracle(_TwoSidedOracle):
     """Alternates most-controllable / most-observable poles, alpha = beta.
 
-    Odd projection calls rank the V side (``sys1`` = G1 with the Sylvester
-    B-residual), even calls the W side (``sys2`` = G2.dual() with the n x p
-    Sylvester C-residual), both with the same Galerkin ranking.
+    Rankings alternate between the V window (``sys1`` = G1 with the
+    Sylvester B-residual), first, and the W window (``sys2`` = G2.dual()
+    with the n x p Sylvester C-residual), both with the same Galerkin
+    ranking; ``last_projected`` names the side ranked last.
     """
 
     def __init__(self, sys1, sys2, cap=DEFAULT_CAP):
-        super().__init__(cap)
-        self.sys1, self.sys2 = sys1, sys2
-        self.projection_calls = 0
+        super().__init__(sys1, sys2, cap)
         self.last_projected = "none"
 
     def next_unit(self):
         if self.hist_v.width == 0 and self.hist_w.width == 0:
             return ShiftUnit(INITIAL_SHIFT)
-        self.projection_calls += 1
-        if self.projection_calls % 2 == 1:
-            self.last_projected = "sys1"
-            hist, perp, sys = self.hist_v, self._vperp, self.sys1
+        if self.last_projected == "sys1":
+            self.last_projected, window = "sys2", self.hist_w
         else:
-            self.last_projected = "sys2"
-            hist, perp, sys = self.hist_w, self._wperp, self.sys2
-        shift, _ = next_shift_subspace(hist.basis, perp, sys)
-        return ShiftUnit(shift)
+            self.last_projected, window = "sys1", self.hist_v
+        return window.rank()

@@ -337,6 +337,8 @@ def rlc_ladder(segments=400, feedthrough=0.25, output_scale=None):
     rescales C to keep the H-infinity norm below one (bounded-real margin);
     the default is calibrated for the two component sets below.
     """
+    if segments < 1:
+        raise InvalidSize(f"segments must be >= 1, got {segments}")
     # per-ladder component values (series R-L branch, shunt C with leak R)
     params = [
         dict(R=0.1, L=0.1, C=0.1, Rleak=1.0),

@@ -336,6 +336,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("args", [
         ["--sys1", "penzl:100,1,2"],
         ["--sys2", "rlc:ten"],
+        ["--sys1", "rlc:0"],
+        ["--sys2", "rlc:-2"],
         ["--shifts", "newton"],
         ["--shifts", "static:"],
         ["--shifts", "static:{tmp}/missing.txt"],

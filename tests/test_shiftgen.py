@@ -118,6 +118,27 @@ class TestProjectionStrategies:
         second = oracle.next_unit()
         assert second.value.real < 0
 
+    def test_projection2_ranks_on_newest_block(self):
+        # Projection-II's window has cap 0: each ranking sees only the
+        # columns added since the previous observation
+        sys = random_stable_system(20, 2, 2, 12)
+        rng = np.random.default_rng(6)
+        X, perp = rng.standard_normal((20, 4)), rng.standard_normal((20, 2))
+
+        def first_unit(block):
+            return next(v for v in next_shifts_projection2(block, sys)
+                        if v.imag >= 0)
+
+        oracle = ProjectionShiftOracle(sys, 2)
+        oracle.observe(X[:, :2], perp)
+        assert oracle.next_unit().value == first_unit(X[:, :2])
+        while oracle._unit_queue:
+            oracle.next_unit()
+        oracle.observe(X[:, :4], perp)
+        want = first_unit(X[:, 2:])
+        assert want != first_unit(X)   # the whole window would rank otherwise
+        assert oracle.next_unit().value == want
+
 
 class TestSubspaceOracle:
     def test_exact_invariant_subspace(self):

@@ -966,3 +966,41 @@ class TestTraceHooks:
             residual_norm(st, tag)
             extract_solution(st, tag)
         assert all(calls.values()), calls
+
+    @pytest.mark.parametrize("shifts", ["subspace", "proj1", "proj2",
+                                        "petrov-bt", "sylv-alt"])
+    def test_oracle_trace_points_count(self, monkeypatch, shifts):
+        # wrapped as the tracer wraps them: per iteration one call of each on
+        # an alpha = beta oracle, one per side otherwise, and none nested
+        from uadi import cli, shiftgen
+
+        calls, stack, nested = {"next_unit": 0, "observe": 0}, [], []
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                if stack:
+                    nested.append((stack[-1], name))
+                stack.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    stack.pop()
+
+            return counted
+
+        for cls in (shiftgen.ProjectionShiftOracle,
+                    shiftgen.SubspaceShiftOracle,
+                    shiftgen.PetrovBtShiftOracle,
+                    shiftgen.SylvesterAlternatingOracle):
+            for name in calls:
+                monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+        iters = 4
+        rep = cli.run(cli.RunConfig(sys1="rlc:6", sys2="rlc:6",
+                                    equations="lyap_p,lyap_q,sylv",
+                                    shifts=shifts, max_iter=iters, tol=1e-300))
+        per_side = 1 if shifts in ("petrov-bt", "sylv-alt") else 2
+        assert rep.iterations == iters
+        assert calls == {"next_unit": per_side * iters,
+                         "observe": per_side * iters}
+        assert not nested, nested
