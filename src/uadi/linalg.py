@@ -440,10 +440,7 @@ def gram_norm2(Z, M=None, Z2=None):
     factor widths.
     """
     Z = np.atleast_2d(np.asarray(Z))
-    if Z2 is None:
-        Z2 = Z
-    else:
-        Z2 = np.atleast_2d(np.asarray(Z2))
+    Z2 = Z if Z2 is None else np.atleast_2d(np.asarray(Z2))
     r, r2 = Z.shape[1], Z2.shape[1]
     if M is None:
         if r != r2:
@@ -458,7 +455,7 @@ def gram_norm2(Z, M=None, Z2=None):
     if r == 0 or r2 == 0:
         return 0.0
     G1 = Z.conj().T @ Z
-    G2 = Z2.conj().T @ Z2
+    G2 = G1 if Z2 is Z else Z2.conj().T @ Z2
     # ||Z M Z2*||^2 = lambda_max(M* G1 M G2); the product is similar to a PSD
     # matrix so its eigenvalues are real and nonnegative up to roundoff.
     vals = spla.eigvals(M.conj().T @ G1 @ M @ G2)

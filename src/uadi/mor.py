@@ -89,7 +89,7 @@ def build_rom(state, side, variant):
         # T M T^T, the middle matrix in shared-basis coordinates; the
         # minimum-phase equation has an identity middle and uses T
         M = eq.T if eq.M is None else eq.T @ eq.M @ eq.T.T
-        Bhat = M @ L.T @ this.cfg[family]["rri"]
+        Bhat = M @ L.T @ eq.rri
     A, B, C, D = S - Bhat @ L, Bhat, G.T, this.sys.D
     if side == 2:
         A, B, C, D = A.T, C.T, B.T, D.T

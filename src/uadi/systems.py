@@ -327,15 +327,13 @@ def illustrative_pair():
     return g1, g2
 
 
-def rlc_ladder(segments=400, feedthrough=0.25, output_scale=None):
+def rlc_ladder(segments=400, feedthrough=0.25):
     """Passive two-port RLC ladder network, order 4*segments.
 
     Two series-L / shunt-C ladders (one per port) in admittance form with a
     small resistive feedthrough D = feedthrough * I.  The realization is
     stable, square, minimum-phase, positive-real and bounded-real, so every
-    supported matrix equation is well defined on it.  ``output_scale``
-    rescales C to keep the H-infinity norm below one (bounded-real margin);
-    the default is calibrated for the two component sets below.
+    supported matrix equation is well defined on it.
     """
     if segments < 1:
         raise InvalidSize(f"segments must be >= 1, got {segments}")
@@ -344,8 +342,6 @@ def rlc_ladder(segments=400, feedthrough=0.25, output_scale=None):
         dict(R=0.1, L=0.1, C=0.1, Rleak=1.0),
         dict(R=0.5, L=0.2, C=0.2, Rleak=3.0),
     ]
-    if output_scale is None:
-        output_scale = 0.12
     blocks_E, blocks_A, cols_B, rows_C = [], [], [], []
     for prm in params:
         ns = 2 * segments
@@ -364,7 +360,9 @@ def rlc_ladder(segments=400, feedthrough=0.25, output_scale=None):
         b = np.zeros((ns, 1))
         b[0, 0] = 1.0
         c = np.zeros((1, ns))
-        c[0, 0] = output_scale  # scaled port current
+        # port current, scaled for these component sets so the H-infinity
+        # norm stays below one (bounded-real margin)
+        c[0, 0] = 0.12
         blocks_E.append(E)
         blocks_A.append(A)
         cols_B.append(b)
@@ -382,21 +380,22 @@ def rlc_ladder(segments=400, feedthrough=0.25, output_scale=None):
     return StateSpaceSystem(E, A, B, C, D, label=f"rlc_ladder({segments})")
 
 
-def random_stable_system(n, m, p, seed, margin=0.8, label=None):
+def random_stable_system(n, m, p, seed):
     """Dense random system with a stable pencil, for tests and benchmarks.
 
     The pencil is built as (E, E A0) with A0 shifted into the open left
-    half-plane, so eig(E^{-1} A) = eig(A0) is stable by construction.
+    half-plane, its rightmost pole at -0.8, so eig(E^{-1} A) = eig(A0) is
+    stable by construction.
     """
     import scipy.linalg as spla
 
     rng = np.random.default_rng(seed)
     A0 = rng.standard_normal((n, n))
-    A0 -= (np.max(spla.eigvals(A0).real) + margin) * np.eye(n)
+    A0 -= (np.max(spla.eigvals(A0).real) + 0.8) * np.eye(n)
     E = np.eye(n) + 0.2 * rng.standard_normal((n, n))
     return StateSpaceSystem(
         E, E @ A0, rng.standard_normal((n, m)), rng.standard_normal((p, n)),
-        label=label or f"random({n},{m},{p};seed={seed})",
+        label=f"random({n},{m},{p};seed={seed})",
     )
 
 

@@ -9,11 +9,13 @@ and both Sylvester halves; they differ only in pole placement (feedback,
 quadratic weight, companion shift block) and in the rule that grows the
 middle matrix.
 
-Each equation is one ``_Eq`` record: transform T, middle matrix M and
-residual factor B rr - E X Y.  A side's Lyapunov record has T = None, the
-untransformed basis; its factor, the next solve's right-hand side, is
-updated in place.  Every other record is recomputed from Y = T M L_c^T
-once the step's small solves have all succeeded.  At init each enabled tag
+Each equation is one ``_Eq`` record: its pole placement (feedback fb,
+quadratic weight qk, right-hand-side scaling rr and its inverse rri),
+transform T, middle matrix M and residual factor B rr - E X Y.  A side's
+Lyapunov record has T = None, the untransformed basis; its factor, the next
+solve's right-hand side, is updated in place.  Once the step's small solves
+have all run, each side forms every other record's factor from
+Y = T M L_c^T in one pass over its basis.  At init each enabled tag
 resolves once to one table entry (side, eq, weight, right): ldl reads the
 Lyapunov record with a weight, sylv the V half with the W half as right.
 Every reader goes through the table, and every residual is normalized by
@@ -177,10 +179,10 @@ class _Columns:
 
 
 def _family_configs(sys, gamma, name):
-    """Configs of one side's Riccati-family equations keyed by family, and
-    the reasons the infeasible families are skipped.
+    """Pole placements of one side's Riccati-family equations keyed by
+    family, and the reasons the infeasible families are skipped.
 
-    A config holds the feedback ``fb`` and quadratic weight ``qk`` of the
+    A placement holds the feedback ``fb`` and quadratic weight ``qk`` of the
     projected equation and the scaling ``rr`` of its right-hand side B rr
     with its inverse ``rri``.  ``name`` names the system in the skip reasons.
     """
@@ -227,35 +229,41 @@ def _family_configs(sys, gamma, name):
 
 @dataclass
 class _Eq:
-    """Standing state of one equation extracted from a side's basis X: the
-    transform T of the consumed basis prefix, the middle matrix M and the
-    residual factor perp = B rr - E X T M L_c^T on that prefix.  L_c is the
-    side's own L, except for a Sylvester half, whose L_c is the other
-    side's L and whose M is the shared coupling D (transposed on the W
-    side).  An identity M is kept as None; T = None is the whole
-    untransformed basis, the side's Lyapunov equation."""
+    """One equation extracted from a side's basis X.
+
+    Its pole placement: the feedback ``fb``, quadratic weight ``qk``,
+    right-hand-side scaling ``rr`` and its inverse ``rri``, each None where
+    the equation has none.  Its standing state: the transform T of the
+    consumed basis prefix, the middle matrix M and the residual factor
+    perp = B rr - E X T M L_c^T on that prefix.  L_c is the side's own L,
+    except for a Sylvester half, whose L_c is the other side's L and whose
+    M is the shared coupling D (transposed on the W side).  An identity M
+    is kept as None; T = None is the whole untransformed basis, the side's
+    Lyapunov equation.  A record is seeded at X = 0 with an empty T and M.
+    """
 
     T: np.ndarray
     M: np.ndarray
     perp: np.ndarray
+    fb: np.ndarray = None
+    qk: np.ndarray = None
+    rr: np.ndarray = None
+    rri: np.ndarray = None
 
-    @classmethod
-    def empty(cls, perp):
-        return cls(np.zeros((0, 0)), np.zeros((0, 0)), np.array(perp, dtype=float))
 
-
-def _advance(side, eq, q, Lc, fb=None, qk=None, rr=None, D=None):
+def _advance(side, eq, q, Lc, D=None):
     """Advance one equation of ``side`` over the basis columns kp:q, where
     kp is the prefix ``eq`` has consumed.  Returns (T, M, Y) with
     Y = T M Lc^T on the columns :q; mutates nothing.
 
-    The equations differ only in pole placement: the new transform columns
-    solve a small Sylvester equation against the new (s, l) block with the
-    placed matrix -S^T - L^T fb G^T - T M T^T G qk G^T.  The middle matrix
-    grows to the coupling ``D`` when given, by the inverse of a small
-    Lyapunov solution when the equation has a quadratic weight ``qk``, and
-    is the identity, kept as None, otherwise.
+    The equations differ only in the pole placement ``eq`` carries: the new
+    transform columns solve a small Sylvester equation against the new
+    (s, l) block with the placed matrix -S^T - L^T fb G^T - T M T^T G qk G^T.
+    The middle matrix grows to the coupling ``D`` when given, by the inverse
+    of a small Lyapunov solution when the equation has a quadratic weight
+    ``qk``, and is the identity, kept as None, otherwise.
     """
+    fb, qk, rr = eq.fb, eq.qk, eq.rr
     kp = eq.T.shape[0]
     wid = q - kp
     s, l = side.S[kp:q, kp:q], side.L[:, kp:q]
@@ -295,7 +303,7 @@ class _Side:
     factor the n x p factor Cperp^T and its projected output map W^T B2.
     """
 
-    def __init__(self, sys, cache, weight, gamma, name, suffix):
+    def __init__(self, sys, cache, weight, suffix):
         self.sys, self.cache, self.weight = sys, cache, weight
         self.suffix = suffix        # tag suffix of this side's equations
         self._X = _Columns(sys.n)
@@ -305,7 +313,6 @@ class _Side:
         self.G = np.zeros((0, sys.p))   # X^T C^T
         self.lyap = _Eq(None, None, np.array(sys.B, dtype=float))
         self.bounds = [0]               # basis-column counts at unit boundaries
-        self.cfg, self.skip = _family_configs(sys, gamma, name)
         self.eqs, self.sylv = {}, None
 
     X = property(lambda self: self._X.view, doc="Shared basis, read-only.")
@@ -313,14 +320,6 @@ class _Side:
     k = property(lambda self: self._X.k)
     perp = property(lambda self: self.lyap.perp,
                     doc="Residual factor of the Lyapunov record, read-only.")
-
-    def factor(self, Y, rr=None):
-        """Residual factor B rr - E X[:, :len(Y)] Y on this side's basis;
-        an equation's Y = T M L_c^T comes from its transform T, middle
-        matrix M and companion shift block L_c.  rr defaults to the
-        identity."""
-        B = self.sys.B if rr is None else self.sys.B @ rr
-        return B - self.sys.E @ (self.X[:, : Y.shape[0]] @ Y)
 
     def expand(self, unit):
         """Extend the basis by one shift unit with one large shifted solve,
@@ -335,33 +334,38 @@ class _Side:
         self.lyap.perp = self.perp - (self.sys.E @ block) @ l.T
         self.bounds.append(self.k)
 
-    def advance(self, fam):
-        """Update of one Riccati-family equation over the new block."""
-        c, eq = self.cfg[fam], self.eqs[fam]
-        return [(self, eq, _advance(self, eq, self.k, self.L, c["fb"], c["qk"],
-                                    c["rr"]), c["rr"])]
+    def advance(self, eq):
+        """Update of one Riccati-family record over the new block."""
+        return [(self, eq, _advance(self, eq, self.k, self.L))]
+
+    def commit(self, updates):
+        """Set each updated record's T, M and perp = B rr - E X Y from its
+        update (eq, (T, M, Y)), forming every factor in one pass:
+        B [rr_1 ... rr_r] - E (X [Y_1 ... Y_r]).  A Sylvester half's Y
+        covers a basis prefix and is zero-padded to k rows."""
+        if not updates:
+            return
+        B = self.sys.B
+        R = np.hstack([B if eq.rr is None else B @ eq.rr for eq, _ in updates])
+        Y = np.hstack([_pad_rows(y, self.k - len(y)) for _, (_, _, y) in updates])
+        R -= self.sys.E @ (self.X @ Y)
+        start = 0
+        for eq, (T, M, y) in updates:
+            eq.T, eq.M, eq.perp = T, M, R[:, start : start + y.shape[1]]
+            start += y.shape[1]
 
 
 def _sf_side(side, other, VW):
     """Spectral-factor (T, M, Y) of one side, recomputed on the whole basis;
     ``VW`` is X^T X_other of this side."""
-    c = side.cfg["sf"]
+    eq = side.eqs["sf"]
     Cm = other.G.T @ VW.T + side.sys.D.T @ side.G.T
-    F = -side.S.T - side.L.T @ c["fb"] @ Cm
-    T = solve_small_sylvester(F, side.schur, side.L.T @ c["rr"] @ side.L)
-    Cs = c["rr"] @ Cm @ T
+    F = -side.S.T - side.L.T @ eq.fb @ Cm
+    T = solve_small_sylvester(F, side.schur, side.L.T @ eq.rr @ side.L)
+    Cs = eq.rr @ Cm @ T
     X = solve_small_lyapunov(-side.schur, side.L.T @ side.L - Cs.T @ Cs)
     M = spla.inv(X)
     return T, M, T @ (M @ side.L.T)
-
-
-def _solved(group, *args):
-    """The updates ``group(*args)`` returns, or the numerical failure that
-    stopped its small solves."""
-    try:
-        return group(*args)
-    except _NUMERICAL_FAILURES as exc:
-        return exc
 
 
 class UadiState:
@@ -374,7 +378,6 @@ class UadiState:
         self.selection = selection
         self.iteration = 0
         self.alpha_units, self.beta_units = [], []
-        self.enabled = set()
         self.skipped = {}
         self.degraded = {}
         self.single_system = sys1.same_realization(sys2)
@@ -384,10 +387,9 @@ class UadiState:
         dual = sys2.dual()
         cache2 = (cache1.transposed() if self.single_system else
                   FactorizationCache(dual.A, dual.E))
-        self.v = _Side(sys1, cache1, S1, self.params.gamma1, "G1", "_p")
-        self.w = _Side(dual, cache2, S2, self.params.gamma2, "G2.dual()", "_q")
+        self.v = _Side(sys1, cache1, S1, "_p")
+        self.w = _Side(dual, cache2, S2, "_q")
         self.VW = np.zeros((0, 0))   # V^T W (spectral-factor branch only)
-        self._resolve_feasibility()
         self._build_table()
 
     V = property(lambda self: self.v.X, doc="Shared basis of the V side.")
@@ -407,7 +409,7 @@ class UadiState:
         self.v.cache.declare_recurring(alphas)
         self.w.cache.declare_recurring(betas)
 
-    # -- feasibility ------------------------------------------------------
+    # -- the equation table -------------------------------------------------
 
     def _skip(self, tag, reason):
         if tag in self.selection.tags:
@@ -416,61 +418,55 @@ class UadiState:
             self.skipped[tag] = reason
             logger.info("skipping %s: %s", tag, reason)
 
-    def _resolve_feasibility(self):
-        s1, s2 = self.sys1, self.sys2
-        want = set(self.selection.tags) | {"lyap_p", "lyap_q"}
-        feasible = {"lyap_p", "lyap_q", "ldl_p", "ldl_q"}
-        if s1.m == s2.p:
-            feasible.add("sylv")
-        else:
-            self._skip("sylv", f"m1={s1.m} != p2={s2.p}")
-        sf_why = ("G1 != G2" if not self.single_system else
-                  self.v.skip.get("sf") or self.w.skip.get("sf"))
-        for side in (self.v, self.w):
-            if sf_why:
-                side.cfg.pop("sf", None)
-                side.skip["sf"] = sf_why
-            feasible |= {f + side.suffix for f in side.cfg}
-            for fam, why in side.skip.items():
-                self._skip(fam + side.suffix, why)
-        if self.params.gamma1 == 1.0 or self.params.gamma2 == 1.0:
-            logger.info("gamma = 1: bounded-gain equations reduce to the "
-                        "plain Lyapunov equations")
-        if self.params.gamma1 < 1.0 or self.params.gamma2 < 1.0:
-            logger.warning("gamma < 1 flips the sign of the quadratic term; "
-                           "the bounded-gain equations become Lyapunov-like")
-        self.enabled = want & feasible
-
-    # -- the equation table -------------------------------------------------
-
     def _build_table(self):
-        """Seed the enabled equations' records, map each enabled tag to its
-        entry (side, eq, weight, right), and fix each tag's normalization,
-        its residual norm at X = 0, and the tag groups every step runs."""
-        on = self.enabled
+        """Resolve every requested tag once.  A feasible equation gets its
+        record, seeded at X = 0 with its pole placement; an infeasible one
+        is skipped with its reason.  Then map each enabled tag to its entry
+        (side, eq, weight, right), and fix each tag's normalization, its
+        residual norm at X = 0, and the tag groups every step runs."""
+        v, w, prm = self.v, self.w, self.params
+        want = set(self.selection.tags) | {"lyap_p", "lyap_q"}
+        sylv_ok = self.sys1.m == self.sys2.p
+        if not sylv_ok:
+            self._skip("sylv", f"m1={self.sys1.m} != p2={self.sys2.p}")
+        fams = [_family_configs(v.sys, prm.gamma1, "G1"),
+                _family_configs(w.sys, prm.gamma2, "G2.dual()")]
+        sf_why = ("G1 != G2" if not self.single_system else
+                  fams[0][1].get("sf") or fams[1][1].get("sf"))
         # the spectral-factor pair is recomputed together
-        pair = {"sf"} if on & {"sf_p", "sf_q"} else set()
+        pair = {"sf"} if want & {"sf_p", "sf_q"} and not sf_why else set()
         table, self._groups = {}, []
-        for side in (self.v, self.w):
+        for side, (cfg, skip) in zip((v, w), fams):
             sfx = side.suffix
-            side.cfg = {f: c for f, c in side.cfg.items()
-                        if f + sfx in on or f in pair}
-            side.eqs = {f: _Eq.empty(side.sys.B @ c["rr"])
-                        for f, c in side.cfg.items()}
-            if "sylv" in on:
-                side.sylv = _Eq.empty(side.perp)
+            if sf_why:
+                cfg.pop("sf", None)
+                skip["sf"] = sf_why
+            for fam, why in skip.items():
+                self._skip(fam + sfx, why)
+            side.eqs = {f: _Eq(np.zeros((0, 0)), np.zeros((0, 0)),
+                               side.sys.B @ c["rr"], **c)
+                        for f, c in cfg.items() if f + sfx in want or f in pair}
+            if "sylv" in want and sylv_ok:
+                side.sylv = _Eq(np.zeros((0, 0)), np.zeros((0, 0)), side.perp.copy())
             table["lyap" + sfx] = (side, side.lyap, None, None)
             table["ldl" + sfx] = (side, side.lyap, side.weight, None)
             for f, eq in side.eqs.items():
                 table[f + sfx] = (side, eq, None, None)
                 if f != "sf":
-                    self._groups.append(((f + sfx,), side.advance, f))
-        table["sylv"] = (self.v, self.v.sylv, None, self.w.sylv)
-        if "sylv" in on:
+                    self._groups.append(((f + sfx,), side.advance, eq))
+        if v.sylv is not None:
+            table["sylv"] = (v, v.sylv, None, w.sylv)
             self._groups.append((("sylv",), self._sylv_group))
         if pair:
             self._groups.append((("sf_p", "sf_q"), self._sf_group))
-        self.table = {tag: table[tag] for tag in on}
+        if prm.gamma1 == 1.0 or prm.gamma2 == 1.0:
+            logger.info("gamma = 1: bounded-gain equations reduce to the "
+                        "plain Lyapunov equations")
+        if prm.gamma1 < 1.0 or prm.gamma2 < 1.0:
+            logger.warning("gamma < 1 flips the sign of the quadratic term; "
+                           "the bounded-gain equations become Lyapunov-like")
+        self.enabled = want & table.keys()
+        self.table = {tag: table[tag] for tag in self.enabled}
         self.const = {tag: _scale(gram_norm2(eq.perp, weight, right and right.perp))
                       for tag, (_, eq, weight, right) in self.table.items()}
 
@@ -487,8 +483,8 @@ class UadiState:
         d = solve_small_sylvester(-w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
                                   w.L[:, kp:q].T @ v.L[:, kp:q])
         D = spla.block_diag(v.sylv.M, spla.inv(d))
-        return [(v, v.sylv, _advance(v, v.sylv, q, w.L, D=D), None),
-                (w, w.sylv, _advance(w, w.sylv, q, v.L, D=D.T), None)]
+        return [(v, v.sylv, _advance(v, v.sylv, q, w.L, D=D)),
+                (w, w.sylv, _advance(w, w.sylv, q, v.L, D=D.T))]
 
     def _sf_group(self):
         """Updates of the spectral-factor pair, recomputed whole each step;
@@ -497,21 +493,8 @@ class UadiState:
         kv, kw = self.VW.shape
         self.VW = np.vstack([self.VW, v.X[:, kv:].T @ w.X[:, :kw]])
         self.VW = np.hstack([self.VW, v.X.T @ w.X[:, kw:]])
-        return [(v, v.eqs["sf"], _sf_side(v, w, self.VW), v.cfg["sf"]["rr"]),
-                (w, w.eqs["sf"], _sf_side(w, v, self.VW.T), w.cfg["sf"]["rr"])]
-
-    def _commit(self, tags, outcome):
-        """Commit one tag group's updates (side, eq, (T, M, Y), rr) as
-        eq.T, eq.M, eq.perp = T, M, B rr - E X Y, or mark the whole group
-        degraded when ``outcome`` is the failure of its small solves; a
-        degraded equation keeps the T, M and perp of its last good step."""
-        if isinstance(outcome, Exception):
-            for tag in tags:
-                self.degraded[tag] = str(outcome)
-            logger.warning("%s degraded: %s", "/".join(tags), outcome)
-            return
-        for side, eq, (T, M, Y), rr in outcome:
-            eq.T, eq.M, eq.perp = T, M, side.factor(Y, rr)
+        return [(v, v.eqs["sf"], _sf_side(v, w, self.VW)),
+                (w, w.eqs["sf"], _sf_side(w, v, self.VW.T))]
 
     def step(self, alpha, beta):
         """Consume one shift unit per side (a complex shift stands for its
@@ -522,11 +505,21 @@ class UadiState:
             side.expand(unit)
         self.alpha_units.append(au)
         self.beta_units.append(bu)
-        # every small solve of the step runs before any residual factor
-        solved = [(tags, _solved(*group)) for tags, *group in self._groups
-                  if not self.degraded.keys() & set(tags)]
-        for tags, outcome in solved:
-            self._commit(tags, outcome)
+        # Every small solve of the step runs before any residual factor.  A
+        # group whose small solves fail is degraded and keeps the T, M and
+        # perp of its last good step.
+        updates = []
+        for tags, group, *args in self._groups:
+            if self.degraded.keys() & set(tags):
+                continue
+            try:
+                updates += group(*args)
+            except _NUMERICAL_FAILURES as exc:
+                for tag in tags:
+                    self.degraded[tag] = str(exc)
+                logger.warning("%s degraded: %s", "/".join(tags), exc)
+        for side in (self.v, self.w):
+            side.commit([(eq, new) for s, eq, new in updates if s is side])
         self.iteration += 1
         return self
 

@@ -139,6 +139,36 @@ class TestProjectionStrategies:
         assert want != first_unit(X)   # the whole window would rank otherwise
         assert oracle.next_unit().value == want
 
+    def test_complex_ritz_values_come_in_adjacent_pairs(self):
+        # orth of a full-rank residual factor spans the whole space, so the
+        # Ritz values are the poles -1 +- 3j, -2 +- 5j and -0.5
+        rng = np.random.default_rng(8)
+        Q = rng.standard_normal((5, 5))
+        A0 = Q @ spla.block_diag([[-1.0, 3.0], [-3.0, -1.0]],
+                                 [[-2.0, 5.0], [-5.0, -2.0]], -0.5) @ np.linalg.inv(Q)
+        E = np.eye(5) + 0.2 * rng.standard_normal((5, 5))
+        sys = StateSpaceSystem(E, E @ A0, np.eye(5), np.ones((1, 5)))
+        poles = [-1 + 3j, -1 - 3j, -2 + 5j, -2 - 5j, -0.5]
+        shifts = next_shifts_projection1(sys.B, sys)
+        assert len(shifts) == 5 and all(s.real < 0 for s in shifts)
+        for want in poles:
+            assert min(abs(s - want) for s in shifts) < 1e-8
+        i = 0
+        while i < len(shifts):
+            if shifts[i].imag == 0:
+                i += 1
+                continue
+            assert shifts[i + 1] == shifts[i].conjugate()
+            i += 2
+        oracle = ProjectionShiftOracle(sys, 1)
+        oracle.observe(np.ones((5, 1)), sys.B)
+        units = [oracle.next_unit()]
+        while oracle._unit_queue:
+            units.append(oracle.next_unit())
+        assert len(units) == 3   # one unit per conjugate pair, one real
+        for want in (-1 + 3j, -2 + 5j, -0.5):
+            assert min(abs(u.value - want) for u in units) < 1e-8
+
 
 class TestSubspaceOracle:
     def test_exact_invariant_subspace(self):
@@ -275,6 +305,24 @@ class TestPetrovOracle:
         s, ranking = next_shift_petrov_bt(hist, hist, sys.B, sys.C.T, sys)
         assert s == pytest.approx(-2.0)
         assert ranking.scores[0] == pytest.approx(0.0)
+
+    def test_windows_of_different_widths(self):
+        # a 4-column V window spanning an invariant subspace and a random
+        # 6-column W window: the projected E is 6 x 4, solved in the least
+        # squares sense, and A V = E V Lambda makes that solve exact
+        rng = np.random.default_rng(4)
+        Q = rng.standard_normal((10, 10))
+        A0 = Q @ np.diag(-np.arange(1.0, 11.0)) @ np.linalg.inv(Q)
+        E = np.eye(10) + 0.2 * rng.standard_normal((10, 10))
+        sys = StateSpaceSystem(E, E @ A0, rng.standard_normal((10, 1)),
+                               rng.standard_normal((1, 10)))
+        V = spla.orth(Q[:, :4])
+        W = spla.orth(rng.standard_normal((10, 6)))
+        assert V.shape[1] == 4 and W.shape[1] == 6
+        s, ranking = next_shift_petrov_bt(V, W, sys.B, sys.C.T, sys)
+        assert np.isfinite(s) and s.real < 0
+        assert len(ranking.eigenvalues) == 4
+        assert min(abs(s - p) for p in (-1.0, -2.0, -3.0, -4.0)) < 1e-8
 
     def test_singular_projected_e_fallback(self):
         sys = random_stable_system(10, 1, 1, 9)

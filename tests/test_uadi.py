@@ -176,6 +176,34 @@ class TestSolveBudget:
         uadi_step(st, -1.0, -1.2)
         assert st.large_solve_count == 6
 
+    @pytest.mark.parametrize("tags, count", [("lyap_p,lyap_q", 2),
+                                             ("lyap_p,lyap_q,ricc_p,ricc_q", 4),
+                                             ("all", 17)])
+    def test_e_products_do_not_grow_with_equations(self, tags, count):
+        """Past its large solve a side touches E twice per step, however
+        many equations it carries: once for the new block and once for the
+        one pass that forms every other record's residual factor."""
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, tags)
+        assert len(st.enabled) == count
+        counts = {}
+
+        class CountingE:
+            def __init__(self, E, side):
+                self.E, self.side = E, side
+
+            def __matmul__(self, X):
+                counts[self.side] += 1
+                return self.E @ X
+
+        for name, side in (("v", st.v), ("w", st.w)):
+            side.sys.E = CountingE(side.sys.E, name)
+        for a, b in ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0), (-0.8, -1.5)):
+            counts.update(v=0, w=0)
+            uadi_step(st, a, b)
+            assert counts["v"] <= 2 and counts["w"] <= 2, counts
+        assert not st.degraded
+
 
 SHIFT_PATTERNS = {
     "case1": ([-0.5, -1.2, -3.0], [-0.8, -2.0, -4.0]),
@@ -478,11 +506,12 @@ class TestExtractionKernel:
         for a, b in [(-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0)]:
             uadi_step(st, a, b)
         for side in (st.v, st.w):
-            eq = engine._Eq.empty(side.sys.B)
+            eq = engine._Eq(np.zeros((0, 0)), np.zeros((0, 0)), side.sys.B)
             for q in side.bounds[1:]:   # one unit block at a time
                 eq.T, eq.M, Y = engine._advance(side, eq, q, side.L)
             assert np.abs(eq.T - np.eye(side.k)).max() <= 1e-12
-            dev = np.linalg.norm(side.factor(Y) - side.perp)
+            side.commit([(eq, (eq.T, eq.M, Y))])
+            dev = np.linalg.norm(eq.perp - side.perp)
             assert dev <= 1e-12 * np.linalg.norm(side.perp)
 
 
@@ -1004,3 +1033,41 @@ class TestTraceHooks:
         assert calls == {"next_unit": per_side * iters,
                          "observe": per_side * iters}
         assert not nested, nested
+
+    def test_span_tracer_installs(self):
+        """The benchmark's tracer patches every layer boundary it times on
+        the real package; a renamed boundary fails here instead of crashing
+        a traced benchmark run.  A child process keeps the patches out of
+        this one."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import uadi
+
+        script = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from spans import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "from uadi import cli\n"
+            "cli.run(cli.RunConfig(sys1='rlc:6', sys2='rlc:6', shifts='petrov-bt',\n"
+            "                      equations='lyap_p,lyap_q,sylv', max_iter=2,\n"
+            "                      tol=1e-300))\n"
+            "print(json.dumps(sorted(tracer.summary())))\n"
+        )
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        path = [str(Path(uadi.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(bench)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert {"systems.build", "uadi.init", "uadi.step", "uadi.residual",
+                "linalg.lu", "linalg.solve", "linalg.small_sylv",
+                "linalg.gram_norm", "shiftgen.next", "shiftgen.observe"} <= names
