@@ -4,8 +4,10 @@ residual/shift logging, and the acceptance-experiment scenarios.
 Subcommands: ``solve`` (general runs), ``table1`` (the four-configuration
 Sylvester shift study on the embedded illustrative pair) and
 ``equivalence`` (extraction-vs-direct-solver comparison on random pairs).
+The ``solve`` flags are the fields of ``RunConfig``, with its defaults.
 Exit codes: 0 on convergence/pass, 2 when not every equation converged
-(the iteration budget ran out, or an equation degraded), 1 on error.
+(the iteration budget ran out, or an equation degraded), 1 on error (bad
+input, or an ``--out`` that cannot be written).
 The UADI_LOG environment variable ({error, info, debug}) sets verbosity.
 """
 
@@ -15,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from . import classic
 from .errors import ParseError, UadiError, ZeroResidual
 from .realify import ShiftUnit, expand_units
 from .shiftgen import (
+    DEFAULT_CAP,
     PetrovBtShiftOracle,
     ProjectionShiftOracle,
     StaticShiftOracle,
@@ -58,7 +61,7 @@ class RunConfig:
     shifts: str = "subspace"
     max_iter: int = 50
     tol: float = 1e-8
-    restart_cap: int = 20
+    restart_cap: int = DEFAULT_CAP
     out: str = None
     gamma1: float = 2.0
     gamma2: float = 3.0
@@ -69,6 +72,8 @@ class RunConfig:
             raise ParseError("tol must be positive")
         if self.max_iter < 1:
             raise ParseError("max_iter must be >= 1")
+        if self.restart_cap < 0:
+            raise ParseError("restart_cap must be >= 0")
 
 
 @dataclass
@@ -149,7 +154,9 @@ class _ShiftDriver:
     """Bridges a shift strategy to the engine loop.  Each oracle runs on its
     engine side's own system (G1, or G2.dual() on the W side) and observes
     that side's basis and residual factor as the side holds them
-    (``sylv-alt``: the Sylvester halves' factors).
+    (``sylv-alt`` with ``sylv`` enabled: the Sylvester halves' factors).
+    ``oa`` emits the alpha units and ``ob`` the beta units; a two-sided
+    oracle (``petrov-bt``, ``sylv-alt``) has no ``ob`` and its unit is both.
     ``recurring`` holds the alpha and beta values a static list cycles
     through, whose LUs are worth keeping; adaptive strategies repeat
     nothing."""
@@ -158,8 +165,8 @@ class _ShiftDriver:
         kind, cap = config.shifts, config.restart_cap
         v, w = state.v.sys, state.w.sys
         self.recurring = ((), ())
-        self.single = None          # the one oracle of an alpha = beta strategy
-        self.sylv_halves = kind == "sylv-alt"
+        self.ob = None
+        self.sylv_halves = kind == "sylv-alt" and "sylv" in state.enabled
         if kind.startswith("static"):
             _, _, path = kind.partition(":")
             if not path:
@@ -177,33 +184,42 @@ class _ShiftDriver:
             self.oa = SubspaceShiftOracle(v, cap)
             self.ob = SubspaceShiftOracle(w, cap)
         elif kind == "petrov-bt":
-            self.single = PetrovBtShiftOracle(v, cap)
+            if not state.single_system:
+                raise ParseError("petrov-bt shifts need G1 = G2")
+            self.oa = PetrovBtShiftOracle(v, cap)
         elif kind == "sylv-alt":
-            self.single = SylvesterAlternatingOracle(v, w, cap)
+            self.oa = SylvesterAlternatingOracle(v, w, cap)
         else:
             raise ParseError(f"unknown shift strategy {kind!r}")
 
     def next_pair(self):
-        if self.single is not None:
-            unit = self.single.next_unit()
-            return unit, ShiftUnit(unit.value)
-        return self.oa.next_unit(), self.ob.next_unit()
+        au = self.oa.next_unit()
+        return au, au if self.ob is None else self.ob.next_unit()
 
     def after_step(self, state):
         v, w = state.v, state.w
-        fv, fw = ((v.sylv, w.sylv) if self.sylv_halves and v.sylv is not None
-                  else (v.lyap, w.lyap))
-        if self.single is not None:
-            self.single.observe(v.X, w.X, fv.perp, fw.perp)
+        fv, fw = (v.sylv, w.sylv) if self.sylv_halves else (v.lyap, w.lyap)
+        if self.ob is None:
+            self.oa.observe(v.X, w.X, fv.perp, fw.perp)
         else:
             self.oa.observe(v.X, fv.perp)
             self.ob.observe(w.X, fw.perp)
 
 
+def _status(state, tag, tol):
+    """(residual, status) of an enabled equation: degraded with its reason,
+    converged, diverged (worse than X = 0, or not finite) or active."""
+    res = state.residual_norm(tag)
+    if tag in state.degraded:
+        return res, f"degraded: {state.degraded[tag]}"
+    return res, ("converged" if res <= tol else
+                 "active" if res <= 1.0 else "diverged")
+
+
 def run(config):
-    """Iterate the engine until every enabled residual that has not degraded
-    is below tol or the iteration budget runs out; always writes report
-    files when ``out`` is set, even on partial failure."""
+    """Iterate the engine until every enabled equation has converged or
+    degraded, or the iteration budget runs out; always writes report files
+    when ``out`` is set, even on partial failure."""
     t0 = time.perf_counter()
     sys1 = build_system(config.sys1, 1)
     sys2 = build_system(config.sys2, 2)
@@ -232,53 +248,35 @@ def run(config):
                 break
             uadi_step(state, au, bu)
             driver.after_step(state)
-            report.alphas.extend(au.shifts())
-            report.betas.extend(bu.shifts())
-            all_done = True
+            settled = True
             for tag in sorted(state.enabled):
-                res = state.residual_norm(tag)
+                res, status = _status(state, tag, config.tol)
+                settled = settled and status.startswith(("converged", "degraded"))
                 shift = bu.value if tag.endswith("_q") else au.value
-                report.records.append({
-                    "iter": it, "equation": tag, "residual": res,
-                    "shift_re": shift.real, "shift_im": shift.imag,
-                    "large_solves": state.large_solve_count,
-                })
+                report.records.append(dict(iter=it, equation=tag, residual=res,
+                                           shift_re=shift.real, shift_im=shift.imag))
                 if csv_fh is not None:
-                    csv_fh.write(
-                        f"{it},{tag},{res:.17g},{shift.real:.17g},{shift.imag:.17g}\n"
-                    )
-                if tag not in state.degraded and res > config.tol:
-                    all_done = False
+                    csv_fh.write(f"{it},{tag},{res:.17g},{shift.real:.17g},"
+                                 f"{shift.imag:.17g}\n")
             if csv_fh is not None:
                 csv_fh.flush()
-            if all_done:
+            if settled:
                 break
     finally:
         report.iterations = state.iteration
         report.solve_count = state.large_solve_count
-        report.factorizations = (state.cache1.factor_count
-                                 + state.cache2.factor_count)
+        report.factorizations = state.cache1.factor_count + state.cache2.factor_count
         report.elapsed = time.perf_counter() - t0
+        report.alphas = expand_units(state.alpha_units)
+        report.betas = expand_units(state.beta_units)
         for tag in sorted(state.enabled):
-            res = report.final_residuals[tag] = state.residual_norm(tag)
-            if tag in state.degraded:
-                report.statuses[tag] = f"degraded: {state.degraded[tag]}"
-            elif res <= config.tol:
-                report.statuses[tag] = "converged"
-            elif not res <= 1.0:   # worse than X = 0, or not finite
-                report.statuses[tag] = "diverged"
-            else:
-                report.statuses[tag] = "active"
-            try:
-                report.ranks[tag] = state.rank(tag)
-            except UadiError:
-                report.ranks[tag] = 0
+            report.final_residuals[tag], report.statuses[tag] = _status(
+                state, tag, config.tol)
+            report.ranks[tag] = state.rank(tag) if state.iteration else 0
         report.converged = bool(state.enabled) and all(
-            report.statuses[tag] == "converged" for tag in state.enabled
-        )
+            report.statuses[tag] == "converged" for tag in state.enabled)
         if csv_fh is not None:
             csv_fh.close()
-        if out_dir is not None:
             with open(out_dir / "summary.json", "w") as fh:
                 json.dump(report.summary(), fh, indent=2)
     report.state = state
@@ -346,8 +344,7 @@ def scenario_equivalence(seed=42, n=60, iters=8):
         return float(np.linalg.norm(X - Y) / max(np.linalg.norm(Y), 1e-300))
 
     out = {}
-    half = state.v.sylv
-    if half is not None and half.T.shape[0] == state.V.shape[1]:
+    if "sylv" in state.enabled and state.rank("sylv") == state.V.shape[1]:
         ref, _, _ = classic.fadi(sys1, sys2, alphas, betas)
         out["sylv"] = relerr(state.extract("sylv").product(), ref.product())
     refp, _, _ = classic.radi(sys1, alphas)
@@ -377,25 +374,21 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run the unified solver")
-    ps.add_argument("--sys1", default="illustrative",
-                    help="manifest path | penzl:n,w1,w2,w3 | rlc:segments | illustrative")
-    ps.add_argument("--sys2", default="illustrative")
-    ps.add_argument("--equations", default="all",
-                    help="comma-separated tags or 'all'")
-    ps.add_argument("--shifts", default="subspace",
-                    help="static:<file> | proj1 | proj2 | subspace | "
-                         "petrov-bt | sylv-alt")
-    ps.add_argument("--max-iter", type=int, default=50)
-    ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--restart-cap", type=int, default=20)
-    ps.add_argument("--out", default=None, help="report output directory")
-    ps.add_argument("--gamma1", type=float, default=2.0)
-    ps.add_argument("--gamma2", type=float, default=3.0)
-    ps.add_argument("--strict", action="store_true",
-                    help="error out on infeasible equation selections")
+    helps = {
+        "sys1": "manifest path | penzl:n,w1,w2,w3 | rlc:segments | illustrative",
+        "equations": "comma-separated tags or 'all'",
+        "shifts": "static:<file> | proj1 | proj2 | subspace | "
+                  "petrov-bt (G1 = G2) | sylv-alt",
+        "out": "report output directory",
+        "strict": "error out on infeasible equation selections",
+    }
+    for f in fields(RunConfig):
+        kind = {"action": "store_true"} if f.type is bool else {"type": f.type}
+        ps.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                        help=helps.get(f.name), **kind)
 
-    pt = sub.add_parser("table1", help="reproduce the illustrative "
-                                       "Sylvester shift study")
+    sub.add_parser("table1", help="reproduce the illustrative "
+                                  "Sylvester shift study")
 
     pe = sub.add_parser("equivalence", help="extraction vs direct solvers")
     pe.add_argument("--seed", type=int, default=42)
@@ -405,13 +398,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":
-            config = RunConfig(
-                sys1=args.sys1, sys2=args.sys2, equations=args.equations,
-                shifts=args.shifts, max_iter=args.max_iter, tol=args.tol,
-                restart_cap=args.restart_cap, out=args.out,
-                gamma1=args.gamma1, gamma2=args.gamma2, strict=args.strict,
-            )
-            report = run(config)
+            report = run(RunConfig(**{f.name: getattr(args, f.name)
+                                      for f in fields(RunConfig)}))
             for tag in sorted(report.final_residuals):
                 print(f"{tag:8s} residual {report.final_residuals[tag]:.3e}  "
                       f"[{report.statuses[tag]}]")
@@ -434,7 +422,7 @@ def main(argv=None):
                     print(f"{key:8s} max relative deviation {val:.3e}")
             print("pass" if out["pass"] else "FAIL")
             return 0 if out["pass"] else 1
-    except UadiError as exc:
+    except (UadiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -43,11 +43,13 @@ import numpy as np
 import scipy.linalg as spla
 
 from .errors import (
+    EigFailure,
     EquationSkipped,
     ExtractionSingular,
     InfeasibleHard,
+    NonHermitianRHS,
     ParseError,
-    UadiError,
+    SpectraOverlap,
 )
 from .classic import LowRankSolution, ResidualFactor
 from .linalg import (
@@ -63,8 +65,10 @@ from .systems import EquationParams
 logger = logging.getLogger("uadi")
 
 # Numerical failures of one equation's small solves: its tag group is marked
-# degraded and the run goes on.  Anything else is a bug and propagates.
-_NUMERICAL_FAILURES = (UadiError, np.linalg.LinAlgError)
+# degraded and the run goes on.  Anything else (a DimensionMismatch from a
+# small solve, say) is a bug and propagates.
+_NUMERICAL_FAILURES = (SpectraOverlap, EigFailure, NonHermitianRHS,
+                       ExtractionSingular, np.linalg.LinAlgError)
 
 ALL_TAGS = (
     "lyap_p", "lyap_q", "ldl_p", "ldl_q", "mp_p", "mp_q", "sylv",

@@ -226,7 +226,7 @@ class TestOracleStorage:
         rep = run(RunConfig(sys1=pair[0], sys2=pair[1],
                             equations="lyap_p,lyap_q,sylv", shifts=shifts,
                             max_iter=8, tol=1e-300, restart_cap=6))
-        st, oracle = rep.state, drivers[0].single
+        st, oracle = rep.state, drivers[0].oa
         observed = (st.v.sylv, st.w.sylv) if shifts == "sylv-alt" else (st.v, st.w)
         factors = {id(h.perp) for h in observed}
         buffers = (st.v._X._buf, st.w._X._buf)
@@ -347,6 +347,12 @@ class TestMainEntry:
         ["--tol", "0"],
         ["--max-iter", "0"],
         ["--gamma1", "0"],
+        ["--restart-cap", "-1"],
+        ["--out", "{tmp}/bad.txt"],
+        ["--sys1", "penzl:60,1,2,3", "--sys2", "penzl:80,4,5,6",
+         "--shifts", "petrov-bt"],
+        ["--sys1", "penzl:60,1,2,3", "--sys2", "penzl:60,4,5,6",
+         "--shifts", "petrov-bt"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, args):
         (tmp_path / "bad.txt").write_text("-1 0 -1\n")

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as spla
 
 from uadi import classic
-from uadi.errors import EquationSkipped, InfeasibleHard
+from uadi.errors import DimensionMismatch, EquationSkipped, InfeasibleHard
 from uadi.realify import ShiftUnit, expand_units
 from uadi.systems import (
     EquationParams,
@@ -731,15 +731,16 @@ class TestFailurePropagation:
         uadi_step(st, -0.5, -0.6)
         return st
 
-    def test_programming_error_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("bug", [TypeError, DimensionMismatch])
+    def test_programming_error_propagates(self, monkeypatch, bug):
         import uadi.uadi as engine
 
         def broken(F, G, H):
-            raise TypeError("synthetic bug")
+            raise bug("synthetic bug")
 
         st = self._state()
         monkeypatch.setattr(engine, "solve_small_sylvester", broken)
-        with pytest.raises(TypeError):
+        with pytest.raises(bug):
             uadi_step(st, -1.0, -1.2)
 
     def test_spectra_overlap_degrades(self, monkeypatch):
@@ -1071,3 +1072,34 @@ class TestTraceHooks:
         assert {"systems.build", "uadi.init", "uadi.step", "uadi.residual",
                 "linalg.lu", "linalg.solve", "linalg.small_sylv",
                 "linalg.gram_norm", "shiftgen.next", "shiftgen.observe"} <= names
+
+    def test_benchmark_job_phase_marks(self, tmp_path):
+        """The benchmark job rebinds cli's uadi_step, RunReport and
+        rlc_ladder and marks the loop's end at the first assignment of
+        RunReport.iterations; a driver that moves these hooks fails here
+        instead of silently skewing the job's phase times.  A child process
+        keeps the rebinding out of this one."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import uadi
+
+        job = Path(__file__).resolve().parents[1] / "perfbench" / "job.py"
+        path = [str(Path(uadi.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, str(job), "--workload", "bt-rlc", "--seed", "0",
+             "--trace", "0", "--gate", "0", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["ok"], result.get("error") or result.get("eq_failures")
+        assert len(result["iter_ms"]) == result["counts"]["iters"]
+        assert result["setup_s"] > 0 and result["solve_s"] > 0
+        assert (result["setup_s"] + result["solve_s"] + result["report_s"]
+                <= result["total_s"])
