@@ -239,6 +239,7 @@ def run(config):
         csv_fh = open(out_dir / "residuals.csv", "w")
         csv_fh.write("iter,equation,residual,shift_re,shift_im\n")
         csv_fh.flush()
+    last = {}   # tag -> (residual, status) as last read
     try:
         for it in range(1, config.max_iter + 1):
             try:
@@ -248,10 +249,19 @@ def run(config):
                 break
             uadi_step(state, au, bu)
             driver.after_step(state)
+            # A stale tag (the spectral-factor pair between rebuilds) comes
+            # last and is read, and so rebuilt, only once every other
+            # equation has settled, or at the last iteration; until then its
+            # row repeats the value of its last rebuild, and the run cannot
+            # stop anyway.
             settled = True
-            for tag in sorted(state.enabled):
-                res, status = _status(state, tag, config.tol)
+            for tag in sorted(state.enabled, key=state.stale):
+                if settled or it == config.max_iter or not state.stale(tag):
+                    last[tag] = _status(state, tag, config.tol)
+                status = last[tag][1]
                 settled = settled and status.startswith(("converged", "degraded"))
+            for tag in sorted(state.enabled):
+                res = last[tag][0]
                 shift = bu.value if tag.endswith("_q") else au.value
                 report.records.append(dict(iter=it, equation=tag, residual=res,
                                            shift_re=shift.real, shift_im=shift.imag))

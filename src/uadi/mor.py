@@ -24,7 +24,9 @@ __all__ = [
     "bt_from_factors",
 ]
 
-# ROM variant -> the equation family whose solution sets its free parameter
+# ROM variant -> the equation family whose solution sets its free parameter.
+# build_rom reads a family's record directly, so no variant uses ``sf``: that
+# record is stale between its pair's rebuilds and is read through the state.
 _FAMILY = {"lyap": None, "sylv-pole": "sylv", "ricc-observer": "ricc",
            "inf-filter": "inf", "mp": "mp", "pr": "pr", "br": "br"}
 VARIANTS = tuple(_FAMILY)

@@ -190,7 +190,8 @@ def next_shift_petrov_bt(history_V, history_W, B_perp, C_perp, sys):
     Ch = np.atleast_2d(C_perp).T @ V1
     try:
         sv = spla.svdvals(Eh)
-        scale = max(np.linalg.norm(EV, 2), 1e-300)  # W2 is orthonormal
+        gram = EV.T @ EV   # ||E V1||_2^2 is its top eigenvalue; W2 is orthonormal
+        scale = max(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)), 1e-300)
         if sv.size == 0 or sv[-1] <= 1e-12 * scale:
             raise spla.LinAlgError("projected E numerically singular")
         if Eh.shape[0] == Eh.shape[1]:

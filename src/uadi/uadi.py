@@ -21,6 +21,11 @@ Lyapunov record with a weight, sylv the V half with the W half as right.
 Every reader goes through the table, and every residual is normalized by
 its own norm at X = 0.
 
+The spectral-factor pair is coupled to the current Gramians, so each
+rebuild solves it whole on the current basis.  Nothing inside the iteration
+reads it: a step rebuilds it only once the basis has grown by ``_GROWTH``
+since its last rebuild, and a read of a stale pair rebuilds it first.
+
 The two sides run one algorithm: the W side (observability, C2^T
 right-hand side) is the V side's ADI on the dual realization
 G2.dual() = (E2^T, A2^T, C2^T, B2^T, D2^T).
@@ -69,6 +74,10 @@ logger = logging.getLogger("uadi")
 # small solve, say) is a bug and propagates.
 _NUMERICAL_FAILURES = (SpectraOverlap, EigFailure, NonHermitianRHS,
                        ExtractionSingular, np.linalg.LinAlgError)
+
+# Growth of the basis between the spectral-factor pair's rebuilds in a step,
+# and of a ``_Columns`` buffer's capacity when it is full.
+_GROWTH = 2
 
 ALL_TAGS = (
     "lyap_p", "lyap_q", "ldl_p", "ldl_q", "mp_p", "mp_q", "sylv",
@@ -153,11 +162,11 @@ def _flush_subnormals(block):
 class _Columns:
     """An n-row float array that grows by appending column blocks in place.
 
-    Column-major storage whose capacity doubles when full, so a new block
-    costs O(n m) copied bytes, amortized, instead of a copy of the whole
-    basis; only the filled columns of a buffer are ever written, so the
-    unused capacity is never made resident.  ``view`` is the filled part,
-    read-only.  Filled columns are never written again, so a view taken
+    Column-major storage whose capacity grows by ``_GROWTH`` when full, so
+    a new block costs O(n m) copied bytes, amortized, instead of a copy of
+    the whole basis; only the filled columns of a buffer are ever written,
+    so the unused capacity is never made resident.  ``view`` is the filled
+    part, read-only.  Filled columns are never written again, so a view taken
     earlier keeps its values when the buffer is reallocated.
     """
 
@@ -174,8 +183,8 @@ class _Columns:
     def append(self, block):
         k = self.k + block.shape[1]
         if k > self._buf.shape[1]:
-            buf = np.empty((self._buf.shape[0], max(k, 2 * self._buf.shape[1])),
-                           order="F")
+            cap = max(k, _GROWTH * self._buf.shape[1])
+            buf = np.empty((self._buf.shape[0], cap), order="F")
             buf[:, : self.k] = self._buf[:, : self.k]
             self._buf = buf
         self._buf[:, self.k : k] = block
@@ -244,6 +253,8 @@ class _Eq:
     M is the shared coupling D (transposed on the W side).  An identity M
     is kept as None; T = None is the whole untransformed basis, the side's
     Lyapunov equation.  A record is seeded at X = 0 with an empty T and M.
+    The spectral-factor record is stale between its pair's rebuilds: read
+    it through the state (``UadiState.stale``), never as ``side.eqs["sf"]``.
     """
 
     T: np.ndarray
@@ -305,6 +316,7 @@ class _Side:
     The V side runs on G1.  The W side is the same algorithm on
     G2.dual() = (E2^T, A2^T, C2^T, B2^T, D2^T): its basis is W, its residual
     factor the n x p factor Cperp^T and its projected output map W^T B2.
+    Its ``eqs["sf"]`` record is stale between its pair's rebuilds (``_Eq``).
     """
 
     def __init__(self, sys, cache, weight, suffix):
@@ -360,7 +372,7 @@ class _Side:
 
 
 def _sf_side(side, other, VW):
-    """Spectral-factor (T, M, Y) of one side, recomputed on the whole basis;
+    """Spectral-factor (T, M, Y) of one side, rebuilt on the whole basis;
     ``VW`` is X^T X_other of this side."""
     eq = side.eqs["sf"]
     Cm = other.G.T @ VW.T + side.sys.D.T @ side.G.T
@@ -393,7 +405,7 @@ class UadiState:
                   FactorizationCache(dual.A, dual.E))
         self.v = _Side(sys1, cache1, S1, "_p")
         self.w = _Side(dual, cache2, S2, "_q")
-        self.VW = np.zeros((0, 0))   # V^T W (spectral-factor branch only)
+        self.VW = np.zeros((0, 0))   # V^T W as of the pair's last rebuild
         self._build_table()
 
     V = property(lambda self: self.v.X, doc="Shared basis of the V side.")
@@ -437,7 +449,7 @@ class UadiState:
                 _family_configs(w.sys, prm.gamma2, "G2.dual()")]
         sf_why = ("G1 != G2" if not self.single_system else
                   fams[0][1].get("sf") or fams[1][1].get("sf"))
-        # the spectral-factor pair is recomputed together
+        # the spectral-factor pair is rebuilt together
         pair = {"sf"} if want & {"sf_p", "sf_q"} and not sf_why else set()
         table, self._groups = {}, []
         for side, (cfg, skip) in zip((v, w), fams):
@@ -461,8 +473,7 @@ class UadiState:
         if v.sylv is not None:
             table["sylv"] = (v, v.sylv, None, w.sylv)
             self._groups.append((("sylv",), self._sylv_group))
-        if pair:
-            self._groups.append((("sf_p", "sf_q"), self._sf_group))
+        self._pair = (("sf_p", "sf_q"), self._sf_group) if pair else None
         if prm.gamma1 == 1.0 or prm.gamma2 == 1.0:
             logger.info("gamma = 1: bounded-gain equations reduce to the "
                         "plain Lyapunov equations")
@@ -491,8 +502,8 @@ class UadiState:
                 (w, w.sylv, _advance(w, w.sylv, q, v.L, D=D.T))]
 
     def _sf_group(self):
-        """Updates of the spectral-factor pair, recomputed whole each step;
-        first grows V^T W by the new columns."""
+        """Updates of the spectral-factor pair, rebuilt whole on the current
+        bases; first grows V^T W by the columns since the last rebuild."""
         v, w = self.v, self.w
         kv, kw = self.VW.shape
         self.VW = np.vstack([self.VW, v.X[:, kv:].T @ w.X[:, :kw]])
@@ -509,11 +520,20 @@ class UadiState:
             side.expand(unit)
         self.alpha_units.append(au)
         self.beta_units.append(bu)
-        # Every small solve of the step runs before any residual factor.  A
-        # group whose small solves fail is degraded and keeps the T, M and
-        # perp of its last good step.
+        groups = self._groups
+        if self._pair and self.v.k >= _GROWTH * len(self.v.eqs["sf"].T):
+            groups = groups + [self._pair]
+        self._update(groups)
+        self.iteration += 1
+        return self
+
+    def _update(self, groups):
+        """Run every small solve of the groups not yet degraded, then each
+        side's one commit of the new residual factors.  A group whose small
+        solves fail is degraded and keeps the T, M and perp of its last good
+        update."""
         updates = []
-        for tags, group, *args in self._groups:
+        for tags, group, *args in groups:
             if self.degraded.keys() & set(tags):
                 continue
             try:
@@ -524,20 +544,29 @@ class UadiState:
                 logger.warning("%s degraded: %s", "/".join(tags), exc)
         for side in (self.v, self.w):
             side.commit([(eq, new) for s, eq, new in updates if s is side])
-        self.iteration += 1
-        return self
+
+    def stale(self, tag):
+        """Whether ``tag`` belongs to a spectral-factor pair last rebuilt on
+        a smaller basis; a read of it rebuilds the pair first.  A degraded
+        pair is never stale."""
+        if self._pair is None or tag not in self._pair[0] or tag in self.degraded:
+            return False
+        return any(len(side.eqs["sf"].T) < side.k for side in (self.v, self.w))
 
     # -- outputs ------------------------------------------------------------
 
     def _entry(self, tag, started=False):
-        """The table entry (side, eq, weight, right) of an enabled tag; with
-        ``started``, the engine must have taken a step."""
+        """The table entry (side, eq, weight, right) of an enabled tag,
+        rebuilt first if it is stale; with ``started``, the engine must have
+        taken a step."""
         if tag not in self.table:
             raise EquationSkipped(
                 f"{tag} not enabled: {self.skipped.get(tag, 'not selected')}"
                 if tag in ALL_TAGS else f"unknown equation tag {tag!r}")
         if started and self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
+        if self.stale(tag):
+            self._update([self._pair])
         return self.table[tag]
 
     def extract(self, tag):

@@ -275,6 +275,55 @@ class TestCsvSchema:
                 float(sre), float(sim)
 
 
+class TestSpectralFactorReads:
+    def test_stale_pair_read_only_when_it_can_decide(self, tmp_path, monkeypatch):
+        """On criterion 10's run the driver reads the spectral-factor pair
+        only at its rebuilds and once every other equation has settled.  The
+        run stops where one that rebuilds and reads it every step stops, its
+        sf rows at rebuilds and at the end are fresh, and between rebuilds
+        they repeat the last rebuilt value."""
+        import uadi.uadi as engine
+
+        base = dict(sys1="rlc:400", sys2="rlc:400", equations="all",
+                    shifts="petrov-bt", max_iter=50, tol=1e-6, restart_cap=10,
+                    gamma1=2.0, gamma2=3.0)
+        rebuilt = set()
+        original = engine.UadiState._sf_group
+
+        def recording(state):
+            rebuilt.add(len(state.alpha_units))   # the iteration in progress
+            return original(state)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine.UadiState, "_sf_group", recording)
+            lazy = run(RunConfig(out=str(tmp_path / "lazy"), **base))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_GROWTH", 1)   # rebuilt by every step
+            eager = run(RunConfig(out=str(tmp_path / "eager"), **base))
+        assert lazy.converged and lazy.iterations == eager.iterations
+        assert lazy.statuses == eager.statuses
+        assert lazy.iterations in rebuilt and len(rebuilt) < lazy.iterations
+        assert len(lazy.records) == len(eager.records)
+        last = {}
+        for got, want in zip(lazy.records, eager.records):
+            tag, it = got["equation"], got["iter"]
+            assert (tag, it) == (want["equation"], want["iter"])
+            if not tag.startswith("sf"):
+                assert got == want
+            elif it in rebuilt:
+                assert got["residual"] == pytest.approx(want["residual"],
+                                                        rel=1e-10, abs=0)
+            else:
+                assert got["residual"] == last[tag]
+            last[tag] = got["residual"]
+        summary = json.loads((tmp_path / "lazy" / "summary.json").read_text())
+        for tag in ("sf_p", "sf_q"):
+            assert not lazy.state.stale(tag)
+            assert summary["final_residuals"][tag] == lazy.state.residual_norm(tag)
+            assert summary["final_residuals"][tag] == pytest.approx(
+                eager.final_residuals[tag], rel=1e-10, abs=0)
+
+
 class TestRlcFileInterchange:
     def test_save_load_order_1600(self, tmp_path):
         from uadi.systems import load_system, rlc_ladder, save_system

@@ -608,6 +608,60 @@ class TestSpectralFactor:
             assert np.linalg.norm(R - residual_product(st, tag)) <= 1e-9 * st.const[tag]
             assert residual_norm(st, tag) <= 1e-6
 
+    STEPS = ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0), (-0.8, -1.5),
+             (-0.3 + 1j, -0.4 + 3j), (-1.5, -2.5), (-0.7, -0.9), (-2.0, -1.2),
+             (-1 + 2j, -0.9 + 1j), (-0.4, -0.45), (-3.0, -2.2), (-0.6 + 0.5j, -1.1))
+
+    def test_rebuilt_on_doubling_and_on_read(self, monkeypatch):
+        """A step rebuilds the pair only once the basis has doubled since
+        its last rebuild, and a read of a stale pair rebuilds it once."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        calls = {"v": 0, "w": 0}
+        original = engine._sf_side
+
+        def counting(side, other, VW):
+            calls["v" if side is st.v else "w"] += 1
+            return original(side, other, VW)
+
+        monkeypatch.setattr(engine, "_sf_side", counting)
+        for a, b in self.STEPS:
+            uadi_step(st, a, b)
+        for tag in ("sf_p", "sf_q", "sf_p"):
+            residual_norm(st, tag)
+            assert not st.stale(tag)
+        bound = int(np.ceil(np.log2(st.v.k))) + 2
+        assert calls["v"] == calls["w"] <= bound < len(self.STEPS), (calls, st.v.k)
+        assert not st.degraded
+
+    def test_lazy_pair_equals_eager(self):
+        """A pair read only at the end equals one read, and so rebuilt,
+        after every step."""
+        g = rlc_ladder(segments=6)
+        eager, lazy = (uadi_init(g, g, RLC_PARAMS, "all") for _ in range(2))
+        for a, b in self.STEPS:
+            for st in (eager, lazy):
+                uadi_step(st, a, b)
+            for tag in ("sf_p", "sf_q"):
+                residual_norm(eager, tag)
+        assert lazy.stale("sf_p") and lazy.stale("sf_q")
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        for tag in ("sf_p", "sf_q"):
+            assert residual_norm(lazy, tag) == pytest.approx(
+                residual_norm(eager, tag), rel=1e-12, abs=0)
+            assert close(extract_solution(lazy, tag).product(),
+                         extract_solution(eager, tag).product()), tag
+        for le, ee in ((lazy.v.eqs["sf"], eager.v.eqs["sf"]),
+                       (lazy.w.eqs["sf"], eager.w.eqs["sf"])):
+            for name in ("T", "M", "perp"):
+                assert close(getattr(le, name), getattr(ee, name)), name
+        assert not lazy.degraded and not eager.degraded
+
 
 class TestGammaEdgeCases:
     def test_gamma_one_reduces_to_lyapunov(self):
@@ -755,6 +809,34 @@ class TestFailurePropagation:
         uadi_step(st, -1.0, -1.2)
         assert {"ricc_p", "ricc_q", "sylv", "sf_p", "sf_q"} <= set(st.degraded)
         assert "lyap_p" not in st.degraded and st.large_solve_count == 4
+
+    @pytest.mark.parametrize("exc", [spla.LinAlgError, TypeError])
+    def test_failure_in_rebuild_on_read(self, monkeypatch, exc):
+        """A read that rebuilds a stale pair degrades both halves on a
+        numerical failure, keeping their last good T, M and perp; a bug
+        propagates."""
+        import uadi.uadi as engine
+
+        def failing(F, Q):
+            raise exc("synthetic failure")
+
+        st = self._state()
+        for a, b in ((-1.0, -1.2), (-1.5, -2.5)):
+            uadi_step(st, a, b)
+        assert st.stale("sf_p") and not st.degraded
+        before = [(eq.T.copy(), eq.M.copy(), eq.perp.copy())
+                  for eq in (st.v.eqs["sf"], st.w.eqs["sf"])]
+        monkeypatch.setattr(engine, "solve_small_lyapunov", failing)
+        if exc is TypeError:
+            with pytest.raises(TypeError):
+                residual_norm(st, "sf_q")
+            assert not st.degraded
+            return
+        residual_norm(st, "sf_q")
+        assert set(st.degraded) == {"sf_p", "sf_q"} and not st.stale("sf_p")
+        for eq, old in zip((st.v.eqs["sf"], st.w.eqs["sf"]), before):
+            for got, want in zip((eq.T, eq.M, eq.perp), old):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestRankAccessor:
