@@ -14,19 +14,19 @@ of A + shift*E (SuperLU trans='T', no conjugation, so complex shifts are
 fine) and borrows the LUs its parent holds: one LU per shift serves both
 sides of a single system.
 
-The small Sylvester solver F X - X G + H = 0 has two routes, picked by a
-flop count on the operands.  When G is narrow with few distinct eigenvalues
-(an extraction against an m- or 2m-wide companion block), the column route
-takes the Schur form of G and makes one shifted LU of F per distinct
-eigenvalue (Golub, Nash & Van Loan, IEEE TAC 24(6), 1979); for real data
-one complex LU serves a conjugate pair.  Otherwise Bartels-Stewart: one
-Schur form per side, eigenvalues read off the Schur diagonals for the
-separation check, and LAPACK trsyl.  A SchurForm may stand in for an
-operand whose decomposition the caller already holds, so that no Schur
-form is computed twice.
+Every small Sylvester solve goes through a Schur form.  An extraction
+solves S^T t + t s + U (G^T t) = H against the complex Schur form of S that
+its side holds: column by column (Golub, Nash & Van Loan, IEEE TAC 24(6),
+1979) with one shifted triangular factor per distinct eigenvalue of s,
+shared by every equation of the side, and the rank-p correction U G^T by
+Sherman-Morrison-Woodbury.  Any other F X - X G + H = 0 goes through
+Bartels-Stewart: one Schur form per side, eigenvalues read off the Schur
+diagonals for the separation check, and LAPACK trsyl.  A SchurForm may
+stand in for an operand whose decomposition the caller already holds, so
+that no Schur form is computed twice.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as spla
@@ -48,6 +48,7 @@ __all__ = [
     "SchurForm",
     "schur_form",
     "solve_small_sylvester",
+    "solve_placed_sylvester",
     "solve_small_lyapunov",
     "small_eig",
     "gram_norm2",
@@ -169,17 +170,6 @@ def shifted_solve(A, E, shift, rhs):
     return ShiftedFactorization(A, E, shift).solve(rhs)
 
 
-# Relative flop counts (Golub & Van Loan, Matrix Computations, 4th ed.): an
-# LU of a p x p matrix costs about 2/3 p^3 real flops, a complex one four
-# times that, and a real Schur form with its vectors about 25 p^3.  Each
-# column solve against an LU costs 2 p^2 (real) or 8 p^2 (complex).
-_LU_FLOPS = 2.0 / 3.0
-_SCHUR_FLOPS = 25.0
-# Diagonal entries of a Schur factor this close count as one shift; the
-# copies of a repeated eigenvalue differ by a few ulps.
-_SAME_SHIFT_RTOL = 1e-14
-
-
 def _check_separation(lam_f, lam_g, scale):
     gap = np.min(np.abs(lam_f[:, None] - lam_g[None, :]))
     if gap <= 1e-12 * scale:
@@ -211,13 +201,16 @@ def _schur(a):
 @dataclass(frozen=True)
 class SchurForm:
     """A square matrix a with its Schur decomposition a = Z T Z^H and the
-    eigenvalues read off T.  Real input keeps the real quasi-triangular form.
+    eigenvalues read off T.  Real input keeps the real quasi-triangular form
+    unless the complex one is asked for, which holds its ``shifted`` factors.
     """
 
     a: np.ndarray
     T: np.ndarray
     Z: np.ndarray
     eigvals: np.ndarray
+    _shifted: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __neg__(self):
         return SchurForm(-self.a, -self.T, self.Z, -self.eigvals)
@@ -235,11 +228,29 @@ class SchurForm:
             np.concatenate([self.eigvals, block.eigvals]),
         )
 
+    def kron(self, n):
+        """SchurForm of kron(a, I_n), factor by factor, so every eigenvalue
+        repeats exactly n times on T's diagonal."""
+        I = np.eye(n)
+        return SchurForm(np.kron(self.a, I), np.kron(self.T, I),
+                         np.kron(self.Z, I), np.repeat(self.eigvals, n))
 
-def schur_form(a):
-    """SchurForm of a dense square matrix (one LAPACK gees call)."""
+    def shifted(self, mu):
+        """T^T + mu I of a triangular T, lower triangular and column-major;
+        made once per mu and held with the form."""
+        if mu not in self._shifted:
+            base = np.array(self.T, dtype=complex, order="C")
+            base.flat[:: len(base) + 1] += mu
+            base.flags.writeable = False
+            self._shifted[mu] = base.T
+        return self._shifted[mu]
+
+
+def schur_form(a, output="real"):
+    """SchurForm of a dense square matrix (one LAPACK gees call); with
+    ``output="complex"`` the triangular form of real a, a kept real."""
     a, = _small_operands(a)
-    return SchurForm(a, *_schur(a))
+    return SchurForm(a, *_schur(a.astype(complex) if output == "complex" else a))
 
 
 def _schur_of(a, form):
@@ -271,88 +282,15 @@ def _small_operands(*arrays):
     return arrays
 
 
-def _distinct_shifts(diag, real):
-    """Group Schur diagonal entries into the shifts that need their own LU.
-
-    Returns (keys, index, conj): entry j is keys[index[j]], conjugated when
-    conj[j].  For real data a conjugate pair shares one key, because
-    conj(F - key I) = F - conj(key) I.
-    """
-    keys, index, conj = [], [], []
-    for t in np.asarray(diag, dtype=complex).tolist():
-        tol = _SAME_SHIFT_RTOL * max(abs(t), 1.0)
-        for g, key in enumerate(keys):
-            if abs(t - key) <= tol or (real and abs(t - key.conjugate()) <= tol):
-                index.append(g)
-                conj.append(abs(t - key) > tol)
-                break
-        else:
-            index.append(len(keys))
-            conj.append(False)
-            keys.append(t)
-    return keys, index, conj
-
-
-def _columns_cheaper(p, q, keys, real):
-    """Flop rule: one shifted LU per distinct shift plus q column solves
-    against a Schur form of F and the trsyl sweep."""
-    weights = [1 if real and key.imag == 0 else 4 for key in keys]
-    cols = _LU_FLOPS * sum(weights) * p ** 3 + 8 * q * p ** 2
-    return q < p and cols < _SCHUR_FLOPS * p ** 3
-
-
-def _shifted_lu(F, shift, scale):
-    """LU of F - shift I; SpectraOverlap when a pivot is at most
-    1e-12 * scale, i.e. shift is numerically an eigenvalue of F."""
-    M = F.astype(np.result_type(F, shift))
-    M.flat[:: F.shape[0] + 1] -= shift
-    getrf, getrs = spla.get_lapack_funcs(("getrf", "getrs"), (M,))
-    lu, piv, info = getrf(M, overwrite_a=True)
-    pivot = np.min(np.abs(np.diagonal(lu)))
-    if info < 0 or not pivot > 1e-12 * scale:
-        raise SpectraOverlap(
-            f"F - ({shift:.6g}) I has pivot {pivot:.3e} <= 1e-12 * {scale:.3e}"
-        )
-    return lambda b: getrs(lu, piv, b)[0]
-
-
-def _sylvester_columns(F, tg, zg, H, real, scale):
-    """Column route: with G = Z T Z^H (T triangular) and Y = X Z, column j
-    of Y solves (F - T_jj I) y_j = sum_{i<j} y_i T_ij - (H Z)_j."""
-    keys, index, conj = _distinct_shifts(np.diagonal(tg), real)
-    solves = []
-    for key in keys:
-        shift = key.real if real and key.imag == 0 else key
-        solves.append(_shifted_lu(F, shift, scale))
-    R = -(H @ zg)
-    Y = np.empty_like(R)
-    for j in range(R.shape[1]):
-        r = R[:, j] + Y[:, :j] @ tg[:j, j]
-        solve = solves[index[j]]
-        if conj[j]:
-            Y[:, j] = solve(r.conj()).conj()
-        elif np.iscomplexobj(r) and real and keys[index[j]].imag == 0:
-            y = solve(np.column_stack((r.real, r.imag)))
-            Y[:, j] = y[:, 0] + 1j * y[:, 1]
-        else:
-            Y[:, j] = solve(r)
-    X = Y @ zg.conj().T
-    return X.real if real else X
-
-
 def solve_small_sylvester(F, G, H):
     """Solve F X - X G + H = 0 for dense F (p x p), G (q x q), H (p x q).
 
-    Two routes, picked by a flop count on the operands.  When G is the
-    narrower side and has few distinct eigenvalues, the column route
-    (Golub, Nash & Van Loan 1979) takes the Schur form of G and makes one
-    shifted LU of F per distinct eigenvalue, one for a conjugate pair when
-    the data are real.  Otherwise Bartels-Stewart: one Schur form of each
-    side and LAPACK trsyl.  Raises SpectraOverlap when F and G share an
-    eigenvalue within 1e-12 of the spectral scale: on the Schur route from
-    the eigenvalues on the Schur diagonals, on the column route from the
-    pivots of the shifted LUs.  G may be passed as its SchurForm when the
-    caller holds one; it then is not factored again.
+    Bartels-Stewart: one Schur form of each side and LAPACK trsyl.  Raises
+    SpectraOverlap when F and G share an eigenvalue within 1e-12 of the
+    spectral scale, read off the Schur diagonals.  G may be passed as its
+    SchurForm when the caller holds one; it then is not factored again.
+    Complex trsyl reads both factors as triangular, so a complex form of
+    real G takes the complex Schur form of F too; real data give a real X.
     """
     g_form = G if isinstance(G, SchurForm) else None
     F, G, H = _small_operands(F, G if g_form is None else g_form.a, H)
@@ -363,23 +301,75 @@ def solve_small_sylvester(F, G, H):
         raise DimensionMismatch(f"H has shape {H.shape}, expected {(p, q)}")
     if p == 0 or q == 0:
         return np.zeros((p, q), dtype=H.dtype)
-    real = not np.iscomplexobj(H)
     tg, zg, lam_g = _schur_of(G, g_form)
-    if _columns_cheaper(p, q, _distinct_shifts(lam_g, real)[0], real):
-        if real and np.any(lam_g.imag != 0):
-            # the column sweep needs a triangular T: complex Schur form
-            tg, zg, lam_g = _schur(G.astype(complex))
-        scale = max(spla.norm(F, 1), _spectral_scale(lam_g))
-        X = _sylvester_columns(F, tg, zg, H, real, scale)
-    else:
-        tf, zf, lam_f = _schur(F)
-        _check_separation(lam_f, lam_g, _spectral_scale(lam_f, lam_g))
-        # F X - X G = -H with F = U R U^H, G = Z T Z^H: R Y - Y T = -U^H H Z
-        y = _trsyl(tf, tg, zf.conj().T @ (-H @ zg), isgn=-1)
-        X = zf @ y @ zg.conj().T
+    tf, zf, lam_f = _schur(F.astype(tg.dtype, copy=False))
+    _check_separation(lam_f, lam_g, _spectral_scale(lam_f, lam_g))
+    # F X - X G = -H with F = U R U^H, G = Z T Z^H: R Y - Y T = -U^H H Z
+    y = _trsyl(tf, tg, zf.conj().T @ (-H @ zg), isgn=-1)
+    X = zf @ y @ zg.conj().T
+    X = X if np.iscomplexobj(H) else X.real
     if not np.isfinite(X).all():
         raise SpectraOverlap("small Sylvester solution is not finite")
     return X
+
+
+def _woodbury(base, U, Gt):
+    """Solver of (base + U Gt) y = r for a lower triangular ``base``, by
+    Sherman-Morrison-Woodbury through the capacitance I + Gt base^-1 U
+    (Golub & Van Loan, Matrix Computations, 4th ed., Sec. 2.1.4)."""
+    trtrs, = spla.get_lapack_funcs(("trtrs",), (base,))
+
+    def tri(b):
+        x, info = trtrs(base, b, lower=1)
+        if info:
+            raise SpectraOverlap("shifted Schur factor is singular")
+        return x
+
+    if U is None:
+        return tri
+    BU = tri(U)
+    K = Gt @ BU
+    getrf, getrs = spla.get_lapack_funcs(("getrf", "getrs"), (K,))
+    lu, piv, info = getrf(np.eye(len(K)) + K)
+    scale = max(np.abs(K).sum(axis=0).max(initial=0.0), 1.0)
+    if info < 0 or not np.min(np.abs(np.diagonal(lu))) > 1e-12 * scale:
+        raise SpectraOverlap("singular capacitance: the shift is an "
+                             "eigenvalue of the placed matrix")
+    return lambda r: (x := tri(r)) - BU @ getrs(lu, piv, Gt @ x)[0]
+
+
+def solve_placed_sylvester(form, kp, q, H, U=None, G=None):
+    """Solve S^T t + t s + U (G^T t) = H for real t, with S the leading q x q
+    block of ``form.a`` and s = S[kp:q, kp:q].
+
+    ``form`` is the complex Schur form S = Z T Z^H of a real matrix, grown by
+    ``extended`` so that Z is block diagonal with blocks ending at kp and q.
+    H is q x (q - kp), U and G are q x p (U = None: no correction), all real.
+    Column j of y = Z^T t Z_s, mu = T[kp+j, kp+j], solves against the form's
+    own T^T + mu I (``shifted``) and a p x p capacitance matrix:
+    (T^T + mu I + Z^T U G^T conj(Z)) y_j = (Z^T H Z_s)_j - y[:, :j] T[kp:kp+j, kp+j].
+    A singular capacitance means mu is an eigenvalue of the placed matrix
+    -S^T - U G^T and raises SpectraOverlap.
+    """
+    if H.shape != (q, q - kp) or (
+            U is not None and (len(U) != q or G.shape != U.shape)):
+        raise DimensionMismatch(
+            f"H must be {(q, q - kp)}, U and G of one shape with {q} rows")
+    Z, T = form.Z[:q, :q], form.T
+    Zs = Z[kp:, kp:]
+    R = Z.T @ H @ Zs
+    Gt = None if U is None else (G.T @ Z).conj()
+    U = None if U is None else Z.T @ U
+    solves, Y = {}, np.empty_like(R)
+    for j in range(q - kp):
+        mu = T[kp + j, kp + j]
+        if mu not in solves:
+            solves[mu] = _woodbury(form.shifted(mu)[:q, :q], U, Gt)
+        Y[:, j] = solves[mu](R[:, j] - Y[:, :j] @ T[kp : kp + j, kp + j])
+    t = (Z @ (Y.conj() @ Zs.T)).real   # conj(Z) Y Z_s^H, real for real data
+    if not np.isfinite(t).all():
+        raise SpectraOverlap("placed Sylvester solution is not finite")
+    return t
 
 
 def solve_small_lyapunov(F, Q):

@@ -61,6 +61,7 @@ from .linalg import (
     FactorizationCache,
     gram_norm2,
     schur_form,
+    solve_placed_sylvester,
     solve_small_lyapunov,
     solve_small_sylvester,
 )
@@ -272,8 +273,9 @@ def _advance(side, eq, q, Lc, D=None):
     Y = T M Lc^T on the columns :q; mutates nothing.
 
     The equations differ only in the pole placement ``eq`` carries: the new
-    transform columns solve a small Sylvester equation against the new
-    (s, l) block with the placed matrix -S^T - L^T fb G^T - T M T^T G qk G^T.
+    transform columns t solve S^T t + t s + U (G^T t) = H against the new
+    (s, l) block and the side's held Schur form of S; the placed matrix
+    -S^T - U G^T, U = L^T fb + [T M T^T G qk; 0] with p columns, is not formed.
     The middle matrix grows to the coupling ``D`` when given, by the inverse
     of a small Lyapunov solution when the equation has a quadratic weight
     ``qk``, and is the identity, kept as None, otherwise.
@@ -283,17 +285,17 @@ def _advance(side, eq, q, Lc, D=None):
     wid = q - kp
     s, l = side.S[kp:q, kp:q], side.L[:, kp:q]
     L, G = side.L[:, :q], side.G[:q]
-    F = -side.S[:q, :q].T
-    if fb is not None:
-        F = F - L.T @ fb @ G.T
+    U = None if fb is None else L.T @ fb
     rhs = L.T if rr is None else L.T @ rr
     if kp:
         if qk is not None:
+            if U is None:
+                U = np.zeros(G.shape)
             # T M T^T stays factored: O(k^2 m) instead of O(k^3)
-            F = F - _pad_rows(eq.T @ (eq.M @ (eq.T.T @ G[:kp])) @ qk @ G.T, wid)
+            U[:kp] += eq.T @ (eq.M @ (eq.T.T @ G[:kp])) @ qk
         ML = Lc[:, :kp].T if eq.M is None else eq.M @ Lc[:, :kp].T
         rhs = rhs - _pad_rows(eq.T @ ML, wid)
-    t = solve_small_sylvester(F, s, rhs @ l)
+    t = solve_placed_sylvester(side.schur, kp, q, rhs @ l, U, G)
     svals = spla.svdvals(t[kp:])
     if svals[-1] <= 1e-13 * max(svals[0], 1.0):
         raise ExtractionSingular("trailing transform block singular")
@@ -323,7 +325,7 @@ class _Side:
         self.sys, self.cache, self.weight = sys, cache, weight
         self.suffix = suffix        # tag suffix of this side's equations
         self._X = _Columns(sys.n)
-        # S with its Schur form, grown one diagonal block per unit
+        # S with its complex Schur form, grown one diagonal block per unit
         self.schur = schur_form(np.zeros((0, 0)))
         self.L = np.zeros((sys.m, 0))
         self.G = np.zeros((0, sys.p))   # X^T C^T
@@ -342,8 +344,10 @@ class _Side:
         then S, L, G and the Lyapunov residual factor."""
         sol = self.cache.solve(unit.value, self.perp)
         block = _flush_subnormals(realified_columns(unit, sol))
-        s, l = lyap_sl(unit, self.sys.m)
-        self.schur = self.schur.extended(self.L.T @ l, schur_form(s))
+        _, l = lyap_sl(unit, self.sys.m)
+        # s = s_1 (x) I_m: its form repeats each eigenvalue exactly m times
+        s1 = schur_form(lyap_sl(unit, 1)[0], output="complex")
+        self.schur = self.schur.extended(self.L.T @ l, s1.kron(self.sys.m))
         self.L = np.hstack([self.L, l])
         self._X.append(block)
         self.G = np.vstack([self.G, block.T @ self.sys.C.T])
@@ -375,11 +379,12 @@ def _sf_side(side, other, VW):
     """Spectral-factor (T, M, Y) of one side, rebuilt on the whole basis;
     ``VW`` is X^T X_other of this side."""
     eq = side.eqs["sf"]
+    form = schur_form(side.S)   # real: both solves run on real trsyl
     Cm = other.G.T @ VW.T + side.sys.D.T @ side.G.T
     F = -side.S.T - side.L.T @ eq.fb @ Cm
-    T = solve_small_sylvester(F, side.schur, side.L.T @ eq.rr @ side.L)
+    T = solve_small_sylvester(F, form, side.L.T @ eq.rr @ side.L)
     Cs = eq.rr @ Cm @ T
-    X = solve_small_lyapunov(-side.schur, side.L.T @ side.L - Cs.T @ Cs)
+    X = solve_small_lyapunov(-form, side.L.T @ side.L - Cs.T @ Cs)
     M = spla.inv(X)
     return T, M, T @ (M @ side.L.T)
 

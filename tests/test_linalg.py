@@ -9,13 +9,13 @@ from uadi.errors import (
     SingularShiftedMatrix,
     SpectraOverlap,
 )
-import uadi.linalg as linalg
 from uadi.linalg import (
     FactorizationCache,
     gram_norm2,
     schur_form,
     shifted_solve,
     small_eig,
+    solve_placed_sylvester,
     solve_small_lyapunov,
     solve_small_sylvester,
 )
@@ -161,8 +161,7 @@ def _stable_dense(rng, k):
 
 def _narrow_blocks(m):
     """Companion blocks s of lyap_sl, a real shift, rotation blocks of a
-    conjugate pair and chains of two real shifts, with the number of shifted
-    LUs the column route needs for each (one per conjugate pair)."""
+    conjugate pair and chains of two real shifts."""
     u = ShiftUnit
     I = np.eye(m)
 
@@ -173,40 +172,88 @@ def _narrow_blocks(m):
         return np.kron(np.array([[-a1, 1.0], [0.0, -a2]]), I)
 
     return [
-        (lyap_sl(u(-0.7), m)[0], 1),
-        (lyap_sl(u(-0.3 + 2.0j), m)[0], 1),
-        (1.0 * I, 1),
-        (rot(-1.0, 3.0), 1),
-        (rot(-2.0, -1.0), 1),
-        (chain(-1.0, -1.5), 2),
-        (chain(-1.0, -1.0), 1),
-        (chain(-2.0, -0.5), 2),
+        lyap_sl(u(-0.7), m)[0],
+        lyap_sl(u(-0.3 + 2.0j), m)[0],
+        1.0 * I,
+        rot(-1.0, 3.0),
+        rot(-2.0, -1.0),
+        chain(-1.0, -1.5),
+        chain(-1.0, -1.0),
+        chain(-2.0, -0.5),
     ]
 
 
+def _held_form(k, m, units):
+    """The complex Schur form of S grown as an engine side grows it, one
+    lyap_sl unit block at a time coupled through L^T l, cycling through
+    ``units`` until S has at least k columns and ends on ``units[-1]``;
+    with the unit boundaries."""
+    form, L, bounds = schur_form(np.zeros((0, 0))), np.zeros((m, 0)), [0]
+    while bounds[-1] < k or (len(bounds) - 1) % len(units):
+        unit = ShiftUnit(units[(len(bounds) - 1) % len(units)])
+        _, l = lyap_sl(unit, m)
+        block = schur_form(lyap_sl(unit, 1)[0], output="complex").kron(m)
+        form = form.extended(L.T @ l, block)
+        L = np.hstack([L, l])
+        bounds.append(len(form.a))
+    return form, bounds
+
+
 class TestColumnRoute:
-    """Narrow companion side: one shifted LU per distinct eigenvalue."""
+    """Narrow companion side: the extraction kernel solves column by column
+    against the held complex Schur form, with one shifted triangular factor
+    per distinct eigenvalue of the consumed block, whatever the number of
+    equations solved against the form."""
 
     @pytest.mark.parametrize("k", [9, 40, 120])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_agrees_with_bartels_stewart(self, rng, monkeypatch, k, m):
-        lus = []
-        original = linalg._shifted_lu
-
-        def counting(F, shift, scale):
-            lus.append(shift)
-            return original(F, shift, scale)
-
-        monkeypatch.setattr(linalg, "_shifted_lu", counting)
+    def test_agrees_with_bartels_stewart(self, rng, k, m):
         F = _stable_dense(rng, k)
-        for s, expected_lus in _narrow_blocks(m):
+        for s in _narrow_blocks(m):
             H = rng.standard_normal((k, s.shape[0]))
-            lus.clear()
             X = solve_small_sylvester(F, s, H)
             ref = spla.solve_sylvester(F, -s, -H)
             assert X.dtype == np.float64
-            assert len(lus) == expected_lus
             assert spla.norm(X - ref) <= 1e-12 * spla.norm(ref)
+
+    @pytest.mark.parametrize("k", [9, 40, 120])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("last", [-0.7, -0.3 + 2.0j])
+    def test_placed_kernel_agrees(self, rng, k, m, last):
+        """Against scipy on the formed placed matrix: the last unit, a block
+        of several units and a lagging prefix (as a Sylvester group consumes
+        them), each with no correction and with a rank-p one."""
+        form, bounds = _held_form(k, m, [-1.5, -0.2 + 1.0j, -4.0, last])
+        blocks = [(bounds[-2], bounds[-1]), (bounds[-4], bounds[-1]),
+                  (bounds[-4], bounds[-2])]
+        for kp, q in blocks:
+            S, s = form.a[:q, :q], form.a[kp:q, kp:q]
+            for p in (0, 1, m + 1):
+                H = rng.standard_normal((q, q - kp))
+                U, G = (None, None) if p == 0 else (
+                    rng.standard_normal((q, p)), rng.standard_normal((q, p)))
+                t = solve_placed_sylvester(form, kp, q, H, U, G)
+                A = S.T if p == 0 else S.T + U @ G.T
+                ref = spla.solve_sylvester(A, s, H)
+                assert t.dtype == np.float64
+                assert spla.norm(t - ref) <= 1e-11 * spla.norm(ref)
+        # one factor per distinct eigenvalue of the three units consumed (a
+        # pair has two), shared by the nine solves above
+        assert len(form._shifted) == 4 + (complex(last).imag != 0)
+
+    def test_singular_capacitance(self, rng):
+        """A rank-one correction that makes the consumed block's eigenvalue
+        mu an eigenvalue of the placed matrix -S^T - u g^T."""
+        form, bounds = _held_form(20, 2, [-1.5, -0.2 + 1.0j, -0.7])
+        kp, q = bounds[-2], bounds[-1]
+        mu = form.T[kp, kp]
+        assert mu.imag == 0
+        A = form.a.T + mu.real * np.eye(q)
+        g, w = rng.standard_normal((q, 1)), rng.standard_normal(q)
+        u = -(A @ w)[:, None] / (g[:, 0] @ w)   # (A + u g^T) w = 0
+        H = rng.standard_normal((q, q - kp))
+        with pytest.raises(SpectraOverlap):
+            solve_placed_sylvester(form, kp, q, H, u, g)
 
     @pytest.mark.parametrize("unit", [-0.7, -0.3 + 2.0j])
     def test_spectra_overlap(self, rng, unit):
@@ -242,6 +289,20 @@ class TestSchurReuse:
         assert spla.norm(solve_small_lyapunov(-schur_form(G), Q)
                          - solve_small_lyapunov(-G, Q)) <= 1e-13 * spla.norm(Y)
 
+    def test_complex_form_of_real_matrix(self, rng):
+        """A complex form with real a stands in for a real G: complex trsyl
+        reads both factors as triangular, so F is factored complex too."""
+        k = 12
+        F = _stable_dense(rng, k)
+        G = -_stable_dense(rng, k)
+        H = rng.standard_normal((k, k))
+        form = schur_form(G, output="complex")
+        assert not np.iscomplexobj(form.a) and np.iscomplexobj(form.T)
+        X = solve_small_sylvester(F, form, H)
+        ref = spla.solve_sylvester(F, -G, -H)
+        assert X.dtype == np.float64
+        assert spla.norm(X - ref) <= 1e-12 * spla.norm(ref)
+
     def test_extended_is_a_schur_form(self, rng):
         blocks = [lyap_sl(ShiftUnit(v), 2)[0] for v in (-0.5, -1 + 3j, -2.0)]
         S = np.zeros((0, 0))
@@ -254,6 +315,21 @@ class TestSchurReuse:
         assert np.array_equal(form.a, S)
         assert spla.norm(form.Z @ form.T @ form.Z.T - S) <= 1e-14 * spla.norm(S)
         assert not np.any(np.tril(form.T, -2))  # quasi-triangular
+        assert_multiset_close(form.eigvals, spla.eigvals(S), 1e-10)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_extended_complex_form(self, rng, m):
+        """Unit forms made from the m = 1 block: T triangular, a real, and
+        each unit eigenvalue repeated exactly m times on T's diagonal."""
+        form, bounds = _held_form(4 * m, m, [-0.5, -1 + 3j, -2.0])
+        S = form.a
+        assert not np.iscomplexobj(S)
+        assert spla.norm(form.Z.conj().T @ form.Z - np.eye(len(S))) <= 1e-14 * len(S)
+        assert spla.norm(form.Z @ form.T @ form.Z.conj().T - S) <= 1e-14 * spla.norm(S)
+        assert not np.any(np.tril(form.T, -1))
+        assert not np.any(form.Z[: bounds[1], bounds[1]:])  # block diagonal
+        pair = np.diagonal(form.T)[bounds[1]: bounds[2]]
+        assert len(set(pair.tolist())) == 2
         assert_multiset_close(form.eigvals, spla.eigvals(S), 1e-10)
 
 

@@ -205,6 +205,22 @@ class TestSolveBudget:
         assert not st.degraded
 
 
+    @pytest.mark.parametrize("tags", ["ricc_p,ricc_q", "all"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_shifted_factor_per_distinct_eigenvalue(self, tags, m):
+        """Every extraction of a side solves against the side's held Schur
+        form, which makes one shifted triangular factor per distinct
+        eigenvalue of the consumed block in a step, however many equations
+        the side carries."""
+        g = rlc_ladder(segments=6) if m == 1 else random_stable_system(30, 2, 2, 7)
+        st = uadi_init(g, g, RLC_PARAMS if m == 1 else None, tags)
+        for unit, distinct in ((-0.5, 1), (-2 + 4j, 2), (-1.0, 1), (-1 + 1j, 2)):
+            uadi_step(st, unit, unit)
+            for side in (st.v, st.w):
+                assert len(side.schur._shifted) == distinct
+        assert not st.degraded
+
+
 SHIFT_PATTERNS = {
     "case1": ([-0.5, -1.2, -3.0], [-0.8, -2.0, -4.0]),
     "case2": ([-0.5 + 1j, -2 + 3j], [-0.8 + 2j, -1.5 + 0.5j]),
@@ -713,8 +729,8 @@ class TestDegradation:
 
     @pytest.mark.parametrize("tag, select, name, fail_at", [
         pytest.param("ricc_p", "all", "solve_small_lyapunov", 1, id="ricc_p"),
-        # the coupling and V-half solves succeed, the W half's fails
-        pytest.param("sylv", "lyap_p,lyap_q,sylv", "solve_small_sylvester", 3,
+        # the V-half solve succeeds, the W half's fails
+        pytest.param("sylv", "lyap_p,lyap_q,sylv", "solve_placed_sylvester", 2,
                      id="sylv"),
     ])
     def test_degraded_equation_still_extracts(self, monkeypatch, tag, select,
@@ -801,11 +817,12 @@ class TestFailurePropagation:
         import uadi.uadi as engine
         from uadi.errors import SpectraOverlap
 
-        def overlapping(F, G, H):
+        def overlapping(*args):
             raise SpectraOverlap("synthetic overlap")
 
         st = self._state()
         monkeypatch.setattr(engine, "solve_small_sylvester", overlapping)
+        monkeypatch.setattr(engine, "solve_placed_sylvester", overlapping)
         uadi_step(st, -1.0, -1.2)
         assert {"ricc_p", "ricc_q", "sylv", "sf_p", "sf_q"} <= set(st.degraded)
         assert "lyap_p" not in st.degraded and st.large_solve_count == 4
