@@ -349,12 +349,16 @@ def solve_placed_sylvester(form, kp, q, H, U=None, G=None):
     own T^T + mu I (``shifted``) and a p x p capacitance matrix:
     (T^T + mu I + Z^T U G^T conj(Z)) y_j = (Z^T H Z_s)_j - y[:, :j] T[kp:kp+j, kp+j].
     A singular capacitance means mu is an eigenvalue of the placed matrix
-    -S^T - U G^T and raises SpectraOverlap.
+    -S^T - U G^T and raises SpectraOverlap.  A real (quasi-triangular) form,
+    or a Z not block diagonal at kp and q, raises ValueError.
     """
     if H.shape != (q, q - kp) or (
             U is not None and (len(U) != q or G.shape != U.shape)):
         raise DimensionMismatch(
             f"H must be {(q, q - kp)}, U and G of one shape with {q} rows")
+    if not np.iscomplexobj(form.T) or any(
+            form.Z[:b, b:].any() or form.Z[b:, :b].any() for b in (kp, q)):
+        raise ValueError(f"need a complex form, Z block diagonal at {kp}, {q}")
     Z, T = form.Z[:q, :q], form.T
     Zs = Z[kp:, kp:]
     R = Z.T @ H @ Zs

@@ -255,6 +255,21 @@ class TestColumnRoute:
         with pytest.raises(SpectraOverlap):
             solve_placed_sylvester(form, kp, q, H, u, g)
 
+    def test_unfit_form_raises(self, rng):
+        """A real Schur form would have its 2x2 bumps read as triangular, and
+        a form with a dense Z would mix the consumed block with the rest;
+        both are refused, not solved."""
+        form, bounds = _held_form(20, 2, [-1.5, -0.7, -0.2 + 1.0j])
+        kp, q = bounds[-2], bounds[-1]
+        H = rng.standard_normal((q, q - kp))
+        dense = schur_form(_stable_dense(rng, q), output="complex")
+        for unfit in (schur_form(form.a), dense):
+            with pytest.raises(ValueError):
+                solve_placed_sylvester(unfit, kp, q, H)
+        # the lagging prefix ends inside the held form, at a unit boundary
+        kp, q = bounds[-3], bounds[-2]
+        solve_placed_sylvester(form, kp, q, rng.standard_normal((q, q - kp)))
+
     @pytest.mark.parametrize("unit", [-0.7, -0.3 + 2.0j])
     def test_spectra_overlap(self, rng, unit):
         k = 12

@@ -803,6 +803,7 @@ class TestFailurePropagation:
 
     @pytest.mark.parametrize("bug", [TypeError, DimensionMismatch])
     def test_programming_error_propagates(self, monkeypatch, bug):
+        """A bug in the Sylvester coupling or the spectral-factor pair."""
         import uadi.uadi as engine
 
         def broken(F, G, H):
@@ -810,6 +811,19 @@ class TestFailurePropagation:
 
         st = self._state()
         monkeypatch.setattr(engine, "solve_small_sylvester", broken)
+        with pytest.raises(bug):
+            uadi_step(st, -1.0, -1.2)
+
+    @pytest.mark.parametrize("bug", [TypeError, DimensionMismatch, ValueError])
+    def test_extraction_bug_propagates(self, monkeypatch, bug):
+        """A bug in the extraction kernel, which every equation calls."""
+        import uadi.uadi as engine
+
+        def broken(*args):
+            raise bug("synthetic bug")
+
+        st = self._state()
+        monkeypatch.setattr(engine, "solve_placed_sylvester", broken)
         with pytest.raises(bug):
             uadi_step(st, -1.0, -1.2)
 
