@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as spla
 
 from .errors import DimensionMismatch, InnerSolveSingular
-from .linalg import FactorizationCache, gram_norm2, solve_small_lyapunov
+from .linalg import FactorizationCache, block_diag2, gram_norm2, solve_small_lyapunov
 from .realify import ShiftUnit, as_units, expand_units, lyap_sl, realified_columns
 
 __all__ = [
@@ -193,7 +193,7 @@ class Radi:
         )
         phat = spla.inv(small)
         self.V = np.hstack([self.V, block])
-        self.Phat = spla.block_diag(self.Phat, phat)
+        self.Phat = block_diag2(self.Phat, phat)
         EV = self.sys.E @ block
         self.Bperp = self.Bperp - EV @ (phat @ l.T)
         self.K = self.K + EV @ (phat @ chat.T)

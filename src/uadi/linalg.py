@@ -12,7 +12,10 @@ memory is bounded by what will be reused.  The cache of a transposed pencil
 A^T + shift*E^T made by ``transposed()`` solves with the plain-transpose LU
 of A + shift*E (SuperLU trans='T', no conjugation, so complex shifts are
 fine) and borrows the LUs its parent holds: one LU per shift serves both
-sides of a single system.
+sides of a single system.  SuperLU factors with a panel of one column
+(``panel_size=1``): the pencils here fill little, their supernodes are one
+or two columns wide, and a wider panel's workspace and per-panel work cost
+more than they save (``tools/superlu_panel_sweep.py``).
 
 Every small Sylvester solve goes through a Schur form.  An extraction
 solves S^T t + t s + U (G^T t) = H against the complex Schur form of S that
@@ -52,6 +55,7 @@ __all__ = [
     "solve_small_lyapunov",
     "small_eig",
     "gram_norm2",
+    "block_diag2",
 ]
 
 
@@ -81,7 +85,8 @@ class ShiftedFactorization:
         s = self.shift.real if self.shift.imag == 0 else self.shift
         M = (A + s * E).tocsc()
         try:
-            self._lu = splu(M)
+            # one-column panels: on narrow supernodes wider ones cost more than they save
+            self._lu = splu(M, panel_size=1)
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularShiftedMatrix(
                 f"A + ({shift})*E is singular: {exc}"
@@ -224,7 +229,7 @@ class SchurForm:
             np.block([[self.a, coupling], [zeros, block.a]]),
             np.block([[self.T, self.Z.conj().T @ coupling @ block.Z],
                       [zeros, block.T]]),
-            spla.block_diag(self.Z, block.Z),
+            block_diag2(self.Z, block.Z),
             np.concatenate([self.eigvals, block.eigvals]),
         )
 
@@ -382,7 +387,8 @@ def solve_small_lyapunov(F, Q):
     One Schur form F = Z T Z^H (F may be passed as its SchurForm when the
     caller holds one): the separation check reads the eigenvalues off its
     diagonal and LAPACK trsyl solves T^H Y + Y T = -Z^H Q Z.  The result is
-    symmetrized to suppress roundoff drift.
+    symmetrized to suppress roundoff drift; real data give a real X, also
+    through a complex form of real F.
     """
     f_form = F if isinstance(F, SchurForm) else None
     F, Q = _small_operands(F if f_form is None else f_form.a, Q)
@@ -397,6 +403,7 @@ def solve_small_lyapunov(F, Q):
     _check_separation(lam.conj(), -lam, 2.0 * _spectral_scale(lam))
     y = _trsyl(t, t, z.conj().T @ (-Q @ z), trana="C")
     X = z @ y @ z.conj().T
+    X = X if np.iscomplexobj(Q) else X.real
     if not np.isfinite(X).all():
         raise SpectraOverlap("small Lyapunov solution is not finite")
     return 0.5 * (X + X.conj().T)
@@ -454,3 +461,12 @@ def gram_norm2(Z, M=None, Z2=None):
     # matrix so its eigenvalues are real and nonnegative up to roundoff.
     vals = spla.eigvals(M.conj().T @ G1 @ M @ G2)
     return float(np.sqrt(max(np.max(vals.real, initial=0.0), 0.0)))
+
+
+def block_diag2(a, b):
+    """[[a, 0], [0, b]] for two dense 2-D blocks, in their common dtype."""
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
+                   dtype=np.result_type(a, b))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out

@@ -59,6 +59,7 @@ from .errors import (
 from .classic import LowRankSolution, ResidualFactor
 from .linalg import (
     FactorizationCache,
+    block_diag2,
     gram_norm2,
     schur_form,
     solve_placed_sylvester,
@@ -305,7 +306,7 @@ def _advance(side, eq, q, Lc, D=None):
     elif qk is not None:
         x = G.T @ t  # projected output map of the new direction
         small = solve_small_lyapunov(-s, l.T @ l + x.T @ qk @ x)
-        M = spla.block_diag(eq.M, spla.inv(small))
+        M = block_diag2(eq.M, spla.inv(small))
     else:
         M = None
     return T, M, T @ (Lc[:, :q].T if M is None else M @ Lc[:, :q].T)
@@ -502,7 +503,7 @@ class UadiState:
             return []
         d = solve_small_sylvester(-w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
                                   w.L[:, kp:q].T @ v.L[:, kp:q])
-        D = spla.block_diag(v.sylv.M, spla.inv(d))
+        D = block_diag2(v.sylv.M, spla.inv(d))
         return [(v, v.sylv, _advance(v, v.sylv, q, w.L, D=D)),
                 (w, w.sylv, _advance(w, w.sylv, q, v.L, D=D.T))]
 

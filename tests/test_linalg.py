@@ -39,16 +39,31 @@ class TestShiftedSolve:
         with pytest.raises(DimensionMismatch):
             shifted_solve(-np.eye(3), np.eye(3), -1.0, np.ones((2, 1)))
 
+    @staticmethod
+    def _stencil(side=40):
+        """5-point Laplacian pencil on a side x side grid with a non-identity
+        diagonal E: 2-D fill, so its LU has supernodes of several columns."""
+        T = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(side, side))
+        I = sps.identity(side)
+        A = -(sps.kron(I, T) + sps.kron(T, I))
+        E = sps.diags(1.0 + 0.5 * np.random.default_rng(9).random(side * side))
+        return A.tocsc(), E.tocsc()
+
     def test_random_sparse_residual(self, rng):
+        """Plain and transposed solves on general sparse pencils: a random
+        one and a fill-heavy stencil."""
         n = 50
         A = sps.random(n, n, density=0.2, random_state=7).tocsc()
         A = A - sps.eye(n) * (abs(A).sum() / n + 1.0)
         E = sps.eye(n, format="csc") + 0.01 * sps.random(n, n, density=0.1, random_state=8)
-        rhs = rng.standard_normal((n, 2))
-        for shift in (-0.3, -1.0 + 2.0j):
-            X = shifted_solve(A, E, shift, rhs)
-            res = (A + shift * E) @ X - rhs
-            assert np.linalg.norm(res) / np.linalg.norm(rhs) <= 1e-10
+        for A, E in ((A, E), self._stencil()):
+            rhs = rng.standard_normal((A.shape[0], 2))
+            tcache = FactorizationCache(A, E).transposed()
+            for shift in (-0.3, -1.0 + 2.0j):
+                for X, M in ((shifted_solve(A, E, shift, rhs), A + shift * E),
+                             (tcache.solve(shift, rhs), (A + shift * E).T)):
+                    res = M @ X - rhs
+                    assert np.linalg.norm(res) / np.linalg.norm(rhs) <= 1e-10
 
     def test_cache_reuses_factorizations(self):
         A = sps.csc_matrix(-np.eye(4))
@@ -376,6 +391,17 @@ class TestSmallLyapunov:
     def test_rejects_asymmetric_rhs(self):
         with pytest.raises(NonHermitianRHS):
             solve_small_lyapunov(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_complex_form_of_real_matrix(self, rng):
+        """A complex form of real F with real Q gives a real X, equal to
+        the real form's."""
+        F = _stable_dense(rng, 6)
+        H = rng.standard_normal((6, 2))
+        Q = H @ H.T
+        X = solve_small_lyapunov(schur_form(F, output="complex"), Q)
+        ref = solve_small_lyapunov(F, Q)
+        assert X.dtype == np.float64
+        assert spla.norm(X - ref) <= 1e-12 * spla.norm(ref)
 
     def test_spectra_overlap(self):
         F = np.diag([1.0, -1.0])  # lambda_1 + conj(lambda_2) = 0
