@@ -84,20 +84,16 @@ class ShiftedFactorization:
         self.shift = complex(shift)
         s = self.shift.real if self.shift.imag == 0 else self.shift
         M = (A + s * E).tocsc()
+        if not np.all(np.isfinite(M.data)):
+            raise SingularShiftedMatrix(f"A + ({shift})*E has non-finite entries")
+        self._dtype = M.dtype
         try:
             # one-column panels: on narrow supernodes wider ones cost more than they save
             self._lu = splu(M, panel_size=1)
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
+        except RuntimeError as exc:  # a zero pivot: "Factor is exactly singular"
             raise SingularShiftedMatrix(
                 f"A + ({shift})*E is singular: {exc}"
             ) from exc
-        # SuperLU happily factors some exactly singular matrices into a U with
-        # a zero pivot; probe the diagonal of U.
-        U = self._lu.U   # a fresh sparse copy on every access
-        self._dtype = U.dtype
-        du = U.diagonal()
-        if not np.all(np.isfinite(du)) or np.min(np.abs(du)) == 0.0:
-            raise SingularShiftedMatrix(f"A + ({shift})*E has a zero pivot")
 
     def solve(self, rhs, trans="N"):
         """Solve (A + shift*E) X = rhs, or with trans='T' the plain
@@ -232,6 +228,12 @@ class SchurForm:
             block_diag2(self.Z, block.Z),
             np.concatenate([self.eigvals, block.eigvals]),
         )
+
+    def block(self, lo, hi):
+        """SchurForm of the diagonal block a[lo:hi, lo:hi], for lo and hi
+        where Z is block diagonal (every boundary ``extended`` grew)."""
+        return SchurForm(self.a[lo:hi, lo:hi], self.T[lo:hi, lo:hi],
+                         self.Z[lo:hi, lo:hi], self.eigvals[lo:hi])
 
     def kron(self, n):
         """SchurForm of kron(a, I_n), factor by factor, so every eigenvalue

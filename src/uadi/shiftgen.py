@@ -11,9 +11,18 @@ one Galerkin ranking serves both sides.  It skips Ritz values in the closed
 right half-plane while a stable one exists: such values are projection
 artefacts of a non-normal pencil, not pole estimates.  A window looks onto
 the solve-direction basis the iteration already holds (the engine side's X,
-CfAdi.Z, Radi.V) by reference, with no copy, and is orthonormalized only
-when a ranking asks for it.  Once it would pass its column cap it restarts
-at the newest block; Projection-II's window has cap 0.
+CfAdi.Z, Radi.V) by reference, and holds an orthonormal frame Q of it in
+one n x (cap + widest block) column-major buffer.  When a ranking asks,
+the columns observed since the last one join Q by block classical
+Gram-Schmidt with one reorthogonalization (CGS2), a thin QR and an SVD of
+its small R; a direction is kept when its singular value exceeds
+eps * max(n, width) times the largest column norm the window has held, the
+rcond rule of scipy.linalg.orth.  The projected pencil (Q^T A Q, Q^T E Q)
+grows by one block row and column from the sparse products of the new
+directions only; a projected pencil is basis-invariant, so the ranking
+depends on the window's span alone.  Once the window would pass its
+column cap it restarts at the newest block and its frame starts over;
+Projection-II's window has cap 0.
 """
 
 import logging
@@ -21,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
+from scipy.linalg.blas import dgemm
 
 from .errors import NonFiniteShift, SingularProjectedE, ZeroResidual
 from .linalg import small_eig
@@ -95,19 +105,49 @@ def rank_dominance(eigenvalues, residue_norms):
     return DominanceRanking(lam, rn, scores, order)
 
 
-def _orth(M):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[1] == 0 or not np.any(M):
-        raise ZeroResidual("projection basis is zero")
-    return spla.orth(M)
-
-
 def _projected_pencil(V1, sys, gain=None):
     """Galerkin projection (V1^T (A - gain C) V1, V1^T E V1) of the pencil."""
     AV = sys.A @ V1
     if gain is not None:
         AV = AV - gain @ (sys.C @ V1)
     return V1.T @ AV, V1.T @ (sys.E @ V1)
+
+
+def _extended(M, cols, rows):
+    """[[M, cols[:a]], [rows, cols[a:]]] for M of a rows: M grown by new
+    columns (over all rows, the new ones last) and new rows (over M's
+    columns)."""
+    return np.block([[M, cols[: len(M)]], [rows, cols[len(M) :]]])
+
+
+def _products(ops, D):
+    """op @ D for each operator, side by side in one column-major array.
+    A column of a column-major frame is contiguous, so taking D one column
+    at a time copies no operand, and each product lands in its column."""
+    out = np.empty((len(D), len(ops) * D.shape[1]), order="F")
+    for i, op in enumerate(ops):
+        for j in range(D.shape[1]):
+            out[:, i * D.shape[1] + j] = op @ D[:, j]
+    return out
+
+
+def _fold(held, L, R, ops):
+    """The pair (L^T A R, L^T E R) grown from ``held``, its value on the
+    leading columns of the frames L and R, by the sparse products of the
+    frames' new columns only; ``ops`` is (A, E, A^T, E^T)."""
+    a, c = held[0].shape
+    if (a, c) == (L.shape[1], R.shape[1]):
+        return held
+    DR, DL = R[:, c:], L[:, a:]
+    d, e = DR.shape[1], DL.shape[1]
+    if L is R:   # one pass over the frame for the new rows and columns
+        M = L.T @ _products(ops, DR)
+        cols, rows = M[:, : 2 * d], M[:c, 2 * d :].T
+    else:
+        cols = L.T @ _products(ops[:2], DR)
+        rows = (R[:, :c].T @ _products(ops[2:], DL)).T
+    return (_extended(held[0], cols[:, :d], rows[:e]),
+            _extended(held[1], cols[:, d:], rows[e:]))
 
 
 def _paired(values):
@@ -134,15 +174,40 @@ def _paired(values):
     return out
 
 
-def next_shifts_projection1(B_perp, sys):
-    """Ritz values of the pencil projected by orth(residual factor)."""
-    w, _, _ = small_eig(*_projected_pencil(_orth(B_perp), sys))
+def _ritz_shifts(window):
+    """Sanitized Ritz values of the window's held pencil, conjugate
+    partners adjacent."""
+    Ah, Eh = window.pencil()
+    if Ah.shape[0] == 0:
+        raise ZeroResidual("projection basis is zero")
+    w, _, _ = small_eig(Ah, Eh)
     return [sanitize_shift(v) for v in _paired(w)]
 
 
+def next_shifts_projection1(B_perp, sys):
+    """Ritz values of the pencil projected by an orthonormal frame of the
+    residual factor (one cap-0 window on it)."""
+    window = _Window(sys, 0)
+    window.observe(np.atleast_2d(np.asarray(B_perp, dtype=float)), B_perp)
+    return _ritz_shifts(window)
+
+
 def next_shifts_projection2(v_last, sys):
-    """Ritz values of the pencil projected by orth(last solve direction)."""
+    """Ritz values of the pencil projected by an orthonormal frame of the
+    last solve direction."""
     return next_shifts_projection1(np.real(v_last), sys)
+
+
+def _rank_galerkin(Ah, Eh, Bh):
+    """Dominant stable Ritz value of the projected pencil (Ah, Eh) with
+    projected residual factor Bh, and its ranking (``next_shift_subspace``)."""
+    w, _, Tl = small_eig(Ah, Eh)
+    rn = np.array([np.linalg.norm(Tl[l] @ Bh) for l in range(len(w))])
+    stable = w.real < 0
+    if np.any(stable):
+        w, rn = w[stable], rn[stable]
+    ranking = rank_dominance(w, rn)
+    return sanitize_shift(ranking.top()), ranking
 
 
 def next_shift_subspace(history_V, perp, sys, feedback_gain=None):
@@ -165,32 +230,17 @@ def next_shift_subspace(history_V, perp, sys, feedback_gain=None):
     V1 = history_V
     if V1.shape[1] == 0:
         raise ZeroResidual("empty history")
-    w, _, Tl = small_eig(*_projected_pencil(V1, sys, feedback_gain))
-    Bh = V1.T @ np.atleast_2d(perp)
-    rn = np.array([np.linalg.norm(Tl[l] @ Bh) for l in range(len(w))])
-    stable = w.real < 0
-    if np.any(stable):
-        w, rn = w[stable], rn[stable]
-    ranking = rank_dominance(w, rn)
-    return sanitize_shift(ranking.top()), ranking
+    return _rank_galerkin(*_projected_pencil(V1, sys, feedback_gain),
+                          V1.T @ np.atleast_2d(perp))
 
 
-def next_shift_petrov_bt(history_V, history_W, B_perp, C_perp, sys):
-    """Pole that is simultaneously most controllable and most observable.
-
-    Two-sided projection with the residual factors of the two engine
-    sides as they hold them: ``B_perp`` n x m, ``C_perp`` the n x p factor
-    of ``sys.dual()``.  A singular projected E raises SingularProjectedE.
-    """
-    V1, W2 = history_V, history_W
-    EV = sys.E @ V1
-    Eh = W2.T @ EV
-    Ah = W2.T @ (sys.A @ V1)
-    Bh = W2.T @ np.atleast_2d(B_perp)
-    Ch = np.atleast_2d(C_perp).T @ V1
+def _rank_petrov(Ah, Eh, Bh, Ch, gram):
+    """Two-sided ranking of the projected pencil (Ah, Eh) with projected
+    factors Bh and Ch (``next_shift_petrov_bt``).  The singular-E test is
+    scaled by ||E V||_2, the root of the top eigenvalue of ``gram``, the
+    Gram matrix of E V."""
     try:
         sv = spla.svdvals(Eh)
-        gram = EV.T @ EV   # ||E V1||_2^2 is its top eigenvalue; W2 is orthonormal
         scale = max(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)), 1e-300)
         if sv.size == 0 or sv[-1] <= 1e-12 * scale:
             raise spla.LinAlgError("projected E numerically singular")
@@ -212,21 +262,54 @@ def next_shift_petrov_bt(history_V, history_W, B_perp, C_perp, sys):
     return sanitize_shift(ranking.top()), ranking
 
 
+def next_shift_petrov_bt(history_V, history_W, B_perp, C_perp, sys):
+    """Pole that is simultaneously most controllable and most observable.
+
+    Two-sided projection with the residual factors of the two engine
+    sides as they hold them: ``B_perp`` n x m, ``C_perp`` the n x p factor
+    of ``sys.dual()``.  A singular projected E raises SingularProjectedE.
+    """
+    V1, W2 = history_V, history_W
+    EV = sys.E @ V1
+    return _rank_petrov(W2.T @ (sys.A @ V1), W2.T @ EV,
+                        W2.T @ np.atleast_2d(B_perp),
+                        np.atleast_2d(C_perp).T @ V1, EV.T @ EV)
+
+
 class _Window:
     """One engine side as an oracle sees it: the side's system, a window
     onto the side's basis (a reference to it, no copy, from the restart
     column ``start``), and the residual factor and feedback gain it last
     observed.  Once the window would pass ``cap`` columns it restarts at
-    the newest block, the columns added since the previous observation."""
+    the newest block, the columns added since the previous observation.
+
+    The window holds an orthonormal frame Q of its columns (``basis``) and
+    the Galerkin pencil (Q^T A Q, Q^T E Q) on it; both grow by the
+    columns observed since they last grew, when a ranking asks, and start
+    over at a restart.  ``epoch`` counts the restarts, so that a two-sided
+    oracle knows when its cross matrices went stale."""
 
     def __init__(self, sys, cap):
         self.sys, self.cap = sys, cap
+        # the pencil and its transpose, made once: a transposed view of a
+        # sparse matrix is checked anew each time it is made
+        self.ops = None if sys is None else (sys.A, sys.E, sys.A.T, sys.E.T)
         self.X, self.start = None, 0
         self.perp = self.gain = None
+        self._buf, self.epoch = None, -1
+        self._restart()
+
+    def _restart(self):
+        self.epoch += 1
+        self._r = 0             # frame width
+        self._seen = self.start  # basis columns that joined the frame
+        self._colmax = 0.0      # largest column norm the window has held
+        self._held = (np.empty((0, 0)),) * 2   # (Q^T A Q, Q^T E Q)
 
     def observe(self, X, perp, gain=None):
         if self.X is not None and X.shape[1] - self.start > self.cap:
             self.start = self.X.shape[1]
+            self._restart()
         self.X = X
         self.perp = np.asarray(perp)
         self.gain = gain
@@ -237,13 +320,59 @@ class _Window:
 
     @property
     def basis(self):
-        """Orthonormal basis of the window, computed on each call."""
-        return spla.orth(self.X[:, self.start:])
+        """The orthonormal frame Q of the window, grown by the columns
+        observed since the last call.  The observed basis only grows: the
+        columns the frame has taken in are not read again."""
+        new = self.X[:, self._seen:]
+        self._seen = self.X.shape[1]
+        if new.shape[1]:
+            self._grow(new)
+        return self._buf[:, : self._r]
+
+    def _grow(self, B):
+        """Add the directions of the new columns B that the drop rule keeps
+        to the frame, reallocating its buffer to cap + b columns when they
+        do not fit."""
+        n, b = B.shape
+        r = self._r
+        if self._buf is None or self._buf.shape[1] < r + b:
+            buf = np.empty((n, self.cap + b), order="F")
+            if r:
+                buf[:, :r] = self._buf[:, :r]
+            self._buf = buf
+        Q = self._buf[:, :r]
+        Y = np.array(B, dtype=float, order="F")
+        self._colmax = max(self._colmax, np.linalg.norm(Y, axis=0).max())
+        # block CGS2: project, orthonormalize, and again on the orthonormal
+        # block; B's component off Q is then Y R
+        R = np.eye(b)
+        for _ in range(2 if r else 1):
+            Y = dgemm(-1.0, Q, Q.T @ Y, 1.0, Y, overwrite_c=True)   # Y -= Q Q^T Y
+            Y, Ri = spla.qr(Y, mode="economic", overwrite_a=True,
+                            check_finite=False)
+            R = Ri @ R
+        U, s, _ = np.linalg.svd(R)
+        keep = int(np.count_nonzero(
+            s > np.finfo(float).eps * max(n, self.width) * self._colmax))
+        self._buf[:, r : r + keep] = Y @ U[:, :keep]
+        self._r = r + keep
+
+    def pencil(self):
+        """(Q^T A Q, Q^T E Q) on the frame, grown by the sparse products of
+        its new directions."""
+        Q = self.basis
+        self._held = _fold(self._held, Q, Q, self.ops)
+        return self._held
 
     def rank(self):
         """The unit of the Galerkin ranking on the window."""
-        shift, _ = next_shift_subspace(self.basis, self.perp, self.sys,
-                                       self.gain)
+        Ah, Eh = self.pencil()
+        Q = self.basis
+        if Q.shape[1] == 0:
+            raise ZeroResidual("empty history")
+        if self.gain is not None:
+            Ah = Ah - (Q.T @ self.gain) @ (self.sys.C @ Q)
+        shift, _ = _rank_galerkin(Ah, Eh, Q.T @ self.perp)
         return ShiftUnit(shift)
 
 
@@ -287,7 +416,7 @@ class ProjectionShiftOracle:
             if self.variant == 1:
                 vals = next_shifts_projection1(h.perp, h.sys)
             else:
-                vals = next_shifts_projection2(h.X[:, h.start:], h.sys)
+                vals = _ritz_shifts(h)
             # one unit per conjugate pair
             units = [ShiftUnit(v) for v in vals if v.imag >= 0]
             self._unit_queue = units or [ShiftUnit(INITIAL_SHIFT)]
@@ -338,6 +467,25 @@ class PetrovBtShiftOracle(_TwoSidedOracle):
 
     def __init__(self, sys, cap=DEFAULT_CAP):
         super().__init__(sys, None, cap)
+        self._epochs = self._held = None
+
+    def _cross(self, V, W):
+        """(W^T A V, W^T E V, (E V)^T E V) on the two frames, grown by the
+        sparse products of their new directions; rebuilt after a restart of
+        either window."""
+        v, w = self.hist_v, self.hist_w
+        if self._epochs != (v.epoch, w.epoch):
+            self._epochs = (v.epoch, w.epoch)
+            self._held = (np.empty((0, 0)),) * 3
+        Ah, Eh, G = self._held
+        c = G.shape[0]
+        if c < V.shape[1]:
+            _, E, _, Et = v.ops
+            g = V.T @ (Et @ (E @ np.ascontiguousarray(V[:, c:])))
+            G = _extended(G, g, g[:c].T)
+        Ah, Eh = _fold((Ah, Eh), W, V, v.ops)
+        self._held = Ah, Eh, G
+        return self._held
 
     def next_unit(self):
         v, w = self.hist_v, self.hist_w
@@ -345,9 +493,10 @@ class PetrovBtShiftOracle(_TwoSidedOracle):
             return ShiftUnit(INITIAL_SHIFT)
         if not (np.any(v.perp) or np.any(w.perp)):
             raise ZeroResidual("both residual factors vanished")
+        V, W = v.basis, w.basis
+        Ah, Eh, G = self._cross(V, W)
         try:
-            shift, _ = next_shift_petrov_bt(v.basis, w.basis, v.perp, w.perp,
-                                            v.sys)
+            shift, _ = _rank_petrov(Ah, Eh, W.T @ v.perp, w.perp.T @ V, G)
         except SingularProjectedE:
             return v.rank()
         return ShiftUnit(shift)

@@ -284,7 +284,7 @@ def _advance(side, eq, q, Lc, D=None):
     fb, qk, rr = eq.fb, eq.qk, eq.rr
     kp = eq.T.shape[0]
     wid = q - kp
-    s, l = side.S[kp:q, kp:q], side.L[:, kp:q]
+    l = side.L[:, kp:q]
     L, G = side.L[:, :q], side.G[:q]
     U = None if fb is None else L.T @ fb
     rhs = L.T if rr is None else L.T @ rr
@@ -305,7 +305,9 @@ def _advance(side, eq, q, Lc, D=None):
         M = D
     elif qk is not None:
         x = G.T @ t  # projected output map of the new direction
-        small = solve_small_lyapunov(-s, l.T @ l + x.T @ qk @ x)
+        # s = S[kp:q, kp:q] in the Schur form the side holds
+        small = solve_small_lyapunov(-side.schur.block(kp, q),
+                                     l.T @ l + x.T @ qk @ x)
         M = block_diag2(eq.M, spla.inv(small))
     else:
         M = None

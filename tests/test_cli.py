@@ -206,9 +206,11 @@ class TestShiftDuality:
 
 
 class TestOracleStorage:
-    """A shift oracle ranks on a window of the iteration's own basis: every
-    n-row array it holds is a view of an engine basis buffer or a residual
-    factor it observed, never a copy of its own."""
+    """A shift oracle ranks on a window of the iteration's own basis: each
+    window holds one n-row array of its own, the column-major buffer of its
+    orthonormal frame, at most cap + widest block wide whatever k is.  Every
+    other n-row array it holds is a view of an engine basis buffer or a
+    residual factor it observed."""
 
     @pytest.mark.parametrize("pair, shifts", [
         (("penzl:60,1,2,3", "penzl:60,4,5,6"), "sylv-alt"),
@@ -223,9 +225,10 @@ class TestOracleStorage:
                 drivers.append(self)
 
         monkeypatch.setattr(cli, "_ShiftDriver", Recording)
+        cap = 6
         rep = run(RunConfig(sys1=pair[0], sys2=pair[1],
                             equations="lyap_p,lyap_q,sylv", shifts=shifts,
-                            max_iter=8, tol=1e-300, restart_cap=6))
+                            max_iter=8, tol=1e-300, restart_cap=cap))
         st, oracle = rep.state, drivers[0].oa
         observed = (st.v.sylv, st.w.sylv) if shifts == "sylv-alt" else (st.v, st.w)
         factors = {id(h.perp) for h in observed}
@@ -248,10 +251,15 @@ class TestOracleStorage:
                     walk(value)
 
         walk(oracle)
-        assert len(arrays) >= 4
-        for a in arrays:
-            assert (id(a) in factors
-                    or any(np.shares_memory(a, buf) for buf in buffers)), a.shape
+        windows = (oracle.hist_v, oracle.hist_w)
+        own = [a for a in arrays if id(a) not in factors
+               and not any(np.shares_memory(a, buf) for buf in buffers)]
+        assert len(own) == len(windows)
+        assert {id(a) for a in own} == {id(h._buf) for h in windows}
+        widest = max(np.diff(side.bounds).max() for side in (st.v, st.w))
+        for a in own:
+            assert a.flags.f_contiguous and a.shape[1] <= cap + widest, a.shape
+        assert len(arrays) >= 4 + len(own)
         assert oracle.hist_v.start > 0 and oracle.hist_w.start > 0   # restarted
 
 

@@ -6,11 +6,13 @@ import scipy.sparse as sps
 from uadi.errors import (
     DimensionMismatch,
     NonHermitianRHS,
+    SingularE,
     SingularShiftedMatrix,
     SpectraOverlap,
 )
 from uadi.linalg import (
     FactorizationCache,
+    ShiftedFactorization,
     gram_norm2,
     schur_form,
     shifted_solve,
@@ -20,6 +22,7 @@ from uadi.linalg import (
     solve_small_sylvester,
 )
 from uadi.realify import ShiftUnit, lyap_sl
+from uadi.systems import StateSpaceSystem
 
 from conftest import assert_multiset_close
 
@@ -32,6 +35,27 @@ class TestShiftedSolve:
     def test_singular_shift(self):
         with pytest.raises(SingularShiftedMatrix):
             shifted_solve(np.array([[-2.0]]), np.array([[1.0]]), 2.0, [[4.0]])
+        # exactly singular pencils A + 0*E, and a 1x1 pencil whose sum
+        # cancels to an empty column, fail when they are factored
+        singular = {
+            "zero column": np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]),
+            "rank one": np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
+            "singular 3x3": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
+            "zero diagonal entry": np.diag([1.0, 0.0, 2.0]),
+        }
+        for name, A in singular.items():
+            with pytest.raises(SingularShiftedMatrix):
+                ShiftedFactorization(A, np.eye(3), 0.0)
+            with pytest.raises(SingularE):
+                StateSpaceSystem(A, -np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        with pytest.raises(SingularShiftedMatrix):
+            ShiftedFactorization(sps.csc_matrix([[-2.0]]), sps.csc_matrix([[1.0]]), 2.0)
+        E = np.eye(3)
+        E[1, 2] = np.nan
+        with pytest.raises(SingularShiftedMatrix):
+            ShiftedFactorization(-np.eye(3), E, -1.0)
+        with pytest.raises(SingularE):
+            StateSpaceSystem(E, -np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

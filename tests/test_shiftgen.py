@@ -4,6 +4,7 @@ import scipy.linalg as spla
 
 from uadi.errors import NonFiniteShift, SingularProjectedE, ZeroResidual
 from uadi.realify import ShiftUnit
+from uadi.classic import Radi
 from uadi.shiftgen import (
     PetrovBtShiftOracle,
     ProjectionShiftOracle,
@@ -16,13 +17,17 @@ from uadi.shiftgen import (
     next_shifts_projection2,
     rank_dominance,
     sanitize_shift,
+    _projected_pencil,
 )
 from uadi.systems import (
     StateSpaceSystem,
     illustrative_pair,
     penzl_triple_peak,
     random_stable_system,
+    rlc_ladder,
 )
+
+EPS = np.finfo(float).eps
 
 
 class TestSanitize:
@@ -237,6 +242,94 @@ class TestSubspaceOracle:
                 k += 2
             else:
                 k += 1
+
+
+class TestHeldFrame:
+    """A window grows its orthonormal frame Q and its Galerkin pencil one
+    block at a time.  After every observation, with restarts, the held
+    matrices equal the direct products on the held Q, Q spans the window
+    with scipy.linalg.orth's rank, and the ranking equals the one on a fresh
+    orth of the window.  Two orthonormalizations of one window differ by up
+    to about eps * kappa (its condition number over the kept directions) in
+    angle, so that is where the last comparison's tolerance grows."""
+
+    @staticmethod
+    def _check(window):
+        Q, Xw = window.basis, window.X[:, window.start:]
+        P = spla.orth(Xw)
+        assert Q.shape[1] == P.shape[1]   # the drop rule keeps orth's rank
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-13
+        assert np.linalg.norm(Xw - Q @ (Q.T @ Xw)) <= 1e-13 * np.linalg.norm(Xw)
+        sv = spla.svdvals(Xw)
+        kappa = sv[0] / sv[P.shape[1] - 1]
+        assert np.abs(Q @ Q.T - P @ P.T).max() <= max(1e-12, EPS * kappa)
+        for held, want in zip(window.pencil(), _projected_pencil(Q, window.sys)):
+            assert np.abs(held - want).max() <= 1e-12 * np.abs(want).max()
+        got = window.rank().value
+        on_q, _ = next_shift_subspace(Q, window.perp, window.sys, window.gain)
+        assert abs(got - on_q) <= 1e-12 * abs(on_q)
+        fresh, _ = next_shift_subspace(P, window.perp, window.sys, window.gain)
+        assert abs(got - fresh) <= max(1e-10, 50 * EPS * kappa) * abs(fresh)
+        return kappa
+
+    @pytest.mark.parametrize("kind", ["nearly-dependent", "dependent"])
+    def test_window_matches_direct_route(self, kind):
+        sys = penzl_triple_peak(200, 5, 15, 25)
+        rng = np.random.default_rng(1)
+        oracle = SubspaceShiftOracle(sys, cap=12)
+        X = rng.standard_normal((200, 2))
+        kappas = []
+        for _ in range(30):
+            if kind == "nearly-dependent":   # a mix of the last block, nudged
+                block = X[:, -2:] @ rng.standard_normal((2, 2)) \
+                    + 1e-7 * rng.standard_normal((200, 2))
+            else:   # a new column and an exact multiple of it
+                c = rng.standard_normal((200, 1))
+                block = np.hstack([c, 2.0 * c])
+            X = np.hstack([X, block])
+            oracle.observe(X, rng.standard_normal((200, 1)))
+            kappas.append(self._check(oracle.history))
+            if kind == "dependent":   # one direction per block is dropped
+                assert oracle.history.basis.shape[1] < oracle.history.width
+        assert oracle.history.epoch >= 4   # restarted
+        if kind == "nearly-dependent":
+            assert max(kappas) > 1e10   # sigma_min / sigma_max below 1e-10
+
+    def test_gain_deflated_window(self):
+        sys = random_stable_system(60, 2, 2, 3)
+        it, oracle = Radi(sys), SubspaceShiftOracle(sys, cap=10)
+        for _ in range(30):
+            it.step(oracle.next_unit())
+            oracle.observe(it.V, it.Bperp, feedback_gain=it.K)
+            self._check(oracle.history)
+        assert oracle.history.epoch >= 4 and np.any(oracle.history.gain)
+
+    def test_two_sided_windows(self):
+        """The Petrov oracle's cross matrices on the two held frames equal
+        the direct products, also when the windows restart at different
+        observations, and it ranks as on fresh orths of the windows."""
+        sys = rlc_ladder(segments=15)
+        rng = np.random.default_rng(2)
+        oracle = PetrovBtShiftOracle(sys, cap=8)
+        V, W = rng.standard_normal((sys.n, 2)), rng.standard_normal((sys.n, 3))
+        for _ in range(20):
+            V = np.hstack([V, rng.standard_normal((sys.n, 2))])
+            W = np.hstack([W, rng.standard_normal((sys.n, 3))])
+            v_perp = rng.standard_normal((sys.n, sys.m))
+            w_perp = rng.standard_normal((sys.n, sys.p))
+            oracle.observe(V, W, v_perp, w_perp)
+            got = oracle.next_unit().value
+            v, w = oracle.hist_v, oracle.hist_w
+            Qv, Qw = v.basis, w.basis
+            EV = sys.E @ Qv
+            for held, want in zip(oracle._held,
+                                  (Qw.T @ (sys.A @ Qv), Qw.T @ EV, EV.T @ EV)):
+                assert np.abs(held - want).max() <= 1e-12 * np.abs(want).max()
+            fresh, _ = next_shift_petrov_bt(spla.orth(V[:, v.start:]),
+                                            spla.orth(W[:, w.start:]),
+                                            v_perp, w_perp, sys)
+            assert abs(got - fresh) <= 1e-10 * abs(fresh)
+        assert v.epoch != w.epoch   # the windows restarted apart
 
 
 class TestRightHalfPlaneRitz:

@@ -530,6 +530,44 @@ class TestExtractionKernel:
             dev = np.linalg.norm(eq.perp - side.perp)
             assert dev <= 1e-12 * np.linalg.norm(side.perp)
 
+    def test_small_lyapunov_on_the_consumed_block_form(self, monkeypatch):
+        """The weighted families solve their small Lyapunov equation against
+        the consumed block's Schur form, sliced from the one the side holds.
+        The slice is a Schur form of s = S[kp:q, kp:q]: it differs from a
+        fresh one only by a unitary acting within each eigenvalue's columns,
+        and the middle matrices agree with the fresh route's."""
+        import uadi.uadi as engine
+        from uadi.linalg import schur_form
+
+        steps = ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0), (-3 + 1j, -0.7))
+        _, st = rlc_state(steps)
+        for side in (st.v, st.w):
+            for kp, q in zip(side.bounds, side.bounds[1:]):
+                s = side.S[kp:q, kp:q]
+                cut, fresh = side.schur.block(kp, q), schur_form(s, output="complex")
+                scale = np.linalg.norm(s)
+                assert np.abs(np.tril(cut.T, -1)).max(initial=0.0) == 0.0
+                assert np.abs(cut.Z @ cut.T @ cut.Z.conj().T - s).max() <= 1e-12 * scale
+                assert_multiset_close(np.diag(cut.T), np.diag(fresh.T), 1e-12)
+                D = cut.Z.conj().T @ fresh.Z   # unitary: fresh = cut rotated by D
+                assert np.abs(D.conj().T @ D - np.eye(q - kp)).max() <= 1e-12
+                apart = np.abs(np.diag(cut.T)[:, None] - np.diag(fresh.T)[None, :])
+                assert np.abs(D[apart > 1e-8 * scale]).max(initial=0.0) <= 1e-12
+                assert np.abs(D.conj().T @ cut.T @ D - fresh.T).max() <= 1e-12 * scale
+        fresh_route = engine.solve_small_lyapunov
+        monkeypatch.setattr(engine, "solve_small_lyapunov",
+                            lambda F, Q: fresh_route(getattr(F, "a", F), Q))
+        _, ref = rlc_state(steps)
+        weighted = 0
+        for side, other in ((st.v, ref.v), (st.w, ref.w)):
+            for tag, eq in side.eqs.items():
+                if eq.qk is None or tag == "sf":
+                    continue
+                weighted += 1
+                M, Mref = eq.M, other.eqs[tag].M
+                assert np.abs(M - Mref).max() <= 1e-12 * np.abs(Mref).max(), tag
+        assert weighted >= 4
+
 
 class TestPolePlacement:
     def test_table_rows(self):
