@@ -249,14 +249,15 @@ def run(config):
                 break
             uadi_step(state, au, bu)
             driver.after_step(state)
-            # A stale tag (the spectral-factor pair between rebuilds) comes
-            # last and is read, and so rebuilt, only once every other
-            # equation has settled, or at the last iteration; until then its
-            # row repeats the value of its last rebuild, and the run cannot
-            # stop anyway.
+            # A stale tag (the spectral-factor pair, which a step never
+            # rebuilds) comes last and is read, and so rebuilt, only at
+            # iterations 1, 2, 4, 8, ..., once every other equation has
+            # settled, or at the last iteration; between reads its row
+            # repeats the value of its last rebuild, and the run cannot stop.
             settled = True
+            read_stale = it & (it - 1) == 0 or it == config.max_iter
             for tag in sorted(state.enabled, key=state.stale):
-                if settled or it == config.max_iter or not state.stale(tag):
+                if settled or read_stale or not state.stale(tag):
                     last[tag] = _status(state, tag, config.tol)
                 status = last[tag][1]
                 settled = settled and status.startswith(("converged", "degraded"))

@@ -23,10 +23,10 @@ its side holds: column by column (Golub, Nash & Van Loan, IEEE TAC 24(6),
 1979) with one shifted triangular factor per distinct eigenvalue of s,
 shared by every equation of the side, and the rank-p correction U G^T by
 Sherman-Morrison-Woodbury.  Any other F X - X G + H = 0 goes through
-Bartels-Stewart: one Schur form per side, eigenvalues read off the Schur
-diagonals for the separation check, and LAPACK trsyl.  A SchurForm may
-stand in for an operand whose decomposition the caller already holds, so
-that no Schur form is computed twice.
+Bartels-Stewart on plain matrices: one Schur form per side, eigenvalues
+read off the Schur diagonals for the separation check, and LAPACK trsyl.
+A small Lyapunov solve may take the SchurForm of F that the caller already
+holds, so that it is not computed twice.
 """
 
 from dataclasses import dataclass, field
@@ -68,9 +68,11 @@ def _as_csc(A):
 class ShiftedFactorization:
     """Reusable LU factorization of (A + shift*E), real for a real shift.
 
-    Singularity is reported at construction time.  The factorization is
-    read-only afterwards and may serve any number of right-hand sides; a
-    complex one is solved against a real LU as its real and imaginary parts.
+    An exact zero pivot is reported at construction time, a roundoff pivot
+    by a solve with max|m_ij| ||x_j||_1 > ||rhs_j||_1 / eps for a column j
+    (a lower bound on cond_1 of M and M^T).  The factorization is read-only
+    afterwards and may serve any number of right-hand sides; a complex one
+    is solved against a real LU as its real and imaginary parts.
     """
 
     def __init__(self, A, E, shift):
@@ -87,6 +89,7 @@ class ShiftedFactorization:
         if not np.all(np.isfinite(M.data)):
             raise SingularShiftedMatrix(f"A + ({shift})*E has non-finite entries")
         self._dtype = M.dtype
+        self._entry_max = np.abs(M.data).max(initial=0.0)
         try:
             # one-column panels: on narrow supernodes wider ones cost more than they save
             self._lu = splu(M, panel_size=1)
@@ -112,6 +115,11 @@ class ShiftedFactorization:
             raise SingularShiftedMatrix(
                 f"solve with shift {self.shift} produced non-finite values"
             )
+        ones = np.ones(self.n)   # column sums by product: fast in any order
+        growth = self._entry_max * (ones @ np.abs(x))
+        if np.any(growth * np.finfo(float).eps > ones @ np.abs(rhs)):
+            raise SingularShiftedMatrix(
+                f"A + ({self.shift})*E is numerically singular")
         return x
 
 
@@ -294,13 +302,9 @@ def solve_small_sylvester(F, G, H):
 
     Bartels-Stewart: one Schur form of each side and LAPACK trsyl.  Raises
     SpectraOverlap when F and G share an eigenvalue within 1e-12 of the
-    spectral scale, read off the Schur diagonals.  G may be passed as its
-    SchurForm when the caller holds one; it then is not factored again.
-    Complex trsyl reads both factors as triangular, so a complex form of
-    real G takes the complex Schur form of F too; real data give a real X.
+    spectral scale, read off the Schur diagonals.  Real data give a real X.
     """
-    g_form = G if isinstance(G, SchurForm) else None
-    F, G, H = _small_operands(F, G if g_form is None else g_form.a, H)
+    F, G, H = _small_operands(F, G, H)
     if F.shape[0] != F.shape[1] or G.shape[0] != G.shape[1]:
         raise DimensionMismatch("F and G must be square")
     p, q = F.shape[0], G.shape[0]
@@ -308,8 +312,8 @@ def solve_small_sylvester(F, G, H):
         raise DimensionMismatch(f"H has shape {H.shape}, expected {(p, q)}")
     if p == 0 or q == 0:
         return np.zeros((p, q), dtype=H.dtype)
-    tg, zg, lam_g = _schur_of(G, g_form)
-    tf, zf, lam_f = _schur(F.astype(tg.dtype, copy=False))
+    tg, zg, lam_g = _schur(G)
+    tf, zf, lam_f = _schur(F)
     _check_separation(lam_f, lam_g, _spectral_scale(lam_f, lam_g))
     # F X - X G = -H with F = U R U^H, G = Z T Z^H: R Y - Y T = -U^H H Z
     y = _trsyl(tf, tg, zf.conj().T @ (-H @ zg), isgn=-1)

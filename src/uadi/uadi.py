@@ -22,9 +22,10 @@ Every reader goes through the table, and every residual is normalized by
 its own norm at X = 0.
 
 The spectral-factor pair is coupled to the current Gramians, so each
-rebuild solves it whole on the current basis.  Nothing inside the iteration
-reads it: a step rebuilds it only once the basis has grown by ``_GROWTH``
-since its last rebuild, and a read of a stale pair rebuilds it first.
+rebuild solves it whole on the current bases, from the two sides' X, S, L
+and G alone.  Nothing inside the iteration reads it and a step never
+rebuilds it: a read of a stale pair rebuilds it first, and the caller
+decides when to read.
 
 The two sides run one algorithm: the W side (observability, C2^T
 right-hand side) is the V side's ADI on the dual realization
@@ -77,8 +78,7 @@ logger = logging.getLogger("uadi")
 _NUMERICAL_FAILURES = (SpectraOverlap, EigFailure, NonHermitianRHS,
                        ExtractionSingular, np.linalg.LinAlgError)
 
-# Growth of the basis between the spectral-factor pair's rebuilds in a step,
-# and of a ``_Columns`` buffer's capacity when it is full.
+# Growth of a ``_Columns`` buffer's capacity when it is full.
 _GROWTH = 2
 
 ALL_TAGS = (
@@ -378,16 +378,16 @@ class _Side:
             start += y.shape[1]
 
 
-def _sf_side(side, other, VW):
-    """Spectral-factor (T, M, Y) of one side, rebuilt on the whole basis;
-    ``VW`` is X^T X_other of this side."""
+def _sf_side(side, other):
+    """Spectral-factor (T, M, Y) of one side, rebuilt on the whole basis
+    from the two sides' current X, S, L and G."""
     eq = side.eqs["sf"]
-    form = schur_form(side.S)   # real: both solves run on real trsyl
-    Cm = other.G.T @ VW.T + side.sys.D.T @ side.G.T
+    # coupled output map: two thin products, no k x k_other cross Gram
+    Cm = (other.X @ other.G).T @ side.X + side.sys.D.T @ side.G.T
     F = -side.S.T - side.L.T @ eq.fb @ Cm
-    T = solve_small_sylvester(F, form, side.L.T @ eq.rr @ side.L)
+    T = solve_small_sylvester(F, side.S, side.L.T @ eq.rr @ side.L)
     Cs = eq.rr @ Cm @ T
-    X = solve_small_lyapunov(-form, side.L.T @ side.L - Cs.T @ Cs)
+    X = solve_small_lyapunov(-side.S, side.L.T @ side.L - Cs.T @ Cs)
     M = spla.inv(X)
     return T, M, T @ (M @ side.L.T)
 
@@ -413,7 +413,6 @@ class UadiState:
                   FactorizationCache(dual.A, dual.E))
         self.v = _Side(sys1, cache1, S1, "_p")
         self.w = _Side(dual, cache2, S2, "_q")
-        self.VW = np.zeros((0, 0))   # V^T W as of the pair's last rebuild
         self._build_table()
 
     V = property(lambda self: self.v.X, doc="Shared basis of the V side.")
@@ -511,13 +510,10 @@ class UadiState:
 
     def _sf_group(self):
         """Updates of the spectral-factor pair, rebuilt whole on the current
-        bases; first grows V^T W by the columns since the last rebuild."""
+        bases.  Only a read of a stale pair runs it (``_entry``)."""
         v, w = self.v, self.w
-        kv, kw = self.VW.shape
-        self.VW = np.vstack([self.VW, v.X[:, kv:].T @ w.X[:, :kw]])
-        self.VW = np.hstack([self.VW, v.X.T @ w.X[:, kw:]])
-        return [(v, v.eqs["sf"], _sf_side(v, w, self.VW)),
-                (w, w.eqs["sf"], _sf_side(w, v, self.VW.T))]
+        return [(v, v.eqs["sf"], _sf_side(v, w)),
+                (w, w.eqs["sf"], _sf_side(w, v))]
 
     def step(self, alpha, beta):
         """Consume one shift unit per side (a complex shift stands for its
@@ -528,10 +524,7 @@ class UadiState:
             side.expand(unit)
         self.alpha_units.append(au)
         self.beta_units.append(bu)
-        groups = self._groups
-        if self._pair and self.v.k >= _GROWTH * len(self.v.eqs["sf"].T):
-            groups = groups + [self._pair]
-        self._update(groups)
+        self._update(self._groups)
         self.iteration += 1
         return self
 

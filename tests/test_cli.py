@@ -285,11 +285,12 @@ class TestCsvSchema:
 
 class TestSpectralFactorReads:
     def test_stale_pair_read_only_when_it_can_decide(self, tmp_path, monkeypatch):
-        """On criterion 10's run the driver reads the spectral-factor pair
-        only at its rebuilds and once every other equation has settled.  The
-        run stops where one that rebuilds and reads it every step stops, its
-        sf rows at rebuilds and at the end are fresh, and between rebuilds
-        they repeat the last rebuilt value."""
+        """On criterion 10's run, cli.run reads, and so rebuilds, the
+        spectral-factor pair only at iterations 1, 2, 4, 8, ..., once every
+        other equation has settled, and at the last iteration.  The run stops
+        where one that rebuilds and reads it every step stops, its sf rows at
+        rebuilds and at the end are fresh, and between rebuilds they repeat
+        the last rebuilt value."""
         import uadi.uadi as engine
 
         base = dict(sys1="rlc:400", sys2="rlc:400", equations="all",
@@ -305,12 +306,21 @@ class TestSpectralFactorReads:
         with monkeypatch.context() as m:
             m.setattr(engine.UadiState, "_sf_group", recording)
             lazy = run(RunConfig(out=str(tmp_path / "lazy"), **base))
+        step = engine.UadiState.step
+
+        def step_and_rebuild(state, alpha, beta):
+            step(state, alpha, beta)
+            state.residual_norm("sf_p")   # rebuilt after every step
+            return state
+
         with monkeypatch.context() as m:
-            m.setattr(engine, "_GROWTH", 1)   # rebuilt by every step
+            m.setattr(engine.UadiState, "step", step_and_rebuild)
             eager = run(RunConfig(out=str(tmp_path / "eager"), **base))
         assert lazy.converged and lazy.iterations == eager.iterations
         assert lazy.statuses == eager.statuses
         assert lazy.iterations in rebuilt and len(rebuilt) < lazy.iterations
+        assert {it for it in range(1, lazy.iterations + 1)
+                if it & (it - 1) == 0} <= rebuilt
         assert len(lazy.records) == len(eager.records)
         last = {}
         for got, want in zip(lazy.records, eager.records):
