@@ -12,10 +12,21 @@ memory is bounded by what will be reused.  The cache of a transposed pencil
 A^T + shift*E^T made by ``transposed()`` solves with the plain-transpose LU
 of A + shift*E (SuperLU trans='T', no conjugation, so complex shifts are
 fine) and borrows the LUs its parent holds: one LU per shift serves both
-sides of a single system.  SuperLU factors with a panel of one column
-(``panel_size=1``): the pencils here fill little, their supernodes are one
-or two columns wide, and a wider panel's workspace and per-panel work cost
-more than they save (``tools/superlu_panel_sweep.py``).
+sides of a single system.
+
+Each pencil is split once (per cache, or per one-off factorization) into
+its decoupled states and its coupled core.  A state is decoupled when its
+row and its column hold no off-diagonal entry in A or in E, so its
+equation is the scalar (a_ii + shift*e_ii) x_i = r_i: a factorization
+keeps these pivots and a solve divides by them.  SuperLU factors only the
+core, and makes no call when the core is empty (the check of a diagonal
+E); a pencil with no decoupled state is factored whole, as it is.  A new
+shift still counts as one factorization.  penzl's pencils are 6 coupled
+states and n - 6 decoupled ones; the RLC ladders have none.  SuperLU
+factors with a panel of one column (``panel_size=1``): the pencils here
+fill little, their supernodes are one or two columns wide, and a wider
+panel's workspace and per-panel work cost more than they save
+(``tools/superlu_panel_sweep.py``).
 
 Every small Sylvester solve goes through a Schur form.  An extraction
 solves S^T t + t s + U (G^T t) = H against the complex Schur form of S that
@@ -53,6 +64,7 @@ __all__ = [
     "solve_small_sylvester",
     "solve_placed_sylvester",
     "solve_small_lyapunov",
+    "symmetric_inverse",
     "small_eig",
     "gram_norm2",
     "block_diag2",
@@ -65,52 +77,116 @@ def _as_csc(A):
     return sps.csc_matrix(np.atleast_2d(A))
 
 
-class ShiftedFactorization:
-    """Reusable LU factorization of (A + shift*E), real for a real shift.
+class _PencilSplit:
+    """A pencil (A, E) split into its decoupled states and its coupled core.
 
-    An exact zero pivot is reported at construction time, a roundoff pivot
-    by a solve with max|m_ij| ||x_j||_1 > ||rhs_j||_1 / eps for a column j
-    (a lower bound on cond_1 of M and M^T).  The factorization is read-only
-    afterwards and may serve any number of right-hand sides; a complex one
-    is solved against a real LU as its real and imaginary parts.
+    A state is decoupled when its row and its column hold no off-diagonal
+    entry, stored in either A or E (explicit zeros count): its equation of
+    A + shift*E is the scalar one (a_ii + shift*e_ii) x_i = r_i.  The core
+    is the pencil restricted to the other states.  A pencil with no
+    decoupled state keeps A and E themselves as its core (``core`` None).
     """
 
-    def __init__(self, A, E, shift):
-        A = _as_csc(A)
-        E = _as_csc(E)
+    def __init__(self, A, E):
         if A.shape != E.shape or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(
                 f"A {A.shape} and E {E.shape} must be square and equal-sized"
             )
-        self.n = A.shape[0]
+        n = A.shape[0]
+        coupled = np.zeros(n, dtype=bool)
+        for X in (A, E):
+            rows = X.indices
+            cols = np.repeat(np.arange(n), np.diff(X.indptr))
+            off = rows != cols
+            coupled[rows[off]] = True
+            coupled[cols[off]] = True
+        self.n = n
+        if coupled.all():
+            self.core, self.dec = None, np.zeros(0, dtype=np.intp)
+            self.A, self.E = A, E
+            self.a_dec = self.e_dec = np.zeros(0)
+            return
+        self.core, self.dec = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+        self.A = A[self.core][:, self.core].tocsc()
+        self.E = E[self.core][:, self.core].tocsc()
+        self.a_dec = A.diagonal()[self.dec]
+        self.e_dec = E.diagonal()[self.dec]
+
+
+class ShiftedFactorization:
+    """Reusable LU factorization of (A + shift*E), real for a real shift.
+
+    The pencil is split into its decoupled states (rows and columns of A
+    and E with no off-diagonal entry) and its coupled core: the decoupled
+    states keep their pivots a_ii + shift*e_ii and are solved by a
+    division, and SuperLU factors the core alone, with no call at all when
+    the core is empty (a diagonal pencil, such as the check of a diagonal
+    E).  A pencil with no decoupled state is factored whole.  ``split``
+    passes the split of (A, E) when the caller already holds it
+    (FactorizationCache); it is computed here otherwise.
+
+    A non-finite entry or an exact zero pivot is reported at construction
+    time, a roundoff pivot by a solve with
+    max|m_ij| ||x_j||_1 > ||rhs_j||_1 / eps for a column j (a lower bound
+    on cond_1 of M and M^T; max|m_ij| over both parts).  The factorization
+    is read-only afterwards and may serve any number of right-hand sides;
+    a complex one is solved against a real LU as its real and imaginary
+    parts.
+    """
+
+    def __init__(self, A, E, shift, split=None):
+        if split is None:
+            split = _PencilSplit(_as_csc(A), _as_csc(E))
+        self._split = split
+        self.n = split.n
         self.shift = complex(shift)
         s = self.shift.real if self.shift.imag == 0 else self.shift
-        M = (A + s * E).tocsc()
-        if not np.all(np.isfinite(M.data)):
+        d = split.a_dec + s * split.e_dec
+        M = (split.A + s * split.E).tocsc()
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(M.data))):
             raise SingularShiftedMatrix(f"A + ({shift})*E has non-finite entries")
-        self._dtype = M.dtype
-        self._entry_max = np.abs(M.data).max(initial=0.0)
-        try:
-            # one-column panels: on narrow supernodes wider ones cost more than they save
-            self._lu = splu(M, panel_size=1)
-        except RuntimeError as exc:  # a zero pivot: "Factor is exactly singular"
+        if not d.all():
             raise SingularShiftedMatrix(
-                f"A + ({shift})*E is singular: {exc}"
-            ) from exc
+                f"A + ({shift})*E is singular: a decoupled state has a zero pivot")
+        self._d = d
+        self._dtype = M.dtype
+        self._entry_max = max(np.abs(d).max(initial=0.0),
+                              np.abs(M.data).max(initial=0.0))
+        self._lu = None
+        if M.shape[0]:
+            try:
+                # one-column panels: on narrow supernodes wider ones cost more than they save
+                self._lu = splu(M, panel_size=1)
+            except RuntimeError as exc:  # a zero pivot: "Factor is exactly singular"
+                raise SingularShiftedMatrix(
+                    f"A + ({shift})*E is singular: {exc}"
+                ) from exc
+
+    def _core_solve(self, rhs, trans):
+        if np.iscomplexobj(rhs) and self._dtype.kind != "c":
+            x = self._lu.solve(np.hstack([rhs.real, rhs.imag]), trans=trans)
+            return x[:, : rhs.shape[1]] + 1j * x[:, rhs.shape[1]:]
+        return self._lu.solve(np.asarray(rhs, dtype=self._dtype), trans=trans)
 
     def solve(self, rhs, trans="N"):
         """Solve (A + shift*E) X = rhs, or with trans='T' the plain
-        transpose (A^T + shift*E^T) X = rhs."""
-        rhs = np.atleast_2d(np.asarray(rhs))
+        transpose (A^T + shift*E^T) X = rhs.  A 1-D rhs is solved as one
+        column and gives a 1-D result."""
+        rhs = np.asarray(rhs)
+        vector = rhs.ndim == 1
+        rhs = rhs[:, None] if vector else np.atleast_2d(rhs)
         if rhs.shape[0] != self.n:
             raise DimensionMismatch(
                 f"rhs has {rhs.shape[0]} rows, expected {self.n}"
             )
-        if np.iscomplexobj(rhs) and self._dtype.kind != "c":
-            x = self._lu.solve(np.hstack([rhs.real, rhs.imag]), trans=trans)
-            x = x[:, : rhs.shape[1]] + 1j * x[:, rhs.shape[1]:]
+        split = self._split
+        if split.core is None:
+            x = self._core_solve(rhs, trans)
         else:
-            x = self._lu.solve(np.asarray(rhs, dtype=self._dtype), trans=trans)
+            x = np.empty(rhs.shape, dtype=np.result_type(rhs, self._d, self._dtype))
+            x[split.dec] = rhs[split.dec] / self._d[:, None]
+            if self._lu is not None:
+                x[split.core] = self._core_solve(rhs[split.core], trans)
         if not np.all(np.isfinite(x)):
             raise SingularShiftedMatrix(
                 f"solve with shift {self.shift} produced non-finite values"
@@ -120,13 +196,15 @@ class ShiftedFactorization:
         if np.any(growth * np.finfo(float).eps > ones @ np.abs(rhs)):
             raise SingularShiftedMatrix(
                 f"A + ({self.shift})*E is numerically singular")
-        return x
+        return x[:, 0] if vector else x
 
 
 class FactorizationCache:
     """LUs of A + shift*E keyed by exact complex shift value.
 
-    Holds the LU used last plus those of the shifts passed to
+    The pencil is split into decoupled states and coupled core once, here,
+    and every LU of the cache (and of its ``transposed()`` cache) shares
+    that split.  Holds the LU used last plus those of the shifts passed to
     ``declare_recurring``; the others are dropped when a new shift is asked
     for.  ``factor_count`` counts the LUs this cache made itself and
     ``solve_count`` the calls of its ``solve``.
@@ -136,6 +214,7 @@ class FactorizationCache:
         self._A = _as_csc(A)
         self._E = _as_csc(E)
         self._parent = parent
+        self._split = _PencilSplit(self._A, self._E) if parent is None else parent._split
         self._trans = "N" if parent is None else "T"
         self._store = {}
         self._recurring = set()
@@ -163,7 +242,7 @@ class FactorizationCache:
         if fac is None and self._parent is not None:
             fac = self._parent._store.get(key)
         if fac is None:
-            fac = ShiftedFactorization(self._A, self._E, key)
+            fac = ShiftedFactorization(self._A, self._E, key, split=self._split)
             self.factor_count += 1
         self._store = {s: f for s, f in self._store.items() if s in self._recurring}
         self._store[key] = fac
@@ -413,6 +492,31 @@ def solve_small_lyapunov(F, Q):
     if not np.isfinite(X).all():
         raise SpectraOverlap("small Lyapunov solution is not finite")
     return 0.5 * (X + X.conj().T)
+
+
+def symmetric_inverse(a):
+    """Inverse of a real symmetric matrix, read from its upper triangle,
+    and the reciprocal of its 1-norm condition number, both from one
+    factor: Cholesky (LAPACK potrf, pocon, potri) when a is positive
+    definite, Bunch-Kaufman (sytrf, sycon, sytri) otherwise.  These are
+    the factors scipy.linalg.inv takes for a symmetric matrix, so the
+    inverse has the same bits.  An exactly singular a gives rcond 0 and
+    no inverse."""
+    a, = _small_operands(a)
+    anorm = np.abs(a).sum(axis=0).max(initial=0.0)
+    potrf, pocon, potri = spla.get_lapack_funcs(("potrf", "pocon", "potri"), (a,))
+    c, info = potrf(a)
+    if info == 0:
+        rcond, _ = pocon(c, anorm)
+        inv, _ = potri(c)
+    else:
+        sytrf, sycon, sytri = spla.get_lapack_funcs(("sytrf", "sycon", "sytri"), (a,))
+        c, ipiv, info = sytrf(a)
+        if info != 0:
+            return None, 0.0
+        rcond, _ = sycon(c, ipiv, anorm)
+        inv, _ = sytri(c, ipiv)
+    return np.triu(inv) + np.triu(inv, 1).T, float(rcond)
 
 
 def small_eig(F, E=None):

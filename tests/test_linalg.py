@@ -22,7 +22,7 @@ from uadi.linalg import (
     solve_small_sylvester,
 )
 from uadi.realify import ShiftUnit, lyap_sl
-from uadi.systems import StateSpaceSystem
+from uadi.systems import StateSpaceSystem, penzl_triple_peak, rlc_ladder
 
 from conftest import assert_multiset_close
 
@@ -42,6 +42,8 @@ class TestShiftedSolve:
             "rank one": np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
             "singular 3x3": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
             "zero diagonal entry": np.diag([1.0, 0.0, 2.0]),
+            "zero decoupled pivot beside a regular core":
+                np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 0.0]]),
         }
         for name, A in singular.items():
             with pytest.raises(SingularShiftedMatrix):
@@ -63,6 +65,10 @@ class TestShiftedSolve:
             ShiftedFactorization(-np.eye(3), E, -1.0)
         with pytest.raises(SingularE):
             StateSpaceSystem(E, -np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        for bad in (np.nan, np.inf):   # a decoupled state beside a regular core
+            A = np.array([[-1.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, bad]])
+            with pytest.raises(SingularShiftedMatrix, match="non-finite"):
+                ShiftedFactorization(A, np.eye(3), -1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -87,7 +93,8 @@ class TestShiftedSolve:
         A = sps.random(n, n, density=0.2, random_state=7).tocsc()
         A = A - sps.eye(n) * (abs(A).sum() / n + 1.0)
         E = sps.eye(n, format="csc") + 0.01 * sps.random(n, n, density=0.1, random_state=8)
-        for A, E in ((A, E), self._stencil()):
+        penzl = penzl_triple_peak(200, 10, 20, 30)
+        for A, E in ((A, E), self._stencil(), (penzl.A, penzl.E)):
             rhs = rng.standard_normal((A.shape[0], 2))
             tcache = FactorizationCache(A, E).transposed()
             for shift in (-0.3, -1.0 + 2.0j):
@@ -95,6 +102,69 @@ class TestShiftedSolve:
                              (tcache.solve(shift, rhs), (A + shift * E).T)):
                     res = M @ X - rhs
                     assert np.linalg.norm(res) / np.linalg.norm(rhs) <= 1e-10
+
+    def test_vector_rhs(self, rng):
+        """A 1-D right-hand side is one column and gives a 1-D result."""
+        A, E = self._stencil(side=10)
+        b = rng.standard_normal(A.shape[0])
+        fac = ShiftedFactorization(A, E, -1.0 + 2.0j)
+        for trans in ("N", "T"):
+            x = fac.solve(b, trans=trans)
+            assert x.shape == b.shape
+            np.testing.assert_array_equal(x, fac.solve(b[:, None], trans=trans)[:, 0])
+        x = shifted_solve(A, E, -0.5, b)
+        assert x.shape == b.shape
+        assert np.linalg.norm((A - 0.5 * E) @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_split_matches_whole_lu(self, rng):
+        """penzl's pencil has a 6 x 6 coupled head and 194 decoupled
+        states: SuperLU factors the head alone, and the solves match a
+        whole-matrix LU, plain and transposed, at a real and a complex
+        shift, with real and complex right-hand sides."""
+        from scipy.sparse.linalg import splu
+
+        g = penzl_triple_peak(200, 10, 20, 30)
+        rhs = rng.standard_normal((g.n, 2))
+        for shift in (-1.5, -1.0 + 20.0j):
+            fac = ShiftedFactorization(g.A, g.E, shift)
+            assert fac._lu.shape == (6, 6)
+            M = (g.A + shift * g.E).astype(complex).tocsc()
+            ref = splu(M, panel_size=1)
+            for b in (rhs, rhs + 1j * rng.standard_normal(rhs.shape)):
+                for trans in ("N", "T"):
+                    x = fac.solve(b, trans=trans)
+                    want = ref.solve(b.astype(complex), trans=trans)
+                    assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_all_decoupled_makes_no_lu(self, monkeypatch, rng):
+        """A diagonal pencil, such as the check of a diagonal E, is solved
+        by division with no SuperLU call."""
+        import uadi.linalg as linalg
+
+        calls, splu = [], linalg.splu
+        monkeypatch.setattr(linalg, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        rlc_ladder(segments=50)   # its E check
+        d = -1.0 - rng.random(20)
+        rhs = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        x = ShiftedFactorization(sps.diags(d), sps.eye(20), -1.0 + 2.0j).solve(rhs, trans="T")
+        np.testing.assert_allclose(x, rhs / (d + (-1.0 + 2.0j))[:, None], rtol=1e-15)
+        assert calls == []
+        penzl_triple_peak(200, 10, 20, 30)   # its E check factors the head alone
+        assert calls == [1]
+
+    def test_fully_coupled_pencil_is_factored_whole(self, rng):
+        """A pencil with no decoupled state is handed to SuperLU whole, as
+        splu(A + shift*E, panel_size=1), and gives that call's bits."""
+        from scipy.sparse.linalg import splu
+
+        A, E = self._stencil(side=12)
+        rhs = rng.standard_normal((A.shape[0], 3))
+        for shift in (-0.3, -1.0 + 2.0j):
+            fac = ShiftedFactorization(A, E, shift)
+            ref = splu((A + shift * E).tocsc(), panel_size=1)
+            for trans in ("N", "T"):
+                np.testing.assert_array_equal(fac.solve(rhs, trans=trans),
+                                              ref.solve(rhs.astype(ref.U.dtype), trans=trans))
 
     def test_cache_reuses_factorizations(self):
         A = sps.csc_matrix(-np.eye(4))
@@ -131,20 +201,24 @@ class TestFactorizationCacheBound:
         assert cache.factor_count == 6 and len(cache) == 3
 
     def test_transposed_borrows_and_matches_separate_lu(self, rng):
-        A, E = self._pencil()
-        cache = FactorizationCache(A, E)
-        tcache = cache.transposed()
-        rhs = rng.standard_normal((A.shape[0], 2))
-        for shift in (-0.7, -1.0 + 2.0j):
-            cache.solve(shift, rhs)
-            x = tcache.solve(shift, rhs)
-            ref = shifted_solve(A.T.tocsc(), E.T.tocsc(), shift, rhs)
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert cache.factor_count == 2 and tcache.factor_count == 0
-        x = tcache.solve(-3.0, rhs)   # not held by the parent: factored here
-        res = (A.T + (-3.0) * E.T) @ x - rhs
-        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
-        assert cache.factor_count == 2 and tcache.factor_count == 1
+        """Also on penzl's pencil, whose split the transposed cache borrows."""
+        penzl = penzl_triple_peak(200, 10, 20, 30)
+        for A, E in (self._pencil(), (penzl.A, penzl.E)):
+            cache = FactorizationCache(A, E)
+            tcache = cache.transposed()
+            assert tcache._split is cache._split
+            rhs = rng.standard_normal((A.shape[0], 2))
+            for shift in (-0.7, -1.0 + 2.0j):
+                cache.solve(shift, rhs)
+                x = tcache.solve(shift, rhs)
+                ref = shifted_solve(A.T.tocsc(), E.T.tocsc(), shift, rhs)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert cache.factor_count == 2 and tcache.factor_count == 0
+            x = tcache.solve(-3.0, rhs)   # not held by the parent: factored here
+            res = (A.T + (-3.0) * E.T) @ x - rhs
+            assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+            assert cache.factor_count == 2 and tcache.factor_count == 1
+            assert tcache.get(-3.0)._split is cache._split   # its own LU, the shared split
 
     def test_real_shift_is_factored_real(self, rng):
         """A real shift, also when given as a complex number, has a float64

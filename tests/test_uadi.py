@@ -726,6 +726,20 @@ class TestSpectralFactor:
             for got, want in zip(engine._sf_side(side, other), cross_gram(side, other)):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_ill_conditioned_pair_degrades(self):
+        """A pair whose Gramian X is ill conditioned (about 1e13 at seed 7
+        with feedthrough) is degraded with a reason instead of passing an
+        inaccurate M = inv(X)."""
+        base = random_stable_system(30, 2, 2, 7)
+        D = np.array([[1.0, 0.3], [-0.2, 0.8]])
+        g = StateSpaceSystem(base.E, base.A, base.B, base.C, D)
+        st = uadi_init(g, g, None, "sf_p,sf_q")
+        for a, b in self.STEPS:
+            uadi_step(st, a, b)
+        residual_norm(st, "sf_p")
+        assert set(st.degraded) == {"sf_p", "sf_q"}
+        assert "reciprocal condition" in st.degraded["sf_p"]
+
     def test_lazy_pair_equals_eager(self):
         """A pair read only at the end equals one read, and so rebuilt,
         after every step."""

@@ -2,8 +2,11 @@
 
     OMP_NUM_THREADS=1 taskset -c 1 python3 tools/superlu_panel_sweep.py [rounds]
 
-Run from the repository root; the package is imported from ``src/``.  For
-each pencil A + shift*E (the three generators' pencils, a 2-D 5-point
+Run from the repository root; the package is imported from ``src/``.  It
+times SuperLU on whole pencils, decoupled states included, which
+``ShiftedFactorization`` no longer passes to SuperLU: there penzl's
+pencils are factored as their 6 x 6 coupled core.  For each pencil
+A + shift*E (the three generators' pencils, a 2-D 5-point
 stencil and a dense random system, each at one complex and one real shift)
 every setting of PanelSize in {default, 1, 2, 4} times Relax in
 {default, 1} factors the pencil once per round, settings interleaved, so
