@@ -33,11 +33,15 @@ solves S^T t + t s + U (G^T t) = H against the complex Schur form of S that
 its side holds: column by column (Golub, Nash & Van Loan, IEEE TAC 24(6),
 1979) with one shifted triangular factor per distinct eigenvalue of s,
 shared by every equation of the side, and the rank-p correction U G^T by
-Sherman-Morrison-Woodbury.  Any other F X - X G + H = 0 goes through
-Bartels-Stewart on plain matrices: one Schur form per side, eigenvalues
-read off the Schur diagonals for the separation check, and LAPACK trsyl.
-A small Lyapunov solve may take the SchurForm of F that the caller already
-holds, so that it is not computed twice.
+Sherman-Morrison-Woodbury.  The equations of a side that consume the same
+columns go through one call, stacked: each triangular solve and product
+covers all of them, and only the p x p capacitance is per equation.
+Residual norms are read off the factors' Grams, which a caller may hold
+instead of the factors (``gram_norm2``).  Any other F X - X G + H = 0 goes
+through Bartels-Stewart on plain matrices: one Schur form per side,
+eigenvalues read off the Schur diagonals for the separation check, and
+LAPACK trsyl.  A small Lyapunov solve may take the SchurForm of F that the
+caller already holds, so that it is not computed twice.
 """
 
 from dataclasses import dataclass, field
@@ -83,8 +87,12 @@ class _PencilSplit:
     A state is decoupled when its row and its column hold no off-diagonal
     entry, stored in either A or E (explicit zeros count): its equation of
     A + shift*E is the scalar one (a_ii + shift*e_ii) x_i = r_i.  The core
-    is the pencil restricted to the other states.  A pencil with no
-    decoupled state keeps A and E themselves as its core (``core`` None).
+    is the pencil restricted to the other states.  ``a_dec`` and ``e_dec``
+    are the diagonals of A and E over all n states, each core slot holding
+    a copy of the first decoupled state's entry, so that a pivot vector
+    formed from them divides a whole right-hand side and its core slots
+    repeat a decoupled pivot.  A pencil with no decoupled state keeps A and
+    E themselves as its core (``core`` None).
     """
 
     def __init__(self, A, E):
@@ -109,8 +117,9 @@ class _PencilSplit:
         self.core, self.dec = np.flatnonzero(coupled), np.flatnonzero(~coupled)
         self.A = A[self.core][:, self.core].tocsc()
         self.E = E[self.core][:, self.core].tocsc()
-        self.a_dec = A.diagonal()[self.dec]
-        self.e_dec = E.diagonal()[self.dec]
+        self.a_dec, self.e_dec = A.diagonal(), E.diagonal()
+        for diag in (self.a_dec, self.e_dec):
+            diag[self.core] = diag[self.dec[0]]
 
 
 class ShiftedFactorization:
@@ -118,12 +127,14 @@ class ShiftedFactorization:
 
     The pencil is split into its decoupled states (rows and columns of A
     and E with no off-diagonal entry) and its coupled core: the decoupled
-    states keep their pivots a_ii + shift*e_ii and are solved by a
-    division, and SuperLU factors the core alone, with no call at all when
-    the core is empty (a diagonal pencil, such as the check of a diagonal
-    E).  A pencil with no decoupled state is factored whole.  ``split``
-    passes the split of (A, E) when the caller already holds it
-    (FactorizationCache); it is computed here otherwise.
+    states keep their pivots a_ii + shift*e_ii, as an n-vector whose core
+    slots repeat a decoupled pivot, and are solved by one division of the
+    whole right-hand side whose core rows are then overwritten; SuperLU
+    factors the core alone, with no call at all when the core is empty (a
+    diagonal pencil, such as the check of a diagonal E).  A pencil with no
+    decoupled state is factored whole.  ``split`` passes the split of
+    (A, E) when the caller already holds it (FactorizationCache); it is
+    computed here otherwise.
 
     A non-finite entry or an exact zero pivot is reported at construction
     time, a roundoff pivot by a solve with
@@ -183,8 +194,7 @@ class ShiftedFactorization:
         if split.core is None:
             x = self._core_solve(rhs, trans)
         else:
-            x = np.empty(rhs.shape, dtype=np.result_type(rhs, self._d, self._dtype))
-            x[split.dec] = rhs[split.dec] / self._d[:, None]
+            x = rhs / self._d[:, None]
             if self._lu is not None:
                 x[split.core] = self._core_solve(rhs[split.core], trans)
         if not np.all(np.isfinite(x)):
@@ -403,67 +413,90 @@ def solve_small_sylvester(F, G, H):
     return X
 
 
-def _woodbury(base, U, Gt):
-    """Solver of (base + U Gt) y = r for a lower triangular ``base``, by
-    Sherman-Morrison-Woodbury through the capacitance I + Gt base^-1 U
-    (Golub & Van Loan, Matrix Computations, 4th ed., Sec. 2.1.4)."""
-    trtrs, = spla.get_lapack_funcs(("trtrs",), (base,))
-
-    def tri(b):
-        x, info = trtrs(base, b, lower=1)
-        if info:
-            raise SpectraOverlap("shifted Schur factor is singular")
-        return x
-
-    if U is None:
-        return tri
-    BU = tri(U)
-    K = Gt @ BU
-    getrf, getrs = spla.get_lapack_funcs(("getrf", "getrs"), (K,))
-    lu, piv, info = getrf(np.eye(len(K)) + K)
-    scale = max(np.abs(K).sum(axis=0).max(initial=0.0), 1.0)
-    if info < 0 or not np.min(np.abs(np.diagonal(lu))) > 1e-12 * scale:
-        raise SpectraOverlap("singular capacitance: the shift is an "
-                             "eigenvalue of the placed matrix")
-    return lambda r: (x := tri(r)) - BU @ getrs(lu, piv, Gt @ x)[0]
-
-
-def solve_placed_sylvester(form, kp, q, H, U=None, G=None):
-    """Solve S^T t + t s + U (G^T t) = H for real t, with S the leading q x q
-    block of ``form.a`` and s = S[kp:q, kp:q].
+def solve_placed_sylvester(form, kp, q, H, U, G=None):
+    """Solve S^T t_i + t_i s + U_i (G^T t_i) = H_i for real t_i, i = 1..r,
+    with S the leading q x q block of ``form.a`` and s = S[kp:q, kp:q]: the
+    r equations of one side that consume the same columns kp:q.
 
     ``form`` is the complex Schur form S = Z T Z^H of a real matrix, grown by
     ``extended`` so that Z is block diagonal with blocks ending at kp and q.
-    H is q x (q - kp), U and G are q x p (U = None: no correction), all real.
-    Column j of y = Z^T t Z_s, mu = T[kp+j, kp+j], solves against the form's
-    own T^T + mu I (``shifted``) and a p x p capacitance matrix:
-    (T^T + mu I + Z^T U G^T conj(Z)) y_j = (Z^T H Z_s)_j - y[:, :j] T[kp:kp+j, kp+j].
-    A singular capacitance means mu is an eigenvalue of the placed matrix
-    -S^T - U G^T and raises SpectraOverlap.  A real (quasi-triangular) form,
-    or a Z not block diagonal at kp and q, raises ValueError.
+    H is r x q x (q - kp), the records' right-hand sides stacked; U is a list
+    of r blocks U_i, each q x p or None (no correction); G is q x p; all real.
+    Column j of Y_i = Z^T t_i Z_s, mu = T[kp+j, kp+j], solves
+    (T^T + mu I + Z^T U_i G^T conj(Z)) y_ij = (Z^T H_i Z_s)_j - Y_i[:, :j] T[kp:kp+j, kp+j]
+    by Sherman-Morrison-Woodbury on the form's own T^T + mu I (``shifted``;
+    Golub & Van Loan, Matrix Computations, 4th ed., Sec. 2.1.4).  The
+    records share everything but their right-hand sides and U_i, so per
+    distinct mu one triangular solve covers every U_i, and per column one
+    covers every record's right-hand side and one product with
+    Gt = (G^T Z)^* every record's correction; each record keeps its own
+    p x p capacitance I + Gt (T^T + mu I)^-1 Z^T U_i.
+
+    Returns (t, failed): t is r x q x (q - kp), and ``failed`` maps the
+    index of each record whose capacitance is singular (mu is an eigenvalue
+    of its placed matrix -S^T - U_i G^T) to the SpectraOverlap that says
+    so; that record's t is not a solution.  A failure the records share, a
+    singular shifted factor or a non-finite t of a record that did not
+    fail, raises SpectraOverlap.  A real (quasi-triangular) form, or a Z
+    not block diagonal at kp and q, raises ValueError.
     """
-    if H.shape != (q, q - kp) or (
-            U is not None and (len(U) != q or G.shape != U.shape)):
+    r, wid = len(H), q - kp
+    if H.shape != (r, q, wid) or len(U) != r or any(
+            u is not None and (G is None or u.shape != (q, G.shape[1])
+                               or len(G) != q) for u in U):
         raise DimensionMismatch(
-            f"H must be {(q, q - kp)}, U and G of one shape with {q} rows")
+            f"H must be r x {q} x {wid} for r = len(U), each U_i and G "
+            f"of one shape with {q} rows")
     if not np.iscomplexobj(form.T) or any(
             form.Z[:b, b:].any() or form.Z[b:, :b].any() for b in (kp, q)):
         raise ValueError(f"need a complex form, Z block diagonal at {kp}, {q}")
     Z, T = form.Z[:q, :q], form.T
     Zs = Z[kp:, kp:]
     R = Z.T @ H @ Zs
-    Gt = None if U is None else (G.T @ Z).conj()
-    U = None if U is None else Z.T @ U
-    solves, Y = {}, np.empty_like(R)
-    for j in range(q - kp):
+    trtrs, getrf, getrs = spla.get_lapack_funcs(("trtrs", "getrf", "getrs"), (T,))
+
+    def tri(base, b):
+        x, info = trtrs(base, b, lower=1)
+        if info:
+            raise SpectraOverlap("shifted Schur factor is singular")
+        return x
+
+    fixed = [i for i, u in enumerate(U) if u is not None]   # records with a U_i
+    if fixed:
+        p = G.shape[1]
+        Gt = (G.T @ Z).conj()
+        ZU = Z.T @ np.hstack([U[i] for i in fixed])
+    failed, solvers, Y = {}, {}, np.empty_like(R)
+    for j in range(wid):
         mu = T[kp + j, kp + j]
-        if mu not in solves:
-            solves[mu] = _woodbury(form.shifted(mu)[:q, :q], U, Gt)
-        Y[:, j] = solves[mu](R[:, j] - Y[:, :j] @ T[kp : kp + j, kp + j])
+        if mu not in solvers:
+            base, caps = form.shifted(mu)[:q, :q], {}
+            if fixed:
+                BU = tri(base, ZU)
+                # each record's Gt BU_i, p x p, and its capacitance's LU
+                K = (Gt @ BU).reshape(p, len(fixed), p).swapaxes(0, 1)
+                lus = [getrf(np.eye(p) + Ki) for Ki in K]
+                scale = np.maximum(np.abs(K).sum(axis=1).max(axis=1), 1.0)
+                pivot = [np.abs(np.diagonal(lu)).min() for lu, _, _ in lus]
+                for c, (i, (lu, piv, info)) in enumerate(zip(fixed, lus)):
+                    if info < 0 or not pivot[c] > 1e-12 * scale[c]:
+                        failed.setdefault(i, SpectraOverlap(
+                            "singular capacitance: the shift is an eigenvalue "
+                            "of the placed matrix"))
+                    else:
+                        caps[i] = BU[:, c * p:(c + 1) * p], lu, piv
+            solvers[mu] = base, caps
+        base, caps = solvers[mu]
+        X = tri(base, (R[:, :, j] - Y[:, :, :j] @ T[kp : kp + j, kp + j]).T)
+        Y[:, :, j] = X.T
+        if caps:
+            GX = Gt @ X
+            for i, (BUi, lu, piv) in caps.items():
+                Y[i, :, j] -= BUi @ getrs(lu, piv, GX[:, i])[0]
     t = (Z @ (Y.conj() @ Zs.T)).real   # conj(Z) Y Z_s^H, real for real data
-    if not np.isfinite(t).all():
+    if not np.isfinite(np.delete(t, list(failed), axis=0)).all():
         raise SpectraOverlap("placed Sylvester solution is not finite")
-    return t
+    return t, failed
 
 
 def solve_small_lyapunov(F, Q):
@@ -479,8 +512,8 @@ def solve_small_lyapunov(F, Q):
     F, Q = _small_operands(F if f_form is None else f_form.a, Q)
     if F.shape[0] != F.shape[1] or Q.shape != F.shape:
         raise DimensionMismatch("F, Q must be square and equal-sized")
-    qnorm = spla.norm(Q)
-    if qnorm > 0 and spla.norm(Q - Q.conj().T) > 1e-10 * qnorm:
+    qnorm = np.linalg.norm(Q)   # operands are checked finite already
+    if qnorm > 0 and np.linalg.norm(Q - Q.conj().T) > 1e-10 * qnorm:
         raise NonHermitianRHS("Q deviates from Hermitian beyond 1e-10 relative")
     if F.shape[0] == 0:
         return np.zeros_like(Q)
@@ -498,11 +531,17 @@ def symmetric_inverse(a):
     """Inverse of a real symmetric matrix, read from its upper triangle,
     and the reciprocal of its 1-norm condition number, both from one
     factor: Cholesky (LAPACK potrf, pocon, potri) when a is positive
-    definite, Bunch-Kaufman (sytrf, sycon, sytri) otherwise.  These are
-    the factors scipy.linalg.inv takes for a symmetric matrix, so the
-    inverse has the same bits.  An exactly singular a gives rcond 0 and
-    no inverse."""
+    definite, Bunch-Kaufman (sytrf, sycon, sytri) otherwise, and the
+    reciprocals of the diagonal when a is diagonal.  These are the routes
+    scipy.linalg.inv takes for a symmetric matrix, so the inverse has the
+    same bits.  An exactly singular a gives rcond 0 and no inverse."""
     a, = _small_operands(a)
+    d = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(d):   # diagonal, or singular
+        mag = np.abs(d)
+        if not mag.all():
+            return None, 0.0
+        return np.diag(1.0 / d), float(mag.min() / mag.max())
     anorm = np.abs(a).sum(axis=0).max(initial=0.0)
     potrf, pocon, potri = spla.get_lapack_funcs(("potrf", "pocon", "potri"), (a,))
     c, info = potrf(a)
@@ -516,7 +555,9 @@ def symmetric_inverse(a):
             return None, 0.0
         rcond, _ = sycon(c, ipiv, anorm)
         inv, _ = sytri(c, ipiv)
-    return np.triu(inv) + np.triu(inv, 1).T, float(rcond)
+    for j in range(len(inv) - 1):   # the lower triangle from the upper
+        inv[j + 1:, j] = inv[j, j + 1:]
+    return inv, float(rcond)
 
 
 def small_eig(F, E=None):
@@ -543,12 +584,14 @@ def small_eig(F, E=None):
     return w, T, Tl
 
 
-def gram_norm2(Z, M=None, Z2=None):
+def gram_norm2(Z, M=None, Z2=None, grams=False):
     """Spectral norm of Z @ M @ Z2* without forming the large product.
 
     Z2 defaults to Z (the symmetric case) and M to the identity.  Only Gram
     matrices of the thin factors enter, so the cost is governed by the
-    factor widths.
+    factor widths.  With ``grams`` the caller passes those Grams, Z* Z and
+    Z2* Z2, in place of the factors, and nothing of the factors' length is
+    computed.
     """
     Z = np.atleast_2d(np.asarray(Z))
     Z2 = Z if Z2 is None else np.atleast_2d(np.asarray(Z2))
@@ -565,12 +608,26 @@ def gram_norm2(Z, M=None, Z2=None):
             )
     if r == 0 or r2 == 0:
         return 0.0
-    G1 = Z.conj().T @ Z
-    G2 = G1 if Z2 is Z else Z2.conj().T @ Z2
+    G1 = Z if grams else Z.conj().T @ Z
+    G2 = G1 if Z2 is Z else Z2 if grams else Z2.conj().T @ Z2
     # ||Z M Z2*||^2 = lambda_max(M* G1 M G2); the product is similar to a PSD
     # matrix so its eigenvalues are real and nonnegative up to roundoff.
-    vals = spla.eigvals(M.conj().T @ G1 @ M @ G2)
+    vals = _eigvals(M.conj().T @ G1 @ M @ G2)
     return float(np.sqrt(max(np.max(vals.real, initial=0.0), 0.0)))
+
+
+def _eigvals(a):
+    """Eigenvalues of a small square matrix from the LAPACK geev call that
+    scipy.linalg.eigvals makes, so with its bits, without the wrapper that
+    costs most of the call at the widths of a residual factor."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    geev, geev_lwork = spla.get_lapack_funcs(("geev", "geev_lwork"), (a,))
+    lwork = int(geev_lwork(len(a), compute_vl=0, compute_vr=0)[0].real)
+    *w, _, _, info = geev(a, lwork=lwork, compute_vl=0, compute_vr=0)
+    if info:
+        raise np.linalg.LinAlgError(f"eigenvalues did not converge (geev info {info})")
+    return w[0] if len(w) == 1 else w[0] + 1j * w[1]
 
 
 def block_diag2(a, b):

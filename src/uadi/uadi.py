@@ -7,19 +7,25 @@ basis times a small block-triangular transform obtained from a small
 Sylvester solve.  One kernel, ``_advance``, advances every Riccati family
 and both Sylvester halves; they differ only in pole placement (feedback,
 quadratic weight, companion shift block) and in the rule that grows the
-middle matrix.
+middle matrix.  A side's Riccati-family records all consume the same
+columns, so each step advances them together, with one stacked extraction
+per side; the Sylvester halves are batches of one.  A numerical failure of
+the batch's shared solves degrades every record in it, one that belongs to
+a single record (its capacitance, its trailing block, its middle matrix)
+degrades that record alone.
 
 Each equation is one ``_Eq`` record: its pole placement (feedback fb,
 quadratic weight qk, right-hand-side scaling rr and its inverse rri),
-transform T, middle matrix M and residual factor B rr - E X Y.  A side's
-Lyapunov record has T = None, the untransformed basis; its factor, the next
-solve's right-hand side, is updated in place.  Once the step's small solves
-have all run, each side forms every other record's factor from
-Y = T M L_c^T in one pass over its basis.  At init each enabled tag
-resolves once to one table entry (side, eq, weight, right): ldl reads the
-Lyapunov record with a weight, sylv the V half with the W half as right.
-Every reader goes through the table, and every residual is normalized by
-its own norm at X = 0.
+transform T, middle matrix M, residual factor B rr - E X Y and that
+factor's Gram, so a residual norm is computed at the factor's width.  A
+side's Lyapunov record has T = None, the untransformed basis; its factor,
+the next solve's right-hand side, is updated in place.  Once the step's
+small solves have all run, each side forms every other record's factor
+from Y = T M L_c^T in one pass over its basis, and their Grams in one
+product.  At init each enabled tag resolves once to one table entry (side,
+eq, weight, right): ldl reads the Lyapunov record with a weight, sylv the V
+half with the W half as right.  Every reader goes through the table, and
+every residual is normalized by its own norm at X = 0.
 
 The spectral-factor pair is coupled to the current Gramians, so each
 rebuild solves it whole on the current bases, from the two sides' X, S, L
@@ -43,7 +49,7 @@ bounded-real and spectral-factor Riccati pairs.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as spla
@@ -73,16 +79,18 @@ from .systems import EquationParams
 
 logger = logging.getLogger("uadi")
 
-# Numerical failures of one equation's small solves: its tag group is marked
+# Numerical failures of the small solves: the tags they belong to are marked
 # degraded and the run goes on.  Anything else (a DimensionMismatch from a
 # small solve, say) is a bug and propagates.
 _NUMERICAL_FAILURES = (SpectraOverlap, EigFailure, NonHermitianRHS,
                        ExtractionSingular, np.linalg.LinAlgError)
 
-# Smallest reciprocal condition (1-norm estimate) of the spectral-factor
-# pair's Gramian X whose inverse M is taken; below it the pair is degraded.
-# The benchmark's pairs reach 0.12 at the least and the other tests 5e-6,
-# while an ill-conditioned pair whose M is off by 4e-4 reads 3e-14.
+# Smallest reciprocal condition (1-norm estimate) of a symmetric small
+# matrix whose inverse is taken as a middle matrix (the spectral-factor
+# pair's Gramian X, a weighted family's new block); below it the equation
+# is degraded.  The benchmark's pairs reach 0.12 at the least and the other
+# tests 5e-6, while an ill-conditioned pair whose M is off by 4e-4 reads
+# 3e-14; the weighted families' blocks reach a condition of 1e6.
 _MIN_RCOND = 1e-10
 
 # Growth of a ``_Columns`` buffer's capacity when it is full.
@@ -256,8 +264,9 @@ class _Eq:
     Its pole placement: the feedback ``fb``, quadratic weight ``qk``,
     right-hand-side scaling ``rr`` and its inverse ``rri``, each None where
     the equation has none.  Its standing state: the transform T of the
-    consumed basis prefix, the middle matrix M and the residual factor
-    perp = B rr - E X T M L_c^T on that prefix.  L_c is the side's own L,
+    consumed basis prefix, the middle matrix M, the residual factor
+    perp = B rr - E X T M L_c^T on that prefix and its Gram perp^T perp,
+    formed from the seed perp at construction.  L_c is the side's own L,
     except for a Sylvester half, whose L_c is the other side's L and whose
     M is the shared coupling D (transposed on the W side).  An identity M
     is kept as None; T = None is the whole untransformed basis, the side's
@@ -273,52 +282,74 @@ class _Eq:
     qk: np.ndarray = None
     rr: np.ndarray = None
     rri: np.ndarray = None
+    gram: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.gram = self.perp.T @ self.perp
 
 
-def _advance(side, eq, q, Lc, D=None):
-    """Advance one equation of ``side`` over the basis columns kp:q, where
-    kp is the prefix ``eq`` has consumed.  Returns (T, M, Y) with
-    Y = T M Lc^T on the columns :q; mutates nothing.
+def _advance(side, eqs, q, Lc, D=None):
+    """Advance the records ``eqs`` of ``side``, which have consumed the same
+    basis prefix kp, over the columns kp:q with one stacked extraction.
+    Returns one outcome per record: (T, M, Y) with Y = T M Lc^T on the
+    columns :q, or the numerical failure that degrades that record alone (a
+    singular capacitance or trailing block, or its middle matrix); a failure
+    the records share raises.  Mutates nothing.
 
-    The equations differ only in the pole placement ``eq`` carries: the new
-    transform columns t solve S^T t + t s + U (G^T t) = H against the new
-    (s, l) block and the side's held Schur form of S; the placed matrix
-    -S^T - U G^T, U = L^T fb + [T M T^T G qk; 0] with p columns, is not formed.
-    The middle matrix grows to the coupling ``D`` when given, by the inverse
-    of a small Lyapunov solution when the equation has a quadratic weight
-    ``qk``, and is the identity, kept as None, otherwise.
+    The equations differ only in the pole placement each record carries:
+    its new transform columns t solve S^T t + t s + U (G^T t) = H against
+    the new (s, l) block and the side's held Schur form of S; the placed
+    matrix -S^T - U G^T, U = L^T fb + [T M T^T G qk; 0] with p columns, is
+    not formed.  The middle matrix grows to the coupling ``D`` when given, by
+    the inverse of a small Lyapunov solution when the equation has a
+    quadratic weight ``qk``, and is the identity, kept as None, otherwise.
     """
-    fb, qk, rr = eq.fb, eq.qk, eq.rr
-    kp = eq.T.shape[0]
+    kp = eqs[0].T.shape[0]
     wid = q - kp
     l = side.L[:, kp:q]
     L, G = side.L[:, :q], side.G[:q]
-    U = None if fb is None else L.T @ fb
-    rhs = L.T if rr is None else L.T @ rr
-    if kp:
-        if qk is not None:
-            if U is None:
-                U = np.zeros(G.shape)
-            # T M T^T stays factored: O(k^2 m) instead of O(k^3)
-            U[:kp] += eq.T @ (eq.M @ (eq.T.T @ G[:kp])) @ qk
-        ML = Lc[:, :kp].T if eq.M is None else eq.M @ Lc[:, :kp].T
-        rhs = rhs - _pad_rows(eq.T @ ML, wid)
-    t = solve_placed_sylvester(side.schur, kp, q, rhs @ l, U, G)
-    svals = spla.svdvals(t[kp:])
-    if svals[-1] <= 1e-13 * max(svals[0], 1.0):
-        raise ExtractionSingular("trailing transform block singular")
-    T = np.hstack([_pad_rows(eq.T, wid), t])
-    if D is not None:
-        M = D
-    elif qk is not None:
-        x = G.T @ t  # projected output map of the new direction
-        # s = S[kp:q, kp:q] in the Schur form the side holds
-        small = solve_small_lyapunov(-side.schur.block(kp, q),
-                                     l.T @ l + x.T @ qk @ x)
-        M = block_diag2(eq.M, spla.inv(small))
-    else:
-        M = None
-    return T, M, T @ (Lc[:, :q].T if M is None else M @ Lc[:, :q].T)
+    H, U = [], []
+    for eq in eqs:
+        u = None if eq.fb is None else L.T @ eq.fb
+        rhs = L.T if eq.rr is None else L.T @ eq.rr
+        if kp:
+            if eq.qk is not None:
+                if u is None:
+                    u = np.zeros(G.shape)
+                # T M T^T stays factored: O(k^2 m) instead of O(k^3)
+                u[:kp] += eq.T @ (eq.M @ (eq.T.T @ G[:kp])) @ eq.qk
+            ML = Lc[:, :kp].T if eq.M is None else eq.M @ Lc[:, :kp].T
+            rhs = rhs - _pad_rows(eq.T @ ML, wid)
+        H.append(rhs @ l)
+        U.append(u)
+    ts, failed = solve_placed_sylvester(side.schur, kp, q, np.stack(H), U, G)
+    svals = np.linalg.svd(ts[:, kp:], compute_uv=False)
+    # s = S[kp:q, kp:q] in the Schur form the side holds
+    block, ll, LcT = -side.schur.block(kp, q), l.T @ l, Lc[:, :q].T
+    out = []
+    for i, (eq, t, sv) in enumerate(zip(eqs, ts, svals)):
+        try:
+            if i in failed:
+                raise failed[i]
+            if sv[-1] <= 1e-13 * max(sv[0], 1.0):
+                raise ExtractionSingular("trailing transform block singular")
+            T = np.hstack([_pad_rows(eq.T, wid), t])
+            if D is not None:
+                M = D
+            elif eq.qk is not None:
+                x = G.T @ t  # projected output map of the new direction
+                small = solve_small_lyapunov(block, ll + x.T @ eq.qk @ x)
+                inv, rcond = symmetric_inverse(small)
+                if rcond < _MIN_RCOND:
+                    raise ExtractionSingular(
+                        f"middle-matrix block has reciprocal condition {rcond:.1e}")
+                M = block_diag2(eq.M, inv)
+            else:
+                M = None
+            out.append((T, M, T @ (LcT if M is None else M @ LcT)))
+        except _NUMERICAL_FAILURES as exc:
+            out.append(exc)
+    return out
 
 
 class _Side:
@@ -361,28 +392,28 @@ class _Side:
         self.L = np.hstack([self.L, l])
         self._X.append(block)
         self.G = np.vstack([self.G, block.T @ self.sys.C.T])
-        self.lyap.perp = self.perp - (self.sys.E @ block) @ l.T
+        perp = self.perp - (self.sys.E @ block) @ l.T
+        self.lyap.perp, self.lyap.gram = perp, perp.T @ perp
         self.bounds.append(self.k)
 
-    def advance(self, eq):
-        """Update of one Riccati-family record over the new block."""
-        return [(self, eq, _advance(self, eq, self.k, self.L))]
-
     def commit(self, updates):
-        """Set each updated record's T, M and perp = B rr - E X Y from its
-        update (eq, (T, M, Y)), forming every factor in one pass:
-        B [rr_1 ... rr_r] - E (X [Y_1 ... Y_r]).  A Sylvester half's Y
-        covers a basis prefix and is zero-padded to k rows."""
+        """Set each updated record's T, M, perp = B rr - E X Y and Gram from
+        its update (eq, (T, M, Y)), forming every factor in one pass,
+        R = B [rr_1 ... rr_r] - E (X [Y_1 ... Y_r]), and every Gram as a
+        diagonal block of R^T R.  A Sylvester half's Y covers a basis prefix
+        and is zero-padded to k rows."""
         if not updates:
             return
         B = self.sys.B
         R = np.hstack([B if eq.rr is None else B @ eq.rr for eq, _ in updates])
         Y = np.hstack([_pad_rows(y, self.k - len(y)) for _, (_, _, y) in updates])
         R -= self.sys.E @ (self.X @ Y)
+        gram = R.T @ R
         start = 0
         for eq, (T, M, y) in updates:
-            eq.T, eq.M, eq.perp = T, M, R[:, start : start + y.shape[1]]
-            start += y.shape[1]
+            cols = slice(start, start + y.shape[1])
+            eq.T, eq.M, eq.perp, eq.gram = T, M, R[:, cols], gram[cols, cols]
+            start = cols.stop
 
 
 def _sf_side(side, other):
@@ -485,8 +516,9 @@ class UadiState:
             table["ldl" + sfx] = (side, side.lyap, side.weight, None)
             for f, eq in side.eqs.items():
                 table[f + sfx] = (side, eq, None, None)
-                if f != "sf":
-                    self._groups.append(((f + sfx,), side.advance, eq))
+            fams = tuple(f + sfx for f in side.eqs if f != "sf")
+            if fams:
+                self._groups.append((fams, self._families, side))
         if v.sylv is not None:
             table["sylv"] = (v, v.sylv, None, w.sylv)
             self._groups.append((("sylv",), self._sylv_group))
@@ -499,15 +531,22 @@ class UadiState:
                            "the bounded-gain equations become Lyapunov-like")
         self.enabled = want & table.keys()
         self.table = {tag: table[tag] for tag in self.enabled}
-        self.const = {tag: _scale(gram_norm2(eq.perp, weight, right and right.perp))
-                      for tag, (_, eq, weight, right) in self.table.items()}
+        self.const = {tag: _scale(self._norm(tag)) for tag in self.enabled}
 
     # -- stepping -----------------------------------------------------------
+
+    def _families(self, side):
+        """Updates of the side's Riccati-family records not yet degraded
+        over its new block, all from one stacked extraction."""
+        live = [(f + side.suffix, eq) for f, eq in side.eqs.items()
+                if f != "sf" and f + side.suffix not in self.degraded]
+        news = _advance(side, [eq for _, eq in live], side.k, side.L)
+        return [(tag, side, eq, new) for (tag, eq), new in zip(live, news)]
 
     def _sylv_group(self):
         """Updates of the two Sylvester halves consuming the columns up to
         the largest unit boundary the two bases share, if it lies past the
-        consumed prefix."""
+        consumed prefix: each half is a batch of one."""
         v, w = self.v, self.w
         q, kp = max(set(v.bounds) & set(w.bounds)), v.sylv.T.shape[0]
         if q == kp:
@@ -515,15 +554,16 @@ class UadiState:
         d = solve_small_sylvester(-w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
                                   w.L[:, kp:q].T @ v.L[:, kp:q])
         D = block_diag2(v.sylv.M, spla.inv(d))
-        return [(v, v.sylv, _advance(v, v.sylv, q, w.L, D=D)),
-                (w, w.sylv, _advance(w, w.sylv, q, v.L, D=D.T))]
+        [nv] = _advance(v, [v.sylv], q, w.L, D=D)
+        [nw] = _advance(w, [w.sylv], q, v.L, D=D.T)
+        return [("sylv", v, v.sylv, nv), ("sylv", w, w.sylv, nw)]
 
     def _sf_group(self):
         """Updates of the spectral-factor pair, rebuilt whole on the current
         bases.  Only a read of a stale pair runs it (``_entry``)."""
         v, w = self.v, self.w
-        return [(v, v.eqs["sf"], _sf_side(v, w)),
-                (w, w.eqs["sf"], _sf_side(w, v))]
+        return [("sf_p", v, v.eqs["sf"], _sf_side(v, w)),
+                ("sf_q", w, w.eqs["sf"], _sf_side(w, v))]
 
     def step(self, alpha, beta):
         """Consume one shift unit per side (a complex shift stands for its
@@ -539,20 +579,28 @@ class UadiState:
         return self
 
     def _update(self, groups):
-        """Run every small solve of the groups not yet degraded, then each
-        side's one commit of the new residual factors.  A group whose small
-        solves fail is degraded and keeps the T, M and perp of its last good
-        update."""
+        """Run the small solves of each group's tags not yet degraded, then
+        each side's one commit of the new residual factors.  A group returns
+        its updates (tag, side, eq, outcome); an outcome that is a numerical
+        failure degrades its tag alone, one the group raises degrades every
+        tag it ran.  A degraded tag keeps the T, M, perp and Gram of its
+        last good update, and a tag with a failed half commits neither."""
         updates = []
         for tags, group, *args in groups:
-            if self.degraded.keys() & set(tags):
+            live = [tag for tag in tags if tag not in self.degraded]
+            if not live:
                 continue
             try:
-                updates += group(*args)
+                outcomes = group(*args)
             except _NUMERICAL_FAILURES as exc:
-                for tag in tags:
-                    self.degraded[tag] = str(exc)
-                logger.warning("%s degraded: %s", "/".join(tags), exc)
+                outcomes = [(tag, None, None, exc) for tag in live]
+            failed = {tag: new for tag, _, _, new in outcomes
+                      if isinstance(new, Exception)}
+            for tag, exc in failed.items():
+                self.degraded[tag] = str(exc)
+                logger.warning("%s degraded: %s", tag, exc)
+            updates += [(s, eq, new) for tag, s, eq, new in outcomes
+                        if tag not in failed]
         for side in (self.v, self.w):
             side.commit([(eq, new) for s, eq, new in updates if s is side])
 
@@ -606,9 +654,15 @@ class UadiState:
         return ResidualFactor(eq.perp.copy(),
                               None if weight is None else weight.copy())
 
+    def _norm(self, tag):
+        """Unnormalized residual norm of an enabled tag, from the Grams its
+        records hold."""
+        _, eq, weight, right = self.table[tag]
+        return gram_norm2(eq.gram, weight, right and right.gram, grams=True)
+
     def residual_norm(self, tag):
-        _, eq, weight, right = self._entry(tag)
-        return gram_norm2(eq.perp, weight, right and right.perp) / self.const[tag]
+        self._entry(tag)
+        return self._norm(tag) / self.const[tag]
 
 
 def uadi_init(sys1, sys2, params=None, select=None):

@@ -136,6 +136,39 @@ class TestShiftedSolve:
                     want = ref.solve(b.astype(complex), trans=trans)
                     assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
 
+    def test_decoupled_rows_by_one_division(self, rng):
+        """A solve divides the whole right-hand side by the n-vector of
+        pivots and overwrites the core rows: each decoupled row is exactly
+        r_i / (a_ii + shift*e_ii) and the core rows exactly the core LU's
+        solve, plain and transposed, at a real and a complex shift, and with
+        a complex right-hand side against a real LU."""
+        from scipy.sparse.linalg import splu
+
+        g = penzl_triple_peak(200, 10, 20, 30)
+        fac0 = ShiftedFactorization(g.A, g.E, -1.5)
+        core, dec = fac0._split.core, fac0._split.dec
+        assert len(core) == 6 and len(dec) == 194
+        a, e = g.A.diagonal(), g.E.diagonal()
+        rhs = rng.standard_normal((g.n, 2)) + 1j * rng.standard_normal((g.n, 2))
+        for shift in (-1.5, -1.0 + 20.0j):
+            fac = ShiftedFactorization(g.A, g.E, shift)
+            s = shift.real if complex(shift).imag == 0 else shift
+            assert fac._d.shape == (g.n,) and set(fac._d[core]) <= set(fac._d[dec])
+            head = (g.A + s * g.E).tocsc()[core][:, core]
+            ref = splu(head.tocsc(), panel_size=1)
+            for b in (rhs.real.copy(), rhs):
+                for trans in ("N", "T"):
+                    x = fac.solve(b, trans=trans)
+                    np.testing.assert_array_equal(x[dec], b[dec] / (a + s * e)[dec, None])
+                    bc = b[core]
+                    if np.iscomplexobj(bc) and ref.U.dtype.kind != "c":
+                        want = (ref.solve(bc.real.copy(), trans=trans)
+                                + 1j * ref.solve(bc.imag.copy(), trans=trans))
+                        assert np.abs(x[core] - want).max() <= 1e-14 * np.abs(want).max()
+                    else:
+                        np.testing.assert_array_equal(
+                            x[core], ref.solve(bc.astype(ref.U.dtype), trans=trans))
+
     def test_all_decoupled_makes_no_lu(self, monkeypatch, rng):
         """A diagonal pencil, such as the check of a diagonal E, is solved
         by division with no SuperLU call."""
@@ -342,23 +375,27 @@ class TestColumnRoute:
     def test_placed_kernel_agrees(self, rng, k, m, last):
         """Against scipy on the formed placed matrix: the last unit, a block
         of several units and a lagging prefix (as a Sylvester group consumes
-        them), each with no correction and with a rank-p one."""
+        them), each for a stack of three records, one with no correction and
+        two with rank-p ones, and for each record alone."""
         form, bounds = _held_form(k, m, [-1.5, -0.2 + 1.0j, -4.0, last])
         blocks = [(bounds[-2], bounds[-1]), (bounds[-4], bounds[-1]),
                   (bounds[-4], bounds[-2])]
         for kp, q in blocks:
             S, s = form.a[:q, :q], form.a[kp:q, kp:q]
-            for p in (0, 1, m + 1):
-                H = rng.standard_normal((q, q - kp))
-                U, G = (None, None) if p == 0 else (
-                    rng.standard_normal((q, p)), rng.standard_normal((q, p)))
-                t = solve_placed_sylvester(form, kp, q, H, U, G)
-                A = S.T if p == 0 else S.T + U @ G.T
-                ref = spla.solve_sylvester(A, s, H)
-                assert t.dtype == np.float64
-                assert spla.norm(t - ref) <= 1e-11 * spla.norm(ref)
+            for p in (1, m + 1):
+                H = rng.standard_normal((3, q, q - kp))
+                G = rng.standard_normal((q, p))
+                U = [None, rng.standard_normal((q, p)), rng.standard_normal((q, p))]
+                t, failed = solve_placed_sylvester(form, kp, q, H, U, G)
+                assert t.dtype == np.float64 and t.shape == H.shape and not failed
+                for i, u in enumerate(U):
+                    A = S.T if u is None else S.T + u @ G.T
+                    ref = spla.solve_sylvester(A, s, H[i])
+                    assert spla.norm(t[i] - ref) <= 1e-11 * spla.norm(ref)
+                    alone, _ = solve_placed_sylvester(form, kp, q, H[i:i + 1], [u], G)
+                    assert spla.norm(alone[0] - t[i]) <= 1e-13 * spla.norm(ref)
         # one factor per distinct eigenvalue of the three units consumed (a
-        # pair has two), shared by the nine solves above
+        # pair has two), shared by every solve above
         assert len(form._shifted) == 4 + (complex(last).imag != 0)
 
     def test_singular_capacitance(self, rng):
@@ -371,9 +408,12 @@ class TestColumnRoute:
         A = form.a.T + mu.real * np.eye(q)
         g, w = rng.standard_normal((q, 1)), rng.standard_normal(q)
         u = -(A @ w)[:, None] / (g[:, 0] @ w)   # (A + u g^T) w = 0
-        H = rng.standard_normal((q, q - kp))
-        with pytest.raises(SpectraOverlap):
-            solve_placed_sylvester(form, kp, q, H, u, g)
+        H = rng.standard_normal((2, q, q - kp))
+        t, failed = solve_placed_sylvester(form, kp, q, H, [None, u], g)
+        assert list(failed) == [1] and isinstance(failed[1], SpectraOverlap)
+        # the record beside it is solved as if alone
+        ref = spla.solve_sylvester(form.a.T, form.a[kp:, kp:], H[0])
+        assert spla.norm(t[0] - ref) <= 1e-11 * spla.norm(ref)
 
     def test_unfit_form_raises(self, rng):
         """A real Schur form would have its 2x2 bumps read as triangular, and
@@ -381,14 +421,14 @@ class TestColumnRoute:
         both are refused, not solved."""
         form, bounds = _held_form(20, 2, [-1.5, -0.7, -0.2 + 1.0j])
         kp, q = bounds[-2], bounds[-1]
-        H = rng.standard_normal((q, q - kp))
+        H = rng.standard_normal((1, q, q - kp))
         dense = schur_form(_stable_dense(rng, q), output="complex")
         for unfit in (schur_form(form.a), dense):
             with pytest.raises(ValueError):
-                solve_placed_sylvester(unfit, kp, q, H)
+                solve_placed_sylvester(unfit, kp, q, H, [None])
         # the lagging prefix ends inside the held form, at a unit boundary
         kp, q = bounds[-3], bounds[-2]
-        solve_placed_sylvester(form, kp, q, rng.standard_normal((q, q - kp)))
+        solve_placed_sylvester(form, kp, q, rng.standard_normal((1, q, q - kp)), [None])
 
     @pytest.mark.parametrize("unit", [-0.7, -0.3 + 2.0j])
     def test_spectra_overlap(self, rng, unit):

@@ -524,11 +524,167 @@ class TestExtractionKernel:
         for side in (st.v, st.w):
             eq = engine._Eq(np.zeros((0, 0)), np.zeros((0, 0)), side.sys.B)
             for q in side.bounds[1:]:   # one unit block at a time
-                eq.T, eq.M, Y = engine._advance(side, eq, q, side.L)
+                [(eq.T, eq.M, Y)] = engine._advance(side, [eq], q, side.L)
             assert np.abs(eq.T - np.eye(side.k)).max() <= 1e-12
             side.commit([(eq, (eq.T, eq.M, Y))])
             dev = np.linalg.norm(eq.perp - side.perp)
             assert dev <= 1e-12 * np.linalg.norm(side.perp)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_stacked_records_match_dense_solves(self, rng, m):
+        """Every record of one stacked call solves its own
+        S^T t + t s + U G^T t = H, checked against the dense Kronecker
+        system, over real and pair units, with and without a U."""
+        from uadi.linalg import solve_placed_sylvester
+
+        g = random_stable_system(30, m, m, 40 + m)
+        st = uadi_init(g, g, None, "lyap_p,lyap_q")
+        for unit in (-0.5, -2 + 4j, -1.0, -0.3 + 1j):
+            uadi_step(st, unit, unit)
+        for side in (st.v, st.w):
+            for kp, q in zip(side.bounds, side.bounds[1:]):
+                S, s, G = side.S[:q, :q], side.S[kp:q, kp:q], side.G[:q]
+                H = rng.standard_normal((3, q, q - kp))
+                U = [None, rng.standard_normal((q, g.p)), rng.standard_normal((q, g.p))]
+                t, failed = solve_placed_sylvester(side.schur, kp, q, H, U, G)
+                assert not failed
+                for Hi, Ui, ti in zip(H, U, t):
+                    A = S.T if Ui is None else S.T + Ui @ G.T
+                    K = np.kron(np.eye(q - kp), A) + np.kron(s.T, np.eye(q))
+                    want = np.linalg.solve(K, Hi.ravel(order="F"))
+                    want = want.reshape(Hi.shape, order="F")
+                    assert np.linalg.norm(ti - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("tags", ["ricc_p,ricc_q",
+                                      "ricc_p,ricc_q,inf_p,inf_q,mp_p,mp_q,pr_p,pr_q,br_p,br_q",
+                                      "all"])
+    def test_one_kernel_call_per_side_and_step(self, monkeypatch, tags):
+        """However many families a side carries, a step extracts them with
+        one kernel call; a Sylvester half that fires is one more."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, tags)
+        calls = {}
+        original = engine.solve_placed_sylvester
+
+        def counting(form, *args):
+            calls["v" if form is st.v.schur else "w"] += 1
+            return original(form, *args)
+
+        monkeypatch.setattr(engine, "solve_placed_sylvester", counting)
+        sylv = st.v.sylv
+        for a, b in ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0), (-0.8, -1.5)):
+            calls.update(v=0, w=0)
+            consumed = None if sylv is None else len(sylv.T)
+            uadi_step(st, a, b)
+            halves = int(sylv is not None and len(sylv.T) != consumed)
+            assert calls == {"v": 1 + halves, "w": 1 + halves}, calls
+        assert not st.degraded
+
+    def test_degraded_family_leaves_the_batch(self, monkeypatch):
+        """After one family degrades, the side's other families keep
+        growing their rank with k, from a batch without it."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        uadi_step(st, -0.5, -0.6)
+        original = engine.solve_small_lyapunov
+        calls = {"n": 0}
+
+        def flaky(F, Q):
+            calls["n"] += 1
+            if calls["n"] == 1:   # ricc_p's middle matrix: the V side's first
+                raise spla.LinAlgError("synthetic failure")
+            return original(F, Q)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "solve_small_lyapunov", flaky)
+            uadi_step(st, -1.0, -1.2)
+        assert set(st.degraded) == {"ricc_p"}
+        frozen = st.rank("ricc_p")
+        widths = []   # (V side, records) of each kernel call
+        stacked = engine.solve_placed_sylvester
+
+        def recording(form, kp, q, H, *rest):
+            widths.append((form is st.v.schur, len(H)))
+            return stacked(form, kp, q, H, *rest)
+
+        monkeypatch.setattr(engine, "solve_placed_sylvester", recording)
+        for a, b in ((-2 + 1j, -0.8), (-1.5, -2.5), (-0.7, -0.9)):
+            uadi_step(st, a, b)
+            assert st.rank("ricc_p") == frozen < st.v.k
+            for tag in ("inf_p", "mp_p", "pr_p", "br_p"):
+                assert st.rank(tag) == st.v.k, tag
+            for tag in ("ricc_q", "inf_q", "mp_q", "pr_q", "br_q"):
+                assert st.rank(tag) == st.w.k, tag
+        assert (True, 4) in widths and (False, 5) in widths
+        assert not any(v and n == 5 for v, n in widths)
+        assert set(st.degraded) == {"ricc_p"}
+
+    def test_ill_conditioned_middle_block_degrades(self, monkeypatch):
+        """A weighted family's new middle-matrix block whose reciprocal
+        condition is below the bound degrades that family alone, with a
+        reason that names it."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        uadi_step(st, -0.5, -0.6)
+        original = engine.solve_small_lyapunov
+        calls = {"n": 0}
+
+        def near_singular(F, Q):
+            x = original(F, Q)
+            calls["n"] += 1
+            if calls["n"] == 1:   # ricc_p's block: squash its smallest direction
+                w, V = np.linalg.eigh(x)
+                w[0] = 1e-14 * w[-1]
+                x = (V * w) @ V.T
+                x = 0.5 * (x + x.T)
+            return x
+
+        monkeypatch.setattr(engine, "solve_small_lyapunov", near_singular)
+        uadi_step(st, -1.0, -1.2)
+        assert set(st.degraded) == {"ricc_p"}
+        assert "reciprocal condition" in st.degraded["ricc_p"]
+        for tag in st.enabled - {"ricc_p"}:
+            assert np.isfinite(residual_norm(st, tag)), tag
+
+    def test_norms_from_held_grams(self, monkeypatch):
+        """Each tag's residual norm, read from the Grams its records hold,
+        is gram_norm2 of its explicit residual factor: ldl with its weight,
+        both Sylvester halves, a degraded record, and a stale spectral-factor
+        pair that the read rebuilds."""
+        import uadi.uadi as engine
+        from uadi.linalg import gram_norm2
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        original = engine.solve_small_lyapunov
+        calls = {"n": 0, "fail": False}
+
+        def flaky(F, Q):
+            calls["n"] += 1
+            if calls["fail"] and calls["n"] == 1:
+                raise spla.LinAlgError("synthetic failure")
+            return original(F, Q)
+
+        monkeypatch.setattr(engine, "solve_small_lyapunov", flaky)
+        stale_reads = 0
+        for it, (a, b) in enumerate(((-0.5, -0.6), (-2 + 4j, -1 + 2j),
+                                     (-1.0, -3.0), (-0.8, -1.5))):
+            calls.update(n=0, fail=it == 2)
+            uadi_step(st, a, b)
+            stale_reads += st.stale("sf_p")
+            for tag in sorted(st.enabled):
+                got = residual_norm(st, tag) * st.const[tag]
+                f = st.residual_factor(tag)
+                want = (gram_norm2(f[0].factor, None, f[1].factor.T) if tag == "sylv"
+                        else gram_norm2(f.factor, f.weight))
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (it, tag)
+        assert set(st.degraded) == {"ricc_p"} and stale_reads == 4
 
     def test_small_lyapunov_on_the_consumed_block_form(self, monkeypatch):
         """The weighted families solve their small Lyapunov equation against
