@@ -40,8 +40,8 @@ Residual norms are read off the factors' Grams, which a caller may hold
 instead of the factors (``gram_norm2``).  Any other F X - X G + H = 0 goes
 through Bartels-Stewart on plain matrices: one Schur form per side,
 eigenvalues read off the Schur diagonals for the separation check, and
-LAPACK trsyl.  A small Lyapunov solve may take the SchurForm of F that the
-caller already holds, so that it is not computed twice.
+LAPACK trsyl.  A small Lyapunov solve takes a stack of right-hand sides
+against one F, with one Schur form and one trsyl call for all of them.
 """
 
 from dataclasses import dataclass, field
@@ -310,9 +310,6 @@ class SchurForm:
     _shifted: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
-    def __neg__(self):
-        return SchurForm(-self.a, -self.T, self.Z, -self.eigvals)
-
     def extended(self, coupling, block):
         """SchurForm of [[a, coupling], [0, b]] from ``block``, the SchurForm
         of b: Z = diag(Z_a, Z_b) keeps T quasi-triangular, so a block
@@ -325,12 +322,6 @@ class SchurForm:
             block_diag2(self.Z, block.Z),
             np.concatenate([self.eigvals, block.eigvals]),
         )
-
-    def block(self, lo, hi):
-        """SchurForm of the diagonal block a[lo:hi, lo:hi], for lo and hi
-        where Z is block diagonal (every boundary ``extended`` grew)."""
-        return SchurForm(self.a[lo:hi, lo:hi], self.T[lo:hi, lo:hi],
-                         self.Z[lo:hi, lo:hi], self.eigvals[lo:hi])
 
     def kron(self, n):
         """SchurForm of kron(a, I_n), factor by factor, so every eigenvalue
@@ -355,15 +346,6 @@ def schur_form(a, output="real"):
     ``output="complex"`` the triangular form of real a, a kept real."""
     a, = _small_operands(a)
     return SchurForm(a, *_schur(a.astype(complex) if output == "complex" else a))
-
-
-def _schur_of(a, form):
-    """Schur factors of operand a, from ``form`` when the caller passed a's
-    SchurForm and its type fits the data (trsyl needs a triangular T, so a
-    real form does not serve complex data)."""
-    if form is not None and (np.iscomplexobj(form.T) or not np.iscomplexobj(a)):
-        return form.T, form.Z, form.eigvals
-    return _schur(a)
 
 
 def _trsyl(r, s, f, trana="N", isgn=1):
@@ -500,31 +482,39 @@ def solve_placed_sylvester(form, kp, q, H, U, G=None):
 
 
 def solve_small_lyapunov(F, Q):
-    """Solve F* X + X F + Q = 0 for Hermitian Q; returns Hermitian X.
+    """Solve F* X + X F + Q = 0 for Hermitian Q, or for each Q_i of a stack
+    Q (r x n x n); returns Hermitian X of Q's shape.
 
-    One Schur form F = Z T Z^H (F may be passed as its SchurForm when the
-    caller holds one): the separation check reads the eigenvalues off its
-    diagonal and LAPACK trsyl solves T^H Y + Y T = -Z^H Q Z.  The result is
-    symmetrized to suppress roundoff drift; real data give a real X, also
-    through a complex form of real F.
+    One Schur form F = Z T Z^H: the separation check reads the eigenvalues
+    off its diagonal, and one LAPACK trsyl call solves
+    T^H [Y_1 ... Y_r] + [Y_1 ... Y_r] diag(T, ..., T) = -Z^H [Q_1 Z ... Q_r Z].
+    The result is symmetrized to suppress roundoff drift; real data give a
+    real X.
     """
-    f_form = F if isinstance(F, SchurForm) else None
-    F, Q = _small_operands(F if f_form is None else f_form.a, Q)
-    if F.shape[0] != F.shape[1] or Q.shape != F.shape:
-        raise DimensionMismatch("F, Q must be square and equal-sized")
-    qnorm = np.linalg.norm(Q)   # operands are checked finite already
-    if qnorm > 0 and np.linalg.norm(Q - Q.conj().T) > 1e-10 * qnorm:
+    F, Q = _small_operands(F, Q)
+    n = F.shape[0]
+    if F.shape != (n, n) or Q.shape[-2:] != (n, n) or Q.ndim > 3:
+        raise DimensionMismatch("F must be square and Q one or a stack of its size")
+    # operands are checked finite already
+    asym = np.linalg.norm(Q - Q.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(asym > 1e-10 * np.linalg.norm(Q, axis=(-2, -1))):
         raise NonHermitianRHS("Q deviates from Hermitian beyond 1e-10 relative")
-    if F.shape[0] == 0:
+    if n == 0:
         return np.zeros_like(Q)
-    t, z, lam = _schur_of(F, f_form)
+    t, z, lam = _schur(F)
     _check_separation(lam.conj(), -lam, 2.0 * _spectral_scale(lam))
-    y = _trsyl(t, t, z.conj().T @ (-Q @ z), trana="C")
-    X = z @ y @ z.conj().T
+    Qs = Q.reshape(-1, n, n)
+    r = len(Qs)
+    tt = np.zeros((r * n, r * n), dtype=t.dtype)   # diag(t, ..., t)
+    for i in range(0, r * n, n):
+        tt[i:i + n, i:i + n] = t
+    c = np.hstack(z.conj().T @ (-Qs @ z))
+    y = _trsyl(t, tt, c, trana="C").reshape(n, r, n).swapaxes(0, 1)
+    X = (z @ y @ z.conj().T).reshape(Q.shape)
     X = X if np.iscomplexobj(Q) else X.real
     if not np.isfinite(X).all():
         raise SpectraOverlap("small Lyapunov solution is not finite")
-    return 0.5 * (X + X.conj().T)
+    return 0.5 * (X + X.conj().swapaxes(-1, -2))
 
 
 def symmetric_inverse(a):

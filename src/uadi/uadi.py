@@ -7,25 +7,27 @@ basis times a small block-triangular transform obtained from a small
 Sylvester solve.  One kernel, ``_advance``, advances every Riccati family
 and both Sylvester halves; they differ only in pole placement (feedback,
 quadratic weight, companion shift block) and in the rule that grows the
-middle matrix.  A side's Riccati-family records all consume the same
-columns, so each step advances them together, with one stacked extraction
-per side; the Sylvester halves are batches of one.  A numerical failure of
-the batch's shared solves degrades every record in it, one that belongs to
-a single record (its capacitance, its trailing block, its middle matrix)
-degrades that record alone.
+middle matrix.  Each step advances a side's records together: one stacked
+extraction over the columns they consume, with one small Lyapunov solve for
+every weighted family's new middle block.  A Sylvester half joins its
+side's families, or is a batch of its own when it lags behind them.  A
+numerical failure of the batch's shared solves degrades every record in
+it, one that belongs to a single record (its capacitance, its trailing
+block, its middle block's condition) degrades that record alone.
 
 Each equation is one ``_Eq`` record: its pole placement (feedback fb,
 quadratic weight qk, right-hand-side scaling rr and its inverse rri),
-transform T, middle matrix M, residual factor B rr - E X Y and that
-factor's Gram, so a residual norm is computed at the factor's width.  A
-side's Lyapunov record has T = None, the untransformed basis; its factor,
-the next solve's right-hand side, is updated in place.  Once the step's
-small solves have all run, each side forms every other record's factor
-from Y = T M L_c^T in one pass over its basis, and their Grams in one
-product.  At init each enabled tag resolves once to one table entry (side,
-eq, weight, right): ldl reads the Lyapunov record with a weight, sylv the V
-half with the W half as right.  Every reader goes through the table, and
-every residual is normalized by its own norm at X = 0.
+transform T, middle matrix M, their product Y = T M L_c^T, grown by the new
+block's term alone, residual factor B rr - E X Y and that factor's Gram, so
+a residual norm is computed at the factor's width.  A side's Lyapunov
+record has T = None, the untransformed basis; its factor, the next solve's
+right-hand side, is updated in place.  Once the step's small solves have
+all run, each side forms every other record's factor in one pass over its
+basis, and their Grams in one product.  At init each enabled tag resolves
+once to one table entry (side, eq, weight, right): ldl reads the Lyapunov
+record with a weight, sylv the V half with the W half as right.  Every
+reader goes through the table, and every residual is normalized by its own
+norm at X = 0.
 
 The spectral-factor pair is coupled to the current Gramians, so each
 rebuild solves it whole on the current bases, from the two sides' X, S, L
@@ -264,13 +266,14 @@ class _Eq:
     Its pole placement: the feedback ``fb``, quadratic weight ``qk``,
     right-hand-side scaling ``rr`` and its inverse ``rri``, each None where
     the equation has none.  Its standing state: the transform T of the
-    consumed basis prefix, the middle matrix M, the residual factor
-    perp = B rr - E X T M L_c^T on that prefix and its Gram perp^T perp,
-    formed from the seed perp at construction.  L_c is the side's own L,
-    except for a Sylvester half, whose L_c is the other side's L and whose
-    M is the shared coupling D (transposed on the W side).  An identity M
-    is kept as None; T = None is the whole untransformed basis, the side's
-    Lyapunov equation.  A record is seeded at X = 0 with an empty T and M.
+    consumed basis prefix, the middle matrix M, their product
+    Y = T M L_c^T, the residual factor perp = B rr - E X Y on that prefix and
+    its Gram perp^T perp, formed from the seed perp at construction.  L_c is
+    the side's own L, except for a Sylvester half, which names the other
+    side as its ``partner`` and whose M is the block diagonal of the step
+    couplings' inverses (transposed on the W side).  An identity M is kept
+    as None; T = None is the whole untransformed basis, the side's Lyapunov
+    equation.  A record is seeded at X = 0 with an empty T, M and Y.
     The spectral-factor record is stale between its pair's rebuilds: read
     it through the state (``UadiState.stale``), never as ``side.eqs["sf"]``.
     """
@@ -282,73 +285,78 @@ class _Eq:
     qk: np.ndarray = None
     rr: np.ndarray = None
     rri: np.ndarray = None
+    partner: "_Side" = None
+    Y: np.ndarray = field(init=False)
     gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.Y = np.zeros((0, self.perp.shape[1]))
         self.gram = self.perp.T @ self.perp
 
 
-def _advance(side, eqs, q, Lc, D=None):
-    """Advance the records ``eqs`` of ``side``, which have consumed the same
-    basis prefix kp, over the columns kp:q with one stacked extraction.
-    Returns one outcome per record: (T, M, Y) with Y = T M Lc^T on the
-    columns :q, or the numerical failure that degrades that record alone (a
-    singular capacitance or trailing block, or its middle matrix); a failure
-    the records share raises.  Mutates nothing.
+def _advance(side, batch, q):
+    """Advance the records of ``side`` in ``batch``, pairs (eq, new) that
+    have consumed the same basis prefix kp, over the columns kp:q with one
+    stacked extraction.  Returns one outcome per record: its (T, M, Y), or
+    the numerical failure that degrades that record alone (a singular
+    capacitance, trailing block or middle-matrix block); a failure the
+    records share raises.  Mutates nothing.
 
     The equations differ only in the pole placement each record carries:
     its new transform columns t solve S^T t + t s + U (G^T t) = H against
     the new (s, l) block and the side's held Schur form of S; the placed
     matrix -S^T - U G^T, U = L^T fb + [T M T^T G qk; 0] with p columns, is
-    not formed.  The middle matrix grows to the coupling ``D`` when given, by
-    the inverse of a small Lyapunov solution when the equation has a
-    quadratic weight ``qk``, and is the identity, kept as None, otherwise.
+    not formed.  M grows block-diagonally by ``new`` when given (a Sylvester
+    half's coupling inverse), by the inverse of a small Lyapunov solution,
+    one stacked solve for every record with a quadratic weight ``qk``, or
+    stays the identity, kept as None; so Y grows to [Y; 0] + t new l_c^T,
+    with l_c the new columns of L_c.
     """
-    kp = eqs[0].T.shape[0]
+    kp = len(batch[0][0].T)
     wid = q - kp
     l = side.L[:, kp:q]
     L, G = side.L[:, :q], side.G[:q]
     H, U = [], []
-    for eq in eqs:
+    for eq, _ in batch:
         u = None if eq.fb is None else L.T @ eq.fb
+        if kp and eq.qk is not None:
+            if u is None:
+                u = np.zeros(G.shape)
+            # T M T^T stays factored: O(k^2 m) instead of O(k^3)
+            u[:kp] += eq.T @ (eq.M @ (eq.T.T @ G[:kp])) @ eq.qk
         rhs = L.T if eq.rr is None else L.T @ eq.rr
-        if kp:
-            if eq.qk is not None:
-                if u is None:
-                    u = np.zeros(G.shape)
-                # T M T^T stays factored: O(k^2 m) instead of O(k^3)
-                u[:kp] += eq.T @ (eq.M @ (eq.T.T @ G[:kp])) @ eq.qk
-            ML = Lc[:, :kp].T if eq.M is None else eq.M @ Lc[:, :kp].T
-            rhs = rhs - _pad_rows(eq.T @ ML, wid)
-        H.append(rhs @ l)
+        H.append((rhs - _pad_rows(eq.Y, wid)) @ l)
         U.append(u)
     ts, failed = solve_placed_sylvester(side.schur, kp, q, np.stack(H), U, G)
-    svals = np.linalg.svd(ts[:, kp:], compute_uv=False)
-    # s = S[kp:q, kp:q] in the Schur form the side holds
-    block, ll, LcT = -side.schur.block(kp, q), l.T @ l, Lc[:, :q].T
+    gesdd, = spla.get_lapack_funcs(("gesdd",), (ts,))
+    for i in set(range(len(batch))) - set(failed):
+        _, sv, _, info = gesdd(ts[i, kp:], compute_uv=0)
+        if info or sv[-1] <= 1e-13 * max(sv[0], 1.0):
+            failed[i] = ExtractionSingular("trailing transform block singular")
+    news = [new for _, new in batch]
+    weighted = [i for i, (eq, _) in enumerate(batch)
+                if eq.qk is not None and i not in failed]
+    if weighted:
+        # s = s_1 (x) I_m is block diagonal in the order p of I_m (x) s_1,
+        # where its Schur form keeps the input channels, and their zeros, apart
+        p = np.arange(wid).reshape(-1, side.sys.m).T.ravel()
+        x = G.T @ ts[weighted][:, :, p]   # projected output maps of the new directions
+        qk, lp = np.stack([batch[i][0].qk for i in weighted]), l[:, p]
+        smalls = solve_small_lyapunov(-side.S[kp:q, kp:q][p[:, None], p],
+                                      lp.T @ lp + x.swapaxes(1, 2) @ qk @ x)
+        back = np.argsort(p)
+        for i, small in zip(weighted, smalls[:, back[:, None], back]):
+            news[i], rcond = symmetric_inverse(small)
+            if rcond < _MIN_RCOND:
+                failed[i] = ExtractionSingular(
+                    f"middle-matrix block has reciprocal condition {rcond:.1e}")
     out = []
-    for i, (eq, t, sv) in enumerate(zip(eqs, ts, svals)):
-        try:
-            if i in failed:
-                raise failed[i]
-            if sv[-1] <= 1e-13 * max(sv[0], 1.0):
-                raise ExtractionSingular("trailing transform block singular")
-            T = np.hstack([_pad_rows(eq.T, wid), t])
-            if D is not None:
-                M = D
-            elif eq.qk is not None:
-                x = G.T @ t  # projected output map of the new direction
-                small = solve_small_lyapunov(block, ll + x.T @ eq.qk @ x)
-                inv, rcond = symmetric_inverse(small)
-                if rcond < _MIN_RCOND:
-                    raise ExtractionSingular(
-                        f"middle-matrix block has reciprocal condition {rcond:.1e}")
-                M = block_diag2(eq.M, inv)
-            else:
-                M = None
-            out.append((T, M, T @ (LcT if M is None else M @ LcT)))
-        except _NUMERICAL_FAILURES as exc:
-            out.append(exc)
+    for i, ((eq, _), t, new) in enumerate(zip(batch, ts, news)):
+        lc = (side if eq.partner is None else eq.partner).L[:, kp:q].T
+        out.append(failed[i] if i in failed else (
+            np.hstack([_pad_rows(eq.T, wid), t]),
+            None if new is None else block_diag2(eq.M, new),
+            _pad_rows(eq.Y, wid) + t @ (lc if new is None else new @ lc)))
     return out
 
 
@@ -397,11 +405,11 @@ class _Side:
         self.bounds.append(self.k)
 
     def commit(self, updates):
-        """Set each updated record's T, M, perp = B rr - E X Y and Gram from
-        its update (eq, (T, M, Y)), forming every factor in one pass,
+        """Set each updated record's T, M, Y, perp = B rr - E X Y and Gram
+        from its update (eq, (T, M, Y)), forming every factor in one pass,
         R = B [rr_1 ... rr_r] - E (X [Y_1 ... Y_r]), and every Gram as a
         diagonal block of R^T R.  A Sylvester half's Y covers a basis prefix
-        and is zero-padded to k rows."""
+        and is zero-padded to k rows here."""
         if not updates:
             return
         B = self.sys.B
@@ -412,7 +420,7 @@ class _Side:
         start = 0
         for eq, (T, M, y) in updates:
             cols = slice(start, start + y.shape[1])
-            eq.T, eq.M, eq.perp, eq.gram = T, M, R[:, cols], gram[cols, cols]
+            eq.T, eq.M, eq.Y, eq.perp, eq.gram = T, M, y, R[:, cols], gram[cols, cols]
             start = cols.stop
 
 
@@ -487,7 +495,7 @@ class UadiState:
         record, seeded at X = 0 with its pole placement; an infeasible one
         is skipped with its reason.  Then map each enabled tag to its entry
         (side, eq, weight, right), and fix each tag's normalization, its
-        residual norm at X = 0, and the tag groups every step runs."""
+        residual norm at X = 0."""
         v, w, prm = self.v, self.w, self.params
         want = set(self.selection.tags) | {"lyap_p", "lyap_q"}
         sylv_ok = self.sys1.m == self.sys2.p
@@ -499,7 +507,7 @@ class UadiState:
                   fams[0][1].get("sf") or fams[1][1].get("sf"))
         # the spectral-factor pair is rebuilt together
         pair = {"sf"} if want & {"sf_p", "sf_q"} and not sf_why else set()
-        table, self._groups = {}, []
+        table = {}
         for side, (cfg, skip) in zip((v, w), fams):
             sfx = side.suffix
             if sf_why:
@@ -511,18 +519,15 @@ class UadiState:
                                side.sys.B @ c["rr"], **c)
                         for f, c in cfg.items() if f + sfx in want or f in pair}
             if "sylv" in want and sylv_ok:
-                side.sylv = _Eq(np.zeros((0, 0)), np.zeros((0, 0)), side.perp.copy())
+                side.sylv = _Eq(np.zeros((0, 0)), np.zeros((0, 0)), side.perp.copy(),
+                                partner=w if side is v else v)
             table["lyap" + sfx] = (side, side.lyap, None, None)
             table["ldl" + sfx] = (side, side.lyap, side.weight, None)
             for f, eq in side.eqs.items():
                 table[f + sfx] = (side, eq, None, None)
-            fams = tuple(f + sfx for f in side.eqs if f != "sf")
-            if fams:
-                self._groups.append((fams, self._families, side))
         if v.sylv is not None:
             table["sylv"] = (v, v.sylv, None, w.sylv)
-            self._groups.append((("sylv",), self._sylv_group))
-        self._pair = (("sf_p", "sf_q"), self._sf_group) if pair else None
+        self._pair = ("sf_p", "sf_q") if pair else ()
         if prm.gamma1 == 1.0 or prm.gamma2 == 1.0:
             logger.info("gamma = 1: bounded-gain equations reduce to the "
                         "plain Lyapunov equations")
@@ -535,35 +540,49 @@ class UadiState:
 
     # -- stepping -----------------------------------------------------------
 
-    def _families(self, side):
-        """Updates of the side's Riccati-family records not yet degraded
-        over its new block, all from one stacked extraction."""
-        live = [(f + side.suffix, eq) for f, eq in side.eqs.items()
-                if f != "sf" and f + side.suffix not in self.degraded]
-        news = _advance(side, [eq for _, eq in live], side.k, side.L)
-        return [(tag, side, eq, new) for (tag, eq), new in zip(live, news)]
-
-    def _sylv_group(self):
-        """Updates of the two Sylvester halves consuming the columns up to
-        the largest unit boundary the two bases share, if it lies past the
-        consumed prefix: each half is a batch of one."""
+    def _step_outcomes(self):
+        """Outcomes (tag, side, eq, outcome) of the step's small solves.
+        Each side advances its records not yet degraded in one ``_advance``
+        per column range consumed: the families consume the new block, the
+        Sylvester half the columns up to the largest unit boundary the two
+        bases share, if that lies past its prefix.  Its coupling d is solved
+        and inverted once: the V half's new middle block is inv(d), the W
+        half's its transpose.  A batch's shared failure is each record's."""
         v, w = self.v, self.w
-        q, kp = max(set(v.bounds) & set(w.bounds)), v.sylv.T.shape[0]
-        if q == kp:
-            return []
-        d = solve_small_sylvester(-w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
-                                  w.L[:, kp:q].T @ v.L[:, kp:q])
-        D = block_diag2(v.sylv.M, spla.inv(d))
-        [nv] = _advance(v, [v.sylv], q, w.L, D=D)
-        [nw] = _advance(w, [w.sylv], q, v.L, D=D.T)
-        return [("sylv", v, v.sylv, nv), ("sylv", w, w.sylv, nw)]
+        out, live = [], [(side, side.k, f + side.suffix, eq, None) for side in (v, w)
+                         for f, eq in side.eqs.items()
+                         if f != "sf" and f + side.suffix not in self.degraded]
+        if v.sylv is not None and "sylv" not in self.degraded:
+            q, kp = max(set(v.bounds) & set(w.bounds)), len(v.sylv.T)
+            if q > kp:
+                try:
+                    d = spla.inv(solve_small_sylvester(
+                        -w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
+                        w.L[:, kp:q].T @ v.L[:, kp:q]))
+                    live += [(v, q, "sylv", v.sylv, d), (w, q, "sylv", w.sylv, d.T)]
+                except _NUMERICAL_FAILURES as exc:
+                    out.append(("sylv", None, None, exc))
+        batches = {}    # (side, kp, q) -> [(tag, eq, new)]
+        for side, q, tag, eq, new in live:
+            batches.setdefault((side, len(eq.T), q), []).append((tag, eq, new))
+        for (side, _, q), batch in batches.items():
+            try:
+                news = _advance(side, [(eq, new) for _, eq, new in batch], q)
+            except _NUMERICAL_FAILURES as exc:
+                news = [exc] * len(batch)
+            out += [(tag, side, eq, n) for (tag, eq, _), n in zip(batch, news)]
+        return out
 
-    def _sf_group(self):
-        """Updates of the spectral-factor pair, rebuilt whole on the current
-        bases.  Only a read of a stale pair runs it (``_entry``)."""
+    def _pair_outcomes(self):
+        """Outcomes of the spectral-factor pair, rebuilt whole on the current
+        bases; a failure is both halves' outcome.  Only a read of a stale
+        pair runs it (``_entry``)."""
         v, w = self.v, self.w
-        return [("sf_p", v, v.eqs["sf"], _sf_side(v, w)),
-                ("sf_q", w, w.eqs["sf"], _sf_side(w, v))]
+        try:
+            return [("sf_p", v, v.eqs["sf"], _sf_side(v, w)),
+                    ("sf_q", w, w.eqs["sf"], _sf_side(w, v))]
+        except _NUMERICAL_FAILURES as exc:
+            return [(tag, None, None, exc) for tag in self._pair]
 
     def step(self, alpha, beta):
         """Consume one shift unit per side (a complex shift stands for its
@@ -574,41 +593,29 @@ class UadiState:
             side.expand(unit)
         self.alpha_units.append(au)
         self.beta_units.append(bu)
-        self._update(self._groups)
+        self._apply(self._step_outcomes())
         self.iteration += 1
         return self
 
-    def _update(self, groups):
-        """Run the small solves of each group's tags not yet degraded, then
-        each side's one commit of the new residual factors.  A group returns
-        its updates (tag, side, eq, outcome); an outcome that is a numerical
-        failure degrades its tag alone, one the group raises degrades every
-        tag it ran.  A degraded tag keeps the T, M, perp and Gram of its
-        last good update, and a tag with a failed half commits neither."""
-        updates = []
-        for tags, group, *args in groups:
-            live = [tag for tag in tags if tag not in self.degraded]
-            if not live:
-                continue
-            try:
-                outcomes = group(*args)
-            except _NUMERICAL_FAILURES as exc:
-                outcomes = [(tag, None, None, exc) for tag in live]
-            failed = {tag: new for tag, _, _, new in outcomes
-                      if isinstance(new, Exception)}
-            for tag, exc in failed.items():
-                self.degraded[tag] = str(exc)
-                logger.warning("%s degraded: %s", tag, exc)
-            updates += [(s, eq, new) for tag, s, eq, new in outcomes
-                        if tag not in failed]
+    def _apply(self, outcomes):
+        """Degrade each tag with a numerical failure among its outcomes
+        (tag, side, eq, outcome), then commit the others' new residual
+        factors, once per side.  A degraded tag keeps the T, M, Y, perp and
+        Gram of its last good update, and a tag with a failed half commits
+        neither."""
+        failed = {tag: new for tag, _, _, new in outcomes if isinstance(new, Exception)}
+        for tag, exc in failed.items():
+            self.degraded[tag] = str(exc)
+            logger.warning("%s degraded: %s", tag, exc)
         for side in (self.v, self.w):
-            side.commit([(eq, new) for s, eq, new in updates if s is side])
+            side.commit([(eq, new) for tag, s, eq, new in outcomes
+                         if s is side and tag not in failed])
 
     def stale(self, tag):
         """Whether ``tag`` belongs to a spectral-factor pair last rebuilt on
         a smaller basis; a read of it rebuilds the pair first.  A degraded
         pair is never stale."""
-        if self._pair is None or tag not in self._pair[0] or tag in self.degraded:
+        if tag not in self._pair or tag in self.degraded:
             return False
         return any(len(side.eqs["sf"].T) < side.k for side in (self.v, self.w))
 
@@ -625,7 +632,7 @@ class UadiState:
         if started and self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
         if self.stale(tag):
-            self._update([self._pair])
+            self._apply(self._pair_outcomes())
         return self.table[tag]
 
     def extract(self, tag):

@@ -297,14 +297,14 @@ class TestSpectralFactorReads:
                     shifts="petrov-bt", max_iter=50, tol=1e-6, restart_cap=10,
                     gamma1=2.0, gamma2=3.0)
         rebuilt = set()
-        original = engine.UadiState._sf_group
+        original = engine.UadiState._pair_outcomes
 
         def recording(state):
             rebuilt.add(len(state.alpha_units))   # the iteration in progress
             return original(state)
 
         with monkeypatch.context() as m:
-            m.setattr(engine.UadiState, "_sf_group", recording)
+            m.setattr(engine.UadiState, "_pair_outcomes", recording)
             lazy = run(RunConfig(out=str(tmp_path / "lazy"), **base))
         step = engine.UadiState.step
 

@@ -449,18 +449,6 @@ class TestColumnRoute:
 
 
 class TestSchurReuse:
-    def test_schur_form_stands_in_for_the_matrix(self, rng):
-        k = 10
-        F = _stable_dense(rng, k)
-        G = -_stable_dense(rng, k)
-        H = rng.standard_normal((k, k))
-        Q = H @ H.T
-        Y = solve_small_lyapunov(F, Q)
-        assert spla.norm(solve_small_lyapunov(schur_form(F), Q) - Y) \
-            <= 1e-13 * spla.norm(Y)
-        assert spla.norm(solve_small_lyapunov(-schur_form(G), Q)
-                         - solve_small_lyapunov(-G, Q)) <= 1e-13 * spla.norm(Y)
-
     def test_extended_is_a_schur_form(self, rng):
         blocks = [lyap_sl(ShiftUnit(v), 2)[0] for v in (-0.5, -1 + 3j, -2.0)]
         S = np.zeros((0, 0))
@@ -520,16 +508,45 @@ class TestSmallLyapunov:
         with pytest.raises(NonHermitianRHS):
             solve_small_lyapunov(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_complex_form_of_real_matrix(self, rng):
-        """A complex form of real F with real Q gives a real X, equal to
-        the real form's."""
-        F = _stable_dense(rng, 6)
-        H = rng.standard_normal((6, 2))
-        Q = H @ H.T
-        X = solve_small_lyapunov(schur_form(F, output="complex"), Q)
-        ref = solve_small_lyapunov(F, Q)
-        assert X.dtype == np.float64
-        assert spla.norm(X - ref) <= 1e-12 * spla.norm(ref)
+    @pytest.mark.parametrize("unit", [-0.7, -0.3 + 2.0j])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_stack_equals_one_by_one(self, rng, unit, m):
+        """A stack of right-hand sides against the negated block of a real
+        or a pair unit, as the weighted families' middle blocks are solved,
+        gives each Q_i's own solution."""
+        F = -lyap_sl(ShiftUnit(unit), m)[0]
+        H = rng.standard_normal((4, len(F), 3))
+        Q = H @ H.swapaxes(1, 2)
+        X = solve_small_lyapunov(F, Q)
+        assert X.shape == Q.shape and X.dtype == np.float64
+        for Xi, Qi in zip(X, Q):
+            ref = solve_small_lyapunov(F, Qi)
+            assert spla.norm(Xi - ref) <= 1e-14 * spla.norm(ref)
+            assert np.array_equal(Xi, Xi.T)
+        if len(F) > 1:   # one non-Hermitian Q_i is refused
+            with pytest.raises(NonHermitianRHS):
+                solve_small_lyapunov(F, np.stack([Q[0], Q[1] + np.triu(Q[1], 1)]))
+
+    def test_matrix_call_is_plain_bartels_stewart(self):
+        """A single Q takes the textbook arithmetic bit for bit: scipy's
+        real Schur form of F, one LAPACK trsyl, symmetrized.  So does the
+        penzl generator, whose head pencil comes from two such calls."""
+        def reference(F, Q):
+            t, z = spla.schur(F)
+            trsyl, = spla.get_lapack_funcs(("trsyl",), (t,))
+            y, scale, info = trsyl(t, t, z.T @ (-Q @ z), trana="C")
+            assert info == 0
+            X = z @ (y / scale) @ z.T
+            return 0.5 * (X + X.T)
+
+        aa = spla.block_diag(*[np.array([[-1.0, w], [-w, -1.0]]) for w in (10, 20, 30)])
+        bb, cc = 10.0 * np.ones((6, 1)), 10.0 * np.ones((1, 6))
+        pp, qq = reference(aa.T, bb @ bb.T), reference(aa, cc.T @ cc)
+        assert np.array_equal(solve_small_lyapunov(aa.T, bb @ bb.T), pp)
+        assert np.array_equal(solve_small_lyapunov(aa, cc.T @ cc), qq)
+        g = penzl_triple_peak(100, 10, 20, 30)
+        assert np.array_equal(g.E.toarray()[:6, :6], qq @ pp)
+        assert np.array_equal(g.A.toarray()[:6, :6], qq @ aa @ pp)
 
     def test_spectra_overlap(self):
         F = np.diag([1.0, -1.0])  # lambda_1 + conj(lambda_2) = 0

@@ -205,6 +205,31 @@ class TestSolveBudget:
         assert not st.degraded
 
 
+    @pytest.mark.parametrize("tags, weighted", [
+        ("ricc_p,ricc_q", 1),
+        ("ricc_p,ricc_q,inf_p,inf_q,pr_p,pr_q,br_p,br_q", 4),
+        ("all", 4)])
+    def test_one_small_lyapunov_per_side_and_step(self, monkeypatch, tags, weighted):
+        """Every weighted family of a side gets its new middle block from one
+        stacked small Lyapunov solve per step, however many are on."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, tags)
+        stacks = []
+        original = engine.solve_small_lyapunov
+
+        def counting(F, Q):
+            stacks.append(len(Q))
+            return original(F, Q)
+
+        monkeypatch.setattr(engine, "solve_small_lyapunov", counting)
+        for a, b in ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0), (-0.8, -1.5)):
+            stacks.clear()
+            uadi_step(st, a, b)
+            assert stacks == [weighted, weighted], stacks
+        assert not st.degraded
+
     @pytest.mark.parametrize("tags", ["ricc_p,ricc_q", "all"])
     @pytest.mark.parametrize("m", [1, 2])
     def test_one_shifted_factor_per_distinct_eigenvalue(self, tags, m):
@@ -524,9 +549,9 @@ class TestExtractionKernel:
         for side in (st.v, st.w):
             eq = engine._Eq(np.zeros((0, 0)), np.zeros((0, 0)), side.sys.B)
             for q in side.bounds[1:]:   # one unit block at a time
-                [(eq.T, eq.M, Y)] = engine._advance(side, [eq], q, side.L)
+                [(eq.T, eq.M, eq.Y)] = engine._advance(side, [(eq, None)], q)
             assert np.abs(eq.T - np.eye(side.k)).max() <= 1e-12
-            side.commit([(eq, (eq.T, eq.M, Y))])
+            side.commit([(eq, (eq.T, eq.M, eq.Y))])
             dev = np.linalg.norm(eq.perp - side.perp)
             assert dev <= 1e-12 * np.linalg.norm(side.perp)
 
@@ -559,8 +584,9 @@ class TestExtractionKernel:
                                       "ricc_p,ricc_q,inf_p,inf_q,mp_p,mp_q,pr_p,pr_q,br_p,br_q",
                                       "all"])
     def test_one_kernel_call_per_side_and_step(self, monkeypatch, tags):
-        """However many families a side carries, a step extracts them with
-        one kernel call; a Sylvester half that fires is one more."""
+        """However many families a side carries, and with its Sylvester
+        half when that consumes the same columns, a step extracts them with
+        one kernel call."""
         import uadi.uadi as engine
 
         g = rlc_ladder(segments=6)
@@ -573,14 +599,42 @@ class TestExtractionKernel:
             return original(form, *args)
 
         monkeypatch.setattr(engine, "solve_placed_sylvester", counting)
-        sylv = st.v.sylv
         for a, b in ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0), (-0.8, -1.5)):
             calls.update(v=0, w=0)
-            consumed = None if sylv is None else len(sylv.T)
             uadi_step(st, a, b)
-            halves = int(sylv is not None and len(sylv.T) != consumed)
-            assert calls == {"v": 1 + halves, "w": 1 + halves}, calls
+            assert calls == {"v": 1, "w": 1}, calls
+        if st.v.sylv is not None:
+            assert len(st.v.sylv.T) == st.v.k
         assert not st.degraded
+
+    def test_lagging_half_is_one_more_call(self, monkeypatch):
+        """A Sylvester half that consumes other columns than its side's
+        families (a real unit against a pair) goes through the same kernel
+        in one more call, and only in the steps where it fires."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        calls = []
+        original = engine.solve_placed_sylvester
+
+        def recording(form, kp, q, H, *rest):
+            calls.append((form is st.v.schur, kp, q, len(H)))
+            return original(form, kp, q, H, *rest)
+
+        monkeypatch.setattr(engine, "solve_placed_sylvester", recording)
+        steps = ((-0.5, -1 + 2j), (-1.0, -0.8), (-2 + 1j, -1.5 + 0.5j), (-0.7, -0.9))
+        # (V calls, W calls) per step: the half fires at steps 2 and 4
+        want = [(1, 1), (2, 2), (1, 1), (2, 2)]
+        for (a, b), (nv, nw) in zip(steps, want):
+            calls.clear()
+            uadi_step(st, a, b)
+            assert sum(v for v, *_ in calls) == nv, calls
+            assert sum(not v for v, *_ in calls) == nw, calls
+        # the extra calls are batches of one over the shared boundary's columns
+        m = g.m
+        assert [c[1:] for c in calls if c[3] == 1] == [(2 * m, 5 * m, 1)] * 2
+        assert len(st.v.sylv.T) == 5 * m and not st.degraded
 
     def test_degraded_family_leaves_the_batch(self, monkeypatch):
         """After one family degrades, the side's other families keep
@@ -590,37 +644,42 @@ class TestExtractionKernel:
         g = rlc_ladder(segments=6)
         st = uadi_init(g, g, RLC_PARAMS, "all")
         uadi_step(st, -0.5, -0.6)
-        original = engine.solve_small_lyapunov
+        original = engine.symmetric_inverse
         calls = {"n": 0}
 
-        def flaky(F, Q):
+        def flaky(a):
             calls["n"] += 1
-            if calls["n"] == 1:   # ricc_p's middle matrix: the V side's first
-                raise spla.LinAlgError("synthetic failure")
-            return original(F, Q)
+            if calls["n"] == 1:   # ricc_p's middle block: the V side's first
+                return None, 0.0   # as an exactly singular block reports
+            return original(a)
 
         with monkeypatch.context() as m:
-            m.setattr(engine, "solve_small_lyapunov", flaky)
+            m.setattr(engine, "symmetric_inverse", flaky)
             uadi_step(st, -1.0, -1.2)
         assert set(st.degraded) == {"ricc_p"}
         frozen = st.rank("ricc_p")
-        widths = []   # (V side, records) of each kernel call
-        stacked = engine.solve_placed_sylvester
+        batches = []   # (side, records) of each batch
+        advance = engine._advance
 
-        def recording(form, kp, q, H, *rest):
-            widths.append((form is st.v.schur, len(H)))
-            return stacked(form, kp, q, H, *rest)
+        def recording(side, batch, q):
+            batches.append((side, [eq for eq, _ in batch]))
+            return advance(side, batch, q)
 
-        monkeypatch.setattr(engine, "solve_placed_sylvester", recording)
+        monkeypatch.setattr(engine, "_advance", recording)
         for a, b in ((-2 + 1j, -0.8), (-1.5, -2.5), (-0.7, -0.9)):
+            batches.clear()
             uadi_step(st, a, b)
             assert st.rank("ricc_p") == frozen < st.v.k
             for tag in ("inf_p", "mp_p", "pr_p", "br_p"):
                 assert st.rank(tag) == st.v.k, tag
             for tag in ("ricc_q", "inf_q", "mp_q", "pr_q", "br_q"):
                 assert st.rank(tag) == st.w.k, tag
-        assert (True, 4) in widths and (False, 5) in widths
-        assert not any(v and n == 5 for v, n in widths)
+            # exactly the families not degraded ran, ricc_p not among them
+            for side, skip in ((st.v, {"ricc", "sf"}), (st.w, {"sf"})):
+                ran = {id(eq) for s, eqs in batches if s is side for eq in eqs}
+                fams = {f: id(eq) for f, eq in side.eqs.items()}
+                assert ran & set(fams.values()) == {
+                    i for f, i in fams.items() if f not in skip}
         assert set(st.degraded) == {"ricc_p"}
 
     def test_ill_conditioned_middle_block_degrades(self, monkeypatch):
@@ -638,11 +697,11 @@ class TestExtractionKernel:
         def near_singular(F, Q):
             x = original(F, Q)
             calls["n"] += 1
-            if calls["n"] == 1:   # ricc_p's block: squash its smallest direction
-                w, V = np.linalg.eigh(x)
+            if calls["n"] == 1:   # the V side's stack: squash ricc_p's block
+                w, V = np.linalg.eigh(x[0])
                 w[0] = 1e-14 * w[-1]
-                x = (V * w) @ V.T
-                x = 0.5 * (x + x.T)
+                x[0] = (V * w) @ V.T
+                x[0] = 0.5 * (x[0] + x[0].T)
             return x
 
         monkeypatch.setattr(engine, "solve_small_lyapunov", near_singular)
@@ -662,16 +721,16 @@ class TestExtractionKernel:
 
         g = rlc_ladder(segments=6)
         st = uadi_init(g, g, RLC_PARAMS, "all")
-        original = engine.solve_small_lyapunov
+        original = engine.symmetric_inverse
         calls = {"n": 0, "fail": False}
 
-        def flaky(F, Q):
+        def flaky(a):
             calls["n"] += 1
-            if calls["fail"] and calls["n"] == 1:
-                raise spla.LinAlgError("synthetic failure")
-            return original(F, Q)
+            if calls["fail"] and calls["n"] == 1:   # ricc_p's middle block
+                return None, 0.0
+            return original(a)
 
-        monkeypatch.setattr(engine, "solve_small_lyapunov", flaky)
+        monkeypatch.setattr(engine, "symmetric_inverse", flaky)
         stale_reads = 0
         for it, (a, b) in enumerate(((-0.5, -0.6), (-2 + 4j, -1 + 2j),
                                      (-1.0, -3.0), (-0.8, -1.5))):
@@ -686,43 +745,68 @@ class TestExtractionKernel:
                 assert got == pytest.approx(want, rel=1e-13, abs=0), (it, tag)
         assert set(st.degraded) == {"ricc_p"} and stale_reads == 4
 
-    def test_small_lyapunov_on_the_consumed_block_form(self, monkeypatch):
-        """The weighted families solve their small Lyapunov equation against
-        the consumed block's Schur form, sliced from the one the side holds.
-        The slice is a Schur form of s = S[kp:q, kp:q]: it differs from a
-        fresh one only by a unitary acting within each eigenvalue's columns,
-        and the middle matrices agree with the fresh route's."""
-        import uadi.uadi as engine
-        from uadi.linalg import schur_form
-
-        steps = ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0), (-3 + 1j, -0.7))
-        _, st = rlc_state(steps)
+    def test_weighted_blocks_keep_the_input_channels_apart(self):
+        """The RLC ladder's two channels never meet: basis column j belongs
+        to channel j mod m, and every family's T, M and Y hold exact zeros
+        where two channels would meet.  The weighted families' new middle
+        blocks keep them because the small Lyapunov solve takes the block
+        s = s_1 (x) I_m in the order I_m (x) s_1, whose Schur form does not
+        mix the channels; in the given order a pair block's leaves roundoff
+        there at these units, which seeds subnormal residual products."""
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        for unit in (-1.87, -6.89 - 6.44j, -9.96 + 16.37j, -3.97 + 9.66j, -7.54 + 18.7j):
+            uadi_step(st, unit, unit)
+        checked = 0
         for side in (st.v, st.w):
-            for kp, q in zip(side.bounds, side.bounds[1:]):
-                s = side.S[kp:q, kp:q]
-                cut, fresh = side.schur.block(kp, q), schur_form(s, output="complex")
-                scale = np.linalg.norm(s)
-                assert np.abs(np.tril(cut.T, -1)).max(initial=0.0) == 0.0
-                assert np.abs(cut.Z @ cut.T @ cut.Z.conj().T - s).max() <= 1e-12 * scale
-                assert_multiset_close(np.diag(cut.T), np.diag(fresh.T), 1e-12)
-                D = cut.Z.conj().T @ fresh.Z   # unitary: fresh = cut rotated by D
-                assert np.abs(D.conj().T @ D - np.eye(q - kp)).max() <= 1e-12
-                apart = np.abs(np.diag(cut.T)[:, None] - np.diag(fresh.T)[None, :])
-                assert np.abs(D[apart > 1e-8 * scale]).max(initial=0.0) <= 1e-12
-                assert np.abs(D.conj().T @ cut.T @ D - fresh.T).max() <= 1e-12 * scale
-        fresh_route = engine.solve_small_lyapunov
-        monkeypatch.setattr(engine, "solve_small_lyapunov",
-                            lambda F, Q: fresh_route(getattr(F, "a", F), Q))
-        _, ref = rlc_state(steps)
-        weighted = 0
-        for side, other in ((st.v, ref.v), (st.w, ref.w)):
-            for tag, eq in side.eqs.items():
-                if eq.qk is None or tag == "sf":
+            for f, eq in side.eqs.items():
+                if f == "sf":
                     continue
-                weighted += 1
-                M, Mref = eq.M, other.eqs[tag].M
-                assert np.abs(M - Mref).max() <= 1e-12 * np.abs(Mref).max(), tag
-        assert weighted >= 4
+                ch = np.arange(len(eq.T)) % g.m
+                apart = ch[:, None] != ch
+                assert not eq.T[apart].any(), f
+                assert not eq.Y[ch[:, None] != np.arange(g.m)].any(), f
+                assert eq.M is None or not eq.M[apart].any(), f
+                checked += 1
+        assert checked == 10 and not st.degraded
+
+    def test_held_products_match_their_factors(self, monkeypatch):
+        """Each record's Y, grown block by block, is T M L_c^T recomputed
+        from its T, M and L_c, over real and pair units of both widths: the
+        families, a degraded one, a lagging Sylvester half, and the rebuilt
+        spectral-factor pair."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        original = engine.symmetric_inverse
+        calls = {"n": 0, "fail": False}
+
+        def flaky(a):
+            calls["n"] += 1
+            if calls["fail"] and calls["n"] == 2:   # inf_p's middle block
+                return None, 0.0
+            return original(a)
+
+        monkeypatch.setattr(engine, "symmetric_inverse", flaky)
+        steps = ((-0.5, -1 + 2j), (-1.0, -0.8), (-2 + 1j, -1.5 + 0.5j),
+                 (-0.7, -0.9), (-0.3 + 1j, -1.1), (-1.3, -0.6 + 2j))
+        for it, (a, b) in enumerate(steps):
+            calls.update(n=0, fail=it == 2)
+            uadi_step(st, a, b)
+        residual_norm(st, "sf_p")
+        assert set(st.degraded) == {"inf_p"}
+        assert len(st.v.sylv.T) < st.v.k and len(st.v.eqs["inf"].T) < st.v.k
+        checked = 0
+        for side in (st.v, st.w):
+            for eq in [*side.eqs.values(), side.sylv]:
+                q = len(eq.T)
+                Lc = (side if eq.partner is None else eq.partner).L[:, :q]
+                want = eq.T @ (Lc.T if eq.M is None else eq.M @ Lc.T)
+                assert eq.Y.shape == want.shape
+                assert np.linalg.norm(eq.Y - want) <= 1e-12 * np.linalg.norm(want)
+                checked += 1
+        assert checked == 14
 
 
 class TestPolePlacement:
@@ -953,18 +1037,18 @@ class TestDegradation:
         uadi_step(st, -0.5, -0.6)
         import uadi.uadi as engine
 
-        original = engine.solve_small_lyapunov
+        original = engine.symmetric_inverse
         calls = {"n": 0}
 
-        def flaky(F, Q):
+        def flaky(a):
             calls["n"] += 1
-            if calls["n"] == 1:  # first middle-matrix solve of the next step
-                raise spla.LinAlgError("synthetic failure")
-            return original(F, Q)
+            if calls["n"] == 1:  # first middle-matrix block of the next step
+                return None, 0.0   # as an exactly singular block reports
+            return original(a)
 
-        monkeypatch.setattr(engine, "solve_small_lyapunov", flaky)
+        monkeypatch.setattr(engine, "symmetric_inverse", flaky)
         uadi_step(st, -1.0, -1.2)
-        assert "ricc_p" in st.degraded
+        assert set(st.degraded) == {"ricc_p"}
         others = st.enabled - {"ricc_p"}
         # every other equation keeps progressing
         for tag in others:
@@ -972,7 +1056,8 @@ class TestDegradation:
         assert st.large_solve_count == 4
 
     @pytest.mark.parametrize("tag, select, name, fail_at", [
-        pytest.param("ricc_p", "all", "solve_small_lyapunov", 1, id="ricc_p"),
+        # the V side's first middle-matrix block reports itself singular
+        pytest.param("ricc_p", "all", "symmetric_inverse", 1, id="ricc_p"),
         # the V-half solve succeeds, the W half's fails
         pytest.param("sylv", "lyap_p,lyap_q,sylv", "solve_placed_sylvester", 2,
                      id="sylv"),
@@ -999,12 +1084,14 @@ class TestDegradation:
         def flaky(*args):
             calls["n"] += 1
             if calls["n"] == fail_at:
+                if name == "symmetric_inverse":
+                    return None, 0.0
                 raise spla.LinAlgError("synthetic failure")
             return original(*args)
 
         monkeypatch.setattr(engine, name, flaky)
         uadi_step(st, -1.0, -1.2)
-        assert tag in st.degraded and calls["n"] >= fail_at
+        assert set(st.degraded) == {tag} and calls["n"] >= fail_at
         for got, old in zip(factors(), before, strict=True):
             np.testing.assert_array_equal(got, old)
         uadi_step(st, -2 + 1j, -0.8)

@@ -1,4 +1,5 @@
-"""Time one side's stacked extraction against the same records one at a time.
+"""Time one side's stacked extraction, and its stacked middle-block step,
+against the same records one at a time.
 
     OMP_NUM_THREADS=1 taskset -c 1 python3 tools/extraction_batch_bench.py [rounds]
 
@@ -13,9 +14,16 @@ random right-hand sides.  Each round times one ``solve_placed_sylvester``
 call over the six records stacked, and six calls over batches of one, in
 alternating order so that host drift falls on both alike; the form's
 shifted factors are dropped before each, as each step makes new ones.
-Prints one JSON object: per k the median milliseconds of each way over the
-rounds, their ratio, and the largest difference of the two results relative
-to the largest entry.
+
+The middle-block step is timed the same way: four weighted records' small
+Lyapunov equations -s^T X_i - X_i s + Q_i = 0 on the consumed block s of a
+real unit and of a pair unit (the last blocks of two sides at k = 32), with
+Q_i = l^T l + x_i^T qk_i x_i from random x_i and symmetric qk_i, as one
+stacked ``solve_small_lyapunov`` call and as four calls.
+
+Prints one JSON object: per k, and per middle block, the median
+milliseconds of each way over the rounds, their ratio, and the largest
+difference of the two results relative to the largest entry.
 """
 
 import json
@@ -28,7 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uadi.linalg import solve_placed_sylvester  # noqa: E402
+from uadi.linalg import solve_placed_sylvester, solve_small_lyapunov  # noqa: E402
 from uadi.systems import rlc_ladder  # noqa: E402
 from uadi.uadi import uadi_init, uadi_step  # noqa: E402
 
@@ -37,16 +45,16 @@ RECORDS = 6
 SHIFTS = (-0.05, -0.3 + 0.5j, -0.8, -2.0, -0.1 + 2.0j, -5.0)
 
 
-def side_at(k):
+def side_at(k, last=-0.2 + 1.0j):
     """The V side of a Gramian-pair run whose basis first reaches k
-    columns with a pair unit."""
+    columns with the unit ``last``, a pair unless given."""
     g = rlc_ladder(200)
     st = uadi_init(g, g, None, "lyap_p,lyap_q")
     i = 0
     while st.v.k + 4 < k:
         uadi_step(st, SHIFTS[i % len(SHIFTS)], SHIFTS[i % len(SHIFTS)])
         i += 1
-    uadi_step(st, -0.2 + 1.0j, -0.2 + 1.0j)
+    uadi_step(st, last, last)
     return st.v
 
 
@@ -54,6 +62,41 @@ def timed(fn):
     t0 = time.perf_counter()
     out = fn()
     return time.perf_counter() - t0, out
+
+
+def compare(rounds, ways):
+    """Median milliseconds of each way over the rounds, run in alternating
+    order, their ratio and the largest relative difference of the results."""
+    times = {name: [] for name in ways}
+    for r in range(rounds):
+        for name in (list(ways) if r % 2 == 0 else list(ways)[::-1]):
+            times[name].append(timed(ways[name])[0])
+    a, b = (fn() for fn in ways.values())
+    med = {name: statistics.median(v) * 1e3 for name, v in times.items()}
+    names = list(ways)
+    return {**{f"{n}_ms": med[n] for n in names},
+            "ratio": med[names[0]] / med[names[1]],
+            "max_rel_diff": float(np.abs(a - b).max() / np.abs(b).max())}
+
+
+def middle_blocks(rounds, rng, records=4):
+    """The stacked small Lyapunov solve of ``records`` weighted records
+    against one call per record, on a real and on a pair block."""
+    out = {}
+    for name, last in (("real", -0.7), ("pair", -0.2 + 1.0j)):
+        side = side_at(32, last)
+        kp, q = side.bounds[-2], side.bounds[-1]
+        l, p = side.L[:, kp:q], side.G.shape[1]
+        F = -side.S[kp:q, kp:q]
+        x = rng.standard_normal((records, p, q - kp))
+        qk = rng.standard_normal((records, p, p))
+        Q = l.T @ l + x.swapaxes(1, 2) @ (qk + qk.swapaxes(1, 2)) @ x
+        out[name] = {"records": records, "block_columns": q - kp, **compare(rounds, {
+            "stacked": lambda: solve_small_lyapunov(F, Q),
+            "one_by_one": lambda: np.stack([solve_small_lyapunov(F, Qi) for Qi in Q]),
+        })}
+        print(name, {k: round(v, 4) for k, v in out[name].items()}, file=sys.stderr)
+    return out
 
 
 def main(rounds):
@@ -76,20 +119,11 @@ def main(rounds):
                 solve_placed_sylvester(side.schur, kp, q, H[i:i + 1], [U[i]], G)[0][0]
                 for i in range(RECORDS)])
 
-        times = {"stacked": [], "one_by_one": []}
-        for r in range(rounds):
-            order = ("stacked", "one_by_one") if r % 2 == 0 else ("one_by_one", "stacked")
-            for name in order:
-                times[name].append(timed(stacked if name == "stacked" else one_by_one)[0])
-        a, b = stacked(), one_by_one()
-        med = {name: statistics.median(v) * 1e3 for name, v in times.items()}
-        out[f"k={q}"] = {
-            "records": RECORDS, "block_columns": q - kp,
-            "stacked_ms": med["stacked"], "one_by_one_ms": med["one_by_one"],
-            "ratio": med["stacked"] / med["one_by_one"],
-            "max_rel_diff": float(np.abs(a - b).max() / np.abs(b).max()),
-        }
-        print(f"k={q}", {n: round(v, 3) for n, v in med.items()}, file=sys.stderr)
+        out[f"k={q}"] = {"records": RECORDS, "block_columns": q - kp, **compare(
+            rounds, {"stacked": stacked, "one_by_one": one_by_one})}
+        print(f"k={q}", {n: round(v, 4) for n, v in out[f"k={q}"].items()},
+              file=sys.stderr)
+    out["middle_block"] = middle_blocks(rounds, rng)
     print(json.dumps(out, indent=1))
 
 
