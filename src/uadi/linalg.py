@@ -10,23 +10,29 @@ used last plus those of the shifts its caller declares recurring (a cyclic
 static list); every other LU is dropped when the next shift arrives, so
 memory is bounded by what will be reused.  The cache of a transposed pencil
 A^T + shift*E^T made by ``transposed()`` solves with the plain-transpose LU
-of A + shift*E (SuperLU trans='T', no conjugation, so complex shifts are
-fine) and borrows the LUs its parent holds: one LU per shift serves both
-sides of a single system.
+of A + shift*E (trans='T', no conjugation, so complex shifts are fine) and
+borrows the LUs its parent holds: one LU per shift serves both sides of a
+single system.
 
 Each pencil is split once (per cache, or per one-off factorization) into
 its decoupled states and its coupled core.  A state is decoupled when its
 row and its column hold no off-diagonal entry in A or in E, so its
 equation is the scalar (a_ii + shift*e_ii) x_i = r_i: a factorization
-keeps these pivots and a solve divides by them.  SuperLU factors only the
-core, and makes no call when the core is empty (the check of a diagonal
-E); a pencil with no decoupled state is factored whole, as it is.  A new
+keeps these pivots and a solve divides by them.  Only the core is
+factored, with no LU at all when it is empty (the check of a diagonal E);
+a pencil with no decoupled state is factored whole, as it is.  A new
 shift still counts as one factorization.  penzl's pencils are 6 coupled
-states and n - 6 decoupled ones; the RLC ladders have none.  SuperLU
-factors with a panel of one column (``panel_size=1``): the pencils here
-fill little, their supernodes are one or two columns wide, and a wider
-panel's workspace and per-panel work cost more than they save
-(``tools/superlu_panel_sweep.py``).
+states and n - 6 decoupled ones; the RLC ladders have none.
+
+A core of at least 3 states whose stored entries all lie within one
+diagonal of the main one, in their stored order, is tridiagonal (the RLC
+ladders): the split builds its bands once, at the first factorization,
+and each shift is factored by LAPACK gttrf (partial pivoting) and solved
+by gttrs (LAPACK Users' Guide, Anderson et al., 3rd ed., SIAM 1999), in
+O(n) work and memory.  Every other core goes to SuperLU, with a panel of
+one column (``panel_size=1``): the pencils here fill little, their
+supernodes are one or two columns wide, and a wider panel's workspace and
+per-panel work cost more than they save (``tools/superlu_panel_sweep.py``).
 
 Every small Sylvester solve goes through a Schur form.  An extraction
 solves S^T t + t s + U (G^T t) = H against the complex Schur form of S that
@@ -45,6 +51,7 @@ against one F, with one Schur form and one trsyl call for all of them.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
@@ -121,6 +128,33 @@ class _PencilSplit:
         for diag in (self.a_dec, self.e_dec):
             diag[self.core] = diag[self.dec[0]]
 
+    @cached_property
+    def bands(self):
+        """The core's bands of A and E when every stored entry of the core
+        lies within one diagonal of the main one, in its stored order: per
+        matrix a 3 x m array of its super-, main and sub-diagonal, each
+        entry in its column's slot, so the super-diagonal fills slots 1 to
+        m - 1 and the sub-diagonal slots 0 to m - 2.  None for any other
+        core, a complex one, or one of fewer than 3 states (which LAPACK's
+        gttrf wrapper rejects).  Read first by a factorization, so a split
+        that is never factored does not build them."""
+        m = self.A.shape[0]
+        if m < 3:
+            return None
+        bands = []
+        for X in (self.A, self.E):
+            cols = np.repeat(np.arange(m), np.diff(X.indptr))
+            off = X.indices - cols
+            if np.iscomplexobj(X.data) or off.size and (off.min() < -1 or off.max() > 1):
+                return None
+            # entry (i, j) to row i - j + 1, column j, in place; duplicates
+            # sum, as in the matrix
+            off += 1
+            off *= m
+            off += cols
+            bands.append(np.bincount(off, weights=X.data, minlength=3 * m).reshape(3, m))
+        return bands
+
 
 class ShiftedFactorization:
     """Reusable LU factorization of (A + shift*E), real for a real shift.
@@ -129,15 +163,17 @@ class ShiftedFactorization:
     and E with no off-diagonal entry) and its coupled core: the decoupled
     states keep their pivots a_ii + shift*e_ii, as an n-vector whose core
     slots repeat a decoupled pivot, and are solved by one division of the
-    whole right-hand side whose core rows are then overwritten; SuperLU
-    factors the core alone, with no call at all when the core is empty (a
-    diagonal pencil, such as the check of a diagonal E).  A pencil with no
+    whole right-hand side whose core rows are then overwritten; the core
+    alone is factored, with no LU at all when it is empty (a diagonal
+    pencil, such as the check of a diagonal E).  A tridiagonal core (the
+    split's ``bands``) is factored by LAPACK gttrf from its bands
+    a + shift*e and solved by gttrs, any other by SuperLU.  A pencil with no
     decoupled state is factored whole.  ``split`` passes the split of
     (A, E) when the caller already holds it (FactorizationCache); it is
     computed here otherwise.
 
-    A non-finite entry or an exact zero pivot is reported at construction
-    time, a roundoff pivot by a solve with
+    A non-finite entry or an exact zero pivot (of SuperLU or gttrf) is
+    reported at construction time, a roundoff pivot by a solve with
     max|m_ij| ||x_j||_1 > ||rhs_j||_1 / eps for a column j (a lower bound
     on cond_1 of M and M^T; max|m_ij| over both parts).  The factorization
     is read-only afterwards and may serve any number of right-hand sides;
@@ -153,8 +189,12 @@ class ShiftedFactorization:
         self.shift = complex(shift)
         s = self.shift.real if self.shift.imag == 0 else self.shift
         d = split.a_dec + s * split.e_dec
-        M = (split.A + s * split.E).tocsc()
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(M.data))):
+        if split.bands is not None:
+            M = vals = split.bands[0] + s * split.bands[1]
+        else:
+            M = (split.A + s * split.E).tocsc()
+            vals = M.data
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(vals))):
             raise SingularShiftedMatrix(f"A + ({shift})*E has non-finite entries")
         if not d.all():
             raise SingularShiftedMatrix(
@@ -162,9 +202,16 @@ class ShiftedFactorization:
         self._d = d
         self._dtype = M.dtype
         self._entry_max = max(np.abs(d).max(initial=0.0),
-                              np.abs(M.data).max(initial=0.0))
-        self._lu = None
-        if M.shape[0]:
+                              np.abs(vals).max(initial=0.0))
+        self._lu = self._gt = None
+        if split.bands is not None:
+            gttrf, self._gttrs = spla.get_lapack_funcs(("gttrf", "gttrs"), (M,))
+            *self._gt, info = gttrf(M[2, :-1], M[1], M[0, 1:],
+                                    overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            if info > 0:
+                raise SingularShiftedMatrix(
+                    f"A + ({shift})*E is singular: zero pivot {info} of the tridiagonal LU")
+        elif M.shape[0]:
             try:
                 # one-column panels: on narrow supernodes wider ones cost more than they save
                 self._lu = splu(M, panel_size=1)
@@ -175,9 +222,12 @@ class ShiftedFactorization:
 
     def _core_solve(self, rhs, trans):
         if np.iscomplexobj(rhs) and self._dtype.kind != "c":
-            x = self._lu.solve(np.hstack([rhs.real, rhs.imag]), trans=trans)
+            x = self._core_solve(np.hstack([rhs.real, rhs.imag]), trans)
             return x[:, : rhs.shape[1]] + 1j * x[:, rhs.shape[1]:]
-        return self._lu.solve(np.asarray(rhs, dtype=self._dtype), trans=trans)
+        rhs = np.asarray(rhs, dtype=self._dtype)
+        if self._gt is not None:
+            return self._gttrs(*self._gt, rhs, trans=trans)[0]
+        return self._lu.solve(rhs, trans=trans)
 
     def solve(self, rhs, trans="N"):
         """Solve (A + shift*E) X = rhs, or with trans='T' the plain
@@ -195,7 +245,7 @@ class ShiftedFactorization:
             x = self._core_solve(rhs, trans)
         else:
             x = rhs / self._d[:, None]
-            if self._lu is not None:
+            if len(split.core):
                 x[split.core] = self._core_solve(rhs[split.core], trans)
         if not np.all(np.isfinite(x)):
             raise SingularShiftedMatrix(

@@ -294,6 +294,15 @@ class _Eq:
         self.gram = self.perp.T @ self.perp
 
 
+def _channel_order(wid, m):
+    """The order of wid basis columns from a unit boundary that lists each
+    input channel's columns together (column j is channel j mod m).  In it
+    a unit's block s = s_1 (x) I_m reads I_m (x) s_1, and S over several
+    units is block diagonal by channel too, so a Schur form of the block
+    does not mix the channels and keeps the zeros between them."""
+    return np.arange(wid).reshape(-1, m).T.ravel()
+
+
 def _advance(side, batch, q):
     """Advance the records of ``side`` in ``batch``, pairs (eq, new) that
     have consumed the same basis prefix kp, over the columns kp:q with one
@@ -337,9 +346,7 @@ def _advance(side, batch, q):
     weighted = [i for i, (eq, _) in enumerate(batch)
                 if eq.qk is not None and i not in failed]
     if weighted:
-        # s = s_1 (x) I_m is block diagonal in the order p of I_m (x) s_1,
-        # where its Schur form keeps the input channels, and their zeros, apart
-        p = np.arange(wid).reshape(-1, side.sys.m).T.ravel()
+        p = _channel_order(wid, side.sys.m)
         x = G.T @ ts[weighted][:, :, p]   # projected output maps of the new directions
         qk, lp = np.stack([batch[i][0].qk for i in weighted]), l[:, p]
         smalls = solve_small_lyapunov(-side.S[kp:q, kp:q][p[:, None], p],
@@ -546,8 +553,9 @@ class UadiState:
         per column range consumed: the families consume the new block, the
         Sylvester half the columns up to the largest unit boundary the two
         bases share, if that lies past its prefix.  Its coupling d is solved
-        and inverted once: the V half's new middle block is inv(d), the W
-        half's its transpose.  A batch's shared failure is each record's."""
+        and inverted once, in each side's ``_channel_order``: the V half's
+        new middle block is inv(d), the W half's its transpose.  A batch's
+        shared failure is each record's."""
         v, w = self.v, self.w
         out, live = [], [(side, side.k, f + side.suffix, eq, None) for side in (v, w)
                          for f, eq in side.eqs.items()
@@ -555,10 +563,13 @@ class UadiState:
         if v.sylv is not None and "sylv" not in self.degraded:
             q, kp = max(set(v.bounds) & set(w.bounds)), len(v.sylv.T)
             if q > kp:
+                pv = kp + _channel_order(q - kp, v.sys.m)
+                pw = kp + _channel_order(q - kp, w.sys.m)
                 try:
                     d = spla.inv(solve_small_sylvester(
-                        -w.S[kp:q, kp:q].T, v.S[kp:q, kp:q],
-                        w.L[:, kp:q].T @ v.L[:, kp:q]))
+                        -w.S[pw[:, None], pw].T, v.S[pv[:, None], pv],
+                        w.L[:, pw].T @ v.L[:, pv]))
+                    d = d[np.argsort(pv)[:, None], np.argsort(pw)]
                     live += [(v, q, "sylv", v.sylv, d), (w, q, "sylv", w.sylv, d.T)]
                 except _NUMERICAL_FAILURES as exc:
                     out.append(("sylv", None, None, exc))

@@ -273,6 +273,86 @@ class TestFactorizationCacheBound:
             assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+class TestTridiagonalCore:
+    """A core whose stored entries all lie within one diagonal of the main
+    one, such as the RLC ladders, is factored by LAPACK gttrf and solved by
+    gttrs; every other core keeps SuperLU."""
+
+    @staticmethod
+    def _splu_shapes(monkeypatch):
+        import uadi.linalg as linalg
+
+        shapes, splu = [], linalg.splu
+        monkeypatch.setattr(linalg, "splu",
+                            lambda M, **k: shapes.append(M.shape) or splu(M, **k))
+        return shapes
+
+    def test_matches_dense_solve(self, monkeypatch, rng):
+        """On rlc_ladder(50), whole and beside a decoupled state, at a real
+        and a complex shift: plain and transposed solves, one-off and
+        through a cache and its transposed borrow, of real, complex and
+        1-D right-hand sides, agree with a dense solve, and no SuperLU LU
+        is made."""
+        g = rlc_ladder(50)
+        beside = (sps.block_diag([g.A, [[-3.0]]], format="csc"),
+                  sps.block_diag([g.E, [[2.0]]], format="csc"))
+        shapes = self._splu_shapes(monkeypatch)
+        for A, E in ((g.A, g.E), beside):
+            n = A.shape[0]
+            rhss = (rng.standard_normal((n, 3)),
+                    rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
+                    rng.standard_normal(n))
+            cache = FactorizationCache(A, E)
+            tcache = cache.transposed()
+            assert cache._split.bands is not None
+            for shift in (-1.867, -1.0 + 20.0j):
+                M = (A + shift * E).toarray()
+                fac = ShiftedFactorization(A, E, shift)
+                assert fac._gt is not None and fac._lu is None
+                for b in rhss:
+                    for trans, x in (("N", fac.solve(b)), ("T", fac.solve(b, trans="T")),
+                                     ("N", cache.solve(shift, b)),
+                                     ("T", tcache.solve(shift, b))):
+                        want = np.linalg.solve(M if trans == "N" else M.T, b)
+                        assert x.shape == b.shape
+                        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+            assert cache.factor_count == 2 and tcache.factor_count == 0
+        assert shapes == []
+
+    def test_other_cores_keep_superlu(self, monkeypatch):
+        """penzl's dense 6 x 6 head, a dense random pencil and a 2-state
+        tridiagonal core (too small for gttrf) are factored by SuperLU."""
+        from uadi.systems import random_stable_system
+
+        penzl, dense = penzl_triple_peak(200, 10, 20, 30), random_stable_system(8, 2, 2, 0)
+        two = sps.csc_matrix([[-1.0, 0.5, 0.0], [0.5, -2.0, 0.0], [0.0, 0.0, -3.0]])
+        shapes = self._splu_shapes(monkeypatch)
+        for A, E in ((penzl.A, penzl.E), (dense.A, dense.E), (two, sps.eye(3))):
+            for shift in (-1.5, -1.0 + 2.0j):
+                fac = ShiftedFactorization(A, E, shift)
+                assert fac._gt is None and fac._lu is not None
+        assert shapes == [(6, 6)] * 2 + [(8, 8)] * 2 + [(2, 2)] * 2
+
+    def test_zero_pivot_and_non_finite_band_raise(self):
+        """An exact zero gttrf pivot (a zero column) and a non-finite band
+        entry raise SingularShiftedMatrix when the pencil is factored."""
+        from uadi.linalg import _PencilSplit
+
+        zero_column = sps.csc_matrix([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        assert _PencilSplit(zero_column, sps.eye(3, format="csc")).bands is not None
+        with pytest.raises(SingularShiftedMatrix, match="zero pivot"):
+            ShiftedFactorization(zero_column, sps.eye(3), 0.0)
+        A = sps.diags([1.0, -4.0, 1.0], [-1, 0, 1], shape=(4, 4), format="csc")
+        for bad in (np.nan, np.inf):
+            E = sps.eye(4, format="lil")
+            E[1, 2] = bad
+            E = E.tocsc()
+            assert _PencilSplit(A, E).bands is not None
+            for shift in (-1.0, -1.0 + 2.0j):
+                with pytest.raises(SingularShiftedMatrix, match="non-finite"):
+                    ShiftedFactorization(A, E, shift)
+
+
 class TestSmallSylvester:
     def test_scalar(self):
         x = solve_small_sylvester([[-2.0]], [[1.0]], [[3.0]])

@@ -770,6 +770,28 @@ class TestExtractionKernel:
                 checked += 1
         assert checked == 10 and not st.degraded
 
+    def test_sylvester_coupling_keeps_the_input_channels_apart(self):
+        """The Sylvester halves keep the zeros between the RLC ladder's
+        channels too, over static-rlc's shift list: the coupling d is solved
+        with each side's block in the order I_m (x) s_1, whose Schur forms do
+        not mix the channels, and put back in the basis order."""
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        for unit in (-1.8668729544418896, -6.086925121879991,
+                     -6.885954263407086 - 6.441429934054144j, -1.1031187944147431,
+                     -9.964416771252555 + 16.36917913042421j,
+                     -2.9234796268520906 + 9.505648662720313j,
+                     -7.542378401629469 + 18.704683785919258j,
+                     -3.9737622842092906 + 9.659749203371321j):
+            uadi_step(st, unit, unit)
+        for side in (st.v, st.w):
+            eq = side.sylv
+            ch = np.arange(len(eq.T)) % g.m
+            apart = ch[:, None] != ch
+            assert not eq.T[apart].any() and not eq.M[apart].any()
+            assert not eq.Y[ch[:, None] != np.arange(g.m)].any()
+        assert len(st.v.sylv.T) == st.v.k and not st.degraded
+
     def test_held_products_match_their_factors(self, monkeypatch):
         """Each record's Y, grown block by block, is T M L_c^T recomputed
         from its T, M and L_c, over real and pair units of both widths: the

@@ -5,7 +5,9 @@
 Run from the repository root; the package is imported from ``src/``.  It
 times SuperLU on whole pencils, decoupled states included, which
 ``ShiftedFactorization`` no longer passes to SuperLU: there penzl's
-pencils are factored as their 6 x 6 coupled core.  For each pencil
+pencils are factored as their 6 x 6 coupled core, and the RLC ladders,
+tridiagonal in their stored order, by LAPACK gttrf, so their pencils here
+never reach SuperLU in the engine.  For each pencil
 A + shift*E (the three generators' pencils, a 2-D 5-point
 stencil and a dense random system, each at one complex and one real shift)
 every setting of PanelSize in {default, 1, 2, 4} times Relax in
