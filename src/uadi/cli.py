@@ -222,7 +222,9 @@ def run(config):
     when ``out`` is set, even on partial failure."""
     t0 = time.perf_counter()
     sys1 = build_system(config.sys1, 1)
-    sys2 = build_system(config.sys2, 2)
+    # one spec builds one system, but for the illustrative pair's two slots
+    sys2 = (sys1 if config.sys2 == config.sys1 != "illustrative"
+            else build_system(config.sys2, 2))
     params = EquationParams(gamma1=config.gamma1, gamma2=config.gamma2)
     selection = EquationSelection.parse(config.equations, strict=config.strict)
     state = uadi_init(sys1, sys2, params, selection)

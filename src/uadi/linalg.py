@@ -29,10 +29,18 @@ diagonal of the main one, in their stored order, is tridiagonal (the RLC
 ladders): the split builds its bands once, at the first factorization,
 and each shift is factored by LAPACK gttrf (partial pivoting) and solved
 by gttrs (LAPACK Users' Guide, Anderson et al., 3rd ed., SIAM 1999), in
-O(n) work and memory.  Every other core goes to SuperLU, with a panel of
-one column (``panel_size=1``): the pencils here fill little, their
-supernodes are one or two columns wide, and a wider panel's workspace and
-per-panel work cost more than they save (``tools/superlu_panel_sweep.py``).
+O(n) work and memory.  When the whole pencil is such a core, a solve works
+only on the rows its solution reaches.  The band splits into independent
+blocks where the off-diagonals of A and E are both zero (the ladders' two
+ports), and each block the right-hand side touches is solved on a window
+from its first row, by gttrs on slices of the whole factors.  The window
+grows until the solution has decayed below tiny (decay of banded inverses:
+Demko, Moss & Smith, Math. Comp. 43, 1984), the solution is exactly zero
+past it, and ``FactorizationCache.reach`` reports the rows that solves have
+reached.  Every other core goes to SuperLU, with a panel of one column
+(``panel_size=1``): the pencils here fill little, their supernodes are one
+or two columns wide, and a wider panel's workspace and per-panel work cost
+more than they save (``tools/superlu_panel_sweep.py``).
 
 Every small Sylvester solve goes through a Schur form.  An extraction
 solves S^T t + t s + U (G^T t) = H against the complex Schur form of S that
@@ -76,10 +84,16 @@ __all__ = [
     "solve_placed_sylvester",
     "solve_small_lyapunov",
     "symmetric_inverse",
+    "small_inverse",
     "small_eig",
     "gram_norm2",
     "block_diag2",
 ]
+
+
+# Rows past a right-hand side's last nonzero row in a block that a windowed
+# solve's first window takes (``ShiftedFactorization._windows``).
+_WINDOW_MARGIN = 256
 
 
 def _as_csc(A):
@@ -116,6 +130,7 @@ class _PencilSplit:
             coupled[rows[off]] = True
             coupled[cols[off]] = True
         self.n = n
+        self.ends = {}   # block start -> end of the largest window solved there
         if coupled.all():
             self.core, self.dec = None, np.zeros(0, dtype=np.intp)
             self.A, self.E = A, E
@@ -134,10 +149,15 @@ class _PencilSplit:
         lies within one diagonal of the main one, in its stored order: per
         matrix a 3 x m array of its super-, main and sub-diagonal, each
         entry in its column's slot, so the super-diagonal fills slots 1 to
-        m - 1 and the sub-diagonal slots 0 to m - 2.  None for any other
-        core, a complex one, or one of fewer than 3 states (which LAPACK's
-        gttrf wrapper rejects).  Read first by a factorization, so a split
-        that is never factored does not build them."""
+        m - 1 and the sub-diagonal slots 0 to m - 2; then the first rows of
+        the band's independent blocks, m appended.  A block starts at row i
+        where entries (i - 1, i) and (i, i - 1) are zero in both A and E, so
+        every shifted pencil is block diagonal there and gttrf factors each
+        block as if alone; a block is kept at 3 rows or more (gttrs solves
+        no fewer).  None for any other core, a complex one, or one of fewer
+        than 3 states (which LAPACK's gttrf wrapper rejects).  Read first
+        by a factorization, so a split that is never factored does not
+        build them."""
         m = self.A.shape[0]
         if m < 3:
             return None
@@ -153,7 +173,37 @@ class _PencilSplit:
             off *= m
             off += cols
             bands.append(np.bincount(off, weights=X.data, minlength=3 * m).reshape(3, m))
-        return bands
+        # link[i - 1]: rows i - 1 and i are coupled in A or E
+        link = np.zeros(m - 1, dtype=bool)
+        for band in bands:
+            link |= (band[0, 1:] != 0) | (band[2, :-1] != 0)
+        starts = [0]
+        for i in np.flatnonzero(~link) + 1:
+            if i - starts[-1] >= 3 and m - i >= 3:
+                starts.append(int(i))
+        return (*bands, np.array(starts + [m]))
+
+    @property
+    def windowed(self):
+        """Whether solves run on windows of the band's blocks: a tridiagonal
+        pencil with no decoupled state."""
+        return self.core is None and self.bands is not None
+
+    @property
+    def reach(self):
+        """Row slices that cover every row a solve of this split returned
+        nonzero: per block a solve has touched, from its first row to the
+        end of the largest window used on it, a slice that reaches the next
+        one joined with it; all rows unless ``windowed``."""
+        if not self.windowed:
+            return [slice(0, self.n)]
+        out = []
+        for lo, end in sorted(self.ends.items()):
+            if out and out[-1].stop == lo:
+                out[-1] = slice(out[-1].start, end)
+            else:
+                out.append(slice(lo, end))
+        return out
 
 
 class ShiftedFactorization:
@@ -220,19 +270,73 @@ class ShiftedFactorization:
                     f"A + ({shift})*E is singular: {exc}"
                 ) from exc
 
-    def _core_solve(self, rhs, trans):
+    def _core_solve(self, rhs, trans, rows=None):
+        """The core's solve; with ``rows`` = (lo, hi), rows lo:hi of a
+        banded core alone, from the slices of its gttrf factors."""
         if np.iscomplexobj(rhs) and self._dtype.kind != "c":
-            x = self._core_solve(np.hstack([rhs.real, rhs.imag]), trans)
+            x = self._core_solve(np.hstack([rhs.real, rhs.imag]), trans, rows)
             return x[:, : rhs.shape[1]] + 1j * x[:, rhs.shape[1]:]
         rhs = np.asarray(rhs, dtype=self._dtype)
-        if self._gt is not None:
-            return self._gttrs(*self._gt, rhs, trans=trans)[0]
-        return self._lu.solve(rhs, trans=trans)
+        if self._gt is None:
+            return self._lu.solve(rhs, trans=trans)
+        gt = self._gt
+        if rows is not None:
+            lo, hi = rows
+            dl, d, du, du2, ipiv = gt
+            gt = (dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1], du2[lo:hi - 2], ipiv[lo:hi] - lo)
+        return self._gttrs(*gt, rhs, trans=trans)[0]
+
+    def _windows(self, rhs, trans):
+        """Solve a windowed pencil block by block; returns the solution and
+        its windows (row slices), outside which it is exactly zero.
+
+        A block the right-hand side does not touch is skipped.  On a
+        touched block [lo, hi) the window is [lo, w), w the larger of the
+        right-hand side's last nonzero row plus ``_WINDOW_MARGIN`` and the
+        largest window the split has used there; it doubles, up to hi,
+        until the solution's last two rows are below ``tiny`` in every
+        column.  Padded with zeros, that solution solves the whole system
+        up to a right-hand-side perturbation of about 3 max|m_ij| tiny:
+        only the window's last rows and row w can leave a residual, made of
+        those two rows times entries of the pencil.  A window that covers
+        its block joins the next block's in one gttrs call, which gives the
+        same bits: the factors hold exact zeros between blocks."""
+        split, c = self._split, rhs.shape[1]
+        starts = split.bands[2].tolist()
+        nz = rhs.ravel() != 0   # row-major, c entries per row
+        spans = []   # [first row, last block's first row, window end, block end]
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            seg = nz[lo * c : hi * c]
+            if not seg.any():
+                continue
+            last = len(seg) - 1 - int(np.argmax(seg[::-1]))
+            w = min(hi, max(lo + last // c + 1 + _WINDOW_MARGIN, split.ends.get(lo, lo)))
+            if spans and spans[-1][2] == lo:
+                spans[-1][1:] = [lo, w, hi]
+            else:
+                spans.append([lo, lo, w, hi])
+            split.ends[lo] = w
+        # column-major, as gttrs returns it
+        x = np.zeros(rhs.shape, dtype=np.result_type(rhs, self._dtype), order="F")
+        tiny = np.finfo(float).tiny
+        windows = []
+        for first, lo, w, hi in spans:
+            while True:
+                xw = self._core_solve(rhs[first:w], trans, (first, w))
+                if w == hi or not (np.abs(xw[-2:]) >= tiny).any():
+                    break
+                w = min(hi, lo + 2 * (w - lo))
+            split.ends[lo] = w
+            x[first:w] = xw
+            windows.append(slice(first, w))
+        return x, windows
 
     def solve(self, rhs, trans="N"):
         """Solve (A + shift*E) X = rhs, or with trans='T' the plain
         transpose (A^T + shift*E^T) X = rhs.  A 1-D rhs is solved as one
-        column and gives a 1-D result."""
+        column and gives a 1-D result.  A windowed pencil (the split's
+        ``windowed``) is solved on the rows its solution reaches
+        (``_windows``), and checked there."""
         rhs = np.asarray(rhs)
         vector = rhs.ndim == 1
         rhs = rhs[:, None] if vector else np.atleast_2d(rhs)
@@ -241,19 +345,24 @@ class ShiftedFactorization:
                 f"rhs has {rhs.shape[0]} rows, expected {self.n}"
             )
         split = self._split
-        if split.core is None:
+        rows = [slice(None)]
+        if split.windowed:
+            x, rows = self._windows(rhs, trans)
+        elif split.core is None:
             x = self._core_solve(rhs, trans)
         else:
             x = rhs / self._d[:, None]
             if len(split.core):
                 x[split.core] = self._core_solve(rhs[split.core], trans)
-        if not np.all(np.isfinite(x)):
+        parts = [(x[r], rhs[r]) for r in rows]
+        if not all(np.all(np.isfinite(xp)) for xp, _ in parts):
             raise SingularShiftedMatrix(
                 f"solve with shift {self.shift} produced non-finite values"
             )
-        ones = np.ones(self.n)   # column sums by product: fast in any order
-        growth = self._entry_max * (ones @ np.abs(x))
-        if np.any(growth * np.finfo(float).eps > ones @ np.abs(rhs)):
+        # column sums by product: fast in any order
+        growth = self._entry_max * sum(np.ones(len(xp)) @ np.abs(xp) for xp, _ in parts)
+        if np.any(growth * np.finfo(float).eps > sum(np.ones(len(bp)) @ np.abs(bp)
+                                                     for _, bp in parts)):
             raise SingularShiftedMatrix(
                 f"A + ({self.shift})*E is numerically singular")
         return x[:, 0] if vector else x
@@ -293,6 +402,14 @@ class FactorizationCache:
 
     def __len__(self):
         return len(self._store)
+
+    @property
+    def reach(self):
+        """Row slices that cover every row this cache's solves returned
+        nonzero (the split's ``reach``, so they cover the solves of every
+        cache that shares it): all rows for any non-tridiagonal or split
+        pencil."""
+        return self._split.reach
 
     def get(self, shift):
         """The LU this cache solves with (of A + shift*E, applied
@@ -597,6 +714,32 @@ def symmetric_inverse(a):
         inv, _ = sytri(c, ipiv)
     for j in range(len(inv) - 1):   # the lower triangle from the upper
         inv[j + 1:, j] = inv[j, j + 1:]
+    return inv, float(rcond)
+
+
+def small_inverse(a):
+    """Inverse of a real square matrix and the reciprocal of its 1-norm
+    condition number, both from one factor, by the route scipy.linalg.inv
+    takes for a's structure, so with its bits: ``symmetric_inverse`` for a
+    symmetric a (a diagonal one included), LAPACK trtri and trcon for a
+    triangular one, and getrf, gecon and getri for any other.  An exactly
+    singular a gives rcond 0 and no inverse."""
+    a, = _small_operands(a)
+    if np.array_equal(a, a.T):
+        return symmetric_inverse(a)
+    for lower, outside in ((0, np.tril(a, -1)), (1, np.triu(a, 1))):
+        if not outside.any():
+            trtri, trcon = spla.get_lapack_funcs(("trtri", "trcon"), (a,))
+            inv, info = trtri(a, lower=lower)
+            if info:
+                return None, 0.0
+            return inv, float(trcon(a, norm="1", uplo="L" if lower else "U")[0])
+    getrf, gecon, getri = spla.get_lapack_funcs(("getrf", "gecon", "getri"), (a,))
+    lu, piv, info = getrf(a)
+    if info:
+        return None, 0.0
+    rcond, _ = gecon(lu, np.abs(a).sum(axis=0).max(), norm="1")
+    inv, _ = getri(lu, piv)
     return inv, float(rcond)
 
 

@@ -83,7 +83,7 @@ class StateSpaceSystem:
         )
 
     def same_realization(self, other):
-        return (
+        return other is self or (
             self.n == other.n
             and self.m == other.m
             and self.p == other.p

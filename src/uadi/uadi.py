@@ -71,6 +71,7 @@ from .linalg import (
     block_diag2,
     gram_norm2,
     schur_form,
+    small_inverse,
     solve_placed_sylvester,
     solve_small_lyapunov,
     solve_small_sylvester,
@@ -94,6 +95,15 @@ _NUMERICAL_FAILURES = (SpectraOverlap, EigFailure, NonHermitianRHS,
 # tests 5e-6, while an ill-conditioned pair whose M is off by 4e-4 reads
 # 3e-14; the weighted families' blocks reach a condition of 1e6.
 _MIN_RCOND = 1e-10
+
+# The bound for the Sylvester coupling d, whose inverse is sylv's new middle
+# block: d is degraded only when singular to working precision, as inv(d)
+# then has no correct digit.  An ill-conditioned d above it shows in the
+# tracked residual, which is formed from the inverse taken: criterion 7's
+# mismatched shifts take a d of 3.4e-13 at iteration 12, where the sylv
+# residual jumps from 1.0 to 1.1e12, and the run reports sylv diverged.  The
+# benchmark's couplings stay near 1.
+_MIN_COUPLING_RCOND = np.finfo(float).eps
 
 # Growth of a ``_Columns`` buffer's capacity when it is full.
 _GROWTH = 2
@@ -171,8 +181,10 @@ def _flush_subnormals(block):
 
     Solution vectors of long ladders decay below the normal range far from
     the port; products with subnormal operands run many times slower.  The
-    block is flushed before anything is derived from it, so the tracked
-    residual stays exact for the stored basis.
+    windowed solves (``linalg``) already leave exact zeros past the rows a
+    solution reaches; what is flushed here is the subnormal tail inside a
+    window.  The block is flushed before anything is derived from it, so
+    the tracked residual stays exact for the stored basis.
     """
     block[np.abs(block) < np.finfo(block.dtype).tiny] = 0.0
     return block
@@ -183,14 +195,17 @@ class _Columns:
 
     Column-major storage whose capacity grows by ``_GROWTH`` when full, so
     a new block costs O(n m) copied bytes, amortized, instead of a copy of
-    the whole basis; only the filled columns of a buffer are ever written,
-    so the unused capacity is never made resident.  ``view`` is the filled
-    part, read-only.  Filled columns are never written again, so a view taken
-    earlier keeps its values when the buffer is reallocated.
+    the whole basis.  The buffer is zero-filled, and ``append`` writes, and
+    a reallocation copies, only the rows of ``rows`` (all by default):
+    slices that cover every nonzero row of every block appended so far.
+    Neither the unused capacity nor the rows past them are ever written.
+    ``view`` is the filled part, read-only.  Filled columns are
+    never written again, so a view taken earlier keeps its values when the
+    buffer is reallocated.
     """
 
     def __init__(self, n):
-        self._buf = np.empty((n, 0), order="F")
+        self._buf = np.zeros((n, 0), order="F")
         self.k = 0
 
     @property
@@ -199,14 +214,16 @@ class _Columns:
         v.flags.writeable = False
         return v
 
-    def append(self, block):
+    def append(self, block, rows=(slice(None),)):
         k = self.k + block.shape[1]
         if k > self._buf.shape[1]:
             cap = max(k, _GROWTH * self._buf.shape[1])
-            buf = np.empty((self._buf.shape[0], cap), order="F")
-            buf[:, : self.k] = self._buf[:, : self.k]
+            buf = np.zeros((self._buf.shape[0], cap), order="F")
+            for r in rows:
+                buf[r, : self.k] = self._buf[r, : self.k]
             self._buf = buf
-        self._buf[:, self.k : k] = block
+        for r in rows:
+            self._buf[r, self.k : k] = block[r]
         self.k = k
 
 
@@ -405,7 +422,7 @@ class _Side:
         s1 = schur_form(lyap_sl(unit, 1)[0], output="complex")
         self.schur = self.schur.extended(self.L.T @ l, s1.kron(self.sys.m))
         self.L = np.hstack([self.L, l])
-        self._X.append(block)
+        self._X.append(block, self.cache.reach)
         self.G = np.vstack([self.G, block.T @ self.sys.C.T])
         perp = self.perp - (self.sys.E @ block) @ l.T
         self.lyap.perp, self.lyap.gram = perp, perp.T @ perp
@@ -416,13 +433,17 @@ class _Side:
         from its update (eq, (T, M, Y)), forming every factor in one pass,
         R = B [rr_1 ... rr_r] - E (X [Y_1 ... Y_r]), and every Gram as a
         diagonal block of R^T R.  A Sylvester half's Y covers a basis prefix
-        and is zero-padded to k rows here."""
+        and is zero-padded to k rows here.  X Y is formed on the cache's
+        ``reach`` slices alone: X is zero past them."""
         if not updates:
             return
         B = self.sys.B
         R = np.hstack([B if eq.rr is None else B @ eq.rr for eq, _ in updates])
         Y = np.hstack([_pad_rows(y, self.k - len(y)) for _, (_, _, y) in updates])
-        R -= self.sys.E @ (self.X @ Y)
+        XY = np.zeros(R.shape)
+        for r in self.cache.reach:
+            np.matmul(self.X[r], Y, out=XY[r])
+        R -= self.sys.E @ XY
         gram = R.T @ R
         start = 0
         for eq, (T, M, y) in updates:
@@ -554,8 +575,9 @@ class UadiState:
         Sylvester half the columns up to the largest unit boundary the two
         bases share, if that lies past its prefix.  Its coupling d is solved
         and inverted once, in each side's ``_channel_order``: the V half's
-        new middle block is inv(d), the W half's its transpose.  A batch's
-        shared failure is each record's."""
+        new middle block is inv(d), the W half's its transpose; a d whose
+        reciprocal condition is below ``_MIN_COUPLING_RCOND`` degrades
+        ``sylv``.  A batch's shared failure is each record's."""
         v, w = self.v, self.w
         out, live = [], [(side, side.k, f + side.suffix, eq, None) for side in (v, w)
                          for f, eq in side.eqs.items()
@@ -566,9 +588,12 @@ class UadiState:
                 pv = kp + _channel_order(q - kp, v.sys.m)
                 pw = kp + _channel_order(q - kp, w.sys.m)
                 try:
-                    d = spla.inv(solve_small_sylvester(
+                    d, rcond = small_inverse(solve_small_sylvester(
                         -w.S[pw[:, None], pw].T, v.S[pv[:, None], pv],
                         w.L[:, pw].T @ v.L[:, pv]))
+                    if rcond < _MIN_COUPLING_RCOND:
+                        raise ExtractionSingular(
+                            f"Sylvester coupling has reciprocal condition {rcond:.1e}")
                     d = d[np.argsort(pv)[:, None], np.argsort(pw)]
                     live += [(v, q, "sylv", v.sylv, d), (w, q, "sylv", w.sylv, d.T)]
                 except _NUMERICAL_FAILURES as exc:

@@ -76,6 +76,23 @@ class TestRun:
         assert summary["large_solves"] == 12
         assert len(rep.state.cache1) == len(rep.state.cache2) == 3
 
+    def test_one_spec_builds_one_system(self, tmp_path, monkeypatch):
+        """sys2 named by sys1's spec is sys1's system, built once and one
+        realization at once; the illustrative pair's two slots are two
+        systems."""
+        built, build = [], cli.build_system
+        monkeypatch.setattr(cli, "build_system",
+                            lambda spec, slot=1: built.append(spec) or build(spec, slot))
+        rep = run(RunConfig(sys1="rlc:5", sys2="rlc:5", equations="lyap_p,lyap_q",
+                            shifts=static_spec(tmp_path, [-0.5]), max_iter=2, tol=1e-300))
+        assert built == ["rlc:5"]
+        assert rep.state.sys1 is rep.state.sys2 and rep.state.single_system
+        built.clear()
+        rep = run(RunConfig(sys1="illustrative", sys2="illustrative", equations="sylv",
+                            shifts=static_spec(tmp_path, [-1 + 100j, -1 - 100j]),
+                            max_iter=1, tol=1e-300))
+        assert built == ["illustrative"] * 2 and not rep.state.single_system
+
     @pytest.mark.parametrize("pair, shifts, lus_per_step", [
         (("penzl:60,1,2,3", "penzl:60,4,5,6"), "sylv-alt", 2),
         (("rlc:20", "rlc:20"), "petrov-bt", 1),

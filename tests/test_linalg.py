@@ -17,6 +17,7 @@ from uadi.linalg import (
     schur_form,
     shifted_solve,
     small_eig,
+    small_inverse,
     solve_placed_sylvester,
     solve_small_lyapunov,
     solve_small_sylvester,
@@ -351,6 +352,125 @@ class TestTridiagonalCore:
             for shift in (-1.0, -1.0 + 2.0j):
                 with pytest.raises(SingularShiftedMatrix, match="non-finite"):
                     ShiftedFactorization(A, E, shift)
+
+
+class TestWindowedSolve:
+    """A tridiagonal pencil with no decoupled state (the RLC ladders, two
+    independent blocks) is solved on windows of its blocks that start at a
+    block's first row and double until the solution's last two rows are
+    below tiny; past them the solution is exactly zero."""
+
+    TINY = np.finfo(float).tiny
+
+    @staticmethod
+    def _counted(fac):
+        """Record the rows of every gttrs call of ``fac``."""
+        calls, solve = [], fac._core_solve
+        fac._core_solve = lambda b, trans, rows=None: calls.append(rows) or solve(b, trans, rows)
+        return calls
+
+    def test_blocks(self):
+        """The ladders' blocks start where A and E both have no entry
+        between two rows; a block shorter than 3 rows joins its neighbour,
+        and a split pencil is not windowed."""
+        from uadi.linalg import _PencilSplit
+
+        g = rlc_ladder(50)
+        split = _PencilSplit(g.A, g.E)
+        assert split.windowed and list(split.bands[2]) == [0, 100, 200]
+        pair = sps.csc_matrix([[-2.0, 1.0], [1.0, -3.0]])
+        A = sps.block_diag([pair, g.A, pair], format="csc")
+        assert list(_PencilSplit(A, sps.eye(204, format="csc")).bands[2]) == [0, 102, 204]
+        beside = _PencilSplit(sps.block_diag([g.A, [[-3.0]]], format="csc"),
+                              sps.block_diag([g.E, [[2.0]]], format="csc"))
+        assert not beside.windowed and beside.reach == [slice(0, 201)]
+
+    @pytest.mark.parametrize("shift", [-1.867, -6.89 - 6.44j, -0.01, -0.02 + 0.5j])
+    def test_agrees_with_full_length_solve(self, shift):
+        """On rlc_ladder(4000), for the ports B (each column zero on the
+        other block), B as a complex right-hand side, one starting mid-block
+        and a dense one, plain and transposed: the windowed solve is zero
+        outside the split's reach, agrees with one full-length gttrs after
+        the subnormal flush to 1e-290, and its full-system residual is the
+        full solve's plus at most 1e-300; the dense one, whose windows cover
+        both blocks, is one gttrs call.  At the two shifts near the axis
+        the solution of B does not decay below tiny within the first
+        ladder's block, so its window doubles up to the block's end; at the
+        others both windows stop short of their blocks' ends, and a later
+        solve starts from the reach seen."""
+        from uadi.uadi import _flush_subnormals
+
+        g = rlc_ladder(4000)
+        n, half = g.n, g.n // 2
+        rng = np.random.default_rng(11)
+        mid = np.zeros((n, 2))
+        mid[3000:3010, 0] = rng.standard_normal(10)
+        mid[half + 5000, 1] = 1.0
+        near_axis = abs(shift.real) < 0.1
+        for trans in "NT":
+            M = (g.A + shift * g.E).tocsc()
+            M = M if trans == "N" else M.T
+            for name, b in (("B", g.B), ("complex", (1 + 2j) * g.B), ("mid", mid),
+                            ("dense", rng.standard_normal((n, 2)))):
+                fac = ShiftedFactorization(g.A, g.E, shift)
+                full = fac._core_solve(b, trans)
+                calls = self._counted(fac)
+                x = fac.solve(b, trans=trans)
+                reach = fac._split.reach
+                outside = np.ones(n, dtype=bool)
+                for r in reach:
+                    outside[r] = False
+                assert not x[outside].any(), name
+                gap = _flush_subnormals(x.copy()) - _flush_subnormals(full.copy())
+                assert np.abs(gap).max() <= 1e-290, name
+                res = [np.abs(M @ y - b).max(axis=0) for y in (x, full)]
+                assert np.all(res[0] <= res[1] + 1e-300), name
+                if name == "dense":   # both blocks whole: one call
+                    assert reach == [slice(0, n)] and calls == [(0, n)]
+                if name != "B":
+                    continue
+                assert len(calls) > 3   # 2 blocks, at least one doubled
+                if near_axis:   # the first block whole, joined with the second
+                    assert len(reach) == 1 and half < reach[0].stop < n
+                else:
+                    assert reach[0].stop < half and reach[1].stop < n
+                    del calls[:-1]
+                    fac.solve(b, trans=trans)
+                    assert len(calls) == 3 and fac._split.reach == reach
+
+    def test_checks_run_on_the_windows(self):
+        """A right-hand side that is zero on every block makes no gttrs
+        call; a non-finite one inside a window raises."""
+        g = rlc_ladder(200)
+        fac = ShiftedFactorization(g.A, g.E, -1.5)
+        calls = self._counted(fac)
+        assert not fac.solve(np.zeros((g.n, 2))).any() and calls == []
+        b = np.zeros((g.n, 1))
+        b[5] = np.nan
+        with pytest.raises(SingularShiftedMatrix, match="non-finite"):
+            fac.solve(b)
+
+
+class TestSmallInverse:
+    """The inverse of a small matrix by scipy.linalg.inv's route for its
+    structure, with the reciprocal condition from the same factor."""
+
+    def test_same_bits_as_inv_and_its_condition(self, rng):
+        a = rng.standard_normal((5, 5))
+        for name, m in (("general", a), ("upper", np.triu(a)), ("lower", np.tril(a)),
+                        ("diagonal", np.diag(np.diag(a))), ("symmetric", a + a.T),
+                        ("definite", a @ a.T + np.eye(5))):
+            inv, rcond = small_inverse(m)
+            np.testing.assert_array_equal(inv, spla.inv(m), err_msg=name)
+            exact = 1.0 / np.linalg.cond(m, 1)
+            assert exact * (1 - 1e-12) <= rcond <= 10 * exact, name
+
+    def test_singular_and_ill_conditioned(self):
+        for singular in ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                         [[1.0, 2.0], [0.0, 0.0]]):
+            assert small_inverse(singular) == (None, 0.0)
+        _, rcond = small_inverse([[1.0, 1.0], [1.0 + 1e-13, 1.0 - 1e-13]])
+        assert rcond < 1e-12
 
 
 class TestSmallSylvester:

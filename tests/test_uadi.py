@@ -711,6 +711,29 @@ class TestExtractionKernel:
         for tag in st.enabled - {"ricc_p"}:
             assert np.isfinite(residual_norm(st, tag)), tag
 
+    def test_ill_conditioned_sylvester_coupling_degrades(self, monkeypatch):
+        """A Sylvester coupling d that is singular to working precision
+        degrades sylv, with a reason that names the coupling, and leaves
+        the other equations alone."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "lyap_p,lyap_q,ricc_p,ricc_q,sylv")
+        uadi_step(st, -0.5, -0.5)
+        original = engine.solve_small_sylvester
+
+        def near_singular(F, G, H):   # only the coupling calls it here
+            u, sv, vt = np.linalg.svd(original(F, G, H))
+            sv[-1] = 1e-17 * sv[0]
+            return (u * sv) @ vt
+
+        monkeypatch.setattr(engine, "solve_small_sylvester", near_singular)
+        uadi_step(st, -1.0, -1.0)
+        assert set(st.degraded) == {"sylv"}
+        assert "Sylvester coupling has reciprocal condition" in st.degraded["sylv"]
+        for tag in st.enabled - {"sylv"}:
+            assert np.isfinite(residual_norm(st, tag)), tag
+
     def test_norms_from_held_grams(self, monkeypatch):
         """Each tag's residual norm, read from the Grams its records hold,
         is gram_norm2 of its explicit residual factor: ldl with its weight,
@@ -1351,6 +1374,90 @@ class TestBasisStorage:
         assert bases <= seen and st.v.k > 2 * width
         assert {"ricc", "mp", "sf"} <= set(st.v.eqs) and st.v.sylv.perp.shape[0] == g.n
         assert not wide, wide
+
+
+    # static-rlc's first shifts, on a ladder long enough that the
+    # solutions decay below tiny well inside both blocks
+    LADDER_STEPS = (-1.8668729544418896, -6.885954263407086 - 6.441429934054144j,
+                    -1.1031187944147431, -2.9234796268520906 + 9.505648662720313j)
+
+    def test_rows_outside_reach_read_zero(self):
+        """``_Columns`` writes, and copies when it reallocates, only the
+        rows it is given, which grow: rows outside them read zero at every
+        size, even where a block holds other values, and the given rows
+        hold the blocks."""
+        from uadi.uadi import _Columns
+
+        rng = np.random.default_rng(8)
+        cols, want, capacities = _Columns(12), [], set()
+        for rows in ([slice(0, 3)], [slice(0, 3)], [slice(0, 4), slice(6, 8)],
+                     [slice(0, 4), slice(6, 8)], [slice(0, 5), slice(6, 10)]):
+            block = rng.standard_normal((12, 2))
+            kept = np.zeros_like(block)
+            for r in rows:
+                kept[r] = block[r]
+            cols.append(block, rows)
+            want.append(kept)
+            capacities.add(cols._buf.shape[1])
+            np.testing.assert_array_equal(cols.view, np.hstack(want))
+        assert len(capacities) > 2   # reallocated more than once
+
+    def test_block_is_zero_outside_reach(self, monkeypatch):
+        """On rlc_ladder(4000) every new basis block is zero outside its
+        side's cache reach, which stops short of both blocks' ends, and so
+        are V and W."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(4000)
+        blocks, real = [], engine.realified_columns
+        monkeypatch.setattr(engine, "realified_columns",
+                            lambda unit, sol: blocks.append(real(unit, sol)) or blocks[-1])
+        st = uadi_init(g, g, None, "lyap_p,lyap_q,ricc_p,ricc_q")
+
+        def outside(side):
+            mask = np.ones(g.n, dtype=bool)
+            for r in side.cache.reach:
+                mask[r] = False
+            return mask
+
+        for unit in self.LADDER_STEPS:
+            uadi_step(st, unit, unit)
+            for side, block in zip((st.v, st.w), blocks[-2:]):
+                assert not block[outside(side)].any()
+        for side in (st.v, st.w):
+            assert [r.start for r in side.cache.reach] == [0, g.n // 2]
+            assert all(r.stop < end for r, end in zip(side.cache.reach, (g.n // 2, g.n)))
+            assert not side.X[outside(side)].any()
+
+    def test_commit_per_slice_equals_full_product(self):
+        """Every record's residual factor, formed from X Y on the reach
+        slices, is B rr - E (X Y) formed over all rows: the families, the
+        Sylvester halves and the rebuilt spectral-factor pair."""
+        g = rlc_ladder(4000)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        for unit in self.LADDER_STEPS:
+            uadi_step(st, unit, unit)
+        residual_norm(st, "sf_p")
+        checked = 0
+        for side in (st.v, st.w):
+            assert side.cache.reach != [slice(0, g.n)]
+            for eq in [*side.eqs.values(), side.sylv]:
+                rr = np.eye(g.m) if eq.rr is None else eq.rr
+                y = np.vstack([eq.Y, np.zeros((side.k - len(eq.Y), eq.Y.shape[1]))])
+                want = side.sys.B @ rr - side.sys.E @ (side.X @ y)
+                assert np.abs(eq.perp - want).max() <= 1e-15 * np.abs(want).max()
+                checked += 1
+        assert checked == 14 and not st.degraded
+
+    @pytest.mark.parametrize("g", [penzl_triple_peak(200, 10, 20, 30),
+                                   random_stable_system(30, 2, 2, 3)])
+    def test_reach_is_all_rows_off_the_ladders(self, g):
+        """A split pencil (penzl's decoupled states) or a non-tridiagonal
+        one reaches every row."""
+        st = uadi_init(g, g, None, "lyap_p,lyap_q")
+        for a in (-1.0, -2 + 1j):
+            uadi_step(st, a, a)
+        assert st.v.cache.reach == st.w.cache.reach == [slice(0, g.n)]
 
 
 class TestSharedFactorization:
