@@ -153,8 +153,8 @@ def _read_static_file(path):
 class _ShiftDriver:
     """Bridges a shift strategy to the engine loop.  Each oracle runs on its
     engine side's own system (G1, or G2.dual() on the W side) and observes
-    that side's basis and residual factor as the side holds them
-    (``sylv-alt`` with ``sylv`` enabled: the Sylvester halves' factors).
+    that side's basis and residual factor as the side holds them, by
+    reference (``sylv-alt`` with ``sylv`` enabled: the halves' read factors).
     ``oa`` emits the alpha units and ``ob`` the beta units; a two-sided
     oracle (``petrov-bt``, ``sylv-alt``) has no ``ob`` and its unit is both.
     ``recurring`` holds the alpha and beta values a static list cycles
@@ -198,7 +198,7 @@ class _ShiftDriver:
 
     def after_step(self, state):
         v, w = state.v, state.w
-        fv, fw = (v.sylv, w.sylv) if self.sylv_halves else (v.lyap, w.lyap)
+        _, fv, _, fw = state.entry("sylv") if self.sylv_halves else (v, v.lyap, w, w.lyap)
         if self.ob is None:
             self.oa.observe(v.X, w.X, fv.perp, fw.perp)
         else:
@@ -251,14 +251,14 @@ def run(config):
                 break
             uadi_step(state, au, bu)
             driver.after_step(state)
-            # A stale tag (the spectral-factor pair, which a step never
-            # rebuilds) comes last and is read, and so rebuilt, only at
+            # A stale tag (a factor or pair that a step leaves to its read)
+            # comes last, in name order, and is read, and so formed, only at
             # iterations 1, 2, 4, 8, ..., once every other equation has
             # settled, or at the last iteration; between reads its row
-            # repeats the value of its last rebuild, and the run cannot stop.
+            # repeats its last read value, and the run cannot stop.
             settled = True
             read_stale = it & (it - 1) == 0 or it == config.max_iter
-            for tag in sorted(state.enabled, key=state.stale):
+            for tag in sorted(state.enabled, key=lambda t: (state.stale(t), t)):
                 if settled or read_stale or not state.stale(tag):
                     last[tag] = _status(state, tag, config.tol)
                 status = last[tag][1]

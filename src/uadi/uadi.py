@@ -21,19 +21,19 @@ transform T, middle matrix M, their product Y = T M L_c^T, grown by the new
 block's term alone, residual factor B rr - E X Y and that factor's Gram, so
 a residual norm is computed at the factor's width.  A side's Lyapunov
 record has T = None, the untransformed basis; its factor, the next solve's
-right-hand side, is updated in place.  Once the step's small solves have
-all run, each side forms every other record's factor in one pass over its
-basis, and their Grams in one product.  At init each enabled tag resolves
-once to one table entry (side, eq, weight, right): ldl reads the Lyapunov
-record with a weight, sylv the V half with the W half as right.  Every
-reader goes through the table, and every residual is normalized by its own
-norm at X = 0.
+right-hand side, is updated in place.  A step sets only every other
+record's T, M and Y; its factor serves reads alone and is stale until one.
+At init each enabled tag resolves once to one table entry (side, eq,
+weight, right): ldl reads the Lyapunov record with a weight, sylv the V
+half with the W half as right.  Every reader goes through the table, and
+every residual is normalized by its own norm at X = 0.
 
-The spectral-factor pair is coupled to the current Gramians, so each
-rebuild solves it whole on the current bases, from the two sides' X, S, L
-and G alone.  Nothing inside the iteration reads it and a step never
-rebuilds it: a read of a stale pair rebuilds it first, and the caller
-decides when to read.
+One read rule serves every tag, and the caller decides when to read: a
+read of a stale tag first has each side it reads form its stale records'
+factors in one pass over its basis, and their Grams in one product.  The
+spectral-factor pair is coupled to the current Gramians, so a read of a
+pair last rebuilt on a smaller basis first rebuilds it whole on the
+current bases, from the two sides' X, S, L and G alone.
 
 The two sides run one algorithm: the W side (observability, C2^T
 right-hand side) is the V side's ADI on the dual realization
@@ -51,7 +51,7 @@ bounded-real and spectral-factor Riccati pairs.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
@@ -234,6 +234,8 @@ def _family_configs(sys, gamma, name):
     A placement holds the feedback ``fb`` and quadratic weight ``qk`` of the
     projected equation and the scaling ``rr`` of its right-hand side B rr
     with its inverse ``rri``.  ``name`` names the system in the skip reasons.
+    The symmetric matrices a placement inverts must be positive definite
+    with a reciprocal condition of at least ``_MIN_RCOND``.
     """
     m, p, D = sys.m, sys.p, sys.D
     I = np.eye(m)
@@ -242,6 +244,16 @@ def _family_configs(sys, gamma, name):
         "inf": dict(fb=None, qk=(1.0 - gamma ** -2) * np.eye(p), rr=I, rri=I),
     }
     skip = {}
+
+    def spd_inverse(fam, what, M):
+        """M's inverse, or None with ``fam``'s skip reason recorded."""
+        inv, rcond = symmetric_inverse(M) if _is_spd(M) else (None, None)
+        if rcond is None:
+            skip[fam] = f"{what} of {name} is not symmetric positive definite"
+        elif rcond < _MIN_RCOND:
+            skip[fam] = f"{what} of {name} has reciprocal condition {rcond:.1e}"
+        return None if fam in skip else inv
+
     if D.shape[0] != D.shape[1]:
         invertible, why = False, f"D of {name} is not square"
     else:
@@ -252,27 +264,21 @@ def _family_configs(sys, gamma, name):
         Di = spla.inv(D)
         cfg["mp"] = dict(fb=Di, qk=None, rr=Di, rri=D)
     else:
-        skip["mp"] = why
-    if invertible and _is_spd(D + D.T):
-        Dp = D + D.T
-        Dpi = spla.inv(Dp)
-        sq, isq = _sqrtm_spd(Dp)
+        skip["mp"] = skip["pr"] = why
+    if not np.any(D):
+        skip["br"] = f"D of {name} is zero"
+    Dpi = None if "pr" in skip else spd_inverse("pr", "D + D^T", D + D.T)
+    if Dpi is not None:
+        sq, isq = _sqrtm_spd(D + D.T)
         cfg["pr"] = dict(fb=Dpi, qk=-Dpi, rr=isq, rri=sq)
-    else:
-        skip["pr"] = f"D + D^T of {name} is not symmetric positive definite"
-    if np.any(D) and _is_spd(np.eye(p) - D @ D.T):
-        Dbi = spla.inv(np.eye(p) - D @ D.T)
+    Dbi = None if "br" in skip else spd_inverse("br", "I - D D^T", np.eye(p) - D @ D.T)
+    if Dbi is not None:
         sq, isq = _sqrtm_spd(I + D.T @ Dbi @ D)
         cfg["br"] = dict(fb=-(D.T @ Dbi), qk=-Dbi, rr=sq, rri=isq)
-    else:
-        skip["br"] = (f"D of {name} is zero" if not np.any(D)
-                      else f"I - D D^T of {name} is not positive definite")
-    if _is_spd(D.T @ D):
-        DtD = D.T @ D
-        sq, isq = _sqrtm_spd(DtD)
-        cfg["sf"] = dict(fb=spla.inv(DtD), qk=None, rr=isq, rri=sq)
-    else:
-        skip["sf"] = f"D^T D of {name} is not positive definite"
+    DtDi = spd_inverse("sf", "D^T D", D.T @ D)
+    if DtDi is not None:
+        sq, isq = _sqrtm_spd(D.T @ D)
+        cfg["sf"] = dict(fb=DtDi, qk=None, rr=isq, rri=sq)
     return cfg, skip
 
 
@@ -283,32 +289,27 @@ class _Eq:
     Its pole placement: the feedback ``fb``, quadratic weight ``qk``,
     right-hand-side scaling ``rr`` and its inverse ``rri``, each None where
     the equation has none.  Its standing state: the transform T of the
-    consumed basis prefix, the middle matrix M, their product
-    Y = T M L_c^T, the residual factor perp = B rr - E X Y on that prefix and
-    its Gram perp^T perp, formed from the seed perp at construction.  L_c is
-    the side's own L, except for a Sylvester half, which names the other
-    side as its ``partner`` and whose M is the block diagonal of the step
-    couplings' inverses (transposed on the W side).  An identity M is kept
-    as None; T = None is the whole untransformed basis, the side's Lyapunov
-    equation.  A record is seeded at X = 0 with an empty T, M and Y.
-    The spectral-factor record is stale between its pair's rebuilds: read
-    it through the state (``UadiState.stale``), never as ``side.eqs["sf"]``.
+    consumed basis prefix, the middle matrix M and their product
+    Y = T M L_c^T.  L_c is the side's own L, except for a Sylvester half,
+    which names the other side as its ``partner`` and whose M is the block
+    diagonal of the step couplings' inverses (transposed on the W side).  An
+    identity M is kept as None; T = None is the whole untransformed basis,
+    the side's Lyapunov equation.  A record is seeded at X = 0 with an empty
+    T, M and Y.  Its residual factor perp = B rr - E X Y and the factor's
+    Gram are None while stale, formed on read (``_Side.form``): read a
+    record through the state, never as ``side.eqs[...]``.
     """
 
     T: np.ndarray
     M: np.ndarray
-    perp: np.ndarray
+    Y: np.ndarray
     fb: np.ndarray = None
     qk: np.ndarray = None
     rr: np.ndarray = None
     rri: np.ndarray = None
     partner: "_Side" = None
-    Y: np.ndarray = field(init=False)
-    gram: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.Y = np.zeros((0, self.perp.shape[1]))
-        self.gram = self.perp.T @ self.perp
+    perp: np.ndarray = None
+    gram: np.ndarray = None
 
 
 def _channel_order(wid, m):
@@ -391,7 +392,7 @@ class _Side:
     The V side runs on G1.  The W side is the same algorithm on
     G2.dual() = (E2^T, A2^T, C2^T, B2^T, D2^T): its basis is W, its residual
     factor the n x p factor Cperp^T and its projected output map W^T B2.
-    Its ``eqs["sf"]`` record is stale between its pair's rebuilds (``_Eq``).
+    Its other records' factors are stale between reads (``_Eq``).
     """
 
     def __init__(self, sys, cache, weight, suffix):
@@ -402,7 +403,8 @@ class _Side:
         self.schur = schur_form(np.zeros((0, 0)))
         self.L = np.zeros((sys.m, 0))
         self.G = np.zeros((0, sys.p))   # X^T C^T
-        self.lyap = _Eq(None, None, np.array(sys.B, dtype=float))
+        B = np.array(sys.B, dtype=float)
+        self.lyap = _Eq(None, None, None, perp=B, gram=B.T @ B)
         self.bounds = [0]               # basis-column counts at unit boundaries
         self.eqs, self.sylv = {}, None
 
@@ -428,27 +430,31 @@ class _Side:
         self.lyap.perp, self.lyap.gram = perp, perp.T @ perp
         self.bounds.append(self.k)
 
-    def commit(self, updates):
-        """Set each updated record's T, M, Y, perp = B rr - E X Y and Gram
-        from its update (eq, (T, M, Y)), forming every factor in one pass,
-        R = B [rr_1 ... rr_r] - E (X [Y_1 ... Y_r]), and every Gram as a
-        diagonal block of R^T R.  A Sylvester half's Y covers a basis prefix
-        and is zero-padded to k rows here.  X Y is formed on the cache's
+    def form(self):
+        """Form the factor perp = B rr - E X Y and its Gram of every stale
+        record of the side in one pass, R = B [rr_1 ... rr_r] -
+        E (X [Y_1 ... Y_r]), and every Gram as a diagonal block of R^T R.
+        A Sylvester half's or degraded record's Y covers a basis prefix and
+        is zero-padded to k rows here.  X Y is formed on the cache's
         ``reach`` slices alone: X is zero past them."""
-        if not updates:
+        stale = [eq for eq in (*self.eqs.values(), self.sylv)
+                 if eq is not None and eq.perp is None]
+        if not stale:
             return
-        B = self.sys.B
-        R = np.hstack([B if eq.rr is None else B @ eq.rr for eq, _ in updates])
-        Y = np.hstack([_pad_rows(y, self.k - len(y)) for _, (_, _, y) in updates])
-        XY = np.zeros(R.shape)
-        for r in self.cache.reach:
-            np.matmul(self.X[r], Y, out=XY[r])
-        R -= self.sys.E @ XY
+        # np.dot: for a one-column B, matmul's own loop is 6x slower than BLAS
+        I = np.eye(self.sys.m)
+        R = np.dot(self.sys.B, np.hstack([I if eq.rr is None else eq.rr for eq in stale]))
+        if self.k:   # before the first step X is empty and R is B rr
+            Y = np.hstack([_pad_rows(eq.Y, self.k - len(eq.Y)) for eq in stale])
+            XY = np.zeros(R.shape)
+            for r in self.cache.reach:
+                np.matmul(self.X[r], Y, out=XY[r])
+            R -= self.sys.E @ XY
         gram = R.T @ R
         start = 0
-        for eq, (T, M, y) in updates:
-            cols = slice(start, start + y.shape[1])
-            eq.T, eq.M, eq.Y, eq.perp, eq.gram = T, M, y, R[:, cols], gram[cols, cols]
+        for eq in stale:
+            cols = slice(start, start + eq.Y.shape[1])
+            eq.perp, eq.gram = R[:, cols], gram[cols, cols]
             start = cols.stop
 
 
@@ -543,12 +549,11 @@ class UadiState:
                 skip["sf"] = sf_why
             for fam, why in skip.items():
                 self._skip(fam + sfx, why)
-            side.eqs = {f: _Eq(np.zeros((0, 0)), np.zeros((0, 0)),
-                               side.sys.B @ c["rr"], **c)
+            empty = (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, side.sys.m)))
+            side.eqs = {f: _Eq(*empty, **c)
                         for f, c in cfg.items() if f + sfx in want or f in pair}
             if "sylv" in want and sylv_ok:
-                side.sylv = _Eq(np.zeros((0, 0)), np.zeros((0, 0)), side.perp.copy(),
-                                partner=w if side is v else v)
+                side.sylv = _Eq(*empty, partner=w if side is v else v)
             table["lyap" + sfx] = (side, side.lyap, None, None)
             table["ldl" + sfx] = (side, side.lyap, side.weight, None)
             for f, eq in side.eqs.items():
@@ -569,7 +574,7 @@ class UadiState:
     # -- stepping -----------------------------------------------------------
 
     def _step_outcomes(self):
-        """Outcomes (tag, side, eq, outcome) of the step's small solves.
+        """Outcomes (tag, eq, outcome) of the step's small solves.
         Each side advances its records not yet degraded in one ``_advance``
         per column range consumed: the families consume the new block, the
         Sylvester half the columns up to the largest unit boundary the two
@@ -597,7 +602,7 @@ class UadiState:
                     d = d[np.argsort(pv)[:, None], np.argsort(pw)]
                     live += [(v, q, "sylv", v.sylv, d), (w, q, "sylv", w.sylv, d.T)]
                 except _NUMERICAL_FAILURES as exc:
-                    out.append(("sylv", None, None, exc))
+                    out.append(("sylv", None, exc))
         batches = {}    # (side, kp, q) -> [(tag, eq, new)]
         for side, q, tag, eq, new in live:
             batches.setdefault((side, len(eq.T), q), []).append((tag, eq, new))
@@ -606,19 +611,19 @@ class UadiState:
                 news = _advance(side, [(eq, new) for _, eq, new in batch], q)
             except _NUMERICAL_FAILURES as exc:
                 news = [exc] * len(batch)
-            out += [(tag, side, eq, n) for (tag, eq, _), n in zip(batch, news)]
+            out += [(tag, eq, n) for (tag, eq, _), n in zip(batch, news)]
         return out
 
     def _pair_outcomes(self):
         """Outcomes of the spectral-factor pair, rebuilt whole on the current
         bases; a failure is both halves' outcome.  Only a read of a stale
-        pair runs it (``_entry``)."""
+        pair runs it (``entry``)."""
         v, w = self.v, self.w
         try:
-            return [("sf_p", v, v.eqs["sf"], _sf_side(v, w)),
-                    ("sf_q", w, w.eqs["sf"], _sf_side(w, v))]
+            return [("sf_p", v.eqs["sf"], _sf_side(v, w)),
+                    ("sf_q", w.eqs["sf"], _sf_side(w, v))]
         except _NUMERICAL_FAILURES as exc:
-            return [(tag, None, None, exc) for tag in self._pair]
+            return [(tag, None, exc) for tag in self._pair]
 
     def step(self, alpha, beta):
         """Consume one shift unit per side (a complex shift stands for its
@@ -635,44 +640,51 @@ class UadiState:
 
     def _apply(self, outcomes):
         """Degrade each tag with a numerical failure among its outcomes
-        (tag, side, eq, outcome), then commit the others' new residual
-        factors, once per side.  A degraded tag keeps the T, M, Y, perp and
-        Gram of its last good update, and a tag with a failed half commits
-        neither."""
-        failed = {tag: new for tag, _, _, new in outcomes if isinstance(new, Exception)}
+        (tag, eq, outcome), then set the others' T, M and Y, leaving their
+        factors stale.  A degraded tag keeps the T, M, Y of its last good
+        update, and a tag with a failed half sets neither."""
+        failed = {tag: new for tag, _, new in outcomes if isinstance(new, Exception)}
         for tag, exc in failed.items():
             self.degraded[tag] = str(exc)
             logger.warning("%s degraded: %s", tag, exc)
-        for side in (self.v, self.w):
-            side.commit([(eq, new) for tag, s, eq, new in outcomes
-                         if s is side and tag not in failed])
+        for tag, eq, new in outcomes:
+            if tag not in failed:
+                (eq.T, eq.M, eq.Y), eq.perp, eq.gram = new, None, None
+
+    def _rebuild_due(self, tag):
+        """Whether a read of ``tag`` first rebuilds its spectral-factor pair."""
+        side, eq, _, _ = self.table[tag]
+        return tag in self._pair and tag not in self.degraded and len(eq.T) < side.k
 
     def stale(self, tag):
-        """Whether ``tag`` belongs to a spectral-factor pair last rebuilt on
-        a smaller basis; a read of it rebuilds the pair first.  A degraded
-        pair is never stale."""
-        if tag not in self._pair or tag in self.degraded:
-            return False
-        return any(len(side.eqs["sf"].T) < side.k for side in (self.v, self.w))
+        """Whether a read of ``tag``, if enabled, brings anything up to date
+        first: a due rebuild, or a factor of a record it reads."""
+        return tag in self.table and (self._rebuild_due(tag) or any(
+            eq is not None and eq.perp is None for eq in self.table[tag][1::2]))
 
     # -- outputs ------------------------------------------------------------
 
-    def _entry(self, tag, started=False):
-        """The table entry (side, eq, weight, right) of an enabled tag,
-        rebuilt first if it is stale; with ``started``, the engine must have
-        taken a step."""
+    def entry(self, tag, started=False):
+        """The table entry (side, eq, weight, right) of an enabled tag, read:
+        a stale tag first has its due pair rebuild run, then each side it
+        reads (both for ``sylv`` and the pair) forms its stale factors.  With
+        ``started``, the engine must have taken a step."""
         if tag not in self.table:
             raise EquationSkipped(
                 f"{tag} not enabled: {self.skipped.get(tag, 'not selected')}"
                 if tag in ALL_TAGS else f"unknown equation tag {tag!r}")
         if started and self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
+        side, _, _, right = self.table[tag]
         if self.stale(tag):
-            self._apply(self._pair_outcomes())
+            if self._rebuild_due(tag):
+                self._apply(self._pair_outcomes())
+            for s in (self.v, self.w) if right or tag in self._pair else (side,):
+                s.form()
         return self.table[tag]
 
     def extract(self, tag):
-        side, eq, weight, right = self._entry(tag, started=True)
+        side, eq, weight, right = self.entry(tag, started=True)
         if eq.T is None:
             middle = (None if weight is None else
                       np.kron(np.eye(side.k // side.sys.m), weight))
@@ -686,11 +698,11 @@ class UadiState:
     def rank(self, tag):
         """Rank of extract(tag), read off the stored transforms without
         forming the n-row factors."""
-        side, eq, _, _ = self._entry(tag, started=True)
+        side, eq, _, _ = self.entry(tag, started=True)
         return side.k if eq.T is None else eq.T.shape[1]
 
     def residual_factor(self, tag):
-        _, eq, weight, right = self._entry(tag)
+        _, eq, weight, right = self.entry(tag)
         if right is not None:
             return (ResidualFactor(eq.perp.copy()),
                     ResidualFactor(right.perp.T.copy()))
@@ -699,12 +711,11 @@ class UadiState:
 
     def _norm(self, tag):
         """Unnormalized residual norm of an enabled tag, from the Grams its
-        records hold."""
-        _, eq, weight, right = self.table[tag]
+        records hold once read."""
+        _, eq, weight, right = self.entry(tag)
         return gram_norm2(eq.gram, weight, right and right.gram, grams=True)
 
     def residual_norm(self, tag):
-        self._entry(tag)
         return self._norm(tag) / self.const[tag]
 
 

@@ -302,57 +302,63 @@ class TestCsvSchema:
 
 class TestSpectralFactorReads:
     def test_stale_pair_read_only_when_it_can_decide(self, tmp_path, monkeypatch):
-        """On criterion 10's run, cli.run reads, and so rebuilds, the
-        spectral-factor pair only at iterations 1, 2, 4, 8, ..., once every
-        other equation has settled, and at the last iteration.  The run stops
-        where one that rebuilds and reads it every step stops, its sf rows at
-        rebuilds and at the end are fresh, and between rebuilds they repeat
-        the last rebuilt value."""
+        """On criterion 10's run, cli.run reads, and so forms, every stale
+        tag (the families, the Sylvester halves and the spectral-factor pair)
+        only at iterations 1, 2, 4, 8, ..., once every other equation has
+        settled, and at the last iteration.  The run stops where one that
+        reads every tag at every step stops, with the same statuses; a stale
+        tag's rows at its reads and at the end are fresh, and between reads
+        they repeat the last read value."""
         import uadi.uadi as engine
 
         base = dict(sys1="rlc:400", sys2="rlc:400", equations="all",
                     shifts="petrov-bt", max_iter=50, tol=1e-6, restart_cap=10,
                     gamma1=2.0, gamma2=3.0)
-        rebuilt = set()
-        original = engine.UadiState._pair_outcomes
+        fresh = set()   # (iteration, tag) of every read: a read is fresh
+        original = engine.UadiState.residual_norm
 
-        def recording(state):
-            rebuilt.add(len(state.alpha_units))   # the iteration in progress
-            return original(state)
+        def recording(state, tag):
+            fresh.add((state.iteration, tag))
+            return original(state, tag)
 
         with monkeypatch.context() as m:
-            m.setattr(engine.UadiState, "_pair_outcomes", recording)
+            m.setattr(engine.UadiState, "residual_norm", recording)
             lazy = run(RunConfig(out=str(tmp_path / "lazy"), **base))
         step = engine.UadiState.step
 
-        def step_and_rebuild(state, alpha, beta):
+        def step_and_read(state, alpha, beta):
             step(state, alpha, beta)
-            state.residual_norm("sf_p")   # rebuilt after every step
+            for tag in state.enabled:   # every tag formed after every step
+                state.residual_norm(tag)
             return state
 
         with monkeypatch.context() as m:
-            m.setattr(engine.UadiState, "step", step_and_rebuild)
+            m.setattr(engine.UadiState, "step", step_and_read)
             eager = run(RunConfig(out=str(tmp_path / "eager"), **base))
         assert lazy.converged and lazy.iterations == eager.iterations
         assert lazy.statuses == eager.statuses
-        assert lazy.iterations in rebuilt and len(rebuilt) < lazy.iterations
-        assert {it for it in range(1, lazy.iterations + 1)
-                if it & (it - 1) == 0} <= rebuilt
+        its = range(1, lazy.iterations + 1)
+        stale = {tag for tag in lazy.state.enabled
+                 if any((it, tag) not in fresh for it in its)}
+        assert stale == lazy.state.enabled - {"lyap_p", "lyap_q", "ldl_p", "ldl_q"}
+        powers = {it for it in its if it & (it - 1) == 0} | {lazy.iterations}
+        for tag in stale:
+            assert {it for it in powers if (it, tag) in fresh} == powers, tag
         assert len(lazy.records) == len(eager.records)
         last = {}
         for got, want in zip(lazy.records, eager.records):
             tag, it = got["equation"], got["iter"]
             assert (tag, it) == (want["equation"], want["iter"])
-            if not tag.startswith("sf"):
+            if tag not in stale:
                 assert got == want
-            elif it in rebuilt:
+            elif (it, tag) in fresh:
                 assert got["residual"] == pytest.approx(want["residual"],
                                                         rel=1e-10, abs=0)
             else:
                 assert got["residual"] == last[tag]
             last[tag] = got["residual"]
         summary = json.loads((tmp_path / "lazy" / "summary.json").read_text())
-        for tag in ("sf_p", "sf_q"):
+        for tag in stale:
             assert not lazy.state.stale(tag)
             assert summary["final_residuals"][tag] == lazy.state.residual_norm(tag)
             assert summary["final_residuals"][tag] == pytest.approx(

@@ -67,6 +67,23 @@ class TestFeasibility:
         with pytest.raises(InfeasibleHard):
             uadi_init(g1, g1, None, EquationSelection.parse("mp_p", strict=True))
 
+    def test_ill_conditioned_placement_inverse_skips(self):
+        """D + D^T positive definite with condition 1e13, D itself well
+        conditioned: pr is skipped on both sides with the reciprocal
+        condition in its reason, and strict mode raises; the families whose
+        inverses are well conditioned stay enabled."""
+        base = random_stable_system(12, 2, 2, 3)
+        D = np.diag([0.5, 0.5e-13]) + np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert np.linalg.cond(D + D.T) == pytest.approx(1e13, rel=1e-3)
+        g = StateSpaceSystem(base.E, base.A, base.B, base.C, D)
+        st = uadi_init(g, g, None, "all")
+        for tag in ("pr_p", "pr_q"):
+            assert "D + D^T" in st.skipped[tag], tag
+            assert "reciprocal condition 1.0e-13" in st.skipped[tag], tag
+        assert {"mp_p", "mp_q", "sf_p", "sf_q"} <= st.enabled
+        with pytest.raises(InfeasibleHard, match="reciprocal condition"):
+            uadi_init(g, g, None, EquationSelection.parse("pr_p", strict=True))
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             EquationSelection.parse("lyap_p,bogus")
@@ -531,8 +548,9 @@ class TestProjectedInvariants:
 
 class TestExtractionKernel:
     """The Lyapunov pair is the kernel's case with no feedback, no weight,
-    the side's own L and an identity middle: the transform is the identity
-    and the residual factor is the one updated in place."""
+    the side's own L and an identity middle: the transform is the identity,
+    and the residual factor a read forms for it is the one the step updates
+    in place."""
 
     @pytest.mark.parametrize("pair", ["rlc", "random"])
     def test_lyapunov_case_is_the_identity(self, pair):
@@ -547,11 +565,13 @@ class TestExtractionKernel:
         for a, b in [(-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0)]:
             uadi_step(st, a, b)
         for side in (st.v, st.w):
-            eq = engine._Eq(np.zeros((0, 0)), np.zeros((0, 0)), side.sys.B)
+            eq = engine._Eq(np.zeros((0, 0)), np.zeros((0, 0)),
+                            np.zeros((0, side.sys.m)))
             for q in side.bounds[1:]:   # one unit block at a time
                 [(eq.T, eq.M, eq.Y)] = engine._advance(side, [(eq, None)], q)
             assert np.abs(eq.T - np.eye(side.k)).max() <= 1e-12
-            side.commit([(eq, (eq.T, eq.M, eq.Y))])
+            side.eqs["probe"] = eq   # a stale record, formed as a read forms it
+            side.form()
             dev = np.linalg.norm(eq.perp - side.perp)
             assert dev <= 1e-12 * np.linalg.norm(side.perp)
 
@@ -1348,6 +1368,7 @@ class TestBasisStorage:
         grows with the iteration."""
         g, st = rlc_state(steps=((-0.5, -0.6), (-2 + 4j, -1 + 2j),
                                  (-1.0, -3.0), (-0.8, -1.5)), segments=6)
+        residual_norm(st, "sylv")   # forms every factor of both sides
         bases = {id(st.v._X._buf), id(st.w._X._buf)}
         width, seen, wide = max(g.m, g.p), set(), []
 
@@ -1429,26 +1450,6 @@ class TestBasisStorage:
             assert all(r.stop < end for r, end in zip(side.cache.reach, (g.n // 2, g.n)))
             assert not side.X[outside(side)].any()
 
-    def test_commit_per_slice_equals_full_product(self):
-        """Every record's residual factor, formed from X Y on the reach
-        slices, is B rr - E (X Y) formed over all rows: the families, the
-        Sylvester halves and the rebuilt spectral-factor pair."""
-        g = rlc_ladder(4000)
-        st = uadi_init(g, g, RLC_PARAMS, "all")
-        for unit in self.LADDER_STEPS:
-            uadi_step(st, unit, unit)
-        residual_norm(st, "sf_p")
-        checked = 0
-        for side in (st.v, st.w):
-            assert side.cache.reach != [slice(0, g.n)]
-            for eq in [*side.eqs.values(), side.sylv]:
-                rr = np.eye(g.m) if eq.rr is None else eq.rr
-                y = np.vstack([eq.Y, np.zeros((side.k - len(eq.Y), eq.Y.shape[1]))])
-                want = side.sys.B @ rr - side.sys.E @ (side.X @ y)
-                assert np.abs(eq.perp - want).max() <= 1e-15 * np.abs(want).max()
-                checked += 1
-        assert checked == 14 and not st.degraded
-
     @pytest.mark.parametrize("g", [penzl_triple_peak(200, 10, 20, 30),
                                    random_stable_system(30, 2, 2, 3)])
     def test_reach_is_all_rows_off_the_ladders(self, g):
@@ -1458,6 +1459,115 @@ class TestBasisStorage:
         for a in (-1.0, -2 + 1j):
             uadi_step(st, a, a)
         assert st.v.cache.reach == st.w.cache.reach == [slice(0, g.n)]
+
+
+class TestFactorsOnRead:
+    """One read rule for every tag: a step sets only a record's T, M and Y,
+    and a read of a stale tag forms the factors it needs (``UadiState.entry``);
+    only the Lyapunov records' factors, the next solves' right-hand sides,
+    are updated by the step."""
+
+    def test_reads_form_each_side_in_one_pass(self, monkeypatch):
+        """A step forms no family or Sylvester-half factor.  The first read
+        of a stale tag forms every stale record of each side it reads, in
+        one pass per side, and a second read forms nothing.  On
+        rlc_ladder(4000), whose reach stops short of every block's end, each
+        formed factor is B rr - E (X Y) over all rows: the families, the
+        Sylvester halves and the rebuilt spectral-factor pair."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(4000)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        passes, original = [], engine._Side.form
+
+        def recording(side):
+            stale = [eq for eq in (*side.eqs.values(), side.sylv) if eq.perp is None]
+            if stale:
+                passes.append((side, {id(eq) for eq in stale}))
+            return original(side)
+
+        def records(side, *fams):
+            return {id(side.eqs[f]) if f != "sylv" else id(side.sylv) for f in fams}
+
+        monkeypatch.setattr(engine._Side, "form", recording)
+        for unit in TestBasisStorage.LADDER_STEPS:
+            uadi_step(st, unit, unit)
+        assert not passes
+        lyapunov = {"lyap_p", "lyap_q", "ldl_p", "ldl_q"}
+        assert {tag for tag in st.enabled if st.stale(tag)} == st.enabled - lyapunov
+        fams = ("ricc", "inf", "mp", "pr", "br", "sylv")
+        residual_norm(st, "ricc_p")     # the V side's records, not its pair's
+        assert passes == [(st.v, records(st.v, *fams))]
+        assert st.stale("sylv") and st.stale("sf_p") and not st.stale("mp_p")
+        residual_norm(st, "ricc_p")
+        residual_norm(st, "mp_p")
+        residual_norm(st, "sylv")       # both halves: the W side is left
+        assert passes[1:] == [(st.w, records(st.w, *fams))]
+        residual_norm(st, "sf_q")       # the pair's rebuild, on both sides
+        assert passes[2:] == [(st.v, records(st.v, "sf")), (st.w, records(st.w, "sf"))]
+        for tag in st.enabled:
+            residual_norm(st, tag)
+            assert not st.stale(tag)
+        assert len(passes) == 4
+        checked = 0
+        for side in (st.v, st.w):
+            assert side.cache.reach != [slice(0, g.n)]
+            for eq in [*side.eqs.values(), side.sylv]:
+                rr = np.eye(g.m) if eq.rr is None else eq.rr
+                y = np.vstack([eq.Y, np.zeros((side.k - len(eq.Y), eq.Y.shape[1]))])
+                want = side.sys.B @ rr - side.sys.E @ (side.X @ y)
+                assert np.abs(eq.perp - want).max() <= 1e-15 * np.abs(want).max()
+                assert np.abs(eq.gram - want.T @ want).max() <= 1e-13 * np.abs(eq.gram).max()
+                checked += 1
+        assert checked == 14 and not st.degraded
+
+    def test_degraded_family_reports_its_last_good_factor(self, monkeypatch):
+        """A family that degrades after a step whose update was never read
+        reports, on read, the factor of that last good update, and is not
+        stale afterwards."""
+        import uadi.uadi as engine
+        from uadi.linalg import gram_norm2
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        original = engine.symmetric_inverse
+        calls = {"n": 0, "fail": False}
+
+        def flaky(a):
+            calls["n"] += 1
+            if calls["fail"] and calls["n"] == 1:   # ricc_p's middle block
+                return None, 0.0
+            return original(a)
+
+        monkeypatch.setattr(engine, "symmetric_inverse", flaky)
+        for a, b in ((-0.5, -0.6), (-2 + 4j, -1 + 2j)):
+            uadi_step(st, a, b)
+        eq = st.v.eqs["ricc"]
+        good = eq.Y
+        calls.update(n=0, fail=True)
+        uadi_step(st, -1.0, -3.0)
+        assert set(st.degraded) == {"ricc_p"} and st.stale("ricc_p")
+        assert eq.Y is good and len(eq.T) == len(good) < st.v.k
+        want = g.B @ eq.rr - g.E @ (st.V[:, :len(good)] @ good)
+        factor = st.residual_factor("ricc_p").factor
+        assert np.abs(factor - want).max() <= 1e-14 * np.abs(want).max()
+        assert not st.stale("ricc_p")
+        assert residual_norm(st, "ricc_p") * st.const["ricc_p"] == pytest.approx(
+            gram_norm2(want), rel=1e-12, abs=0)
+
+    def test_tag_not_enabled_is_never_stale(self):
+        """``stale`` of a tag that is not enabled is False, even for the
+        unselected half of a spectral-factor pair whose records exist."""
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "sf_p,ricc_p")
+        for a, b in TestSpectralFactor.STEPS[:3]:
+            uadi_step(st, a, b)
+        assert "sf" in st.w.eqs and "sf_q" not in st.enabled
+        assert st.stale("sf_p") and st.stale("ricc_p")
+        for tag in ("sf_q", "ricc_q", "sylv", "mp_p", "nonsense"):
+            assert st.stale(tag) is False, tag
+        residual_norm(st, "sf_p")
+        assert not st.stale("sf_p") and st.stale("sf_q") is False
 
 
 class TestSharedFactorization:
