@@ -154,7 +154,9 @@ class _ShiftDriver:
     """Bridges a shift strategy to the engine loop.  Each oracle runs on its
     engine side's own system (G1, or G2.dual() on the W side) and observes
     that side's basis and residual factor as the side holds them, by
-    reference (``sylv-alt`` with ``sylv`` enabled: the halves' read factors).
+    reference, on the side's row frame and against the side's system
+    restricted to it (``sylv-alt`` with ``sylv`` enabled: the halves' read
+    factors).
     ``oa`` emits the alpha units and ``ob`` the beta units; a two-sided
     oracle (``petrov-bt``, ``sylv-alt``) has no ``ob`` and its unit is both.
     ``recurring`` holds the alpha and beta values a static list cycles
@@ -200,10 +202,10 @@ class _ShiftDriver:
         v, w = state.v, state.w
         _, fv, _, fw = state.entry("sylv") if self.sylv_halves else (v, v.lyap, w, w.lyap)
         if self.ob is None:
-            self.oa.observe(v.X, w.X, fv.perp, fw.perp)
+            self.oa.observe(v.X, w.X, fv.perp, fw.perp, (v.fsys, w.fsys))
         else:
-            self.oa.observe(v.X, fv.perp)
-            self.ob.observe(w.X, fw.perp)
+            self.oa.observe(v.X, fv.perp, sys=v.fsys)
+            self.ob.observe(w.X, fw.perp, sys=w.fsys)
 
 
 def _status(state, tag, tol):
@@ -357,7 +359,7 @@ def scenario_equivalence(seed=42, n=60, iters=8):
         return float(np.linalg.norm(X - Y) / max(np.linalg.norm(Y), 1e-300))
 
     out = {}
-    if "sylv" in state.enabled and state.rank("sylv") == state.V.shape[1]:
+    if "sylv" in state.enabled and state.rank("sylv") == state.v.k:
         ref, _, _ = classic.fadi(sys1, sys2, alphas, betas)
         out["sylv"] = relerr(state.extract("sylv").product(), ref.product())
     refp, _, _ = classic.radi(sys1, alphas)

@@ -35,9 +35,13 @@ blocks where the off-diagonals of A and E are both zero (the ladders' two
 ports), and each block the right-hand side touches is solved on a window
 from its first row, by gttrs on slices of the whole factors.  The window
 grows until the solution has decayed below tiny (decay of banded inverses:
-Demko, Moss & Smith, Math. Comp. 43, 1984), the solution is exactly zero
-past it, and ``FactorizationCache.reach`` reports the rows that solves have
-reached.  Every other core goes to SuperLU, with a panel of one column
+Demko, Moss & Smith, Math. Comp. 43, 1984), and the solution is exactly
+zero past it.  The rows the split's solves have reached form its row frame
+(``RowFrame``, ``FactorizationCache.frame``), in stored order; a caller
+holds its n-row arrays on the frame alone, passes right-hand sides on it
+and takes solutions on it, and lifts what it holds when the frame grows.
+Every other pencil has the full frame, all n rows, on which nothing is
+gathered, scattered or copied.  Every other core goes to SuperLU, with a panel of one column
 (``panel_size=1``): the pencils here fill little, their supernodes are one
 or two columns wide, and a wider panel's workspace and per-panel work cost
 more than they save (``tools/superlu_panel_sweep.py``).
@@ -75,6 +79,7 @@ from .errors import (
 )
 
 __all__ = [
+    "RowFrame",
     "ShiftedFactorization",
     "FactorizationCache",
     "shifted_solve",
@@ -100,6 +105,72 @@ def _as_csc(A):
     if sps.issparse(A):
         return A.tocsc()
     return sps.csc_matrix(np.atleast_2d(A))
+
+
+class RowFrame:
+    """Rows of an n-row space that hold every nonzero row of the arrays on
+    it, in stored order: an array on the frame holds those rows alone.
+
+    ``rows`` None is the full frame, all n rows, on which ``gather``,
+    ``scatter`` and ``restrict`` return their operand itself.  ``edge``
+    holds the positions of the frame rows that the pencil may couple to
+    rows off the frame (``_PencilSplit.frame``); every solution is zero on
+    them.
+    """
+
+    def __init__(self, n, rows=None, edge=()):
+        self.n, self.rows = n, rows
+        self.edge = np.asarray(edge, dtype=np.intp)
+
+    @property
+    def full(self):
+        return self.rows is None
+
+    def __len__(self):
+        return self.n if self.rows is None else len(self.rows)
+
+    def gather(self, M):
+        """The frame rows of an n-row array."""
+        return M if self.rows is None else M[self.rows]
+
+    def scatter(self, M):
+        """The n-row array that is M on the frame rows and zero elsewhere."""
+        if self.rows is None:
+            return M
+        out = np.zeros((self.n,) + M.shape[1:], dtype=M.dtype)
+        out[self.rows] = M
+        return out
+
+    def lift(self, M, old):
+        """M, an array on ``old``, an earlier frame of the same rows, on this
+        frame, in M's memory order: zero on the rows old lacks.  From the
+        full frame (a side before its first solve) it is M's rows on this
+        frame, which must hold all of M's nonzero rows."""
+        if len(old) == len(self):
+            return M
+        if old.full:
+            out = M[self.rows]
+            assert np.count_nonzero(out) == np.count_nonzero(M), "rows off the frame"
+            return out
+        out = np.zeros_like(M, shape=(len(self),) + M.shape[1:])
+        out[old.rows if self.full else np.searchsorted(self.rows, old.rows)] = M
+        return out
+
+    def restrict(self, M):
+        """A sparse n x n matrix on the frame's rows and columns.  Asserts
+        that M couples the frame to other rows only through its ``edge``, so
+        that M X vanishes off the frame for every X on it that is zero on
+        the edge."""
+        if self.rows is None:
+            return M
+        M = _as_csc(M)
+        inside = np.zeros(self.n, dtype=bool)
+        inside[self.rows] = True
+        cols = np.repeat(np.arange(self.n), np.diff(M.indptr))
+        cross = (inside[M.indices] != inside[cols]) & (M.data != 0)
+        border = np.where(inside[M.indices], M.indices, cols)[cross]
+        assert np.isin(border, self.rows[self.edge]).all(), "coupled off the edge"
+        return M[self.rows][:, self.rows].tocsc()
 
 
 class _PencilSplit:
@@ -131,6 +202,7 @@ class _PencilSplit:
             coupled[cols[off]] = True
         self.n = n
         self.ends = {}   # block start -> end of the largest window solved there
+        self._frame = None
         if coupled.all():
             self.core, self.dec = None, np.zeros(0, dtype=np.intp)
             self.A, self.E = A, E
@@ -205,6 +277,64 @@ class _PencilSplit:
                 out.append(slice(lo, end))
         return out
 
+    @property
+    def frame(self):
+        """The split's RowFrame: the rows of its ``reach``, in stored order,
+        so the full frame once they are all n rows, and always unless
+        ``windowed``.  Its edge is the last row of each slice that ends
+        inside a block, the one row the tridiagonal pencil couples to a row
+        past the slice; every windowed solve leaves it zero.  The frame only
+        grows, and is a new object each time it does."""
+        if not self.windowed:
+            if self._frame is None:
+                self._frame = RowFrame(self.n)
+            return self._frame
+        if self._frame is None or len(self._frame) != sum(
+                end - lo for lo, end in self.ends.items()):
+            rows, edge = [np.zeros(0, dtype=np.intp)], []
+            for r in self.reach:
+                rows.append(np.arange(r.start, r.stop))
+                if r.stop not in self.bands[2]:
+                    edge.append(sum(map(len, rows)) - 1)
+            rows = np.concatenate(rows)
+            self._frame = RowFrame(self.n, None if len(rows) == self.n else rows, edge)
+        return self._frame
+
+    def _last_rows(self, rhs, frame):
+        """Per band block the right-hand side (on ``frame``) touches, its
+        first and end rows and the last row where the right-hand side is
+        nonzero."""
+        starts = self.bands[2]
+        cuts = starts if frame.full else np.searchsorted(frame.rows, starts)
+        c = rhs.shape[1]
+        nz = rhs.ravel() != 0   # row-major, c entries per row
+        out = []
+        for b in range(len(starts) - 1):
+            seg = nz[cuts[b] * c : cuts[b + 1] * c]
+            if seg.any():
+                last = cuts[b] + (len(seg) - 1 - int(np.argmax(seg[::-1]))) // c
+                out.append((int(starts[b]), int(starts[b + 1]),
+                            int(last if frame.full else frame.rows[last])))
+        return out
+
+    def open(self, rhs, frame):
+        """The first windows of a solve of ``rhs`` (on ``frame``), which
+        grow the split's ``ends``: on a touched block [lo, hi) the window is
+        [lo, w), w the larger of the right-hand side's last nonzero row plus
+        ``_WINDOW_MARGIN`` and the largest window the split has used there,
+        up to hi.  A window that covers its block joins the next block's.
+        Returns spans [first row, last block's first row, w, last block's
+        end]."""
+        spans = []
+        for lo, hi, last in self._last_rows(rhs, frame):
+            w = min(hi, max(last + 1 + _WINDOW_MARGIN, self.ends.get(lo, lo)))
+            if spans and spans[-1][2] == lo:
+                spans[-1][1:] = [lo, w, hi]
+            else:
+                spans.append([lo, lo, w, hi])
+            self.ends[lo] = w
+        return spans
+
 
 class ShiftedFactorization:
     """Reusable LU factorization of (A + shift*E), real for a real shift.
@@ -221,6 +351,13 @@ class ShiftedFactorization:
     decoupled state is factored whole.  ``split`` passes the split of
     (A, E) when the caller already holds it (FactorizationCache); it is
     computed here otherwise.
+
+    A solve works on the split's row frame (``_PencilSplit.frame``): the
+    full frame unless the pencil is windowed, when it is the rows the
+    split's solves have reached.  An n-row right-hand side is gathered onto
+    the frame, once the frame has grown to its first windows, and the
+    solution scattered back; with ``framed`` the solution stays on the
+    frame, as the solve leaves it.
 
     A non-finite entry or an exact zero pivot (of SuperLU or gttrf) is
     reported at construction time, a roundoff pivot by a solve with
@@ -287,74 +424,81 @@ class ShiftedFactorization:
         return self._gttrs(*gt, rhs, trans=trans)[0]
 
     def _windows(self, rhs, trans):
-        """Solve a windowed pencil block by block; returns the solution and
-        its windows (row slices), outside which it is exactly zero.
+        """Solve a windowed pencil block by block, ``rhs`` on the split's
+        frame; returns the solution on the frame as it grows here, and the
+        solution and right-hand side of every window (natural rows).
 
-        A block the right-hand side does not touch is skipped.  On a
-        touched block [lo, hi) the window is [lo, w), w the larger of the
-        right-hand side's last nonzero row plus ``_WINDOW_MARGIN`` and the
-        largest window the split has used there; it doubles, up to hi,
-        until the solution's last two rows are below ``tiny`` in every
-        column.  Padded with zeros, that solution solves the whole system
-        up to a right-hand-side perturbation of about 3 max|m_ij| tiny:
-        only the window's last rows and row w can leave a residual, made of
-        those two rows times entries of the pencil.  A window that covers
-        its block joins the next block's in one gttrs call, which gives the
-        same bits: the factors hold exact zeros between blocks."""
+        A block the right-hand side does not touch is skipped.  A touched
+        one is solved on its first window (``_PencilSplit.open``), which
+        doubles, up to the block's end, until the solution's last two rows
+        are below ``tiny`` in every column; those two rows are then set to
+        zero.  Padded with zeros, that solution solves the whole system up
+        to a right-hand-side perturbation of about 3 max|m_ij| tiny: only the
+        window's last rows and row w can leave a residual, made of those two
+        rows times entries of the pencil.  A window that covers its block
+        joins the next block's in one gttrs call, which gives the same bits:
+        the factors hold exact zeros between blocks."""
         split, c = self._split, rhs.shape[1]
-        starts = split.bands[2].tolist()
-        nz = rhs.ravel() != 0   # row-major, c entries per row
-        spans = []   # [first row, last block's first row, window end, block end]
-        for lo, hi in zip(starts[:-1], starts[1:]):
-            seg = nz[lo * c : hi * c]
-            if not seg.any():
-                continue
-            last = len(seg) - 1 - int(np.argmax(seg[::-1]))
-            w = min(hi, max(lo + last // c + 1 + _WINDOW_MARGIN, split.ends.get(lo, lo)))
-            if spans and spans[-1][2] == lo:
-                spans[-1][1:] = [lo, w, hi]
-            else:
-                spans.append([lo, lo, w, hi])
-            split.ends[lo] = w
-        # column-major, as gttrs returns it
-        x = np.zeros(rhs.shape, dtype=np.result_type(rhs, self._dtype), order="F")
+        frame = split.frame
+
+        def window(first, w):   # rhs on rows first:w; zero off the frame
+            if frame.full:
+                return rhs[first:w]
+            lo, hi = np.searchsorted(frame.rows, (first, w))
+            out = np.zeros((w - first, c), dtype=rhs.dtype)
+            out[frame.rows[lo:hi] - first] = rhs[lo:hi]
+            return out
+
         tiny = np.finfo(float).tiny
-        windows = []
-        for first, lo, w, hi in spans:
+        solved = []
+        for first, lo, w, hi in split.open(rhs, frame):
             while True:
-                xw = self._core_solve(rhs[first:w], trans, (first, w))
+                bw = window(first, w)
+                xw = self._core_solve(bw, trans, (first, w))
                 if w == hi or not (np.abs(xw[-2:]) >= tiny).any():
                     break
                 w = min(hi, lo + 2 * (w - lo))
+            if w < hi:
+                xw[-2:] = 0   # the edge of the frame
             split.ends[lo] = w
-            x[first:w] = xw
-            windows.append(slice(first, w))
-        return x, windows
+            solved.append((first, xw, bw))
+        frame = split.frame
+        # column-major, as gttrs returns it
+        x = np.zeros((len(frame), c), dtype=np.result_type(rhs, self._dtype), order="F")
+        for first, xw, _ in solved:
+            at = first if frame.full else int(np.searchsorted(frame.rows, first))
+            x[at:at + len(xw)] = xw
+        return x, [(xw, bw) for _, xw, bw in solved]
 
-    def solve(self, rhs, trans="N"):
+    def solve(self, rhs, trans="N", framed=False):
         """Solve (A + shift*E) X = rhs, or with trans='T' the plain
         transpose (A^T + shift*E^T) X = rhs.  A 1-D rhs is solved as one
-        column and gives a 1-D result.  A windowed pencil (the split's
+        column and gives a 1-D result.  ``rhs`` has n rows or is on the
+        split's frame; the solution has n rows, or with ``framed`` is on the
+        frame as the solve leaves it.  A windowed pencil (the split's
         ``windowed``) is solved on the rows its solution reaches
         (``_windows``), and checked there."""
         rhs = np.asarray(rhs)
         vector = rhs.ndim == 1
         rhs = rhs[:, None] if vector else np.atleast_2d(rhs)
-        if rhs.shape[0] != self.n:
-            raise DimensionMismatch(
-                f"rhs has {rhs.shape[0]} rows, expected {self.n}"
-            )
         split = self._split
-        rows = [slice(None)]
+        if rhs.shape[0] == self.n and not split.frame.full:
+            split.open(rhs, RowFrame(self.n))   # the frame takes rhs's rows
+            rhs = split.frame.gather(rhs)
+        elif rhs.shape[0] != len(split.frame):
+            raise DimensionMismatch(
+                f"rhs has {rhs.shape[0]} rows, expected {self.n} or the "
+                f"frame's {len(split.frame)}")
         if split.windowed:
-            x, rows = self._windows(rhs, trans)
+            x, parts = self._windows(rhs, trans)
         elif split.core is None:
             x = self._core_solve(rhs, trans)
+            parts = [(x, rhs)]
         else:
             x = rhs / self._d[:, None]
             if len(split.core):
                 x[split.core] = self._core_solve(rhs[split.core], trans)
-        parts = [(x[r], rhs[r]) for r in rows]
+            parts = [(x, rhs)]
         if not all(np.all(np.isfinite(xp)) for xp, _ in parts):
             raise SingularShiftedMatrix(
                 f"solve with shift {self.shift} produced non-finite values"
@@ -365,6 +509,7 @@ class ShiftedFactorization:
                                                      for _, bp in parts)):
             raise SingularShiftedMatrix(
                 f"A + ({self.shift})*E is numerically singular")
+        x = x if framed else split.frame.scatter(x)
         return x[:, 0] if vector else x
 
 
@@ -373,10 +518,10 @@ class FactorizationCache:
 
     The pencil is split into decoupled states and coupled core once, here,
     and every LU of the cache (and of its ``transposed()`` cache) shares
-    that split.  Holds the LU used last plus those of the shifts passed to
-    ``declare_recurring``; the others are dropped when a new shift is asked
-    for.  ``factor_count`` counts the LUs this cache made itself and
-    ``solve_count`` the calls of its ``solve``.
+    that split, and so its row frame (``frame``).  Holds the LU used last
+    plus those of the shifts passed to ``declare_recurring``; the others are
+    dropped when a new shift is asked for.  ``factor_count`` counts the LUs
+    this cache made itself and ``solve_count`` the calls of its ``solve``.
     """
 
     def __init__(self, A, E, parent=None):
@@ -404,12 +549,11 @@ class FactorizationCache:
         return len(self._store)
 
     @property
-    def reach(self):
-        """Row slices that cover every row this cache's solves returned
-        nonzero (the split's ``reach``, so they cover the solves of every
-        cache that shares it): all rows for any non-tridiagonal or split
-        pencil."""
-        return self._split.reach
+    def frame(self):
+        """The RowFrame of this cache's solves, shared with every cache of
+        the split: the rows solves have reached on a windowed pencil, all
+        rows on any other."""
+        return self._split.frame
 
     def get(self, shift):
         """The LU this cache solves with (of A + shift*E, applied
@@ -425,9 +569,10 @@ class FactorizationCache:
         self._store[key] = fac
         return fac
 
-    def solve(self, shift, rhs):
+    def solve(self, shift, rhs, framed=False):
+        """Solve with the LU of ``shift`` (``ShiftedFactorization.solve``)."""
         self.solve_count += 1
-        return self.get(shift).solve(rhs, trans=self._trans)
+        return self.get(shift).solve(rhs, trans=self._trans, framed=framed)
 
 
 def shifted_solve(A, E, shift, rhs):

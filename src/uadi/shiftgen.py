@@ -287,13 +287,13 @@ class _Window:
     the Galerkin pencil (Q^T A Q, Q^T E Q) on it; both grow by the
     columns observed since they last grew, when a ranking asks, and start
     over at a restart.  ``epoch`` counts the restarts, so that a two-sided
-    oracle knows when its cross matrices went stale."""
+    oracle knows when its cross matrices went stale.  The window's n-row
+    arrays are on the rows of its system (``observe``): an engine side's
+    row frame and its system restricted to it."""
 
     def __init__(self, sys, cap):
-        self.sys, self.cap = sys, cap
-        # the pencil and its transpose, made once: a transposed view of a
-        # sparse matrix is checked anew each time it is made
-        self.ops = None if sys is None else (sys.A, sys.E, sys.A.T, sys.E.T)
+        self.cap = cap
+        self._use(sys)
         self.X, self.start = None, 0
         self.perp = self.gain = None
         self._buf, self.epoch = None, -1
@@ -306,7 +306,22 @@ class _Window:
         self._colmax = 0.0      # largest column norm the window has held
         self._held = (np.empty((0, 0)),) * 2   # (Q^T A Q, Q^T E Q)
 
-    def observe(self, X, perp, gain=None):
+    def _use(self, sys):
+        self.sys = sys
+        # the pencil and its transpose, made once: a transposed view of a
+        # sparse matrix is checked anew each time it is made
+        self.ops = None if sys is None else (sys.A, sys.E, sys.A.T, sys.E.T)
+
+    def observe(self, X, perp, gain=None, sys=None):
+        """Look onto the basis X and the residual factor perp.  ``sys``, when
+        given, is the system they are on (an engine side's system restricted
+        to its row frame): once it is a new one, the frame Q gains zero rows
+        where the new frame does, and the held pencils stay as they are,
+        since Q is zero there."""
+        if sys is not None and sys is not self.sys:
+            if self._buf is not None:
+                self._buf = sys.frame.lift(self._buf, self.sys.frame)
+            self._use(sys)
         if self.X is not None and X.shape[1] - self.start > self.cap:
             self.start = self.X.shape[1]
             self._restart()
@@ -385,7 +400,7 @@ class StaticShiftOracle:
             raise ValueError("empty shift list")
         self._k = 0
 
-    def observe(self, *_):
+    def observe(self, *_, **__):
         """A fixed list learns nothing from a step."""
 
     def next_unit(self):
@@ -405,8 +420,8 @@ class ProjectionShiftOracle:
         self.history = _Window(sys, 0)
         self._unit_queue = []
 
-    def observe(self, X, perp):
-        self.history.observe(X, perp)
+    def observe(self, X, perp, sys=None):
+        self.history.observe(X, perp, sys=sys)
 
     def next_unit(self):
         h = self.history
@@ -436,8 +451,8 @@ class SubspaceShiftOracle:
     def __init__(self, sys, cap=DEFAULT_CAP):
         self.history = _Window(sys, cap)
 
-    def observe(self, X, perp, feedback_gain=None):
-        self.history.observe(X, perp, feedback_gain)
+    def observe(self, X, perp, feedback_gain=None, sys=None):
+        self.history.observe(X, perp, feedback_gain, sys)
 
     def next_unit(self):
         if self.history.width == 0:
@@ -455,15 +470,16 @@ class _TwoSidedOracle:
         self.hist_v = _Window(sys_v, cap)
         self.hist_w = _Window(sys_w, cap)
 
-    def observe(self, V, W, v_perp, w_perp):
-        self.hist_v.observe(V, v_perp)
-        self.hist_w.observe(W, w_perp)
+    def observe(self, V, W, v_perp, w_perp, systems=(None, None)):
+        self.hist_v.observe(V, v_perp, sys=systems[0])
+        self.hist_w.observe(W, w_perp, sys=systems[1])
 
 
 class PetrovBtShiftOracle(_TwoSidedOracle):
     """Two-sided dominance ranking on one system; emits alpha = beta units.
     A singular projected E falls back to the V side's Galerkin ranking.  The
-    W window never ranks on its own, so it holds no system."""
+    W window never ranks on its own, so it holds no system until one is
+    observed with it (the engine's, for its row frame)."""
 
     def __init__(self, sys, cap=DEFAULT_CAP):
         super().__init__(sys, None, cap)

@@ -19,7 +19,7 @@ from .errors import (
     SingularE,
     SingularShiftedMatrix,
 )
-from .linalg import ShiftedFactorization, solve_small_lyapunov
+from .linalg import RowFrame, ShiftedFactorization, solve_small_lyapunov
 
 __all__ = [
     "StateSpaceSystem",
@@ -34,7 +34,11 @@ __all__ = [
 
 
 class StateSpaceSystem:
-    """Realization (E, A, B, C, D) of G(s) = C (sE - A)^{-1} B + D."""
+    """Realization (E, A, B, C, D) of G(s) = C (sE - A)^{-1} B + D.
+
+    ``frame`` is the RowFrame of the states it holds: those of a larger
+    realization it was restricted from (``restricted``), or all its own.
+    """
 
     def __init__(self, E, A, B, C, D=None, label="", check_E=True):
         A = A.tocsc() if sps.issparse(A) else sps.csc_matrix(np.atleast_2d(A))
@@ -62,6 +66,7 @@ class StateSpaceSystem:
                 raise SingularE(f"E is singular: {exc}") from exc
         self.E, self.A, self.B, self.C, self.D = E, A, B, C, D
         self.label = label
+        self.frame = RowFrame(n)   # the rows of the realization it restricts
 
     @property
     def n(self):
@@ -81,6 +86,22 @@ class StateSpaceSystem:
             self.E.T, self.A.T, self.C.T, self.B.T, self.D.T,
             label=self.label + ".dual", check_E=False,
         )
+
+    def restricted(self, frame):
+        """This realization on the states of a RowFrame of its own: E and A
+        on the frame's rows and columns, B on its rows, C on its columns
+        (``RowFrame.restrict`` asserts that E and A couple the frame to
+        other rows only through its edge).  B must vanish off the frame.
+        The full frame gives the realization itself."""
+        if frame.full:
+            return self
+        B = frame.gather(self.B)
+        assert np.count_nonzero(B) == np.count_nonzero(self.B), "B off the frame"
+        out = StateSpaceSystem(frame.restrict(self.E), frame.restrict(self.A), B,
+                               frame.gather(self.C.T).T, self.D,
+                               label=self.label, check_E=False)
+        out.frame = frame
+        return out
 
     def same_realization(self, other):
         return other is self or (

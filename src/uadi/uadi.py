@@ -191,21 +191,19 @@ def _flush_subnormals(block):
 
 
 class _Columns:
-    """An n-row float array that grows by appending column blocks in place.
+    """A float array on a row frame that grows by appending column blocks
+    in place.
 
     Column-major storage whose capacity grows by ``_GROWTH`` when full, so
-    a new block costs O(n m) copied bytes, amortized, instead of a copy of
-    the whole basis.  The buffer is zero-filled, and ``append`` writes, and
-    a reallocation copies, only the rows of ``rows`` (all by default):
-    slices that cover every nonzero row of every block appended so far.
-    Neither the unused capacity nor the rows past them are ever written.
-    ``view`` is the filled part, read-only.  Filled columns are
-    never written again, so a view taken earlier keeps its values when the
-    buffer is reallocated.
+    a new block costs O(rows m) copied bytes, amortized, instead of a copy
+    of the whole basis.  ``view`` is the filled part, read-only.  ``lift``
+    moves the array onto a grown frame, whose new rows read zero.  Filled
+    columns are never written again, so a view taken earlier keeps its
+    values when the buffer is reallocated.
     """
 
-    def __init__(self, n):
-        self._buf = np.zeros((n, 0), order="F")
+    def __init__(self, rows):
+        self._buf = np.zeros((rows, 0), order="F")
         self.k = 0
 
     @property
@@ -214,17 +212,17 @@ class _Columns:
         v.flags.writeable = False
         return v
 
-    def append(self, block, rows=(slice(None),)):
+    def append(self, block):
         k = self.k + block.shape[1]
         if k > self._buf.shape[1]:
-            cap = max(k, _GROWTH * self._buf.shape[1])
-            buf = np.zeros((self._buf.shape[0], cap), order="F")
-            for r in rows:
-                buf[r, : self.k] = self._buf[r, : self.k]
+            buf = np.empty((len(self._buf), max(k, _GROWTH * self._buf.shape[1])), order="F")
+            buf[:, : self.k] = self._buf[:, : self.k]
             self._buf = buf
-        for r in rows:
-            self._buf[r, self.k : k] = block[r]
+        self._buf[:, self.k : k] = block
         self.k = k
+
+    def lift(self, frame, old):
+        self._buf = frame.lift(self._buf[:, : self.k], old)
 
 
 def _family_configs(sys, gamma, name):
@@ -295,9 +293,10 @@ class _Eq:
     diagonal of the step couplings' inverses (transposed on the W side).  An
     identity M is kept as None; T = None is the whole untransformed basis,
     the side's Lyapunov equation.  A record is seeded at X = 0 with an empty
-    T, M and Y.  Its residual factor perp = B rr - E X Y and the factor's
-    Gram are None while stale, formed on read (``_Side.form``): read a
-    record through the state, never as ``side.eqs[...]``.
+    T, M and Y.  Its residual factor perp = B rr - E X Y, on the side's
+    row frame, and the factor's Gram are None while stale, formed on read
+    (``_Side.form``): read a record through the state, never as
+    ``side.eqs[...]``.
     """
 
     T: np.ndarray
@@ -393,14 +392,26 @@ class _Side:
     G2.dual() = (E2^T, A2^T, C2^T, B2^T, D2^T): its basis is W, its residual
     factor the n x p factor Cperp^T and its projected output map W^T B2.
     Its other records' factors are stale between reads (``_Eq``).
+
+    Every n-row array of the side, its basis and its records' factors, is
+    held on ``frame``: all n rows until the first solve, then its cache's
+    row frame (``FactorizationCache.frame``), the rows its solves reach,
+    which the two sides of one system share.  Products with the system run
+    on ``fsys``, the system restricted to the frame once per growth.  On a
+    pencil that is not windowed the frame is all rows and ``fsys`` the
+    system itself.  S's Schur form is built when a record first extracts
+    (``schur``), so the Lyapunov pair alone never builds it.
     """
 
     def __init__(self, sys, cache, weight, suffix):
         self.sys, self.cache, self.weight = sys, cache, weight
         self.suffix = suffix        # tag suffix of this side's equations
+        self.frame = self.sys.frame
+        self._fsys = sys
         self._X = _Columns(sys.n)
-        # S with its complex Schur form, grown one diagonal block per unit
-        self.schur = schur_form(np.zeros((0, 0)))
+        # S alone, grown one diagonal block per unit, until a record asks
+        # for its complex Schur form (``schur``), which then grows with it
+        self._S, self._schur = np.zeros((0, 0)), None
         self.L = np.zeros((sys.m, 0))
         self.G = np.zeros((0, sys.p))   # X^T C^T
         B = np.array(sys.B, dtype=float)
@@ -408,48 +419,91 @@ class _Side:
         self.bounds = [0]               # basis-column counts at unit boundaries
         self.eqs, self.sylv = {}, None
 
-    X = property(lambda self: self._X.view, doc="Shared basis, read-only.")
-    S = property(lambda self: self.schur.a)
+    X = property(lambda self: self._X.view, doc="Shared basis on the frame, read-only.")
+    S = property(lambda self: self._S if self._schur is None else self._schur.a)
     k = property(lambda self: self._X.k)
     perp = property(lambda self: self.lyap.perp,
                     doc="Residual factor of the Lyapunov record, read-only.")
 
+    @property
+    def schur(self):
+        """S's complex Schur form, Z block diagonal at the unit boundaries:
+        built from S's unit blocks s = s_1 (x) I_m on first demand, as the
+        step would have grown it, and held and grown with S from then on.
+        A side whose records never ask (the Lyapunov pair alone) never
+        builds it."""
+        if self._schur is None:
+            S, m = self._S, self.sys.m
+            form = schur_form(np.zeros((0, 0)))
+            for lo, hi in zip(self.bounds, self.bounds[1:]):
+                s1 = schur_form(S[lo:hi:m, lo:hi:m], output="complex")
+                form = form.extended(S[:lo, lo:hi], s1.kron(m))
+            self._S, self._schur = None, form
+        return self._schur
+
+    @property
+    def fsys(self):
+        """The side's system restricted to its frame, once per frame."""
+        if len(self._fsys.frame) != len(self.frame):
+            self._fsys = self.sys.restricted(self.frame)
+        return self._fsys
+
+    def sync(self):
+        """Lift the basis and every held factor onto the cache's frame, if
+        it has grown: their new rows are zero."""
+        frame = self.cache.frame
+        if frame is self.frame:
+            return
+        old, self.frame = self.frame, frame
+        self._X.lift(frame, old)
+        for eq in (self.lyap, *self.eqs.values(), self.sylv):
+            if eq is not None and eq.perp is not None:
+                eq.perp = frame.lift(eq.perp, old)
+
     def expand(self, unit):
         """Extend the basis by one shift unit with one large shifted solve,
         then S, L, G and the Lyapunov residual factor."""
-        sol = self.cache.solve(unit.value, self.perp)
+        if self.k:   # until its first solve a side is on all n rows
+            self.sync()
+        sol = self.cache.solve(unit.value, self.perp, framed=True)
+        self.sync()
         block = _flush_subnormals(realified_columns(unit, sol))
-        _, l = lyap_sl(unit, self.sys.m)
-        # s = s_1 (x) I_m: its form repeats each eigenvalue exactly m times
-        s1 = schur_form(lyap_sl(unit, 1)[0], output="complex")
-        self.schur = self.schur.extended(self.L.T @ l, s1.kron(self.sys.m))
+        # the pencil couples the frame to other rows only through its edge
+        # rows, where every solve is zero, so E X vanishes off the frame
+        assert not block[self.frame.edge].any()
+        s, l = lyap_sl(unit, self.sys.m)
+        if self._schur is None:
+            self._S = np.block([[self._S, self.L.T @ l],
+                                [np.zeros((len(s), len(self._S))), s]])
+        else:
+            # s = s_1 (x) I_m: its form repeats each eigenvalue exactly m times
+            s1 = schur_form(lyap_sl(unit, 1)[0], output="complex")
+            self._schur = self._schur.extended(self.L.T @ l, s1.kron(self.sys.m))
         self.L = np.hstack([self.L, l])
-        self._X.append(block, self.cache.reach)
-        self.G = np.vstack([self.G, block.T @ self.sys.C.T])
-        perp = self.perp - (self.sys.E @ block) @ l.T
+        self._X.append(block)
+        fsys = self.fsys
+        self.G = np.vstack([self.G, block.T @ fsys.C.T])
+        perp = self.perp - (fsys.E @ block) @ l.T
         self.lyap.perp, self.lyap.gram = perp, perp.T @ perp
         self.bounds.append(self.k)
 
     def form(self):
         """Form the factor perp = B rr - E X Y and its Gram of every stale
         record of the side in one pass, R = B [rr_1 ... rr_r] -
-        E (X [Y_1 ... Y_r]), and every Gram as a diagonal block of R^T R.
-        A Sylvester half's or degraded record's Y covers a basis prefix and
-        is zero-padded to k rows here.  X Y is formed on the cache's
-        ``reach`` slices alone: X is zero past them."""
+        E (X [Y_1 ... Y_r]), on the frame, and every Gram as a diagonal
+        block of R^T R.  A Sylvester half's or degraded record's Y covers a
+        basis prefix and is zero-padded to k rows here."""
         stale = [eq for eq in (*self.eqs.values(), self.sylv)
                  if eq is not None and eq.perp is None]
         if not stale:
             return
+        fsys = self.fsys
         # np.dot: for a one-column B, matmul's own loop is 6x slower than BLAS
         I = np.eye(self.sys.m)
-        R = np.dot(self.sys.B, np.hstack([I if eq.rr is None else eq.rr for eq in stale]))
+        R = np.dot(fsys.B, np.hstack([I if eq.rr is None else eq.rr for eq in stale]))
         if self.k:   # before the first step X is empty and R is B rr
             Y = np.hstack([_pad_rows(eq.Y, self.k - len(eq.Y)) for eq in stale])
-            XY = np.zeros(R.shape)
-            for r in self.cache.reach:
-                np.matmul(self.X[r], Y, out=XY[r])
-            R -= self.sys.E @ XY
+            R -= fsys.E @ (self.X @ Y)
         gram = R.T @ R
         start = 0
         for eq in stale:
@@ -498,11 +552,15 @@ class UadiState:
         self.w = _Side(dual, cache2, S2, "_q")
         self._build_table()
 
-    V = property(lambda self: self.v.X, doc="Shared basis of the V side.")
-    W = property(lambda self: self.w.X, doc="Shared basis of the W side.")
-    Bperp = property(lambda self: self.v.perp,
+    # the n-row outputs: a side's array scattered from its frame, or the
+    # array itself on the full frame
+    V = property(lambda self: self.v.frame.scatter(self.v.X),
+                 doc="Shared basis of the V side.")
+    W = property(lambda self: self.w.frame.scatter(self.w.X),
+                 doc="Shared basis of the W side.")
+    Bperp = property(lambda self: self.v.frame.scatter(self.v.perp),
                      doc="Residual factor of the controllability Gramian of G1.")
-    Cperp = property(lambda self: self.w.perp.T,
+    Cperp = property(lambda self: self.w.frame.scatter(self.w.perp).T,
                      doc="Residual factor (p x n) of the observability Gramian of G2.")
     cache1 = property(lambda self: self.v.cache)
     cache2 = property(lambda self: self.w.cache)
@@ -632,6 +690,7 @@ class UadiState:
         bu = beta if isinstance(beta, ShiftUnit) else ShiftUnit(beta)
         for side, unit in ((self.v, au), (self.w, bu)):
             side.expand(unit)
+        self.v.sync()   # the W side's solve may have grown their shared frame
         self.alpha_units.append(au)
         self.beta_units.append(bu)
         self._apply(self._step_outcomes())
@@ -664,11 +723,11 @@ class UadiState:
 
     # -- outputs ------------------------------------------------------------
 
-    def entry(self, tag, started=False):
+    def entry(self, tag, started=False, form=True):
         """The table entry (side, eq, weight, right) of an enabled tag, read:
-        a stale tag first has its due pair rebuild run, then each side it
-        reads (both for ``sylv`` and the pair) forms its stale factors.  With
-        ``started``, the engine must have taken a step."""
+        a stale tag first has its due pair rebuild run, then, with ``form``,
+        each side it reads (both for ``sylv`` and the pair) forms its stale
+        factors.  With ``started``, the engine must have taken a step."""
         if tag not in self.table:
             raise EquationSkipped(
                 f"{tag} not enabled: {self.skipped.get(tag, 'not selected')}"
@@ -676,38 +735,42 @@ class UadiState:
         if started and self.v.k == 0 and self.w.k == 0:
             raise EquationSkipped("no completed iterations")
         side, _, _, right = self.table[tag]
-        if self.stale(tag):
-            if self._rebuild_due(tag):
-                self._apply(self._pair_outcomes())
+        if self._rebuild_due(tag):
+            self._apply(self._pair_outcomes())
+        if form and self.stale(tag):
             for s in (self.v, self.w) if right or tag in self._pair else (side,):
                 s.form()
         return self.table[tag]
 
     def extract(self, tag):
-        side, eq, weight, right = self.entry(tag, started=True)
+        """Low-rank factors of ``tag``'s solution, from T, M and the bases
+        alone: no residual factor is formed."""
+        side, eq, weight, right = self.entry(tag, started=True, form=False)
         if eq.T is None:
             middle = (None if weight is None else
                       np.kron(np.eye(side.k // side.sys.m), weight))
-            return LowRankSolution(side.X.copy(), middle, tag=tag)
+            return LowRankSolution(side.frame.scatter(side.X.copy()), middle, tag=tag)
         # a degraded equation's transform covers a prefix of the basis
         q = eq.T.shape[0]
         middle = np.eye(eq.T.shape[1]) if eq.M is None else eq.M.copy()
-        other = None if right is None else self.W[:, :q] @ right.T  # sylv's W half
-        return LowRankSolution(side.X[:, :q] @ eq.T, middle, other, tag=tag)
+        other = (None if right is None else   # sylv's W half
+                 self.w.frame.scatter(self.w.X[:, :q] @ right.T))
+        return LowRankSolution(side.frame.scatter(side.X[:, :q] @ eq.T), middle,
+                               other, tag=tag)
 
     def rank(self, tag):
         """Rank of extract(tag), read off the stored transforms without
         forming the n-row factors."""
-        side, eq, _, _ = self.entry(tag, started=True)
+        side, eq, _, _ = self.entry(tag, started=True, form=False)
         return side.k if eq.T is None else eq.T.shape[1]
 
     def residual_factor(self, tag):
-        _, eq, weight, right = self.entry(tag)
-        if right is not None:
-            return (ResidualFactor(eq.perp.copy()),
-                    ResidualFactor(right.perp.T.copy()))
-        return ResidualFactor(eq.perp.copy(),
+        side, eq, weight, right = self.entry(tag)
+        perp = ResidualFactor(side.frame.scatter(eq.perp.copy()),
                               None if weight is None else weight.copy())
+        if right is not None:   # sylv's W half
+            return perp, ResidualFactor(self.w.frame.scatter(right.perp).T.copy())
+        return perp
 
     def _norm(self, tag):
         """Unnormalized residual norm of an enabled tag, from the Grams its

@@ -877,6 +877,7 @@ class TestExtractionKernel:
 class TestPolePlacement:
     def test_table_rows(self):
         g, st = rlc_state()
+        residual_norm(st, "sylv")   # forms every factor of both sides
         E, A = g.E.toarray(), g.A.toarray()
         D = g.D
         m = g.m
@@ -1393,7 +1394,8 @@ class TestBasisStorage:
         walk(st.v, "v")
         walk(st.w, "w")
         assert bases <= seen and st.v.k > 2 * width
-        assert {"ricc", "mp", "sf"} <= set(st.v.eqs) and st.v.sylv.perp.shape[0] == g.n
+        assert {"ricc", "mp", "sf"} <= set(st.v.eqs) and len(st.v.frame) == g.n
+        assert st.v.sylv.perp.shape[0] == g.n
         assert not wide, wide
 
 
@@ -1402,31 +1404,33 @@ class TestBasisStorage:
     LADDER_STEPS = (-1.8668729544418896, -6.885954263407086 - 6.441429934054144j,
                     -1.1031187944147431, -2.9234796268520906 + 9.505648662720313j)
 
-    def test_rows_outside_reach_read_zero(self):
-        """``_Columns`` writes, and copies when it reallocates, only the
-        rows it is given, which grow: rows outside them read zero at every
-        size, even where a block holds other values, and the given rows
-        hold the blocks."""
+    def test_lift_pads_zero_rows(self):
+        """A ``_Columns`` buffer holds its frame's rows alone; lifted onto a
+        grown frame it reads zero on the new rows and keeps every block on
+        the old ones, whatever its capacity."""
+        from uadi.linalg import RowFrame
         from uadi.uadi import _Columns
 
         rng = np.random.default_rng(8)
-        cols, want, capacities = _Columns(12), [], set()
-        for rows in ([slice(0, 3)], [slice(0, 3)], [slice(0, 4), slice(6, 8)],
-                     [slice(0, 4), slice(6, 8)], [slice(0, 5), slice(6, 10)]):
-            block = rng.standard_normal((12, 2))
-            kept = np.zeros_like(block)
-            for r in rows:
-                kept[r] = block[r]
-            cols.append(block, rows)
-            want.append(kept)
+        frames = [RowFrame(12, np.array(r)) for r in
+                  ([0, 1, 2], [0, 1, 2, 3, 6, 7], [0, 1, 2, 3, 4, 6, 7, 8, 9])]
+        frames.append(RowFrame(12))
+        cols, frame, want, capacities = _Columns(3), frames[0], [], set()
+        for new in (frames[0], frames[1], frames[1], frames[2], frames[3]):
+            cols.lift(new, frame)
+            frame = new
+            block = np.zeros((12, 2))
+            block[frame.rows if not frame.full else slice(None)] = rng.standard_normal((len(frame), 2))
+            cols.append(frame.gather(block))
+            want.append(block)
             capacities.add(cols._buf.shape[1])
-            np.testing.assert_array_equal(cols.view, np.hstack(want))
+            np.testing.assert_array_equal(frame.scatter(cols.view), np.hstack(want))
         assert len(capacities) > 2   # reallocated more than once
 
-    def test_block_is_zero_outside_reach(self, monkeypatch):
-        """On rlc_ladder(4000) every new basis block is zero outside its
-        side's cache reach, which stops short of both blocks' ends, and so
-        are V and W."""
+    def test_frame_covers_every_block(self, monkeypatch):
+        """On rlc_ladder(4000) every new basis block is on its side's row
+        frame, the reach of its cache, which stops short of both blocks'
+        ends, and V and W are zero off the frame."""
         import uadi.uadi as engine
 
         g = rlc_ladder(4000)
@@ -1437,28 +1441,34 @@ class TestBasisStorage:
 
         def outside(side):
             mask = np.ones(g.n, dtype=bool)
-            for r in side.cache.reach:
-                mask[r] = False
+            mask[side.frame.rows] = False
             return mask
 
         for unit in self.LADDER_STEPS:
             uadi_step(st, unit, unit)
             for side, block in zip((st.v, st.w), blocks[-2:]):
-                assert not block[outside(side)].any()
-        for side in (st.v, st.w):
-            assert [r.start for r in side.cache.reach] == [0, g.n // 2]
-            assert all(r.stop < end for r, end in zip(side.cache.reach, (g.n // 2, g.n)))
-            assert not side.X[outside(side)].any()
+                assert len(block) == len(side.frame) == side.X.shape[0]
+        for side, X in ((st.v, st.V), (st.w, st.W)):
+            reach = side.cache._split.reach
+            assert [r.start for r in reach] == [0, g.n // 2]
+            assert all(r.stop < end for r, end in zip(reach, (g.n // 2, g.n)))
+            np.testing.assert_array_equal(
+                side.frame.rows, np.concatenate([np.arange(r.start, r.stop) for r in reach]))
+            assert X.shape == (g.n, side.k) and not X[outside(side)].any()
 
     @pytest.mark.parametrize("g", [penzl_triple_peak(200, 10, 20, 30),
                                    random_stable_system(30, 2, 2, 3)])
-    def test_reach_is_all_rows_off_the_ladders(self, g):
+    def test_frame_is_all_rows_off_the_ladders(self, g):
         """A split pencil (penzl's decoupled states) or a non-tridiagonal
-        one reaches every row."""
+        one has the full frame: the side holds the system itself and
+        state.V is the side's buffer, with no copy."""
         st = uadi_init(g, g, None, "lyap_p,lyap_q")
         for a in (-1.0, -2 + 1j):
             uadi_step(st, a, a)
-        assert st.v.cache.reach == st.w.cache.reach == [slice(0, g.n)]
+        for side in (st.v, st.w):
+            assert side.frame.full and side.fsys is side.sys
+        assert np.shares_memory(st.V, st.v._X._buf)
+        assert np.shares_memory(st.W, st.w._X._buf)
 
 
 class TestFactorsOnRead:
@@ -1511,12 +1521,13 @@ class TestFactorsOnRead:
         assert len(passes) == 4
         checked = 0
         for side in (st.v, st.w):
-            assert side.cache.reach != [slice(0, g.n)]
+            assert not side.frame.full
             for eq in [*side.eqs.values(), side.sylv]:
                 rr = np.eye(g.m) if eq.rr is None else eq.rr
                 y = np.vstack([eq.Y, np.zeros((side.k - len(eq.Y), eq.Y.shape[1]))])
-                want = side.sys.B @ rr - side.sys.E @ (side.X @ y)
-                assert np.abs(eq.perp - want).max() <= 1e-15 * np.abs(want).max()
+                want = side.sys.B @ rr - side.sys.E @ (side.frame.scatter(side.X) @ y)
+                got = side.frame.scatter(eq.perp)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
                 assert np.abs(eq.gram - want.T @ want).max() <= 1e-13 * np.abs(eq.gram).max()
                 checked += 1
         assert checked == 14 and not st.degraded
@@ -1789,3 +1800,213 @@ class TestTraceHooks:
         assert result["setup_s"] > 0 and result["solve_s"] > 0
         assert (result["setup_s"] + result["solve_s"] + result["report_s"]
                 <= result["total_s"])
+
+
+def _adi_defect(sys, X, side):
+    """||A X + B L - E X S||_F / ||B||_F of one side, over all n rows."""
+    R = sys.A @ X + sys.B @ side.L - sys.E @ (X @ side.S)
+    return np.linalg.norm(R) / np.linalg.norm(sys.B)
+
+
+class TestAdiRelation:
+    """Every tracked residual equals the true one only as far as the basis
+    satisfies A X + B L = E X S; checked per side through the public n-row
+    V and W (the W side on G2.dual())."""
+
+    @pytest.mark.parametrize("case", ["ladder", "penzl", "pair"])
+    def test_relation_holds(self, case):
+        if case == "ladder":   # near-axis shifts: the windows double, the frame grows
+            g = rlc_ladder(4000)
+            units = (-1.8668729544418896, -0.05, -0.01 + 0.3j, -0.002)
+        elif case == "penzl":
+            g = penzl_triple_peak(400, 10, 20, 30)
+            units = (-1.0, -10 + 20j, -5.0, -1 + 30j)
+        else:
+            g = rlc_ladder(200)
+            units = (-0.3 + 2j, -2 + 10j)
+        st = uadi_init(g, g, None, "lyap_p,lyap_q,ricc_p,ricc_q")
+        sizes = []
+        for unit in units:
+            uadi_step(st, unit, unit)
+            sizes.append(len(st.v.frame))
+        if case == "ladder":
+            assert len(set(sizes)) > 1 and sizes[-1] < g.n   # grown mid-run, still short
+        for sys, X, side in ((st.sys1, st.V, st.v), (st.sys2.dual(), st.W, st.w)):
+            assert X.shape == (g.n, side.k)
+            assert _adi_defect(sys, X, side) <= 1e-13
+
+
+class TestRowFrame:
+    """On the RLC ladders a side holds every n-row array on the rows its
+    solves reach, its frame; the public outputs scatter to n rows and equal
+    the full-n formulas."""
+
+    STEPS = TestBasisStorage.LADDER_STEPS + (-0.01,)
+
+    @staticmethod
+    def _state():
+        g = rlc_ladder(4000)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        return g, st
+
+    def test_outputs_equal_the_full_formulas(self):
+        """V, W, Bperp, Cperp, every extract and every residual factor
+        equal B rr - E (X Y) on all n rows, X = V or W, to 1e-15 of its
+        terms (the Lyapunov factor is updated by one term per step)."""
+        g, st = self._state()
+        sizes = []
+        for unit in self.STEPS:
+            uadi_step(st, unit, unit)
+            sizes.append(len(st.v.frame))
+        assert len(set(sizes)) > 1 and sizes[-1] < g.n
+        assert st.v.frame is st.w.frame   # one frame per split
+        V, W = st.V, st.W
+        for side, X in ((st.v, V), (st.w, W)):
+            assert X.shape == (g.n, side.k)
+            np.testing.assert_array_equal(side.frame.gather(X), side.X)
+        for tag in sorted(st.enabled):
+            got = st.residual_factor(tag)   # rebuilds a due pair first
+            side, eq, _, right = st.table[tag]
+            got = got[0] if right is not None else got
+            X = V if side is st.v else W
+            sys = side.sys
+            rr = np.eye(sys.m) if eq.rr is None else eq.rr
+            Y = side.L.T if eq.T is None else eq.Y
+            Brr, EXY = sys.B @ rr, sys.E @ (X[:, :len(Y)] @ Y)
+            scale = max(np.abs(Brr).max(), np.abs(EXY).max())
+            assert np.abs(got.factor - (Brr - EXY)).max() <= 1e-15 * scale, tag
+            sol = st.extract(tag)
+            left = X if eq.T is None else X[:, :len(eq.T)] @ eq.T
+            assert np.abs(sol.left - left).max() <= 1e-15 * np.abs(left).max(), tag
+        for perp, side, X in ((st.Bperp, st.v, V), (st.Cperp.T, st.w, W)):
+            EXY = side.sys.E @ (X @ side.L.T)
+            scale = max(np.abs(side.sys.B).max(), np.abs(EXY).max())
+            assert np.abs(perp - (side.sys.B - EXY)).max() <= 1e-15 * scale
+
+    def test_frame_covers_every_solution(self, monkeypatch):
+        """Every windowed solve of the engine agrees, scattered to n rows,
+        with one full-length gttrs of the same right-hand side after the
+        subnormal flush: nothing it reaches lies off the frame."""
+        from uadi.linalg import ShiftedFactorization
+        from uadi.uadi import _flush_subnormals
+
+        g, st = self._state()
+        solves, solve = [], ShiftedFactorization.solve
+
+        def recording(fac, rhs, trans="N", framed=False):
+            rows = fac._split.frame.scatter(rhs) if len(rhs) != g.n else rhs
+            x = solve(fac, rhs, trans, framed)
+            solves.append((fac, rows, trans, fac._split.frame.scatter(x)))
+            return x
+
+        monkeypatch.setattr(ShiftedFactorization, "solve", recording)
+        for unit in self.STEPS:
+            uadi_step(st, unit, unit)
+        assert len(solves) == 2 * len(self.STEPS)
+        for fac, rhs, trans, x in solves:
+            full = fac._core_solve(rhs, trans)
+            gap = _flush_subnormals(x.copy()) - _flush_subnormals(full.copy())
+            assert np.abs(gap).max() <= 1e-290
+
+    def test_a_step_allocates_no_n_row_array(self):
+        """After the steps, the sides and a petrov-bt oracle that observed
+        them hold no 2-D array of n rows but the systems they were given."""
+        from uadi.shiftgen import PetrovBtShiftOracle
+
+        g, st = self._state()
+        oracle = PetrovBtShiftOracle(st.v.sys, 4)
+        for unit in self.STEPS:
+            uadi_step(st, unit, unit)
+            oracle.observe(st.v.X, st.w.X, st.v.perp, st.w.perp, (st.v.fsys, st.w.fsys))
+            oracle.next_unit()
+        for tag in st.enabled:
+            residual_norm(st, tag)   # forms every factor
+        skip = {id(st.sys1), id(st.sys2), id(st.v.sys), id(st.w.sys),
+                id(st.v.cache), id(st.w.cache)}
+        seen, wide = set(), []
+
+        def walk(obj, path):
+            if id(obj) in seen or id(obj) in skip:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if obj.ndim == 2 and obj.shape[0] == g.n:
+                    wide.append((path, obj.shape))
+            elif isinstance(obj, dict):
+                for key, value in obj.items():
+                    walk(value, f"{path}[{key!r}]")
+            elif isinstance(obj, (list, tuple)):
+                for i, value in enumerate(obj):
+                    walk(value, f"{path}[{i}]")
+            elif hasattr(obj, "__dict__"):
+                for key, value in vars(obj).items():
+                    walk(value, f"{path}.{key}")
+
+        walk(st.v, "v")
+        walk(st.w, "w")
+        walk(oracle, "oracle")
+        assert id(st.v._X._buf) in seen and id(oracle.hist_v._buf) in seen
+        assert len(st.v.frame) < g.n and not wide, wide
+
+    def test_petrov_shifts_match_the_full_rows(self):
+        """The petrov-bt oracle on the frame emits the shifts of the same
+        oracle fed the n-row bases and factors against the whole system,
+        to 1e-8, while the frame grows."""
+        from uadi.shiftgen import PetrovBtShiftOracle
+
+        g, st = self._state()
+        framed, full = PetrovBtShiftOracle(st.v.sys, 6), PetrovBtShiftOracle(g, 6)
+        sizes, first = [], ShiftUnit(self.STEPS[0])   # a frame short of the near-axis reach
+        for i in range(10):
+            unit = framed.next_unit() if i else first
+            if i:
+                assert abs(full.next_unit().value - unit.value) <= 1e-8 * abs(unit.value)
+            uadi_step(st, unit, unit)
+            sizes.append(len(st.v.frame))
+            framed.observe(st.v.X, st.w.X, st.v.perp, st.w.perp, (st.v.fsys, st.w.fsys))
+            full.observe(st.V, st.W, st.Bperp, st.Cperp.T)
+        assert len(set(sizes)) > 1 and sizes[-1] < g.n
+
+
+class TestReadsWithoutFactors:
+    def test_rank_and_extract_form_nothing(self, monkeypatch):
+        """After a step no read has followed, rank and extract of ricc_p run
+        no form pass and give what they give once the factors are formed."""
+        import uadi.uadi as engine
+
+        g, st = rlc_state(segments=40)
+        passes, original = [], engine._Side.form
+        monkeypatch.setattr(engine._Side, "form",
+                            lambda side: passes.append(side) or original(side))
+        assert st.stale("ricc_p")
+        rank, sol = st.rank("ricc_p"), st.extract("ricc_p")
+        assert not passes and st.stale("ricc_p")
+        residual_norm(st, "ricc_p")
+        assert passes and st.rank("ricc_p") == rank
+        again = st.extract("ricc_p")
+        np.testing.assert_array_equal(again.left, sol.left)
+        np.testing.assert_array_equal(again.middle_matrix(), sol.middle_matrix())
+
+    def test_lyapunov_pair_alone_holds_no_schur_form(self):
+        """With lyap_p,lyap_q only, no side builds S's Schur form; S is the
+        one a side with records holds, and the residual history repeats
+        bit for bit."""
+        g = rlc_ladder(30)
+        histories, states = [], []
+        for tags in ("lyap_p,lyap_q", "lyap_p,lyap_q,ricc_p,ricc_q"):
+            st = uadi_init(g, g, None, tags)
+            history = []
+            for unit in (-0.5, -2 + 4j, -1.0, -0.3 + 1j):
+                uadi_step(st, unit, unit)
+                history.append([residual_norm(st, t) for t in ("lyap_p", "lyap_q")])
+            histories.append(history)
+            states.append(st)
+        alone, with_records = states
+        assert alone.v._schur is None and alone.w._schur is None
+        assert with_records.v._schur is not None
+        for a, b in ((alone.v, with_records.v), (alone.w, with_records.w)):
+            np.testing.assert_array_equal(a.S, b.S)
+        assert histories[0] == histories[1]
+        # built on demand, it is the form the step would have grown
+        np.testing.assert_array_equal(alone.v.schur.T, with_records.v.schur.T)
+        np.testing.assert_array_equal(alone.v.schur.Z, with_records.v.schur.Z)
