@@ -33,15 +33,22 @@ O(n) work and memory.  When the whole pencil is such a core, a solve works
 only on the rows its solution reaches.  The band splits into independent
 blocks where the off-diagonals of A and E are both zero (the ladders' two
 ports), and each block the right-hand side touches is solved on a window
-from its first row, by gttrs on slices of the whole factors.  The window
-grows until the solution has decayed below tiny (decay of banded inverses:
+from its first row, by gttrs on slices of the factors.  The window grows
+until the solution has decayed below tiny (decay of banded inverses:
 Demko, Moss & Smith, Math. Comp. 43, 1984), and the solution is exactly
 zero past it.  The rows the split's solves have reached form its row frame
 (``RowFrame``, ``FactorizationCache.frame``), in stored order; a caller
 holds its n-row arrays on the frame alone, passes right-hand sides on it
 and takes solutions on it, and lifts what it holds when the frame grows.
-Every other pencil has the full frame, all n rows, on which nothing is
-gathered, scattered or copied.  Every other core goes to SuperLU, with a panel of one column
+A cache's LU of such a pencil is factored on the frame too: gttrf runs per
+block on the rows the windows reach plus one, and continues when a later
+window passes them, with the bits a whole-band gttrf gives those rows
+(under partial pivoting a tridiagonal LU's first w rows depend only on the
+pencil's first w + 1).  Every other pencil has the full frame, all n rows,
+on which nothing is gathered, scattered or copied.  The finiteness and
+growth checks of a factorization read the split's max|A| and max|E|, and
+form the shifted entries only when that bound cannot settle them.  Every
+other core goes to SuperLU, with a panel of one column
 (``panel_size=1``): the pencils here fill little, their supernodes are one
 or two columns wide, and a wider panel's workspace and per-panel work cost
 more than they save (``tools/superlu_panel_sweep.py``).
@@ -62,6 +69,7 @@ LAPACK trsyl.  A small Lyapunov solve takes a stack of right-hand sides
 against one F, with one Schur form and one trsyl call for all of them.
 """
 
+import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -156,21 +164,54 @@ class RowFrame:
         out[old.rows if self.full else np.searchsorted(self.rows, old.rows)] = M
         return out
 
-    def restrict(self, M):
-        """A sparse n x n matrix on the frame's rows and columns.  Asserts
-        that M couples the frame to other rows only through its ``edge``, so
-        that M X vanishes off the frame for every X on it that is zero on
-        the edge."""
+    @cached_property
+    def _runs(self):
+        """The first row of each run of consecutive frame rows, and the
+        frame positions where the runs start, the frame's length appended."""
+        at = np.flatnonzero(np.diff(self.rows) != 1) + 1
+        return self.rows[np.r_[0, at]], np.r_[0, at, len(self.rows)]
+
+    def _lines(self, M):
+        """The stored entries of M's compressed lines (columns of a CSC,
+        rows of a CSR matrix) at the frame's rows: per entry its line's
+        position on the frame, its other index's position on the frame (or
+        -1 off it) and its value.  A run of frame rows is one slice of M's
+        entries."""
+        firsts, at = self._runs
+        line, other, data = [], [], []
+        for first, a, b in zip(firsts, at[:-1], at[1:]):
+            ptr = M.indptr[first:first + b - a + 1]
+            line.append(np.repeat(np.arange(a, b), np.diff(ptr)))
+            other.append(M.indices[ptr[0]:ptr[-1]])
+            data.append(M.data[ptr[0]:ptr[-1]])
+        line, other, data = map(np.concatenate, (line, other, data))
+        run = np.searchsorted(firsts, other, side="right") - 1
+        off = other - firsts[run]
+        hit = (run >= 0) & (off < np.diff(at)[run])
+        return line, np.where(hit, at[run] + off, -1), data
+
+    def restrict(self, M, by_rows):
+        """A sparse n x n matrix on the frame's rows and columns, in CSC.
+        Asserts that M couples the frame to other rows only through its
+        ``edge``, so that M X vanishes off the frame for every X on it that
+        is zero on the edge.  Reads only the stored entries in the frame's
+        columns, of M, and rows, of ``by_rows``, M in CSR."""
         if self.rows is None:
             return M
+        if not len(self.rows):
+            return sps.csc_matrix((0, 0), dtype=M.dtype)
         M = _as_csc(M)
-        inside = np.zeros(self.n, dtype=bool)
-        inside[self.rows] = True
-        cols = np.repeat(np.arange(self.n), np.diff(M.indptr))
-        cross = (inside[M.indices] != inside[cols]) & (M.data != 0)
-        border = np.where(inside[M.indices], M.indices, cols)[cross]
-        assert np.isin(border, self.rows[self.edge]).all(), "coupled off the edge"
-        return M[self.rows][:, self.rows].tocsc()
+        edge = np.zeros(len(self.rows), dtype=bool)
+        edge[self.edge] = True
+        columns = self._lines(M)
+        for line, other, data in (columns, self._lines(by_rows)):
+            assert edge[line[(other < 0) & (data != 0)]].all(), "coupled off the edge"
+        col, row, data = columns
+        keep = row >= 0
+        indptr = np.zeros(len(self.rows) + 1, dtype=M.indptr.dtype)
+        np.cumsum(np.bincount(col[keep], minlength=len(self.rows)), out=indptr[1:])
+        return sps.csc_matrix((data[keep], row[keep].astype(M.indices.dtype), indptr),
+                              shape=(len(self.rows),) * 2)
 
 
 class _PencilSplit:
@@ -255,6 +296,20 @@ class _PencilSplit:
                 starts.append(int(i))
         return (*bands, np.array(starts + [m]))
 
+    @cached_property
+    def scale(self):
+        """(max|A|, max|E|) over all n states, each stored duplicate adding
+        its magnitude, so that every entry of A + shift*E, however formed,
+        is at most max|A| + |shift| max|E| up to a few roundings; NaN when
+        an entry is."""
+        out = []
+        for X, dec in ((self.A, self.a_dec), (self.E, self.e_dec)):
+            X = abs(X)   # a copy
+            X.sum_duplicates()
+            out.append(float(np.maximum(X.data.max(initial=0.0),
+                                        np.abs(dec).max(initial=0.0))))
+        return tuple(out)
+
     @property
     def windowed(self):
         """Whether solves run on windows of the band's blocks: a tridiagonal
@@ -336,6 +391,102 @@ class _PencilSplit:
         return spans
 
 
+# Bound of max|m_ij| from the split's maxima (``_PencilSplit.scale``) that
+# rules out overflow in forming any entry; above it the entries are formed.
+_SAFE_BOUND = np.finfo(float).max / 4
+# Relative slack of that bound over the roundings of forming an entry.
+_BOUND_SLACK = 1e-10
+
+
+class _BandLU:
+    """The gttrf factors of a tridiagonal pencil M = a + shift*e (a split's
+    ``bands``), held per band block from its first row.
+
+    ``whole`` factors all rows at once, as one segment that serves every
+    block.  Otherwise ``extend`` factors a block on demand, on the rows asked
+    for plus one: under partial pivoting rows lo..w-1 of a tridiagonal LU
+    depend only on rows lo..w of the pencil, so those rows of the factors
+    are final and the last one factored is provisional, its pivot not yet
+    compared with the next row's.  A later demand continues from the
+    provisional row with gttrf's own state there (its pivot and, after an
+    interchange, the updated super-diagonal entry and the second
+    super-diagonal entry it left), so every factored row has the bits a
+    whole-band gttrf gives it.  A zero pivot in a final row raises; the
+    provisional one is not yet a pivot.
+    """
+
+    def __init__(self, bands, shift, whole, name):
+        self._a, self._e, starts = bands
+        self._shift, self._name = shift, name
+        self.starts = [int(b) for b in starts]
+        self.dtype = np.result_type(self._a.dtype, shift)
+        self._gttrf, self._gttrs = spla.get_lapack_funcs(("gttrf", "gttrs"),
+                                                         dtype=self.dtype)
+        # block start -> segment [first row, end of its final rows,
+        # dl, d, du, du2, ipiv]; ipiv 1-based from the first row
+        self._segs = {}
+        if whole:
+            seg = self._factor(0, self.starts[-1])
+            self._segs = dict.fromkeys(self.starts[:-1], seg)
+
+    def _factor(self, lo, end, prev=None):
+        """gttrf of pencil rows lo:end as a segment from ``lo``, final up to
+        ``end`` if that ends its block and up to end - 1 otherwise.  Given
+        ``prev``, the segment whose provisional row lo is, gttrf continues
+        from its state there and the result is ``prev`` grown."""
+        M = self._a[:, lo:end] + self._shift * self._e[:, lo:end]
+        if prev is not None:
+            first, _, dl, d, du, du2, ipiv = prev
+            r = lo - first
+            M[1, 0], du2_r = d[r], 0
+            if ipiv[r - 1] != r:   # rows r - 1 and r were interchanged
+                du2_r = M[0, 1]
+                M[0, 1] = -(dl[r - 1] * du2_r)
+        *gt, info = self._gttrf(M[2, :-1], M[1], M[0, 1:],
+                                overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        done = end if end in self.starts else end - 1
+        if 0 < info <= done - lo:
+            raise SingularShiftedMatrix(
+                f"{self._name} is singular: zero pivot {lo + info} of the tridiagonal LU")
+        if prev is None:
+            return [lo, done, *gt]
+        gt[4] += r
+        return [first, done, *map(np.concatenate, zip(
+            (dl[:r], d[:r], du[:r], np.append(du2[:r - 1], du2_r), ipiv[:r]), gt))]
+
+    def extend(self, first, w):
+        """Make the factors final on rows first:w, first a block's first
+        row: each block there is factored, or its factors continued, up to
+        w (its end at most) plus the provisional row."""
+        b = bisect.bisect_left(self.starts, first)
+        while self.starts[b] < w:
+            lo, hi = self.starts[b], self.starts[b + 1]
+            need, b = min(w, hi), b + 1
+            seg = self._segs.get(lo)
+            if seg is not None and seg[1] >= need:
+                continue
+            end = min(hi, need + 1)
+            if seg is None or end - seg[1] < 3:   # gttrf takes 3 rows or more
+                self._segs[lo] = self._factor(lo, max(end, min(hi, lo + 3)))
+            else:
+                self._segs[lo] = self._factor(seg[1], end, seg)
+
+    def solve(self, rhs, trans, first, w):
+        """gttrs on rows first:w, a block's first row to at most the end of
+        the last block they reach, from the slices of the segments there."""
+        self.extend(first, w)
+        out, pos = [], first
+        while pos < w:
+            lo, done, dl, d, du, du2, ipiv = self._segs[pos]
+            end = min(w, done)
+            o, k = pos - lo, end - pos
+            out.append(self._gttrs(dl[o:o + k - 1], d[o:o + k], du[o:o + k - 1],
+                                   du2[o:o + k - 2], ipiv[o:o + k] - o,
+                                   rhs[pos - first:end - first], trans=trans)[0])
+            pos = end
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+
 class ShiftedFactorization:
     """Reusable LU factorization of (A + shift*E), real for a real shift.
 
@@ -347,81 +498,90 @@ class ShiftedFactorization:
     alone is factored, with no LU at all when it is empty (a diagonal
     pencil, such as the check of a diagonal E).  A tridiagonal core (the
     split's ``bands``) is factored by LAPACK gttrf from its bands
-    a + shift*e and solved by gttrs, any other by SuperLU.  A pencil with no
-    decoupled state is factored whole.  ``split`` passes the split of
-    (A, E) when the caller already holds it (FactorizationCache); it is
-    computed here otherwise.
+    a + shift*e and solved by gttrs (``_BandLU``), any other by SuperLU.  A
+    pencil with no decoupled state is factored whole.  ``split`` passes the
+    split of (A, E) when the caller already holds it (FactorizationCache);
+    it is computed here otherwise.
 
     A solve works on the split's row frame (``_PencilSplit.frame``): the
     full frame unless the pencil is windowed, when it is the rows the
     split's solves have reached.  An n-row right-hand side is gathered onto
     the frame, once the frame has grown to its first windows, and the
     solution scattered back; with ``framed`` the solution stays on the
-    frame, as the solve leaves it.
+    frame, as the solve leaves it.  A windowed pencil given its split
+    (a cache's LU, short of the full frame) is factored on the frame's rows
+    alone, per band block plus one row, and further when a later window or
+    a full-length solve passes them; any other is factored whole here.
 
-    A non-finite entry or an exact zero pivot (of SuperLU or gttrf) is
-    reported at construction time, a roundoff pivot by a solve with
-    max|m_ij| ||x_j||_1 > ||rhs_j||_1 / eps for a column j (a lower bound
-    on cond_1 of M and M^T; max|m_ij| over both parts).  The factorization
-    is read-only afterwards and may serve any number of right-hand sides;
-    a complex one is solved against a real LU as its real and imaginary
-    parts.
+    A non-finite entry is reported at construction time, an exact zero
+    pivot when the row is factored (SuperLU, or gttrf on the rows factored
+    here), a roundoff pivot by a solve with max|m_ij| ||x_j||_1 >
+    ||rhs_j||_1 / eps for a column j (a lower bound on cond_1 of M and M^T;
+    max|m_ij| over both parts).  Both checks first read the bound
+    max|A| + |shift| max|E| of the split's ``scale`` in place of max|m_ij|,
+    and form the entries only when the bound cannot rule out overflow or
+    the bound's growth check fires, so each reaches the outcome the exact
+    max|m_ij| gives.  The factorization may serve any number of right-hand
+    sides; a complex one is solved against a real LU as its real and
+    imaginary parts.
     """
 
     def __init__(self, A, E, shift, split=None):
-        if split is None:
+        whole = split is None
+        if whole:
             split = _PencilSplit(_as_csc(A), _as_csc(E))
         self._split = split
         self.n = split.n
         self.shift = complex(shift)
-        s = self.shift.real if self.shift.imag == 0 else self.shift
-        d = split.a_dec + s * split.e_dec
-        if split.bands is not None:
-            M = vals = split.bands[0] + s * split.bands[1]
-        else:
-            M = (split.A + s * split.E).tocsc()
-            vals = M.data
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(vals))):
-            raise SingularShiftedMatrix(f"A + ({shift})*E has non-finite entries")
-        if not d.all():
+        self._name = f"A + ({shift})*E"
+        s = self._s = self.shift.real if self.shift.imag == 0 else self.shift
+        self._d = split.a_dec + s * split.e_dec
+        amax, emax = split.scale
+        self._entry_max = (amax + abs(s) * emax) * (1 + _BOUND_SLACK)
+        self._exact = not self._entry_max <= _SAFE_BOUND   # NaN too
+        if self._exact:
+            self._entry_max = self._exact_entry_max()
+        if not self._d.all():
             raise SingularShiftedMatrix(
-                f"A + ({shift})*E is singular: a decoupled state has a zero pivot")
-        self._d = d
-        self._dtype = M.dtype
-        self._entry_max = max(np.abs(d).max(initial=0.0),
-                              np.abs(vals).max(initial=0.0))
-        self._lu = self._gt = None
+                f"{self._name} is singular: a decoupled state has a zero pivot")
+        self._lu = self._band = None
         if split.bands is not None:
-            gttrf, self._gttrs = spla.get_lapack_funcs(("gttrf", "gttrs"), (M,))
-            *self._gt, info = gttrf(M[2, :-1], M[1], M[0, 1:],
-                                    overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-            if info > 0:
-                raise SingularShiftedMatrix(
-                    f"A + ({shift})*E is singular: zero pivot {info} of the tridiagonal LU")
-        elif M.shape[0]:
+            whole = whole or not split.windowed or split.frame.full
+            self._band = _BandLU(split.bands, s, whole, self._name)
+            self._dtype = self._band.dtype
+            for lo, end in split.ends.items():
+                self._band.extend(lo, end)
+            return
+        M = (split.A + s * split.E).tocsc()
+        self._dtype = M.dtype
+        if M.shape[0]:
             try:
                 # one-column panels: on narrow supernodes wider ones cost more than they save
                 self._lu = splu(M, panel_size=1)
             except RuntimeError as exc:  # a zero pivot: "Factor is exactly singular"
-                raise SingularShiftedMatrix(
-                    f"A + ({shift})*E is singular: {exc}"
-                ) from exc
+                raise SingularShiftedMatrix(f"{self._name} is singular: {exc}") from exc
+
+    def _exact_entry_max(self):
+        """max|m_ij| over every entry of A + shift*E, formed here; raises
+        on a non-finite entry."""
+        split, s = self._split, self._s
+        vals = (split.bands[0] + s * split.bands[1] if split.bands is not None
+                else (split.A + s * split.E).data)
+        if not (np.all(np.isfinite(self._d)) and np.all(np.isfinite(vals))):
+            raise SingularShiftedMatrix(f"{self._name} has non-finite entries")
+        return max(np.abs(self._d).max(initial=0.0), np.abs(vals).max(initial=0.0))
 
     def _core_solve(self, rhs, trans, rows=None):
         """The core's solve; with ``rows`` = (lo, hi), rows lo:hi of a
-        banded core alone, from the slices of its gttrf factors."""
+        banded core alone, lo a band block's first row, from the slices of
+        its gttrf factors."""
         if np.iscomplexobj(rhs) and self._dtype.kind != "c":
             x = self._core_solve(np.hstack([rhs.real, rhs.imag]), trans, rows)
             return x[:, : rhs.shape[1]] + 1j * x[:, rhs.shape[1]:]
         rhs = np.asarray(rhs, dtype=self._dtype)
-        if self._gt is None:
+        if self._band is None:
             return self._lu.solve(rhs, trans=trans)
-        gt = self._gt
-        if rows is not None:
-            lo, hi = rows
-            dl, d, du, du2, ipiv = gt
-            gt = (dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1], du2[lo:hi - 2], ipiv[lo:hi] - lo)
-        return self._gttrs(*gt, rhs, trans=trans)[0]
+        return self._band.solve(rhs, trans, *(rows or (0, self._band.starts[-1])))
 
     def _windows(self, rhs, trans):
         """Solve a windowed pencil block by block, ``rhs`` on the split's
@@ -504,9 +664,12 @@ class ShiftedFactorization:
                 f"solve with shift {self.shift} produced non-finite values"
             )
         # column sums by product: fast in any order
-        growth = self._entry_max * sum(np.ones(len(xp)) @ np.abs(xp) for xp, _ in parts)
-        if np.any(growth * np.finfo(float).eps > sum(np.ones(len(bp)) @ np.abs(bp)
-                                                     for _, bp in parts)):
+        xsum = sum(np.ones(len(xp)) @ np.abs(xp) for xp, _ in parts)
+        bsum = sum(np.ones(len(bp)) @ np.abs(bp) for _, bp in parts)
+        eps = np.finfo(float).eps
+        if np.any(self._entry_max * xsum * eps > bsum) and not self._exact:
+            self._entry_max, self._exact = self._exact_entry_max(), True
+        if np.any(self._entry_max * xsum * eps > bsum):
             raise SingularShiftedMatrix(
                 f"A + ({self.shift})*E is numerically singular")
         x = x if framed else split.frame.scatter(x)
@@ -518,7 +681,9 @@ class FactorizationCache:
 
     The pencil is split into decoupled states and coupled core once, here,
     and every LU of the cache (and of its ``transposed()`` cache) shares
-    that split, and so its row frame (``frame``).  Holds the LU used last
+    that split, and so its row frame (``frame``); an LU of a windowed
+    pencil is factored on the frame's rows (``ShiftedFactorization``) and
+    grows with it.  Holds the LU used last
     plus those of the shifts passed to ``declare_recurring``; the others are
     dropped when a new shift is asked for.  ``factor_count`` counts the LUs
     this cache made itself and ``solve_count`` the calls of its ``solve``.

@@ -397,14 +397,17 @@ class _Side:
     held on ``frame``: all n rows until the first solve, then its cache's
     row frame (``FactorizationCache.frame``), the rows its solves reach,
     which the two sides of one system share.  Products with the system run
-    on ``fsys``, the system restricted to the frame once per growth.  On a
-    pencil that is not windowed the frame is all rows and ``fsys`` the
-    system itself.  S's Schur form is built when a record first extracts
+    on ``fsys``, the system restricted to the frame once per growth; on
+    the W side of one system (``primal``, G1 = G2) that is the dual of the
+    V side's restriction, so one system is restricted once.  On a pencil
+    that is not windowed the frame is all rows and ``fsys`` the system
+    itself.  S's Schur form is built when a record first extracts
     (``schur``), so the Lyapunov pair alone never builds it.
     """
 
-    def __init__(self, sys, cache, weight, suffix):
+    def __init__(self, sys, cache, weight, suffix, primal=None):
         self.sys, self.cache, self.weight = sys, cache, weight
+        self.primal = primal        # the realization whose dual sys is, if shared
         self.suffix = suffix        # tag suffix of this side's equations
         self.frame = self.sys.frame
         self._fsys = sys
@@ -445,7 +448,8 @@ class _Side:
     def fsys(self):
         """The side's system restricted to its frame, once per frame."""
         if len(self._fsys.frame) != len(self.frame):
-            self._fsys = self.sys.restricted(self.frame)
+            self._fsys = (self.sys.restricted(self.frame) if self.primal is None
+                          else self.primal.restricted(self.frame).dual())
         return self._fsys
 
     def sync(self):
@@ -549,7 +553,7 @@ class UadiState:
         cache2 = (cache1.transposed() if self.single_system else
                   FactorizationCache(dual.A, dual.E))
         self.v = _Side(sys1, cache1, S1, "_p")
-        self.w = _Side(dual, cache2, S2, "_q")
+        self.w = _Side(dual, cache2, S2, "_q", sys1 if self.single_system else None)
         self._build_table()
 
     # the n-row outputs: a side's array scattered from its frame, or the

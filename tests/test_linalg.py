@@ -309,7 +309,7 @@ class TestTridiagonalCore:
             for shift in (-1.867, -1.0 + 20.0j):
                 M = (A + shift * E).toarray()
                 fac = ShiftedFactorization(A, E, shift)
-                assert fac._gt is not None and fac._lu is None
+                assert fac._band is not None and fac._lu is None
                 for b in rhss:
                     for trans, x in (("N", fac.solve(b)), ("T", fac.solve(b, trans="T")),
                                      ("N", cache.solve(shift, b)),
@@ -331,7 +331,7 @@ class TestTridiagonalCore:
         for A, E in ((penzl.A, penzl.E), (dense.A, dense.E), (two, sps.eye(3))):
             for shift in (-1.5, -1.0 + 2.0j):
                 fac = ShiftedFactorization(A, E, shift)
-                assert fac._gt is None and fac._lu is not None
+                assert fac._band is None and fac._lu is not None
         assert shapes == [(6, 6)] * 2 + [(8, 8)] * 2 + [(2, 2)] * 2
 
     def test_zero_pivot_and_non_finite_band_raise(self):
@@ -449,6 +449,255 @@ class TestWindowedSolve:
         b[5] = np.nan
         with pytest.raises(SingularShiftedMatrix, match="non-finite"):
             fac.solve(b)
+
+
+class TestFrameFactor:
+    """A cache's LU of a windowed pencil is factored per band block on the
+    rows its split's windows reach plus one, and further on demand; every
+    factored row has the bits of a whole-band gttrf."""
+
+    @staticmethod
+    def _whole(A, E, shift):
+        """The whole-band gttrf factors of A + shift*E (dl, d, du, du2, ipiv)."""
+        from uadi.linalg import _PencilSplit
+
+        a, e, _ = _PencilSplit(A.tocsc(), E.tocsc()).bands
+        s = shift.real if shift.imag == 0 else shift
+        M = a + s * e
+        gttrf = spla.get_lapack_funcs("gttrf", (M,))
+        return gttrf(M[2, :-1], M[1], M[0, 1:])[:5]
+
+    @staticmethod
+    def _check(fac, whole, ends):
+        """Every segment of ``fac`` equals ``whole`` on its factored rows
+        (its provisional row's pivot and pivot index aside) and runs no
+        further than the split's window end plus one row."""
+        starts = fac._band.starts
+        for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            if lo not in ends:
+                assert lo not in fac._band._segs
+                continue
+            first, done, *gt = fac._band._segs[lo]
+            assert first == lo and len(gt[1]) == min(hi, ends[lo] + 1) - lo
+            assert done == (hi if ends[lo] == hi else ends[lo])
+            final = done - lo
+            for k, (got, want) in enumerate(zip(gt, whole)):
+                m = final if k in (1, 4) else len(got)
+                want = want[lo:lo + m] - (lo if k == 4 else 0)
+                np.testing.assert_array_equal(got[:m], want)
+
+    @pytest.mark.parametrize("shift", [-1.867, -6.89 - 6.44j])
+    def test_grown_factors_equal_the_whole_band(self, shift):
+        """On rlc_ladder(2000), through a cache and its transposed borrow:
+        the ports B, a right-hand side deep in the first block and a dense
+        one, whose window covers the first block and joins the second; the
+        joined solve gives the whole band's solution."""
+        g = rlc_ladder(2000)
+        n, half = g.n, g.n // 2
+        whole = self._whole(g.A, g.E, shift)
+        cache = FactorizationCache(g.A, g.E)
+        tcache = cache.transposed()
+        deep = np.zeros((n, 1))
+        deep[1500] = 1.0
+        dense = np.random.default_rng(5).standard_normal((n, 2))
+        for c, b in ((cache, g.B), (tcache, g.B), (tcache, deep), (cache, dense)):
+            c.solve(shift, b)
+            fac = cache.get(shift)
+            self._check(fac, whole, fac._split.ends)
+        assert cache.factor_count == 1 and tcache.factor_count == 0
+        assert fac._split.ends == {0: half, half: n}
+        ref = ShiftedFactorization(g.A, g.E, shift)
+        for trans in "NT":
+            np.testing.assert_array_equal(fac._core_solve(dense, trans),
+                                          ref._core_solve(dense, trans))
+
+    def test_a_new_lu_factors_the_frame(self):
+        """An LU made after the frame has grown factors each reached block
+        up to its window end plus one row at construction, and a
+        full-length solve factors the rest of the band."""
+        g = rlc_ladder(2000)
+        cache = FactorizationCache(g.A, g.E)
+        cache.solve(-6.89 - 6.44j, g.B)
+        ends = dict(cache._split.ends)
+        assert all(end < hi for end, hi in zip(ends.values(), (g.n // 2, g.n)))
+        fac = cache.get(-1.867)
+        whole = self._whole(g.A, g.E, -1.867)
+        self._check(fac, whole, ends)
+        fac._core_solve(g.B, "N")
+        self._check(fac, whole, {0: g.n // 2, g.n // 2: g.n})
+
+    @staticmethod
+    def _ladder(n=600):
+        """A diagonally dominant tridiagonal pencil of n states, all coupled,
+        as lil matrices: A with -4 on the diagonal and 0.01 beside it, E
+        the identity."""
+        A = sps.diags([0.01, -4.0, 0.01], [-1, 0, 1], shape=(n, n), format="lil")
+        return A, sps.eye(n, format="lil")
+
+    def test_zero_pivot_inside_a_window_raises(self):
+        """A zero column inside the first window: the cache's LU, made
+        before any solve, factors nothing; the solve raises, as a one-off
+        LU does when it is made."""
+        A, E = self._ladder()
+        A[:, 5] = 0.0
+        E[5, 5] = 0.0
+        A, E = A.tocsc(), E.tocsc()
+        cache = FactorizationCache(A, E)
+        fac = cache.get(-1.0)
+        assert cache._split.windowed and fac._band._segs == {}
+        b = np.zeros((A.shape[0], 1))
+        b[0] = 1.0
+        with pytest.raises(SingularShiftedMatrix, match="zero pivot 6"):
+            cache.solve(-1.0, b)
+        with pytest.raises(SingularShiftedMatrix, match="zero pivot 6"):
+            ShiftedFactorization(A, E, -1.0)
+
+    def test_zero_provisional_pivot_does_not_raise(self):
+        """Row 257 is the provisional last row of the first window's prefix
+        (the right-hand side's row 0 plus the 256-row margin, plus one); its
+        provisional pivot is zero, but the next row's sub-diagonal entry
+        takes the pivot there.  The solve does not raise, and a later
+        window through row 257 continues the factors to the whole band's."""
+        A, E = self._ladder()
+        A[257, 256] = A[257, 257] = 0.0
+        E[257, 257] = 0.0
+        A, E = A.tocsc(), E.tocsc()
+        n = A.shape[0]
+        cache = FactorizationCache(A, E)
+        b = np.zeros((n, 1))
+        b[0] = 1.0
+        x = cache.solve(-1.0, b)
+        fac = cache.get(-1.0)
+        assert cache._split.ends == {0: 257} and fac._band._segs[0][3][257] == 0
+        ref = ShiftedFactorization(A, E, -1.0)
+        np.testing.assert_array_equal(x, ref.solve(b))
+        b[400] = 1.0
+        cache.solve(-1.0, b)
+        self._check(fac, self._whole(A, E, -1.0), cache._split.ends)
+        assert fac._band._segs[0][3][257] != 0
+
+    def test_growth_check_falls_back_to_the_exact_max(self):
+        """The bound max|A| + |shift| max|E| is 2.3e18 where the pencil's
+        largest entry is 256 (A's diagonal -(2^60 + 256) cancels against
+        E's 2^60 at shift 1): the bound's growth check fires, the exact one
+        clears, and the solve passes."""
+        n, big = 300, 2.0 ** 60
+        A = sps.diags([1.0, -(big + 256.0), 1.0], [-1, 0, 1], shape=(n, n), format="csc")
+        E = sps.diags([big], [0], shape=(n, n), format="csc")
+        fac = FactorizationCache(A, E).get(1.0)
+        assert not fac._exact and fac._entry_max > 2e18
+        b = np.zeros((n, 1))
+        b[0] = 1.0
+        x = fac.solve(b)
+        assert fac._exact and fac._entry_max == 256.0
+        want = np.linalg.solve((A + E).toarray(), b)
+        assert np.abs(x - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_roundoff_singular_window_raises(self):
+        """A tridiagonal pencil singular but for the rounding of its last
+        diagonal entry, 336/5: a cache's LU factors it at its first solve,
+        and both solves report it as a one-off LU does."""
+        A = sps.diags([[1.0, 2.0, 4.0], [4.0, 6.0, 1.0, 336 / 5], [3.0, 2.0, 4.0]],
+                      [-1, 0, 1], format="csc")
+        E = sps.eye(4, format="csc")
+        cache = FactorizationCache(A, E)
+        assert cache._split.windowed
+        for trans, c in (("N", cache), ("T", cache.transposed())):
+            with pytest.raises(SingularShiftedMatrix, match="numerically singular"):
+                c.solve(0.0, np.ones((4, 1)))
+            with pytest.raises(SingularShiftedMatrix, match="numerically singular"):
+                ShiftedFactorization(A, E, 0.0).solve(np.ones((4, 1)), trans=trans)
+
+    def test_non_finite_band_raises_at_construction(self):
+        """Through a cache whose frame is still empty, too."""
+        A = sps.diags([1.0, -4.0, 1.0], [-1, 0, 1], shape=(4, 4), format="csc")
+        for bad in (np.nan, np.inf):
+            E = sps.eye(4, format="lil")
+            E[1, 2] = bad
+            cache = FactorizationCache(A, E.tocsc())
+            assert cache._split.windowed
+            for shift in (-1.0, -1.0 + 2.0j):
+                with pytest.raises(SingularShiftedMatrix, match="non-finite"):
+                    cache.get(shift)
+
+
+class TestRestrict:
+    """``RowFrame.restrict`` reads only the frame's rows and columns and
+    asserts the edge rule the whole matrix would give."""
+
+    @staticmethod
+    def _whole_matrix_rule(M, rows, edge):
+        """Whether every stored nonzero of M joining a frame row to a row
+        off the frame, in its row or its column, lies at an edge row."""
+        M = M.tocsc()
+        n = M.shape[0]
+        inside = np.zeros(n, dtype=bool)
+        inside[rows] = True
+        cols = np.repeat(np.arange(n), np.diff(M.indptr))
+        cross = (inside[M.indices] != inside[cols]) & (M.data != 0)
+        border = np.where(inside[M.indices], M.indices, cols)[cross]
+        return bool(np.isin(border, rows[edge]).all())
+
+    def test_coupled_off_the_edge(self):
+        """On rlc_ladder(50) restricted to the first 30 rows of each block
+        (edges 29 and 59): an entry joining inner row 10 to row 150, off
+        the frame, in row 10 or in column 10, trips the assertion."""
+        from uadi.linalg import RowFrame
+
+        g = rlc_ladder(50)
+        rows = np.r_[0:30, 100:130]
+        frame = RowFrame(g.n, rows, [29, 59])
+        A = frame.restrict(g.A, g.A.tocsr())
+        np.testing.assert_array_equal(A.toarray(), g.A.toarray()[np.ix_(rows, rows)])
+        for at in ((10, 150), (150, 10)):
+            M = g.A.tolil()
+            M[at] = 0.5
+            with pytest.raises(AssertionError, match="coupled off the edge"):
+                frame.restrict(M.tocsc(), M.tocsr())
+            M[at] = 0.0   # a stored zero couples nothing
+            frame.restrict(M.tocsc(), M.tocsr())
+
+    def test_b_off_the_frame(self):
+        from uadi.linalg import RowFrame
+
+        g = rlc_ladder(50)
+        B = g.B.copy()
+        B[150, 0] = 1.0
+        sys = StateSpaceSystem(g.E, g.A, B, g.C)
+        with pytest.raises(AssertionError, match="B off the frame"):
+            sys.restricted(RowFrame(g.n, np.r_[0:30, 100:130], [29, 59]))
+
+    def test_agrees_with_the_whole_matrix_rule(self, rng):
+        """On random sparse matrices and frames: the check fails exactly
+        when the whole-matrix rule does, and the restriction is the frame's
+        submatrix."""
+        from uadi.linalg import RowFrame
+
+        outcomes = []
+        for trial in range(200):
+            n = int(rng.integers(5, 40))
+            M = sps.random(n, n, density=0.08, random_state=trial, format="csc")
+            M.data[rng.random(M.nnz) < 0.1] = 0.0   # stored zeros
+            rows = np.flatnonzero(rng.random(n) < (0.6 if trial else 0.0))
+            # the rows coupled off the frame, one of them dropped half the time
+            inside = np.zeros(n, dtype=bool)
+            inside[rows] = True
+            D = abs(M).toarray() != 0
+            off = np.flatnonzero(inside & (D[:, ~inside].any(axis=1) | D[~inside].any(axis=0)))
+            edge = np.searchsorted(rows, off)
+            if len(edge) and trial % 2:
+                edge = np.delete(edge, rng.integers(len(edge)))
+            frame = RowFrame(n, rows, edge)
+            want = self._whole_matrix_rule(M, rows, edge)
+            outcomes.append(want)
+            try:
+                got = frame.restrict(M, M.tocsr())
+            except AssertionError:
+                assert not want, trial
+                continue
+            assert want, trial
+            np.testing.assert_array_equal(got.toarray(), M.toarray()[np.ix_(rows, rows)])
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestSmallInverse:

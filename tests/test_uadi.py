@@ -1910,10 +1910,14 @@ class TestRowFrame:
 
     def test_a_step_allocates_no_n_row_array(self):
         """After the steps, the sides and a petrov-bt oracle that observed
-        them hold no 2-D array of n rows but the systems they were given."""
+        them hold no 2-D array of n rows but the systems they were given,
+        and the LUs the caches hold no array of n entries: their factors
+        cover the frame's rows plus one per block (the split and the
+        pencil they share are per system, not per LU)."""
         from uadi.shiftgen import PetrovBtShiftOracle
 
         g, st = self._state()
+        st.declare_recurring(self.STEPS, self.STEPS)   # the caches hold every LU
         oracle = PetrovBtShiftOracle(st.v.sys, 4)
         for unit in self.STEPS:
             uadi_step(st, unit, unit)
@@ -1923,30 +1927,62 @@ class TestRowFrame:
             residual_norm(st, tag)   # forms every factor
         skip = {id(st.sys1), id(st.sys2), id(st.v.sys), id(st.w.sys),
                 id(st.v.cache), id(st.w.cache)}
+        skip |= {id(getattr(c, name)) for c in (st.v.cache, st.w.cache)
+                 for name in ("_split", "_A", "_E")}
+        lus = [(f"{name}._store[{key!r}]", lu) for name, c in (("v", st.v.cache), ("w", st.w.cache))
+               for key, lu in c._store.items()]
         seen, wide = set(), []
 
-        def walk(obj, path):
+        def walk(obj, path, lu=False):
             if id(obj) in seen or id(obj) in skip:
                 return
             seen.add(id(obj))
             if isinstance(obj, np.ndarray):
-                if obj.ndim == 2 and obj.shape[0] == g.n:
+                if obj.shape and obj.shape[0] == g.n and (lu or obj.ndim == 2):
                     wide.append((path, obj.shape))
             elif isinstance(obj, dict):
                 for key, value in obj.items():
-                    walk(value, f"{path}[{key!r}]")
+                    walk(value, f"{path}[{key!r}]", lu)
             elif isinstance(obj, (list, tuple)):
                 for i, value in enumerate(obj):
-                    walk(value, f"{path}[{i}]")
+                    walk(value, f"{path}[{i}]", lu)
             elif hasattr(obj, "__dict__"):
                 for key, value in vars(obj).items():
-                    walk(value, f"{path}.{key}")
+                    walk(value, f"{path}.{key}", lu)
 
         walk(st.v, "v")
         walk(st.w, "w")
         walk(oracle, "oracle")
+        for path, lu in lus:
+            walk(lu, path, lu=True)
         assert id(st.v._X._buf) in seen and id(oracle.hist_v._buf) in seen
+        assert len(lus) == 2 * len(set(self.STEPS)) and all(lu._band._segs for _, lu in lus)
         assert len(st.v.frame) < g.n and not wide, wide
+
+    def test_one_restriction_per_growth(self, monkeypatch):
+        """On one system the W side's restricted realization is the dual of
+        the V side's: each frame restricts E and A once, and the W side's
+        matrices are those of G.dual() restricted to the frame."""
+        from collections import Counter
+
+        from uadi.linalg import RowFrame
+
+        g, st = self._state()
+        calls, restrict = [], RowFrame.restrict
+        monkeypatch.setattr(RowFrame, "restrict",
+                            lambda frame, M, by_rows: calls.append(id(frame))
+                            or restrict(frame, M, by_rows))
+        for unit in self.STEPS:
+            uadi_step(st, unit, unit)
+        assert len(calls) > 2 and set(Counter(calls).values()) == {2}
+        frame, fsys, dual = st.w.frame, st.w.fsys, g.dual()
+        assert fsys.frame is frame and st.v.fsys.frame is frame
+        for got, want in ((fsys.E, dual.E), (fsys.A, dual.A)):
+            want = restrict(frame, want, want.tocsr())
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(fsys.B, frame.gather(dual.B))
+        np.testing.assert_array_equal(fsys.C, frame.gather(dual.C.T).T)
 
     def test_petrov_shifts_match_the_full_rows(self):
         """The petrov-bt oracle on the frame emits the shifts of the same

@@ -11,12 +11,16 @@ ports B, the engine's first right-hand side:
 - on a fresh split, recording the window each block ends with (the reach)
   and how often its window doubled on the way;
 - then, rounds times each and interleaved, the windowed solve starting
-  from that reach (``ShiftedFactorization.solve``) and one full-length
-  gttrs of all n rows.
+  from that reach (``ShiftedFactorization.solve``), one full-length
+  gttrs of all n rows, the factorization a cache makes on that split
+  (gttrf on the reached rows of each block plus one, checks included) and
+  the one it makes once the split's frame is all n rows (one gttrf of the
+  whole band, checks included).
 
 Prints a markdown table: per shift and trans the reach of each block, its
-doublings, the median windowed and full solve times in ms, and how many
-entries of the full solution are subnormal (nonzero and below tiny).
+doublings, the median windowed and full solve times in ms, how many
+entries of the full solution are subnormal (nonzero and below tiny), and
+the median reached-rows and whole-band factorization times in ms.
 """
 
 import statistics
@@ -29,7 +33,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from uadi.linalg import ShiftedFactorization  # noqa: E402
+from uadi.linalg import ShiftedFactorization, _PencilSplit  # noqa: E402
 from uadi.systems import rlc_ladder  # noqa: E402
 
 SHIFTS = ROOT / "perfbench" / "static_rlc_shifts.txt"
@@ -52,9 +56,12 @@ def ms(fn):
 def main(rounds):
     g = rlc_ladder(10000)
     tiny = np.finfo(float).tiny
+    band = _PencilSplit(g.A, g.E)   # every block reached: its LUs are whole-band
+    starts = band.bands[2]
+    band.ends = dict(zip(starts[:-1].tolist(), starts[1:].tolist()))
     print("| shift | trans | reach (rows per block) | doublings | windowed ms "
-          "| full ms | full subnormals |")
-    print("|---|---|---|---|---|---|---|")
+          "| full ms | full subnormals | factor reached ms | factor whole ms |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for s in shifts():
         for trans in "NT":
             fac = ShiftedFactorization(g.A, g.E, s)
@@ -66,15 +73,19 @@ def main(rounds):
             doublings = [starts.count(lo) - 1 for lo, _ in ends]
             reach = [end - lo for lo, end in ends]
             fac._core_solve = solve
-            windowed, full = [], []
+            split = fac._split
+            windowed, full, reached, whole = [], [], [], []
             for _ in range(rounds):   # interleaved, so host drift falls on both
                 windowed.append(ms(lambda: fac.solve(g.B, trans=trans)))
                 full.append(ms(lambda: fac._core_solve(g.B, trans)))
+                reached.append(ms(lambda: ShiftedFactorization(g.A, g.E, s, split=split)))
+                whole.append(ms(lambda: ShiftedFactorization(g.A, g.E, s, split=band)))
             x = fac._core_solve(g.B, trans)
             subnormal = int(np.count_nonzero((x != 0) & (np.abs(x) < tiny)))
             print(f"| {s:.4g} | {trans} | {reach} | {doublings} "
                   f"| {statistics.median(windowed):.2f} | {statistics.median(full):.2f} "
-                  f"| {subnormal} |")
+                  f"| {subnormal} | {statistics.median(reached):.2f} "
+                  f"| {statistics.median(whole):.2f} |")
 
 
 if __name__ == "__main__":
