@@ -24,34 +24,36 @@ a pencil with no decoupled state is factored whole, as it is.  A new
 shift still counts as one factorization.  penzl's pencils are 6 coupled
 states and n - 6 decoupled ones; the RLC ladders have none.
 
-A core of at least 3 states whose stored entries all lie within one
+A pencil with no decoupled state whose stored entries all lie within one
 diagonal of the main one, in their stored order, is tridiagonal (the RLC
-ladders): the split builds its bands once, at the first factorization,
-and each shift is factored by LAPACK gttrf (partial pivoting) and solved
-by gttrs (LAPACK Users' Guide, Anderson et al., 3rd ed., SIAM 1999), in
-O(n) work and memory.  When the whole pencil is such a core, a solve works
-only on the rows its solution reaches.  The band splits into independent
-blocks where the off-diagonals of A and E are both zero (the ladders' two
-ports), and each block the right-hand side touches is solved on a window
-from its first row, by gttrs on slices of the factors.  The window grows
-until the solution has decayed below tiny (decay of banded inverses:
-Demko, Moss & Smith, Math. Comp. 43, 1984), and the solution is exactly
-zero past it.  The rows the split's solves have reached form its row frame
-(``RowFrame``, ``FactorizationCache.frame``), in stored order; a caller
-holds its n-row arrays on the frame alone, passes right-hand sides on it
-and takes solutions on it, and lifts what it holds when the frame grows.
-A cache's LU of such a pencil is factored on the frame too: gttrf runs per
-block on the rows the windows reach plus one, and continues when a later
-window passes them, with the bits a whole-band gttrf gives those rows
+ladders): the split builds its bands once, at the first factorization, and
+each shift is factored by LAPACK gttrf (partial pivoting) and solved by
+gttrs (LAPACK Users' Guide, Anderson et al., 3rd ed., SIAM 1999), in O(n)
+work and memory.  A solve works only on the rows its solution reaches.
+The band splits into independent blocks where the off-diagonals of A and
+E are both zero (the ladders' two ports), and each block the right-hand
+side touches is solved on a window from its first row, by one gttrs call
+on the block's factors.  The window grows until the solution has decayed
+below tiny (decay of banded inverses: Demko, Moss & Smith, Math. Comp. 43,
+1984), and the solution is exactly zero past it.  The rows the split's
+solves have reached form its row frame (``RowFrame``,
+``FactorizationCache.frame``), in stored order; a caller holds its n-row
+arrays on the frame alone, passes right-hand sides on it and takes
+solutions on it, lifts what it holds when the frame grows, and reads the
+pencil on the frame off the bands (``RowFrame.pencil``).  Each block is
+factored from its first row: a cache's LU on the rows the windows reach
+plus one, and again from the first row when a later window passes them
 (under partial pivoting a tridiagonal LU's first w rows depend only on the
-pencil's first w + 1).  Every other pencil has the full frame, all n rows,
-on which nothing is gathered, scattered or copied.  The finiteness and
-growth checks of a factorization read the split's max|A| and max|E|, and
-form the shifted entries only when that bound cannot settle them.  Every
-other core goes to SuperLU, with a panel of one column
-(``panel_size=1``): the pencils here fill little, their supernodes are one
-or two columns wide, and a wider panel's workspace and per-panel work cost
-more than they save (``tools/superlu_panel_sweep.py``).
+pencil's first w + 1, so those rows have a whole-band gttrf's bits), a
+one-off LU on every block whole.  Every other pencil has the full frame,
+all n rows, on which nothing is gathered, scattered or copied.  The
+finiteness and growth checks of a factorization read the split's max|A|
+and max|E|, and form the shifted entries only when that bound cannot
+settle them.  Every other core, a tridiagonal one beside decoupled states
+included, goes to SuperLU, with a panel of one column (``panel_size=1``):
+the pencils here fill little, their supernodes are one or two columns
+wide, and a wider panel's workspace and per-panel work cost more than they
+save (``tools/superlu_panel_sweep.py``).
 
 Every small Sylvester solve goes through a Schur form.  An extraction
 solves S^T t + t s + U (G^T t) = H against the complex Schur form of S that
@@ -119,15 +121,16 @@ class RowFrame:
     """Rows of an n-row space that hold every nonzero row of the arrays on
     it, in stored order: an array on the frame holds those rows alone.
 
-    ``rows`` None is the full frame, all n rows, on which ``gather``,
-    ``scatter`` and ``restrict`` return their operand itself.  ``edge``
-    holds the positions of the frame rows that the pencil may couple to
-    rows off the frame (``_PencilSplit.frame``); every solution is zero on
-    them.
+    ``rows`` None is the full frame, all n rows, on which ``gather`` and
+    ``scatter`` return their operand itself.  ``edge`` holds the positions
+    of the frame rows that the pencil may couple to rows off the frame;
+    every solution is zero on them.  ``bands`` are the tridiagonal bands of
+    A and E of the split that made the frame (``_PencilSplit.frame``),
+    which ``pencil`` reads.
     """
 
-    def __init__(self, n, rows=None, edge=()):
-        self.n, self.rows = n, rows
+    def __init__(self, n, rows=None, edge=(), bands=()):
+        self.n, self.rows, self.bands = n, rows, bands
         self.edge = np.asarray(edge, dtype=np.intp)
 
     @property
@@ -165,53 +168,33 @@ class RowFrame:
         return out
 
     @cached_property
-    def _runs(self):
-        """The first row of each run of consecutive frame rows, and the
-        frame positions where the runs start, the frame's length appended."""
-        at = np.flatnonzero(np.diff(self.rows) != 1) + 1
-        return self.rows[np.r_[0, at]], np.r_[0, at, len(self.rows)]
+    def pencil(self):
+        """(A, E) on the frame's rows and columns, in CSC, read off the
+        frame rows of their ``bands``, made once per frame."""
+        return tuple(self._restrict(band) for band in self.bands)
 
-    def _lines(self, M):
-        """The stored entries of M's compressed lines (columns of a CSC,
-        rows of a CSR matrix) at the frame's rows: per entry its line's
-        position on the frame, its other index's position on the frame (or
-        -1 off it) and its value.  A run of frame rows is one slice of M's
-        entries."""
-        firsts, at = self._runs
-        line, other, data = [], [], []
-        for first, a, b in zip(firsts, at[:-1], at[1:]):
-            ptr = M.indptr[first:first + b - a + 1]
-            line.append(np.repeat(np.arange(a, b), np.diff(ptr)))
-            other.append(M.indices[ptr[0]:ptr[-1]])
-            data.append(M.data[ptr[0]:ptr[-1]])
-        line, other, data = map(np.concatenate, (line, other, data))
-        run = np.searchsorted(firsts, other, side="right") - 1
-        off = other - firsts[run]
-        hit = (run >= 0) & (off < np.diff(at)[run])
-        return line, np.where(hit, at[run] + off, -1), data
-
-    def restrict(self, M, by_rows):
-        """A sparse n x n matrix on the frame's rows and columns, in CSC.
-        Asserts that M couples the frame to other rows only through its
-        ``edge``, so that M X vanishes off the frame for every X on it that
-        is zero on the edge.  Reads only the stored entries in the frame's
-        columns, of M, and rows, of ``by_rows``, M in CSR."""
-        if self.rows is None:
-            return M
-        if not len(self.rows):
-            return sps.csc_matrix((0, 0), dtype=M.dtype)
-        M = _as_csc(M)
-        edge = np.zeros(len(self.rows), dtype=bool)
-        edge[self.edge] = True
-        columns = self._lines(M)
-        for line, other, data in (columns, self._lines(by_rows)):
-            assert edge[line[(other < 0) & (data != 0)]].all(), "coupled off the edge"
-        col, row, data = columns
-        keep = row >= 0
-        indptr = np.zeros(len(self.rows) + 1, dtype=M.indptr.dtype)
-        np.cumsum(np.bincount(col[keep], minlength=len(self.rows)), out=indptr[1:])
-        return sps.csc_matrix((data[keep], row[keep].astype(M.indices.dtype), indptr),
-                              shape=(len(self.rows),) * 2)
+    def _restrict(self, band):
+        """The tridiagonal matrix of ``band`` on the frame.  The entries
+        that couple a run of consecutive frame rows to the rows beside it
+        are dropped; asserts that they are zero but at the ``edge``, so that
+        M X vanishes off the frame for every X on it that is zero there."""
+        rows = self.rows
+        above = np.diff(rows, prepend=-2) == 1   # row r - 1 is on the frame
+        below = np.diff(rows, append=-1) == 1    # row r + 1 is
+        # per frame row r, its column's entries in rows r - 1, r, r + 1; its
+        # row's entries (r, r - 1) and (r, r + 1) are in the neighbouring
+        # columns' slots, read cyclically (slot 2 of column n - 1 and slot 0
+        # of column 0 hold nothing)
+        col = band[:, rows].T
+        left, right = band[2].take(rows - 1, mode="wrap"), band[0].take(rows + 1, mode="wrap")
+        dropped = (~above & ((col[:, 0] != 0) | (left != 0))
+                   | ~below & ((col[:, 2] != 0) | (right != 0)))
+        assert np.isin(np.flatnonzero(dropped), self.edge).all(), "coupled off the edge"
+        col[~above, 0] = col[~below, 2] = 0
+        keep = col != 0
+        indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
+        at = np.arange(len(rows))[:, None] + np.arange(-1, 2)
+        return sps.csc_matrix((col[keep], at[keep], indptr), shape=(len(rows),) * 2)
 
 
 class _PencilSplit:
@@ -243,7 +226,7 @@ class _PencilSplit:
             coupled[cols[off]] = True
         self.n = n
         self.ends = {}   # block start -> end of the largest window solved there
-        self._frame = None
+        self._frame = RowFrame(n)
         if coupled.all():
             self.core, self.dec = None, np.zeros(0, dtype=np.intp)
             self.A, self.E = A, E
@@ -258,21 +241,22 @@ class _PencilSplit:
 
     @cached_property
     def bands(self):
-        """The core's bands of A and E when every stored entry of the core
-        lies within one diagonal of the main one, in its stored order: per
-        matrix a 3 x m array of its super-, main and sub-diagonal, each
-        entry in its column's slot, so the super-diagonal fills slots 1 to
-        m - 1 and the sub-diagonal slots 0 to m - 2; then the first rows of
-        the band's independent blocks, m appended.  A block starts at row i
-        where entries (i - 1, i) and (i, i - 1) are zero in both A and E, so
-        every shifted pencil is block diagonal there and gttrf factors each
-        block as if alone; a block is kept at 3 rows or more (gttrs solves
-        no fewer).  None for any other core, a complex one, or one of fewer
-        than 3 states (which LAPACK's gttrf wrapper rejects).  Read first
-        by a factorization, so a split that is never factored does not
-        build them."""
-        m = self.A.shape[0]
-        if m < 3:
+        """The bands of A and E when the pencil has no decoupled state and
+        every stored entry lies within one diagonal of the main one, in its
+        stored order: per matrix a 3 x n array of its super-, main and
+        sub-diagonal, each entry in its column's slot, so the
+        super-diagonal fills slots 1 to n - 1 and the sub-diagonal slots 0
+        to n - 2; then the first rows of the band's independent blocks, n
+        appended.  A block starts at row i where entries (i - 1, i) and
+        (i, i - 1) are zero in both A and E, so every shifted pencil is
+        block diagonal there and gttrf factors each block as if alone; a
+        block is kept at 3 rows or more (gttrs solves no fewer).  None for
+        any other pencil, a complex one, or one of fewer than 3 states
+        (which LAPACK's gttrf wrapper rejects).  Read first by a
+        factorization, so a split that is never factored does not build
+        them."""
+        m = self.n
+        if self.core is not None or m < 3:
             return None
         bands = []
         for X in (self.A, self.E):
@@ -311,48 +295,24 @@ class _PencilSplit:
         return tuple(out)
 
     @property
-    def windowed(self):
-        """Whether solves run on windows of the band's blocks: a tridiagonal
-        pencil with no decoupled state."""
-        return self.core is None and self.bands is not None
-
-    @property
-    def reach(self):
-        """Row slices that cover every row a solve of this split returned
-        nonzero: per block a solve has touched, from its first row to the
-        end of the largest window used on it, a slice that reaches the next
-        one joined with it; all rows unless ``windowed``."""
-        if not self.windowed:
-            return [slice(0, self.n)]
-        out = []
-        for lo, end in sorted(self.ends.items()):
-            if out and out[-1].stop == lo:
-                out[-1] = slice(out[-1].start, end)
-            else:
-                out.append(slice(lo, end))
-        return out
-
-    @property
     def frame(self):
-        """The split's RowFrame: the rows of its ``reach``, in stored order,
-        so the full frame once they are all n rows, and always unless
-        ``windowed``.  Its edge is the last row of each slice that ends
-        inside a block, the one row the tridiagonal pencil couples to a row
-        past the slice; every windowed solve leaves it zero.  The frame only
-        grows, and is a new object each time it does."""
-        if not self.windowed:
-            if self._frame is None:
-                self._frame = RowFrame(self.n)
-            return self._frame
-        if self._frame is None or len(self._frame) != sum(
+        """The split's RowFrame: per block a solve has touched, the rows
+        from its first to the end of the largest window used on it, in
+        stored order; the full frame once they are all n rows, and always
+        for a split without ``bands``.  Its edge is the last row of each block's
+        rows that ends inside the block, the one row the tridiagonal pencil
+        couples to a row past them; every windowed solve leaves it zero.
+        The frame only grows, and is a new object each time it does."""
+        if self.bands is not None and len(self._frame) != sum(
                 end - lo for lo, end in self.ends.items()):
             rows, edge = [np.zeros(0, dtype=np.intp)], []
-            for r in self.reach:
-                rows.append(np.arange(r.start, r.stop))
-                if r.stop not in self.bands[2]:
+            for lo, end in sorted(self.ends.items()):
+                rows.append(np.arange(lo, end))
+                if end not in self.bands[2]:
                     edge.append(sum(map(len, rows)) - 1)
             rows = np.concatenate(rows)
-            self._frame = RowFrame(self.n, None if len(rows) == self.n else rows, edge)
+            self._frame = RowFrame(self.n, None if len(rows) == self.n else rows,
+                                   edge, self.bands[:2])
         return self._frame
 
     def _last_rows(self, rhs, frame):
@@ -377,16 +337,11 @@ class _PencilSplit:
         grow the split's ``ends``: on a touched block [lo, hi) the window is
         [lo, w), w the larger of the right-hand side's last nonzero row plus
         ``_WINDOW_MARGIN`` and the largest window the split has used there,
-        up to hi.  A window that covers its block joins the next block's.
-        Returns spans [first row, last block's first row, w, last block's
-        end]."""
+        up to hi.  Returns (lo, w, hi) per touched block."""
         spans = []
         for lo, hi, last in self._last_rows(rhs, frame):
             w = min(hi, max(last + 1 + _WINDOW_MARGIN, self.ends.get(lo, lo)))
-            if spans and spans[-1][2] == lo:
-                spans[-1][1:] = [lo, w, hi]
-            else:
-                spans.append([lo, lo, w, hi])
+            spans.append((lo, w, hi))
             self.ends[lo] = w
         return spans
 
@@ -400,22 +355,18 @@ _BOUND_SLACK = 1e-10
 
 class _BandLU:
     """The gttrf factors of a tridiagonal pencil M = a + shift*e (a split's
-    ``bands``), held per band block from its first row.
+    ``bands``), one segment per band block, from the block's first row.
 
-    ``whole`` factors all rows at once, as one segment that serves every
-    block.  Otherwise ``extend`` factors a block on demand, on the rows asked
-    for plus one: under partial pivoting rows lo..w-1 of a tridiagonal LU
-    depend only on rows lo..w of the pencil, so those rows of the factors
-    are final and the last one factored is provisional, its pivot not yet
-    compared with the next row's.  A later demand continues from the
-    provisional row with gttrf's own state there (its pivot and, after an
-    interchange, the updated super-diagonal entry and the second
-    super-diagonal entry it left), so every factored row has the bits a
-    whole-band gttrf gives it.  A zero pivot in a final row raises; the
-    provisional one is not yet a pivot.
+    ``extend`` factors a block on the rows asked for plus one: under partial
+    pivoting rows lo..w-1 of a tridiagonal LU depend only on rows lo..w of
+    the pencil, so those rows of the factors are final, with the bits a
+    whole-band gttrf gives them, and the last one factored is provisional,
+    its pivot not yet compared with the next row's.  A demand past the
+    final rows factors the block again from its first row.  A zero pivot in
+    a final row raises; the provisional one is not yet a pivot.
     """
 
-    def __init__(self, bands, shift, whole, name):
+    def __init__(self, bands, shift, name):
         self._a, self._e, starts = bands
         self._shift, self._name = shift, name
         self.starts = [int(b) for b in starts]
@@ -423,68 +374,33 @@ class _BandLU:
         self._gttrf, self._gttrs = spla.get_lapack_funcs(("gttrf", "gttrs"),
                                                          dtype=self.dtype)
         # block start -> segment [first row, end of its final rows,
-        # dl, d, du, du2, ipiv]; ipiv 1-based from the first row
+        # dl, d, du, du2, ipiv]
         self._segs = {}
-        if whole:
-            seg = self._factor(0, self.starts[-1])
-            self._segs = dict.fromkeys(self.starts[:-1], seg)
 
-    def _factor(self, lo, end, prev=None):
-        """gttrf of pencil rows lo:end as a segment from ``lo``, final up to
-        ``end`` if that ends its block and up to end - 1 otherwise.  Given
-        ``prev``, the segment whose provisional row lo is, gttrf continues
-        from its state there and the result is ``prev`` grown."""
+    def extend(self, lo, w):
+        """Make the factors of the block from row lo final on rows lo:w."""
+        seg = self._segs.get(lo)
+        if seg is not None and seg[1] >= w:
+            return
+        hi = self.starts[bisect.bisect_right(self.starts, lo)]
+        end = min(hi, max(w + 1, lo + 3))   # gttrf takes 3 rows or more
         M = self._a[:, lo:end] + self._shift * self._e[:, lo:end]
-        if prev is not None:
-            first, _, dl, d, du, du2, ipiv = prev
-            r = lo - first
-            M[1, 0], du2_r = d[r], 0
-            if ipiv[r - 1] != r:   # rows r - 1 and r were interchanged
-                du2_r = M[0, 1]
-                M[0, 1] = -(dl[r - 1] * du2_r)
         *gt, info = self._gttrf(M[2, :-1], M[1], M[0, 1:],
                                 overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        done = end if end in self.starts else end - 1
+        done = end if end == hi else end - 1
         if 0 < info <= done - lo:
             raise SingularShiftedMatrix(
                 f"{self._name} is singular: zero pivot {lo + info} of the tridiagonal LU")
-        if prev is None:
-            return [lo, done, *gt]
-        gt[4] += r
-        return [first, done, *map(np.concatenate, zip(
-            (dl[:r], d[:r], du[:r], np.append(du2[:r - 1], du2_r), ipiv[:r]), gt))]
+        self._segs[lo] = [lo, done, *gt]
 
-    def extend(self, first, w):
-        """Make the factors final on rows first:w, first a block's first
-        row: each block there is factored, or its factors continued, up to
-        w (its end at most) plus the provisional row."""
-        b = bisect.bisect_left(self.starts, first)
-        while self.starts[b] < w:
-            lo, hi = self.starts[b], self.starts[b + 1]
-            need, b = min(w, hi), b + 1
-            seg = self._segs.get(lo)
-            if seg is not None and seg[1] >= need:
-                continue
-            end = min(hi, need + 1)
-            if seg is None or end - seg[1] < 3:   # gttrf takes 3 rows or more
-                self._segs[lo] = self._factor(lo, max(end, min(hi, lo + 3)))
-            else:
-                self._segs[lo] = self._factor(seg[1], end, seg)
-
-    def solve(self, rhs, trans, first, w):
-        """gttrs on rows first:w, a block's first row to at most the end of
-        the last block they reach, from the slices of the segments there."""
-        self.extend(first, w)
-        out, pos = [], first
-        while pos < w:
-            lo, done, dl, d, du, du2, ipiv = self._segs[pos]
-            end = min(w, done)
-            o, k = pos - lo, end - pos
-            out.append(self._gttrs(dl[o:o + k - 1], d[o:o + k], du[o:o + k - 1],
-                                   du2[o:o + k - 2], ipiv[o:o + k] - o,
-                                   rhs[pos - first:end - first], trans=trans)[0])
-            pos = end
-        return out[0] if len(out) == 1 else np.concatenate(out)
+    def solve(self, rhs, trans, lo, w):
+        """One gttrs call on rows lo:w of the block from row lo, from the
+        slices of its factors."""
+        self.extend(lo, w)
+        _, _, dl, d, du, du2, ipiv = self._segs[lo]
+        k = w - lo
+        return self._gttrs(dl[:k - 1], d[:k], du[:k - 1], du2[:k - 2], ipiv[:k],
+                           rhs, trans=trans)[0]
 
 
 class ShiftedFactorization:
@@ -496,22 +412,21 @@ class ShiftedFactorization:
     slots repeat a decoupled pivot, and are solved by one division of the
     whole right-hand side whose core rows are then overwritten; the core
     alone is factored, with no LU at all when it is empty (a diagonal
-    pencil, such as the check of a diagonal E).  A tridiagonal core (the
-    split's ``bands``) is factored by LAPACK gttrf from its bands
-    a + shift*e and solved by gttrs (``_BandLU``), any other by SuperLU.  A
+    pencil, such as the check of a diagonal E), and SuperLU factors it; a
     pencil with no decoupled state is factored whole.  ``split`` passes the
     split of (A, E) when the caller already holds it (FactorizationCache);
     it is computed here otherwise.
 
-    A solve works on the split's row frame (``_PencilSplit.frame``): the
-    full frame unless the pencil is windowed, when it is the rows the
-    split's solves have reached.  An n-row right-hand side is gathered onto
-    the frame, once the frame has grown to its first windows, and the
-    solution scattered back; with ``framed`` the solution stays on the
-    frame, as the solve leaves it.  A windowed pencil given its split
-    (a cache's LU, short of the full frame) is factored on the frame's rows
-    alone, per band block plus one row, and further when a later window or
-    a full-length solve passes them; any other is factored whole here.
+    A tridiagonal pencil (the split's ``bands``) is factored by LAPACK
+    gttrf per band block from the block's first row and solved by gttrs
+    (``_BandLU``) on the rows its solution reaches (``_windows``), which
+    form the split's row frame (``_PencilSplit.frame``); every other pencil
+    has the full frame.  An n-row right-hand side is gathered onto the
+    frame, once the frame has grown to its first windows, and the solution
+    scattered back; with ``framed`` the solution stays on the frame, as the
+    solve leaves it.  Given its split (a cache's LU) the LU factors each
+    block on the rows the split's windows reach plus one, and again when a
+    later window passes them; a one-off LU factors every block whole.
 
     A non-finite entry is reported at construction time, an exact zero
     pivot when the row is factored (SuperLU, or gttrf on the rows factored
@@ -527,8 +442,8 @@ class ShiftedFactorization:
     """
 
     def __init__(self, A, E, shift, split=None):
-        whole = split is None
-        if whole:
+        one_off = split is None
+        if one_off:
             split = _PencilSplit(_as_csc(A), _as_csc(E))
         self._split = split
         self.n = split.n
@@ -546,10 +461,10 @@ class ShiftedFactorization:
                 f"{self._name} is singular: a decoupled state has a zero pivot")
         self._lu = self._band = None
         if split.bands is not None:
-            whole = whole or not split.windowed or split.frame.full
-            self._band = _BandLU(split.bands, s, whole, self._name)
+            self._band = _BandLU(split.bands, s, self._name)
             self._dtype = self._band.dtype
-            for lo, end in split.ends.items():
+            starts = self._band.starts
+            for lo, end in zip(starts, starts[1:]) if one_off else split.ends.items():
                 self._band.extend(lo, end)
             return
         M = (split.A + s * split.E).tocsc()
@@ -572,19 +487,18 @@ class ShiftedFactorization:
         return max(np.abs(self._d).max(initial=0.0), np.abs(vals).max(initial=0.0))
 
     def _core_solve(self, rhs, trans, rows=None):
-        """The core's solve; with ``rows`` = (lo, hi), rows lo:hi of a
-        banded core alone, lo a band block's first row, from the slices of
-        its gttrf factors."""
+        """The core's solve; of a banded pencil, rows lo:w = ``rows`` alone,
+        lo a band block's first row (``_BandLU.solve``)."""
         if np.iscomplexobj(rhs) and self._dtype.kind != "c":
             x = self._core_solve(np.hstack([rhs.real, rhs.imag]), trans, rows)
             return x[:, : rhs.shape[1]] + 1j * x[:, rhs.shape[1]:]
         rhs = np.asarray(rhs, dtype=self._dtype)
         if self._band is None:
             return self._lu.solve(rhs, trans=trans)
-        return self._band.solve(rhs, trans, *(rows or (0, self._band.starts[-1])))
+        return self._band.solve(rhs, trans, *rows)
 
     def _windows(self, rhs, trans):
-        """Solve a windowed pencil block by block, ``rhs`` on the split's
+        """Solve a banded pencil block by block, ``rhs`` on the split's
         frame; returns the solution on the frame as it grows here, and the
         solution and right-hand side of every window (natural rows).
 
@@ -595,38 +509,36 @@ class ShiftedFactorization:
         zero.  Padded with zeros, that solution solves the whole system up
         to a right-hand-side perturbation of about 3 max|m_ij| tiny: only the
         window's last rows and row w can leave a residual, made of those two
-        rows times entries of the pencil.  A window that covers its block
-        joins the next block's in one gttrs call, which gives the same bits:
-        the factors hold exact zeros between blocks."""
+        rows times entries of the pencil."""
         split, c = self._split, rhs.shape[1]
         frame = split.frame
 
-        def window(first, w):   # rhs on rows first:w; zero off the frame
+        def window(lo, w):   # rhs on rows lo:w; zero off the frame
             if frame.full:
-                return rhs[first:w]
-            lo, hi = np.searchsorted(frame.rows, (first, w))
-            out = np.zeros((w - first, c), dtype=rhs.dtype)
-            out[frame.rows[lo:hi] - first] = rhs[lo:hi]
+                return rhs[lo:w]
+            a, b = np.searchsorted(frame.rows, (lo, w))
+            out = np.zeros((w - lo, c), dtype=rhs.dtype)
+            out[frame.rows[a:b] - lo] = rhs[a:b]
             return out
 
         tiny = np.finfo(float).tiny
         solved = []
-        for first, lo, w, hi in split.open(rhs, frame):
+        for lo, w, hi in split.open(rhs, frame):
             while True:
-                bw = window(first, w)
-                xw = self._core_solve(bw, trans, (first, w))
+                bw = window(lo, w)
+                xw = self._core_solve(bw, trans, (lo, w))
                 if w == hi or not (np.abs(xw[-2:]) >= tiny).any():
                     break
                 w = min(hi, lo + 2 * (w - lo))
             if w < hi:
                 xw[-2:] = 0   # the edge of the frame
             split.ends[lo] = w
-            solved.append((first, xw, bw))
+            solved.append((lo, xw, bw))
         frame = split.frame
         # column-major, as gttrs returns it
         x = np.zeros((len(frame), c), dtype=np.result_type(rhs, self._dtype), order="F")
-        for first, xw, _ in solved:
-            at = first if frame.full else int(np.searchsorted(frame.rows, first))
+        for lo, xw, _ in solved:
+            at = lo if frame.full else int(np.searchsorted(frame.rows, lo))
             x[at:at + len(xw)] = xw
         return x, [(xw, bw) for _, xw, bw in solved]
 
@@ -635,9 +547,8 @@ class ShiftedFactorization:
         transpose (A^T + shift*E^T) X = rhs.  A 1-D rhs is solved as one
         column and gives a 1-D result.  ``rhs`` has n rows or is on the
         split's frame; the solution has n rows, or with ``framed`` is on the
-        frame as the solve leaves it.  A windowed pencil (the split's
-        ``windowed``) is solved on the rows its solution reaches
-        (``_windows``), and checked there."""
+        frame as the solve leaves it.  A banded pencil is solved on the
+        rows its solution reaches (``_windows``), and checked there."""
         rhs = np.asarray(rhs)
         vector = rhs.ndim == 1
         rhs = rhs[:, None] if vector else np.atleast_2d(rhs)
@@ -649,7 +560,7 @@ class ShiftedFactorization:
             raise DimensionMismatch(
                 f"rhs has {rhs.shape[0]} rows, expected {self.n} or the "
                 f"frame's {len(split.frame)}")
-        if split.windowed:
+        if split.bands is not None:
             x, parts = self._windows(rhs, trans)
         elif split.core is None:
             x = self._core_solve(rhs, trans)
@@ -681,9 +592,9 @@ class FactorizationCache:
 
     The pencil is split into decoupled states and coupled core once, here,
     and every LU of the cache (and of its ``transposed()`` cache) shares
-    that split, and so its row frame (``frame``); an LU of a windowed
-    pencil is factored on the frame's rows (``ShiftedFactorization``) and
-    grows with it.  Holds the LU used last
+    that split, and so its row frame (``frame``); an LU of a banded pencil
+    is factored on the frame's rows (``ShiftedFactorization``) and grows
+    with it.  Holds the LU used last
     plus those of the shifts passed to ``declare_recurring``; the others are
     dropped when a new shift is asked for.  ``factor_count`` counts the LUs
     this cache made itself and ``solve_count`` the calls of its ``solve``.
@@ -716,7 +627,7 @@ class FactorizationCache:
     @property
     def frame(self):
         """The RowFrame of this cache's solves, shared with every cache of
-        the split: the rows solves have reached on a windowed pencil, all
+        the split: the rows solves have reached on a banded pencil, all
         rows on any other."""
         return self._split.frame
 

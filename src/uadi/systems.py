@@ -6,7 +6,6 @@ immutable after construction.  File interchange uses a one-file manifest of
 array-format files for B, C, D.
 """
 
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +67,6 @@ class StateSpaceSystem:
         self.E, self.A, self.B, self.C, self.D = E, A, B, C, D
         self.label = label
         self.frame = RowFrame(n)   # the rows of the realization it restricts
-        self._restricted = None   # the last restriction (``restricted``)
 
     @property
     def n(self):
@@ -93,30 +91,21 @@ class StateSpaceSystem:
         return out
 
     def restricted(self, frame):
-        """This realization on the states of a RowFrame of its own: E and A
-        on the frame's rows and columns, B on its rows, C on its columns
-        (``RowFrame.restrict`` asserts that E and A couple the frame to
-        other rows only through its edge).  B must vanish off the frame.
-        The full frame gives the realization itself; the last frame asked
-        for gives the realization made for it then."""
+        """This realization on the states of a RowFrame of the split of its
+        own (A, E) (``FactorizationCache.frame``): E and A on the frame's
+        rows and columns (``RowFrame.pencil``, which asserts that they
+        couple the frame to other rows only through its edge), B on its
+        rows, C on its columns.  B must vanish off the frame.  The full
+        frame gives the realization itself."""
         if frame.full:
             return self
-        if self._restricted is not None and self._restricted.frame is frame:
-            return self._restricted
         B = frame.gather(self.B)
         assert np.count_nonzero(B) == np.count_nonzero(self.B), "B off the frame"
-        E_rows, A_rows = self._by_rows
-        out = StateSpaceSystem(frame.restrict(self.E, E_rows), frame.restrict(self.A, A_rows),
-                               B, frame.gather(self.C.T).T, self.D,
+        A, E = frame.pencil
+        out = StateSpaceSystem(E, A, B, frame.gather(self.C.T).T, self.D,
                                label=self.label, check_E=False)
         out.frame = frame
-        self._restricted = out
         return out
-
-    @cached_property
-    def _by_rows(self):
-        """E and A in CSR, whose rows ``RowFrame.restrict`` reads."""
-        return self.E.tocsr(), self.A.tocsr()
 
     def same_realization(self, other):
         return other is self or (

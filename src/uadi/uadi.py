@@ -399,9 +399,9 @@ class _Side:
     which the two sides of one system share.  Products with the system run
     on ``fsys``, the system restricted to the frame once per growth; on
     the W side of one system (``primal``, G1 = G2) that is the dual of the
-    V side's restriction, so one system is restricted once.  On a pencil
-    that is not windowed the frame is all rows and ``fsys`` the system
-    itself.  S's Schur form is built when a record first extracts
+    system's restriction, whose A and E the frame holds for both sides.  On
+    a pencil that is not banded the frame is all rows and ``fsys`` the
+    system itself.  S's Schur form is built when a record first extracts
     (``schur``), so the Lyapunov pair alone never builds it.
     """
 
@@ -412,9 +412,8 @@ class _Side:
         self.frame = self.sys.frame
         self._fsys = sys
         self._X = _Columns(sys.n)
-        # S alone, grown one diagonal block per unit, until a record asks
-        # for its complex Schur form (``schur``), which then grows with it
-        self._S, self._schur = np.zeros((0, 0)), None
+        self.S = np.zeros((0, 0))   # grown one diagonal block per unit
+        self._schur = None   # the form of S's leading units (``schur``)
         self.L = np.zeros((sys.m, 0))
         self.G = np.zeros((0, sys.p))   # X^T C^T
         B = np.array(sys.B, dtype=float)
@@ -423,7 +422,6 @@ class _Side:
         self.eqs, self.sylv = {}, None
 
     X = property(lambda self: self._X.view, doc="Shared basis on the frame, read-only.")
-    S = property(lambda self: self._S if self._schur is None else self._schur.a)
     k = property(lambda self: self._X.k)
     perp = property(lambda self: self.lyap.perp,
                     doc="Residual factor of the Lyapunov record, read-only.")
@@ -431,18 +429,17 @@ class _Side:
     @property
     def schur(self):
         """S's complex Schur form, Z block diagonal at the unit boundaries:
-        built from S's unit blocks s = s_1 (x) I_m on first demand, as the
-        step would have grown it, and held and grown with S from then on.
-        A side whose records never ask (the Lyapunov pair alone) never
-        builds it."""
-        if self._schur is None:
-            S, m = self._S, self.sys.m
-            form = schur_form(np.zeros((0, 0)))
-            for lo, hi in zip(self.bounds, self.bounds[1:]):
-                s1 = schur_form(S[lo:hi:m, lo:hi:m], output="complex")
-                form = form.extended(S[:lo, lo:hi], s1.kron(m))
-            self._S, self._schur = None, form
-        return self._schur
+        held, and caught up on demand with the units S has grown by since,
+        each from its block s = s_1 (x) I_m, whose form repeats each
+        eigenvalue of s_1 exactly m times.  A side whose records never ask
+        (the Lyapunov pair alone) never builds it."""
+        form = self._schur or schur_form(np.zeros((0, 0)))
+        m, i = self.sys.m, self.bounds.index(len(form.a))
+        for lo, hi in zip(self.bounds[i:], self.bounds[i + 1:]):
+            s1 = schur_form(self.S[lo:hi:m, lo:hi:m], output="complex")
+            form = form.extended(self.S[:lo, lo:hi], s1.kron(m))
+        self._schur = form
+        return form
 
     @property
     def fsys(self):
@@ -476,13 +473,7 @@ class _Side:
         # rows, where every solve is zero, so E X vanishes off the frame
         assert not block[self.frame.edge].any()
         s, l = lyap_sl(unit, self.sys.m)
-        if self._schur is None:
-            self._S = np.block([[self._S, self.L.T @ l],
-                                [np.zeros((len(s), len(self._S))), s]])
-        else:
-            # s = s_1 (x) I_m: its form repeats each eigenvalue exactly m times
-            s1 = schur_form(lyap_sl(unit, 1)[0], output="complex")
-            self._schur = self._schur.extended(self.L.T @ l, s1.kron(self.sys.m))
+        self.S = np.block([[self.S, self.L.T @ l], [np.zeros((len(s), len(self.S))), s]])
         self.L = np.hstack([self.L, l])
         self._X.append(block)
         fsys = self.fsys

@@ -3,7 +3,34 @@
 import numpy as np
 import pytest
 import scipy.linalg as spla
+import scipy.sparse as sps
 
+
+def whole_band(A, E, shift):
+    """The gttrf factors (dl, d, du, du2, ipiv) of a tridiagonal pencil
+    A + shift*E (a real one for a real shift) in one call over the whole
+    band, every block at once: the reference of the per-block LUs."""
+    from uadi.linalg import _PencilSplit
+
+    a, e, _ = _PencilSplit(sps.csc_matrix(A), sps.csc_matrix(E)).bands
+    shift = complex(shift)
+    M = a + (shift.real if shift.imag == 0 else shift) * e
+    gttrf = spla.get_lapack_funcs("gttrf", (M,))
+    return gttrf(M[2, :-1], M[1], M[0, 1:])[:5]
+
+
+def whole_band_solve(A, E, shift, rhs, trans="N"):
+    """(A + shift*E) X = rhs, or its plain transpose with trans='T', by one
+    gttrs call on the ``whole_band`` factors; a complex rhs against real
+    factors is solved as its real and imaginary parts, as a factorization
+    solves it."""
+    factors = whole_band(A, E, shift)
+    rhs = np.asarray(rhs)
+    if np.iscomplexobj(rhs) and not np.iscomplexobj(factors[1]):
+        x = whole_band_solve(A, E, shift, np.hstack([rhs.real, rhs.imag]), trans)
+        return x[:, :rhs.shape[1]] + 1j * x[:, rhs.shape[1]:]
+    gttrs = spla.get_lapack_funcs("gttrs", (factors[1],))
+    return gttrs(*factors, rhs.astype(factors[1].dtype), trans=trans)[0]
 
 
 def dense_pencil(sys):

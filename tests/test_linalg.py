@@ -25,7 +25,7 @@ from uadi.linalg import (
 from uadi.realify import ShiftUnit, lyap_sl
 from uadi.systems import StateSpaceSystem, penzl_triple_peak, rlc_ladder
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, whole_band, whole_band_solve
 
 
 class TestShiftedSolve:
@@ -289,50 +289,57 @@ class TestTridiagonalCore:
         return shapes
 
     def test_matches_dense_solve(self, monkeypatch, rng):
-        """On rlc_ladder(50), whole and beside a decoupled state, at a real
-        and a complex shift: plain and transposed solves, one-off and
-        through a cache and its transposed borrow, of real, complex and
-        1-D right-hand sides, agree with a dense solve, and no SuperLU LU
-        is made."""
+        """On rlc_ladder(50), at a real and a complex shift: plain and
+        transposed solves, one-off and through a cache and its transposed
+        borrow, of real, complex and 1-D right-hand sides, agree with a
+        dense solve, and no SuperLU LU is made."""
         g = rlc_ladder(50)
-        beside = (sps.block_diag([g.A, [[-3.0]]], format="csc"),
-                  sps.block_diag([g.E, [[2.0]]], format="csc"))
         shapes = self._splu_shapes(monkeypatch)
-        for A, E in ((g.A, g.E), beside):
-            n = A.shape[0]
-            rhss = (rng.standard_normal((n, 3)),
-                    rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
-                    rng.standard_normal(n))
-            cache = FactorizationCache(A, E)
-            tcache = cache.transposed()
-            assert cache._split.bands is not None
-            for shift in (-1.867, -1.0 + 20.0j):
-                M = (A + shift * E).toarray()
-                fac = ShiftedFactorization(A, E, shift)
-                assert fac._band is not None and fac._lu is None
-                for b in rhss:
-                    for trans, x in (("N", fac.solve(b)), ("T", fac.solve(b, trans="T")),
-                                     ("N", cache.solve(shift, b)),
-                                     ("T", tcache.solve(shift, b))):
-                        want = np.linalg.solve(M if trans == "N" else M.T, b)
-                        assert x.shape == b.shape
-                        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-            assert cache.factor_count == 2 and tcache.factor_count == 0
+        rhss = (rng.standard_normal((g.n, 3)),
+                rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3)),
+                rng.standard_normal(g.n))
+        cache = FactorizationCache(g.A, g.E)
+        tcache = cache.transposed()
+        assert cache._split.bands is not None
+        for shift in (-1.867, -1.0 + 20.0j):
+            M = (g.A + shift * g.E).toarray()
+            fac = ShiftedFactorization(g.A, g.E, shift)
+            assert fac._band is not None and fac._lu is None
+            for b in rhss:
+                for trans, x in (("N", fac.solve(b)), ("T", fac.solve(b, trans="T")),
+                                 ("N", cache.solve(shift, b)),
+                                 ("T", tcache.solve(shift, b))):
+                    want = np.linalg.solve(M if trans == "N" else M.T, b)
+                    assert x.shape == b.shape
+                    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert cache.factor_count == 2 and tcache.factor_count == 0
         assert shapes == []
 
     def test_other_cores_keep_superlu(self, monkeypatch):
-        """penzl's dense 6 x 6 head, a dense random pencil and a 2-state
-        tridiagonal core (too small for gttrf) are factored by SuperLU."""
+        """penzl's dense 6 x 6 head, a dense random pencil, a 2-state
+        tridiagonal core (too small for gttrf) and rlc_ladder(50)'s
+        tridiagonal pencil beside a decoupled state are factored by
+        SuperLU, the last one agreeing with a dense solve."""
         from uadi.systems import random_stable_system
 
         penzl, dense = penzl_triple_peak(200, 10, 20, 30), random_stable_system(8, 2, 2, 0)
         two = sps.csc_matrix([[-1.0, 0.5, 0.0], [0.5, -2.0, 0.0], [0.0, 0.0, -3.0]])
+        g = rlc_ladder(50)
+        beside = (sps.block_diag([g.A, [[-3.0]]], format="csc"),
+                  sps.block_diag([g.E, [[2.0]]], format="csc"))
+        b = np.random.default_rng(3).standard_normal((g.n + 1, 2))
         shapes = self._splu_shapes(monkeypatch)
-        for A, E in ((penzl.A, penzl.E), (dense.A, dense.E), (two, sps.eye(3))):
+        for A, E in ((penzl.A, penzl.E), (dense.A, dense.E), (two, sps.eye(3)), beside):
             for shift in (-1.5, -1.0 + 2.0j):
                 fac = ShiftedFactorization(A, E, shift)
                 assert fac._band is None and fac._lu is not None
-        assert shapes == [(6, 6)] * 2 + [(8, 8)] * 2 + [(2, 2)] * 2
+        for shift in (-1.867, -1.0 + 20.0j):
+            M = (beside[0] + shift * beside[1]).toarray()
+            for trans in "NT":
+                x = FactorizationCache(*beside).get(shift).solve(b, trans=trans)
+                want = np.linalg.solve(M if trans == "N" else M.T, b)
+                assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert shapes == [(6, 6)] * 2 + [(8, 8)] * 2 + [(2, 2)] * 2 + [(200, 200)] * 6
 
     def test_zero_pivot_and_non_finite_band_raise(self):
         """An exact zero gttrf pivot (a zero column) and a non-finite band
@@ -372,32 +379,33 @@ class TestWindowedSolve:
     def test_blocks(self):
         """The ladders' blocks start where A and E both have no entry
         between two rows; a block shorter than 3 rows joins its neighbour,
-        and a split pencil is not windowed."""
+        and a split pencil has no bands and the full frame."""
         from uadi.linalg import _PencilSplit
 
         g = rlc_ladder(50)
         split = _PencilSplit(g.A, g.E)
-        assert split.windowed and list(split.bands[2]) == [0, 100, 200]
+        assert list(split.bands[2]) == [0, 100, 200]
         pair = sps.csc_matrix([[-2.0, 1.0], [1.0, -3.0]])
         A = sps.block_diag([pair, g.A, pair], format="csc")
         assert list(_PencilSplit(A, sps.eye(204, format="csc")).bands[2]) == [0, 102, 204]
         beside = _PencilSplit(sps.block_diag([g.A, [[-3.0]]], format="csc"),
                               sps.block_diag([g.E, [[2.0]]], format="csc"))
-        assert not beside.windowed and beside.reach == [slice(0, 201)]
+        assert beside.bands is None and beside.frame.full
 
     @pytest.mark.parametrize("shift", [-1.867, -6.89 - 6.44j, -0.01, -0.02 + 0.5j])
     def test_agrees_with_full_length_solve(self, shift):
         """On rlc_ladder(4000), for the ports B (each column zero on the
         other block), B as a complex right-hand side, one starting mid-block
         and a dense one, plain and transposed: the windowed solve is zero
-        outside the split's reach, agrees with one full-length gttrs after
-        the subnormal flush to 1e-290, and its full-system residual is the
-        full solve's plus at most 1e-300; the dense one, whose windows cover
-        both blocks, is one gttrs call.  At the two shifts near the axis
-        the solution of B does not decay below tiny within the first
-        ladder's block, so its window doubles up to the block's end; at the
-        others both windows stop short of their blocks' ends, and a later
-        solve starts from the reach seen."""
+        outside the windows the split has used, agrees with one whole-band
+        gttrs after the subnormal flush to 1e-290, and its full-system
+        residual is the whole-band solve's plus at most 1e-300; the dense
+        one, whose windows cover both blocks, is one gttrs call per block.
+        At the two shifts near the axis the solution of B does not decay
+        below tiny within the first ladder's block, so its window doubles
+        up to the block's end; at the others both windows stop short of
+        their blocks' ends, and a later solve starts from the windows
+        seen, one gttrs call per block."""
         from uadi.uadi import _flush_subnormals
 
         g = rlc_ladder(4000)
@@ -413,30 +421,30 @@ class TestWindowedSolve:
             for name, b in (("B", g.B), ("complex", (1 + 2j) * g.B), ("mid", mid),
                             ("dense", rng.standard_normal((n, 2)))):
                 fac = ShiftedFactorization(g.A, g.E, shift)
-                full = fac._core_solve(b, trans)
+                full = whole_band_solve(g.A, g.E, shift, b, trans)
                 calls = self._counted(fac)
                 x = fac.solve(b, trans=trans)
-                reach = fac._split.reach
+                ends = dict(fac._split.ends)
                 outside = np.ones(n, dtype=bool)
-                for r in reach:
-                    outside[r] = False
+                for lo, end in ends.items():
+                    outside[lo:end] = False
                 assert not x[outside].any(), name
                 gap = _flush_subnormals(x.copy()) - _flush_subnormals(full.copy())
                 assert np.abs(gap).max() <= 1e-290, name
                 res = [np.abs(M @ y - b).max(axis=0) for y in (x, full)]
                 assert np.all(res[0] <= res[1] + 1e-300), name
-                if name == "dense":   # both blocks whole: one call
-                    assert reach == [slice(0, n)] and calls == [(0, n)]
+                if name == "dense":   # both blocks whole: one call each
+                    assert ends == {0: half, half: n} and calls == [(0, half), (half, n)]
                 if name != "B":
                     continue
                 assert len(calls) > 3   # 2 blocks, at least one doubled
-                if near_axis:   # the first block whole, joined with the second
-                    assert len(reach) == 1 and half < reach[0].stop < n
+                if near_axis:   # the first block whole
+                    assert ends[0] == half and ends[half] < n
                 else:
-                    assert reach[0].stop < half and reach[1].stop < n
-                    del calls[:-1]
+                    assert ends[0] < half and ends[half] < n
+                    del calls[:]
                     fac.solve(b, trans=trans)
-                    assert len(calls) == 3 and fac._split.reach == reach
+                    assert calls == list(ends.items()) and fac._split.ends == ends
 
     def test_checks_run_on_the_windows(self):
         """A right-hand side that is zero on every block makes no gttrs
@@ -452,20 +460,10 @@ class TestWindowedSolve:
 
 
 class TestFrameFactor:
-    """A cache's LU of a windowed pencil is factored per band block on the
-    rows its split's windows reach plus one, and further on demand; every
-    factored row has the bits of a whole-band gttrf."""
-
-    @staticmethod
-    def _whole(A, E, shift):
-        """The whole-band gttrf factors of A + shift*E (dl, d, du, du2, ipiv)."""
-        from uadi.linalg import _PencilSplit
-
-        a, e, _ = _PencilSplit(A.tocsc(), E.tocsc()).bands
-        s = shift.real if shift.imag == 0 else shift
-        M = a + s * e
-        gttrf = spla.get_lapack_funcs("gttrf", (M,))
-        return gttrf(M[2, :-1], M[1], M[0, 1:])[:5]
+    """A cache's LU of a banded pencil is factored per band block from the
+    block's first row on the rows its split's windows reach plus one, and
+    again from the first row on demand; every factored row has the bits of
+    a whole-band gttrf (``whole_band``)."""
 
     @staticmethod
     def _check(fac, whole, ends):
@@ -490,11 +488,11 @@ class TestFrameFactor:
     def test_grown_factors_equal_the_whole_band(self, shift):
         """On rlc_ladder(2000), through a cache and its transposed borrow:
         the ports B, a right-hand side deep in the first block and a dense
-        one, whose window covers the first block and joins the second; the
-        joined solve gives the whole band's solution."""
+        one, whose windows cover both blocks; the solution is then the
+        whole band's, bit for bit."""
         g = rlc_ladder(2000)
         n, half = g.n, g.n // 2
-        whole = self._whole(g.A, g.E, shift)
+        whole = whole_band(g.A, g.E, shift)
         cache = FactorizationCache(g.A, g.E)
         tcache = cache.transposed()
         deep = np.zeros((n, 1))
@@ -506,25 +504,46 @@ class TestFrameFactor:
             self._check(fac, whole, fac._split.ends)
         assert cache.factor_count == 1 and tcache.factor_count == 0
         assert fac._split.ends == {0: half, half: n}
-        ref = ShiftedFactorization(g.A, g.E, shift)
         for trans in "NT":
-            np.testing.assert_array_equal(fac._core_solve(dense, trans),
-                                          ref._core_solve(dense, trans))
+            np.testing.assert_array_equal(fac.solve(dense, trans=trans),
+                                          whole_band_solve(g.A, g.E, shift, dense, trans))
 
     def test_a_new_lu_factors_the_frame(self):
         """An LU made after the frame has grown factors each reached block
-        up to its window end plus one row at construction, and a
-        full-length solve factors the rest of the band."""
+        up to its window end plus one row at construction; a dense solve,
+        whose windows cover both blocks, factors each block whole from its
+        first row, and its solution is the whole band's, bit for bit."""
         g = rlc_ladder(2000)
         cache = FactorizationCache(g.A, g.E)
         cache.solve(-6.89 - 6.44j, g.B)
         ends = dict(cache._split.ends)
         assert all(end < hi for end, hi in zip(ends.values(), (g.n // 2, g.n)))
         fac = cache.get(-1.867)
-        whole = self._whole(g.A, g.E, -1.867)
+        whole = whole_band(g.A, g.E, -1.867)
         self._check(fac, whole, ends)
-        fac._core_solve(g.B, "N")
+        dense = np.random.default_rng(5).standard_normal((g.n, 2))
+        np.testing.assert_array_equal(fac.solve(dense),
+                                      whole_band_solve(g.A, g.E, -1.867, dense))
         self._check(fac, whole, {0: g.n // 2, g.n // 2: g.n})
+
+    def test_a_full_frame_lu_holds_one_segment_per_block(self):
+        """Once a ladder cache's frame is all rows, a new LU factors each
+        block whole from its own first row, and its solutions of B are the
+        whole band's, bit for bit."""
+        g = rlc_ladder(2000)
+        cache = FactorizationCache(g.A, g.E)
+        cache.solve(-1.867, np.ones((g.n, 1)))
+        assert cache.frame.full
+        fac = cache.get(-6.89 - 6.44j)
+        starts = fac._band.starts
+        assert sorted(fac._band._segs) == starts[:-1]
+        for lo, hi in zip(starts, starts[1:]):
+            assert fac._band._segs[lo][:2] == [lo, hi]
+        self._check(fac, whole_band(g.A, g.E, -6.89 - 6.44j), dict(zip(starts, starts[1:])))
+        for c, trans in ((cache, "N"), (cache.transposed(), "T")):
+            np.testing.assert_array_equal(
+                c.solve(-6.89 - 6.44j, g.B),
+                whole_band_solve(g.A, g.E, -6.89 - 6.44j, g.B, trans))
 
     @staticmethod
     def _ladder(n=600):
@@ -544,7 +563,7 @@ class TestFrameFactor:
         A, E = A.tocsc(), E.tocsc()
         cache = FactorizationCache(A, E)
         fac = cache.get(-1.0)
-        assert cache._split.windowed and fac._band._segs == {}
+        assert cache._split.bands is not None and fac._band._segs == {}
         b = np.zeros((A.shape[0], 1))
         b[0] = 1.0
         with pytest.raises(SingularShiftedMatrix, match="zero pivot 6"):
@@ -557,7 +576,8 @@ class TestFrameFactor:
         (the right-hand side's row 0 plus the 256-row margin, plus one); its
         provisional pivot is zero, but the next row's sub-diagonal entry
         takes the pivot there.  The solve does not raise, and a later
-        window through row 257 continues the factors to the whole band's."""
+        window through row 257 factors the block again from its first row,
+        with the whole band's factors."""
         A, E = self._ladder()
         A[257, 256] = A[257, 257] = 0.0
         E[257, 257] = 0.0
@@ -573,7 +593,7 @@ class TestFrameFactor:
         np.testing.assert_array_equal(x, ref.solve(b))
         b[400] = 1.0
         cache.solve(-1.0, b)
-        self._check(fac, self._whole(A, E, -1.0), cache._split.ends)
+        self._check(fac, whole_band(A, E, -1.0), cache._split.ends)
         assert fac._band._segs[0][3][257] != 0
 
     def test_growth_check_falls_back_to_the_exact_max(self):
@@ -601,7 +621,7 @@ class TestFrameFactor:
                       [-1, 0, 1], format="csc")
         E = sps.eye(4, format="csc")
         cache = FactorizationCache(A, E)
-        assert cache._split.windowed
+        assert cache._split.bands is not None
         for trans, c in (("N", cache), ("T", cache.transposed())):
             with pytest.raises(SingularShiftedMatrix, match="numerically singular"):
                 c.solve(0.0, np.ones((4, 1)))
@@ -615,15 +635,17 @@ class TestFrameFactor:
             E = sps.eye(4, format="lil")
             E[1, 2] = bad
             cache = FactorizationCache(A, E.tocsc())
-            assert cache._split.windowed
+            assert cache._split.bands is not None
             for shift in (-1.0, -1.0 + 2.0j):
                 with pytest.raises(SingularShiftedMatrix, match="non-finite"):
                     cache.get(shift)
 
 
 class TestRestrict:
-    """``RowFrame.restrict`` reads only the frame's rows and columns and
-    asserts the edge rule the whole matrix would give."""
+    """A split's row frame reads the pencil on its rows off the bands
+    (``RowFrame.pencil``): it drops the entries that couple a run of frame
+    rows to the rows beside it, and asserts the edge rule the whole matrix
+    would give."""
 
     @staticmethod
     def _whole_matrix_rule(M, rows, edge):
@@ -638,66 +660,86 @@ class TestRestrict:
         border = np.where(inside[M.indices], M.indices, cols)[cross]
         return bool(np.isin(border, rows[edge]).all())
 
+    @staticmethod
+    def _ladder_frame(g):
+        """rlc_ladder(50)'s frame of the first 30 rows of each block."""
+        from uadi.linalg import _PencilSplit
+
+        split = _PencilSplit(g.A, g.E)
+        split.ends = {0: 30, 100: 130}
+        return split.frame
+
     def test_coupled_off_the_edge(self):
-        """On rlc_ladder(50) restricted to the first 30 rows of each block
-        (edges 29 and 59): an entry joining inner row 10 to row 150, off
-        the frame, in row 10 or in column 10, trips the assertion."""
+        """On rlc_ladder(50), the frame of the first 30 rows of each block
+        has edges 29 and 59 and gives the frame's submatrices of A and E.
+        Without edge 59, or with the second run starting mid-block, the
+        assertion trips; a zero coupling there couples nothing."""
         from uadi.linalg import RowFrame
 
         g = rlc_ladder(50)
+        frame = self._ladder_frame(g)
         rows = np.r_[0:30, 100:130]
-        frame = RowFrame(g.n, rows, [29, 59])
-        A = frame.restrict(g.A, g.A.tocsr())
-        np.testing.assert_array_equal(A.toarray(), g.A.toarray()[np.ix_(rows, rows)])
-        for at in ((10, 150), (150, 10)):
-            M = g.A.tolil()
-            M[at] = 0.5
+        np.testing.assert_array_equal(frame.rows, rows)
+        assert list(frame.edge) == [29, 59]
+        for got, M in zip(frame.pencil, (g.A, g.E)):
+            np.testing.assert_array_equal(got.toarray(), M.toarray()[np.ix_(rows, rows)])
+        for at, edge in ((rows, [29]), (np.r_[0:30, 105:130], [29, 54])):
             with pytest.raises(AssertionError, match="coupled off the edge"):
-                frame.restrict(M.tocsc(), M.tocsr())
-            M[at] = 0.0   # a stored zero couples nothing
-            frame.restrict(M.tocsc(), M.tocsr())
+                RowFrame(g.n, at, edge, frame.bands).pencil
+        a = frame.bands[0].copy()
+        a[0, 130] = a[2, 129] = 0.0   # entries (129, 130) and (130, 129)
+        RowFrame(g.n, rows, [29], (a, frame.bands[1])).pencil
 
     def test_b_off_the_frame(self):
-        from uadi.linalg import RowFrame
-
         g = rlc_ladder(50)
         B = g.B.copy()
         B[150, 0] = 1.0
         sys = StateSpaceSystem(g.E, g.A, B, g.C)
         with pytest.raises(AssertionError, match="B off the frame"):
-            sys.restricted(RowFrame(g.n, np.r_[0:30, 100:130], [29, 59]))
+            sys.restricted(self._ladder_frame(g))
 
     def test_agrees_with_the_whole_matrix_rule(self, rng):
-        """On random sparse matrices and frames: the check fails exactly
-        when the whole-matrix rule does, and the restriction is the frame's
-        submatrix."""
-        from uadi.linalg import RowFrame
+        """On random tridiagonal pencils with random block links and
+        per-block prefix frames, one edge dropped half the time: the check
+        fails exactly when the whole-matrix rule does on A or E, and
+        otherwise gives the frame's submatrices of A and E."""
+        from uadi.linalg import RowFrame, _PencilSplit
 
         outcomes = []
         for trial in range(200):
-            n = int(rng.integers(5, 40))
-            M = sps.random(n, n, density=0.08, random_state=trial, format="csc")
-            M.data[rng.random(M.nnz) < 0.1] = 0.0   # stored zeros
-            rows = np.flatnonzero(rng.random(n) < (0.6 if trial else 0.0))
-            # the rows coupled off the frame, one of them dropped half the time
-            inside = np.zeros(n, dtype=bool)
-            inside[rows] = True
-            D = abs(M).toarray() != 0
-            off = np.flatnonzero(inside & (D[:, ~inside].any(axis=1) | D[~inside].any(axis=0)))
-            edge = np.searchsorted(rows, off)
+            n = int(rng.integers(6, 40))
+            # sub-, main and super-diagonal of A and E, each entry zero at
+            # random; both off-diagonals zero at random links, no two
+            # adjacent, so every state stays coupled
+            d = rng.standard_normal((2, 3, n)) * (rng.random((2, 3, n)) < 0.8)
+            cut = rng.random(n) < 0.2
+            cut[:2] = cut[-1] = False
+            cut[1:] &= ~cut[:-1]
+            d[:, ::2, cut] = 0.0
+            A, E = (sps.diags([x[0, 1:], x[1], x[2, 1:]], [-1, 0, 1], format="csc") for x in d)
+            split = _PencilSplit(A, E)
+            if split.bands is None:   # a state with no coupling left
+                continue
+            starts = split.bands[2]
+            split.ends = {int(lo): int(rng.integers(lo + 1, hi + 1))
+                          for lo, hi in zip(starts, starts[1:]) if rng.random() < 0.7}
+            frame = split.frame
+            if frame.full:
+                continue
+            rows, edge = frame.rows, frame.edge
             if len(edge) and trial % 2:
                 edge = np.delete(edge, rng.integers(len(edge)))
-            frame = RowFrame(n, rows, edge)
-            want = self._whole_matrix_rule(M, rows, edge)
+            want = all(self._whole_matrix_rule(M, rows, edge) for M in (A, E))
             outcomes.append(want)
             try:
-                got = frame.restrict(M, M.tocsr())
+                got = RowFrame(n, rows, edge, frame.bands).pencil
             except AssertionError:
                 assert not want, trial
                 continue
             assert want, trial
-            np.testing.assert_array_equal(got.toarray(), M.toarray()[np.ix_(rows, rows)])
-        assert any(outcomes) and not all(outcomes)
+            for X, M in zip(got, (A, E)):
+                np.testing.assert_array_equal(X.toarray(), M.toarray()[np.ix_(rows, rows)])
+        assert len(outcomes) > 100 and any(outcomes) and not all(outcomes)
 
 
 class TestSmallInverse:

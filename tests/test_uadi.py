@@ -22,7 +22,12 @@ from uadi.uadi import (
     uadi_step,
 )
 
-from conftest import assert_multiset_close, equation_residual, residual_product
+from conftest import (
+    assert_multiset_close,
+    equation_residual,
+    residual_product,
+    whole_band_solve,
+)
 
 
 RLC_PARAMS = EquationParams(
@@ -1429,8 +1434,9 @@ class TestBasisStorage:
 
     def test_frame_covers_every_block(self, monkeypatch):
         """On rlc_ladder(4000) every new basis block is on its side's row
-        frame, the reach of its cache, which stops short of both blocks'
-        ends, and V and W are zero off the frame."""
+        frame, the rows from each block's first to the end of the largest
+        window its cache's split has used there, which stops short of both
+        blocks' ends, and V and W are zero off the frame."""
         import uadi.uadi as engine
 
         g = rlc_ladder(4000)
@@ -1449,11 +1455,11 @@ class TestBasisStorage:
             for side, block in zip((st.v, st.w), blocks[-2:]):
                 assert len(block) == len(side.frame) == side.X.shape[0]
         for side, X in ((st.v, st.V), (st.w, st.W)):
-            reach = side.cache._split.reach
-            assert [r.start for r in reach] == [0, g.n // 2]
-            assert all(r.stop < end for r, end in zip(reach, (g.n // 2, g.n)))
+            ends = sorted(side.cache._split.ends.items())
+            assert [lo for lo, _ in ends] == [0, g.n // 2]
+            assert all(end < hi for (_, end), hi in zip(ends, (g.n // 2, g.n)))
             np.testing.assert_array_equal(
-                side.frame.rows, np.concatenate([np.arange(r.start, r.stop) for r in reach]))
+                side.frame.rows, np.concatenate([np.arange(lo, end) for lo, end in ends]))
             assert X.shape == (g.n, side.k) and not X[outside(side)].any()
 
     @pytest.mark.parametrize("g", [penzl_triple_peak(200, 10, 20, 30),
@@ -1885,7 +1891,7 @@ class TestRowFrame:
 
     def test_frame_covers_every_solution(self, monkeypatch):
         """Every windowed solve of the engine agrees, scattered to n rows,
-        with one full-length gttrs of the same right-hand side after the
+        with one whole-band gttrs of the same right-hand side after the
         subnormal flush: nothing it reaches lies off the frame."""
         from uadi.linalg import ShiftedFactorization
         from uadi.uadi import _flush_subnormals
@@ -1904,7 +1910,7 @@ class TestRowFrame:
             uadi_step(st, unit, unit)
         assert len(solves) == 2 * len(self.STEPS)
         for fac, rhs, trans, x in solves:
-            full = fac._core_solve(rhs, trans)
+            full = whole_band_solve(g.A, g.E, fac.shift, rhs, trans)
             gap = _flush_subnormals(x.copy()) - _flush_subnormals(full.copy())
             assert np.abs(gap).max() <= 1e-290
 
@@ -1961,24 +1967,24 @@ class TestRowFrame:
 
     def test_one_restriction_per_growth(self, monkeypatch):
         """On one system the W side's restricted realization is the dual of
-        the V side's: each frame restricts E and A once, and the W side's
-        matrices are those of G.dual() restricted to the frame."""
+        the system's: each frame restricts E and A once, for both sides,
+        and the W side's matrices are those of G.dual() on the frame."""
         from collections import Counter
 
         from uadi.linalg import RowFrame
 
         g, st = self._state()
-        calls, restrict = [], RowFrame.restrict
-        monkeypatch.setattr(RowFrame, "restrict",
-                            lambda frame, M, by_rows: calls.append(id(frame))
-                            or restrict(frame, M, by_rows))
+        calls, restrict = [], RowFrame._restrict
+        monkeypatch.setattr(RowFrame, "_restrict",
+                            lambda frame, band: calls.append(id(frame)) or restrict(frame, band))
         for unit in self.STEPS:
             uadi_step(st, unit, unit)
         assert len(calls) > 2 and set(Counter(calls).values()) == {2}
         frame, fsys, dual = st.w.frame, st.w.fsys, g.dual()
         assert fsys.frame is frame and st.v.fsys.frame is frame
         for got, want in ((fsys.E, dual.E), (fsys.A, dual.A)):
-            want = restrict(frame, want, want.tocsr())
+            want = want[frame.rows][:, frame.rows]
+            want.sort_indices()
             for name in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         np.testing.assert_array_equal(fsys.B, frame.gather(dual.B))

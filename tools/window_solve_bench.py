@@ -1,4 +1,4 @@
-"""Time windowed against full-length tridiagonal solves on the RLC ladder.
+"""Time windowed against whole-block tridiagonal solves on the RLC ladder.
 
     OMP_NUM_THREADS=1 taskset -c 1 python3 tools/window_solve_bench.py [rounds]
 
@@ -11,16 +11,18 @@ ports B, the engine's first right-hand side:
 - on a fresh split, recording the window each block ends with (the reach)
   and how often its window doubled on the way;
 - then, rounds times each and interleaved, the windowed solve starting
-  from that reach (``ShiftedFactorization.solve``), one full-length
-  gttrs of all n rows, the factorization a cache makes on that split
-  (gttrf on the reached rows of each block plus one, checks included) and
-  the one it makes once the split's frame is all n rows (one gttrf of the
-  whole band, checks included).
+  from that reach (``ShiftedFactorization.solve``), the solve on the LU a
+  cache makes once its split's frame is all n rows (one gttrs call over
+  each whole block, checks included), the factorization a cache makes on
+  the reached split (gttrf on the reached rows of each block plus one,
+  checks included) and the one it makes with every block reached (one
+  gttrf per whole block, checks included).
 
 Prints a markdown table: per shift and trans the reach of each block, its
-doublings, the median windowed and full solve times in ms, how many
-entries of the full solution are subnormal (nonzero and below tiny), and
-the median reached-rows and whole-band factorization times in ms.
+doublings, the median windowed and whole-block solve times in ms, how
+many entries of the whole-block solution are subnormal (nonzero and below
+tiny), and the median reached-rows and whole-block factorization times in
+ms.
 """
 
 import statistics
@@ -56,11 +58,11 @@ def ms(fn):
 def main(rounds):
     g = rlc_ladder(10000)
     tiny = np.finfo(float).tiny
-    band = _PencilSplit(g.A, g.E)   # every block reached: its LUs are whole-band
+    band = _PencilSplit(g.A, g.E)   # every block reached: its LUs and solves cover every row
     starts = band.bands[2]
     band.ends = dict(zip(starts[:-1].tolist(), starts[1:].tolist()))
     print("| shift | trans | reach (rows per block) | doublings | windowed ms "
-          "| full ms | full subnormals | factor reached ms | factor whole ms |")
+          "| whole-block ms | whole-block subnormals | factor reached ms | factor whole ms |")
     print("|---|---|---|---|---|---|---|---|---|")
     for s in shifts():
         for trans in "NT":
@@ -73,14 +75,14 @@ def main(rounds):
             doublings = [starts.count(lo) - 1 for lo, _ in ends]
             reach = [end - lo for lo, end in ends]
             fac._core_solve = solve
-            split = fac._split
+            split, every = fac._split, ShiftedFactorization(g.A, g.E, s, split=band)
             windowed, full, reached, whole = [], [], [], []
             for _ in range(rounds):   # interleaved, so host drift falls on both
                 windowed.append(ms(lambda: fac.solve(g.B, trans=trans)))
-                full.append(ms(lambda: fac._core_solve(g.B, trans)))
+                full.append(ms(lambda: every.solve(g.B, trans=trans)))
                 reached.append(ms(lambda: ShiftedFactorization(g.A, g.E, s, split=split)))
                 whole.append(ms(lambda: ShiftedFactorization(g.A, g.E, s, split=band)))
-            x = fac._core_solve(g.B, trans)
+            x = every.solve(g.B, trans=trans)
             subnormal = int(np.count_nonzero((x != 0) & (np.abs(x) < tiny)))
             print(f"| {s:.4g} | {trans} | {reach} | {doublings} "
                   f"| {statistics.median(windowed):.2f} | {statistics.median(full):.2f} "
