@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -155,8 +156,10 @@ class _ShiftDriver:
     engine side's own system (G1, or G2.dual() on the W side) and observes
     that side's basis and residual factor as the side holds them, by
     reference, on the side's row frame and against the side's system
-    restricted to it (``sylv-alt`` with ``sylv`` enabled: the halves' read
-    factors).
+    restricted to it.  ``sylv-alt`` with ``sylv`` enabled observes, for
+    each side, a reader of that side's Sylvester half instead
+    (``UadiState.factor``): only the half a ranking reads is formed for
+    it, and the other stays stale until the run's schedule reads ``sylv``.
     ``oa`` emits the alpha units and ``ob`` the beta units; a two-sided
     oracle (``petrov-bt``, ``sylv-alt``) has no ``ob`` and its unit is both.
     ``recurring`` holds the alpha and beta values a static list cycles
@@ -200,12 +203,15 @@ class _ShiftDriver:
 
     def after_step(self, state):
         v, w = state.v, state.w
-        _, fv, _, fw = state.entry("sylv") if self.sylv_halves else (v, v.lyap, w, w.lyap)
-        if self.ob is None:
-            self.oa.observe(v.X, w.X, fv.perp, fw.perp, (v.fsys, w.fsys))
+        if self.sylv_halves:
+            fv, fw = (partial(state.factor, "sylv", side) for side in (v, w))
         else:
-            self.oa.observe(v.X, fv.perp, sys=v.fsys)
-            self.ob.observe(w.X, fw.perp, sys=w.fsys)
+            fv, fw = v.perp, w.perp
+        if self.ob is None:
+            self.oa.observe(v.X, w.X, fv, fw, (v.fsys, w.fsys))
+        else:
+            self.oa.observe(v.X, fv, sys=v.fsys)
+            self.ob.observe(w.X, fw, sys=w.fsys)
 
 
 def _status(state, tag, tol):

@@ -72,6 +72,7 @@ against one F, with one Schur form and one trsyl call for all of them.
 """
 
 import bisect
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -964,27 +965,61 @@ def small_inverse(a):
     return inv, float(rcond)
 
 
+def _check_lu(a, lu, info, what):
+    """Check the LAPACK LU factor (lu, info) of the general square matrix
+    a, named ``what`` in the error, as scipy.linalg.solve and inv do:
+    EigFailure when a is singular, and their LinAlgWarning when the
+    reciprocal condition of its 1-norm, from gecon on the same factor, is
+    below eps."""
+    gecon, = spla.get_lapack_funcs(("gecon",), (lu,))
+    rcond = 0.0 if info else gecon(lu, np.abs(a).sum(axis=0).max(), norm="1")[0]
+    if rcond == 0:
+        raise EigFailure(f"singular {what} in small eig")
+    if not rcond >= np.finfo(float).eps:
+        warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond}.",
+                      spla.LinAlgWarning, stacklevel=3)
+
+
 def small_eig(F, E=None):
     """Eigendecomposition of F (or of the pencil (F, E)).
 
     Returns (eigenvalues, right_vectors, left_rows) with
     F @ right = right @ diag(w) (pencil form E^{-1} F when E is given) and
-    left_rows = inv(right), so that residues are left_rows[l] @ B.
+    left_rows = inv(right), so that residues are left_rows[l] @ B.  These
+    are the LAPACK calls scipy.linalg.solve, eig and inv make for general
+    matrices (gesv, geev with right vectors, getrf and getri), so with
+    their bits and outcomes, without the wrappers that cost most of a call
+    at a window's width.
     """
     F = np.atleast_2d(np.asarray(F))
+    E = None if E is None else np.atleast_2d(np.asarray(E))
+    if not all(np.isfinite(a).all() for a in (F, E) if a is not None):
+        raise ValueError("array must not contain infs or NaNs")
     if E is not None:
-        E = np.atleast_2d(np.asarray(E))
         if E.shape != F.shape:
             raise DimensionMismatch("E must match F")
-        try:
-            F = spla.solve(E, F)
-        except spla.LinAlgError as exc:
-            raise EigFailure(f"singular E in pencil eig: {exc}") from exc
-    try:
-        w, T = spla.eig(F)
-        Tl = spla.inv(T)
-    except (spla.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise EigFailure(str(exc)) from exc
+        gesv, = spla.get_lapack_funcs(("gesv",), (E, F))
+        lu, _, F, info = gesv(E, F)
+        _check_lu(E, lu, info, "E")
+    n = len(F)
+    geev, geev_lwork = spla.get_lapack_funcs(("geev", "geev_lwork"), (F,))
+    lwork = int(geev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
+    *w, _, T, info = geev(F, lwork=lwork, compute_vl=0, compute_vr=1)
+    if info:
+        raise EigFailure(f"eigenvalues did not converge (geev info {info})")
+    if len(w) == 2:   # real: a conjugate pair's vectors are re, im columns
+        w, wi = w[0] + 1j * w[1], w[1]
+        if wi.any():
+            pair = np.flatnonzero(wi > 0)
+            T = T.astype(complex)
+            T.imag[:, pair] = T.real[:, pair + 1]
+            T[:, pair + 1] = T[:, pair].conj()
+    else:
+        w, = w
+    getrf, getri = spla.get_lapack_funcs(("getrf", "getri"), (T,))
+    lu, piv, info = getrf(T)
+    _check_lu(T, lu, info, "eigenvector matrix")
+    Tl, _ = getri(lu, piv)
     return w, T, Tl
 
 

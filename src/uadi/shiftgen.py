@@ -6,9 +6,10 @@ two-sided (Petrov) ranking for balanced truncation, and the alternating
 single-shift strategy that prioritizes the Sylvester equation.  An adaptive
 oracle holds one window per engine side with all a ranking reads of it: the
 side's own system (G1, or G2.dual() on the W side), the residual factor as
-the side holds it (n x m on V, n x p on W) and the last feedback gain, so
-one Galerkin ranking serves both sides.  It skips Ritz values in the closed
-right half-plane while a stable one exists: such values are projection
+the side holds it (n x m on V, n x p on W), or a zero-argument reader of
+it that the ranking calls, and the last feedback gain, so one Galerkin
+ranking serves both sides.  It skips Ritz values in the closed right
+half-plane while a stable one exists: such values are projection
 artefacts of a non-normal pencil, not pole estimates.  A window looks onto
 the solve-direction basis the iteration already holds (the engine side's X,
 CfAdi.Z, Radi.V) by reference, and holds an orthonormal frame Q of it in
@@ -202,7 +203,7 @@ def _rank_galerkin(Ah, Eh, Bh):
     """Dominant stable Ritz value of the projected pencil (Ah, Eh) with
     projected residual factor Bh, and its ranking (``next_shift_subspace``)."""
     w, _, Tl = small_eig(Ah, Eh)
-    rn = np.array([np.linalg.norm(Tl[l] @ Bh) for l in range(len(w))])
+    rn = np.linalg.norm(Tl @ Bh, axis=1)
     stable = w.real < 0
     if np.any(stable):
         w, rn = w[stable], rn[stable]
@@ -256,8 +257,8 @@ def _rank_petrov(Ah, Eh, Bh, Ch, gram):
         logger.warning("projected E singular (%s); falling back to Galerkin", exc)
         raise SingularProjectedE(str(exc)) from exc
     w, T, Tl = small_eig(At)
-    rb = np.array([np.linalg.norm(Tl[l] @ Bt) for l in range(len(w))])
-    rc = np.array([np.linalg.norm(Ch @ T[:, l]) for l in range(len(w))])
+    rb = np.linalg.norm(Tl @ Bt, axis=1)
+    rc = np.linalg.norm(Ch @ T, axis=0)
     ranking = rank_dominance(w, np.sqrt(rb * rc))
     return sanitize_shift(ranking.top()), ranking
 
@@ -280,8 +281,11 @@ class _Window:
     """One engine side as an oracle sees it: the side's system, a window
     onto the side's basis (a reference to it, no copy, from the restart
     column ``start``), and the residual factor and feedback gain it last
-    observed.  Once the window would pass ``cap`` columns it restarts at
-    the newest block, the columns added since the previous observation.
+    observed.  The factor may be observed as a zero-argument reader,
+    called when a ranking reads the factor (``factor``); the window keeps
+    the reader, not what it returns.  Once the window would pass ``cap``
+    columns it restarts at the newest block, the columns added since the
+    previous observation.
 
     The window holds an orthonormal frame Q of its columns (``basis``) and
     the Galerkin pencil (Q^T A Q, Q^T E Q) on it; both grow by the
@@ -313,11 +317,12 @@ class _Window:
         self.ops = None if sys is None else (sys.A, sys.E, sys.A.T, sys.E.T)
 
     def observe(self, X, perp, gain=None, sys=None):
-        """Look onto the basis X and the residual factor perp.  ``sys``, when
-        given, is the system they are on (an engine side's system restricted
-        to its row frame): once it is a new one, the frame Q gains zero rows
-        where the new frame does, and the held pencils stay as they are,
-        since Q is zero there."""
+        """Look onto the basis X and the residual factor perp, an array or a
+        zero-argument reader of one.  ``sys``, when given, is the system
+        they are on (an engine side's system restricted to its row frame):
+        once it is a new one, the frame Q gains zero rows where the new
+        frame does, and the held pencils stay as they are, since Q is zero
+        there."""
         if sys is not None and sys is not self.sys:
             if self._buf is not None:
                 self._buf = sys.frame.lift(self._buf, self.sys.frame)
@@ -326,8 +331,12 @@ class _Window:
             self.start = self.X.shape[1]
             self._restart()
         self.X = X
-        self.perp = np.asarray(perp)
+        self.perp = perp if callable(perp) else np.asarray(perp)
         self.gain = gain
+
+    def factor(self):
+        """The residual factor observed, read now if a reader was."""
+        return self.perp() if callable(self.perp) else self.perp
 
     @property
     def width(self):
@@ -369,7 +378,7 @@ class _Window:
         U, s, _ = np.linalg.svd(R)
         keep = int(np.count_nonzero(
             s > np.finfo(float).eps * max(n, self.width) * self._colmax))
-        self._buf[:, r : r + keep] = Y @ U[:, :keep]
+        np.matmul(Y, U[:, :keep], out=self._buf[:, r : r + keep])
         self._r = r + keep
 
     def pencil(self):
@@ -380,14 +389,15 @@ class _Window:
         return self._held
 
     def rank(self):
-        """The unit of the Galerkin ranking on the window."""
+        """The unit of the Galerkin ranking on the window, against the
+        factor read now (``factor``)."""
         Ah, Eh = self.pencil()
         Q = self.basis
         if Q.shape[1] == 0:
             raise ZeroResidual("empty history")
         if self.gain is not None:
             Ah = Ah - (Q.T @ self.gain) @ (self.sys.C @ Q)
-        shift, _ = _rank_galerkin(Ah, Eh, Q.T @ self.perp)
+        shift, _ = _rank_galerkin(Ah, Eh, Q.T @ self.factor())
         return ShiftUnit(shift)
 
 
@@ -429,7 +439,7 @@ class ProjectionShiftOracle:
             return ShiftUnit(INITIAL_SHIFT)
         if not self._unit_queue:
             if self.variant == 1:
-                vals = next_shifts_projection1(h.perp, h.sys)
+                vals = next_shifts_projection1(h.factor(), h.sys)
             else:
                 vals = _ritz_shifts(h)
             # one unit per conjugate pair
@@ -457,7 +467,7 @@ class SubspaceShiftOracle:
     def next_unit(self):
         if self.history.width == 0:
             return ShiftUnit(INITIAL_SHIFT)
-        if not np.any(self.history.perp):
+        if not np.any(self.history.factor()):
             raise ZeroResidual("residual factor vanished")
         return self.history.rank()
 
@@ -507,12 +517,13 @@ class PetrovBtShiftOracle(_TwoSidedOracle):
         v, w = self.hist_v, self.hist_w
         if v.width == 0 or w.width == 0:
             return ShiftUnit(INITIAL_SHIFT)
-        if not (np.any(v.perp) or np.any(w.perp)):
+        vp, wp = v.factor(), w.factor()
+        if not (np.any(vp) or np.any(wp)):
             raise ZeroResidual("both residual factors vanished")
         V, W = v.basis, w.basis
         Ah, Eh, G = self._cross(V, W)
         try:
-            shift, _ = _rank_petrov(Ah, Eh, W.T @ v.perp, w.perp.T @ V, G)
+            shift, _ = _rank_petrov(Ah, Eh, W.T @ vp, wp.T @ V, G)
         except SingularProjectedE:
             return v.rank()
         return ShiftUnit(shift)
@@ -524,7 +535,9 @@ class SylvesterAlternatingOracle(_TwoSidedOracle):
     Rankings alternate between the V window (``sys1`` = G1 with the
     Sylvester B-residual), first, and the W window (``sys2`` = G2.dual()
     with the n x p Sylvester C-residual), both with the same Galerkin
-    ranking; ``last_projected`` names the side ranked last.
+    ranking; ``last_projected`` names the side ranked last.  Only the
+    ranked window's factor is read: observed as a reader, the other side's
+    is not formed for it.
     """
 
     def __init__(self, sys1, sys2, cap=DEFAULT_CAP):

@@ -30,7 +30,8 @@ every residual is normalized by its own norm at X = 0.
 
 One read rule serves every tag, and the caller decides when to read: a
 read of a stale tag first has each side it reads form its stale records'
-factors in one pass over its basis, and their Grams in one product.  The
+factors in one pass over its basis, and their Grams in one product; a read
+of one record's factor on one side (``factor``) forms that record alone.  The
 spectral-factor pair is coupled to the current Gramians, so a read of a
 pair last rebuilt on a smaller basis first rebuilds it whole on the
 current bases, from the two sides' X, S, L and G alone.
@@ -105,6 +106,9 @@ _MIN_RCOND = 1e-10
 # benchmark's couplings stay near 1.
 _MIN_COUPLING_RCOND = np.finfo(float).eps
 
+# Basis entries below it are flushed to zero (``_flush_subnormals``).
+_FLUSH = np.sqrt(np.finfo(float).tiny)
+
 # Growth of a ``_Columns`` buffer's capacity when it is full.
 _GROWTH = 2
 
@@ -177,16 +181,20 @@ def _pad_rows(M, extra):
 
 
 def _flush_subnormals(block):
-    """Zero the subnormal entries of a new basis block in place.
+    """Zero the entries of a new basis block below sqrt(tiny), about
+    1.5e-154, in place.
 
     Solution vectors of long ladders decay below the normal range far from
     the port; products with subnormal operands run many times slower.  The
     windowed solves (``linalg``) already leave exact zeros past the rows a
-    solution reaches; what is flushed here is the subnormal tail inside a
-    window.  The block is flushed before anything is derived from it, so
-    the tracked residual stays exact for the stored basis.
+    solution reaches; what is flushed here is the tail inside a window.
+    The bound is sqrt(tiny), not tiny, because a product of two entries
+    just above tiny is itself subnormal: every product the basis enters
+    (X^T Y, the Grams, the oracles' projections) then runs at normal speed.
+    The block is flushed before anything is derived from it, so the
+    tracked residual stays exact for the stored basis.
     """
-    block[np.abs(block) < np.finfo(block.dtype).tiny] = 0.0
+    block[np.abs(block) < _FLUSH] = 0.0
     return block
 
 
@@ -482,13 +490,14 @@ class _Side:
         self.lyap.perp, self.lyap.gram = perp, perp.T @ perp
         self.bounds.append(self.k)
 
-    def form(self):
+    def form(self, eqs=None):
         """Form the factor perp = B rr - E X Y and its Gram of every stale
-        record of the side in one pass, R = B [rr_1 ... rr_r] -
-        E (X [Y_1 ... Y_r]), on the frame, and every Gram as a diagonal
-        block of R^T R.  A Sylvester half's or degraded record's Y covers a
-        basis prefix and is zero-padded to k rows here."""
-        stale = [eq for eq in (*self.eqs.values(), self.sylv)
+        record among ``eqs``, by default all the side's records, in one
+        pass, R = B [rr_1 ... rr_r] - E (X [Y_1 ... Y_r]), on the frame, and
+        every Gram as a diagonal block of R^T R.  A Sylvester half's or
+        degraded record's Y covers a basis prefix and is zero-padded to k
+        rows here."""
+        stale = [eq for eq in (eqs or (*self.eqs.values(), self.sylv))
                  if eq is not None and eq.perp is None]
         if not stale:
             return
@@ -736,6 +745,15 @@ class UadiState:
             for s in (self.v, self.w) if right or tag in self._pair else (side,):
                 s.form()
         return self.table[tag]
+
+    def factor(self, tag, side):
+        """The residual factor of ``tag``'s record on ``side`` (for ``sylv``
+        either half), on the side's frame, read alone: a stale one is
+        formed by itself, no other record of the side is."""
+        own, eq, _, right = self.entry(tag, form=False)
+        eq = eq if side is own else right
+        side.form((eq,))
+        return eq.perp
 
     def extract(self, tag):
         """Low-rank factors of ``tag``'s solution, from T, M and the bases

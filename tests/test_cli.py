@@ -227,7 +227,9 @@ class TestOracleStorage:
     window holds one n-row array of its own, the column-major buffer of its
     orthonormal frame, at most cap + widest block wide whatever k is.  Every
     other n-row array it holds is a view of an engine basis buffer or a
-    residual factor it observed."""
+    residual factor it observed.  ``sylv-alt``'s windows observe readers of
+    the Sylvester halves and hold no factor, not even after a ranking has
+    read one."""
 
     @pytest.mark.parametrize("pair, shifts", [
         (("penzl:60,1,2,3", "penzl:60,4,5,6"), "sylv-alt"),
@@ -247,7 +249,9 @@ class TestOracleStorage:
                             equations="lyap_p,lyap_q,sylv", shifts=shifts,
                             max_iter=8, tol=1e-300, restart_cap=cap))
         st, oracle = rep.state, drivers[0].oa
-        observed = (st.v.sylv, st.w.sylv) if shifts == "sylv-alt" else (st.v, st.w)
+        oracle.next_unit()   # reads a factor: the ranked half, for sylv-alt
+        readers = shifts == "sylv-alt"
+        observed = (st.v.sylv, st.w.sylv) if readers else (st.v, st.w)
         factors = {id(h.perp) for h in observed}
         buffers = (st.v._X._buf, st.w._X._buf)
         systems = {id(st.v.sys), id(st.w.sys)}
@@ -276,7 +280,12 @@ class TestOracleStorage:
         widest = max(np.diff(side.bounds).max() for side in (st.v, st.w))
         for a in own:
             assert a.flags.f_contiguous and a.shape[1] <= cap + widest, a.shape
-        assert len(arrays) >= 4 + len(own)
+        held = [a for a in arrays if id(a) in factors]
+        if readers:
+            assert all(callable(h.perp) for h in windows) and not held
+        else:
+            assert len(held) == len(windows)
+        assert len(arrays) >= 2 + len(held) + len(own)
         assert oracle.hist_v.start > 0 and oracle.hist_w.start > 0   # restarted
 
 
@@ -363,6 +372,113 @@ class TestSpectralFactorReads:
             assert summary["final_residuals"][tag] == lazy.state.residual_norm(tag)
             assert summary["final_residuals"][tag] == pytest.approx(
                 eager.final_residuals[tag], rel=1e-10, abs=0)
+
+
+class TestSylvesterHalfReads:
+    """``sylv-alt`` observes a reader of each side's Sylvester half: a
+    ranking forms the half it ranks, alone, and every other factor waits
+    for the run's schedule to read its tag."""
+
+    BASE = dict(sys1="penzl:200,1,2,3", sys2="penzl:200,4,5,6",
+                shifts="sylv-alt", max_iter=30, tol=1e-10)
+
+    def _recorded(self, monkeypatch, **config):
+        """Run, recording every pass that forms a factor as (iteration,
+        the tag being read or None, side suffix, the records formed), every
+        read (iteration, tag) and the side each iteration's unit ranked."""
+        import uadi.uadi as engine
+
+        it, reading, forms, reads, ranked = [0], [None], [], set(), {}
+
+        class Recording(cli._ShiftDriver):
+            def next_pair(self):
+                it[0] += 1
+                out = super().next_pair()
+                ranked[it[0]] = {"sys1": "_p", "sys2": "_q"}.get(self.oa.last_projected)
+                return out
+
+        form, norm = engine._Side.form, engine.UadiState.residual_norm
+
+        def recording_form(side, eqs=None):
+            names = {"sylv" if eq is side.sylv else
+                     next(f for f, e in side.eqs.items() if e is eq)
+                     for eq in (eqs or (*side.eqs.values(), side.sylv))
+                     if eq is not None and eq.perp is None}
+            if names:
+                forms.append((it[0], reading[0], side.suffix, names))
+            return form(side, eqs)
+
+        def recording_norm(state, tag):
+            reads.add((state.iteration, tag))
+            reading[0] = tag
+            try:
+                return norm(state, tag)
+            finally:
+                reading[0] = None
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_ShiftDriver", Recording)
+            m.setattr(engine._Side, "form", recording_form)
+            m.setattr(engine.UadiState, "residual_norm", recording_norm)
+            rep = run(RunConfig(**self.BASE, **config))
+        return rep, forms, reads, ranked
+
+    def test_a_ranking_forms_the_half_it_ranks(self, tmp_path, monkeypatch):
+        """Each iteration after the first forms the ranked side's half, and
+        that half alone, unless the previous iteration's read formed it; a
+        schedule read of sylv forms both halves.  The run, its shifts and
+        every row it reads are those of a run whose oracle has both halves
+        formed after every step."""
+        import uadi.uadi as engine
+
+        rep, forms, reads, ranked = self._recorded(
+            monkeypatch, equations="lyap_p,lyap_q,sylv", out=str(tmp_path / "lazy"))
+        its = range(1, rep.iterations + 1)
+        read_its = {i for i in its if (i, "sylv") in reads}
+        powers = {i for i in its if i & (i - 1) == 0} | {rep.iterations}
+        assert powers <= read_its and len(read_its) < rep.iterations - 4
+        assert ranked[1] is None and {ranked[i] for i in its[1:]} == {"_p", "_q"}
+        for i in its:
+            want = [] if i == 1 or i - 1 in read_its else [(i, None, ranked[i], {"sylv"})]
+            if i in read_its:
+                want += [(i, "sylv", sfx, {"sylv"}) for sfx in ("_p", "_q")]
+            assert [f for f in forms if f[0] == i] == want, i
+        step = engine.UadiState.step
+
+        def step_and_form(state, alpha, beta):
+            step(state, alpha, beta)
+            state.entry("sylv")
+            return state
+
+        with monkeypatch.context() as m:
+            m.setattr(engine.UadiState, "step", step_and_form)
+            eager = run(RunConfig(**self.BASE, equations="lyap_p,lyap_q,sylv",
+                                  out=str(tmp_path / "eager")))
+        assert (rep.alphas, rep.betas) == (eager.alphas, eager.betas)
+        assert rep.statuses == eager.statuses
+        assert rep.final_residuals == eager.final_residuals
+        rows = [(tmp_path / d / "residuals.csv").read_text().splitlines()[1:]
+                for d in ("lazy", "eager")]
+        assert len(rows[0]) == len(rows[1])
+        for got, want in zip(*rows):
+            i, tag, _ = got.split(",", 2)
+            if tag != "sylv" or int(i) in read_its:
+                assert got == want
+
+    def test_families_formed_only_at_schedule_reads(self, monkeypatch):
+        """With Riccati families enabled beside sylv, a ranking forms its
+        Sylvester half alone: a family's factor is formed only by a read of
+        a tag, and not at every iteration."""
+        rep, forms, reads, _ = self._recorded(
+            monkeypatch, equations="lyap_p,lyap_q,sylv,ricc_p,ricc_q")
+        assert rep.iterations == self.BASE["max_iter"]
+        ranking = [f for f in forms if f[1] is None and f[0] > 0]
+        assert ranking and all(names == {"sylv"} for *_, names in ranking)
+        families = [f for f in forms if f[0] > 0 and f[3] - {"sylv"}]   # past init
+        assert all(tag is not None for _, tag, _, _ in families)
+        family_its = {i for i, *_ in families}
+        assert family_its == {i for i, tag in reads if tag.startswith("ricc")}
+        assert len(family_its) < rep.iterations / 2
 
 
 class TestRlcFileInterchange:

@@ -5,6 +5,7 @@ import scipy.sparse as sps
 
 from uadi.errors import (
     DimensionMismatch,
+    EigFailure,
     NonHermitianRHS,
     SingularE,
     SingularShiftedMatrix,
@@ -1070,6 +1071,36 @@ class TestSmallEig:
             np.sort_complex(w), np.sort_complex(spla.eigvals(spla.solve(E, F))),
             atol=1e-10,
         )
+
+    @staticmethod
+    def scipy_route(F, E=None):
+        w, T = spla.eig(F if E is None else spla.solve(E, F))
+        return w, T, spla.inv(T)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 10, 20])
+    def test_bits_of_the_scipy_route(self, rng, n):
+        """w, T and inv(T) are scipy.linalg.solve, eig and inv's bits, dtypes
+        included, for general pencils and matrices: real eigenvalues (a
+        symmetric F), complex pairs (a rotation block) and n = 1."""
+        rot = np.zeros((n, n))
+        rot[:2, :2] = np.array([[-1.0, 3.0], [-3.0, -1.0]])[:n, :n]
+        for _ in range(5):
+            F, E = rng.standard_normal((2, n, n))
+            rotated = rot + np.diag(rng.standard_normal(n))
+            for F_, E_ in ((F, E), (F, None), (F + F.T, None), (F + F.T, E),
+                           (rotated, E), (rotated, None)):
+                got, want = small_eig(F_, E_), self.scipy_route(F_, E_)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.iscomplexobj(small_eig(rot)[1]) == (n > 1)
+
+    def test_singular_and_ill_conditioned_pencils(self):
+        with pytest.raises(EigFailure):
+            small_eig(np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(EigFailure):
+            small_eig(np.eye(2), np.zeros((2, 2)))
+        with pytest.warns(spla.LinAlgWarning):
+            small_eig(np.eye(2), np.array([[1.0, 2.0], [1.0, 2.0 + 1e-15]]))
 
 
 class TestGramNorm:

@@ -82,6 +82,29 @@ class TestDominance:
         assert np.all(s[:-1] >= s[1:] - 1e-15)
         assert np.all(ranking.scores >= 0)
 
+    def test_residue_norms_match_the_per_pole_loop(self, rng):
+        """The Galerkin and two-sided rankings take their residue norms as
+        one product each; they equal the norms taken one pole at a time up
+        to the reordered sums' roundoff."""
+        from uadi.linalg import small_eig
+        from uadi.shiftgen import _rank_galerkin, _rank_petrov
+
+        Ah = -5.0 * np.eye(6) + 0.5 * rng.standard_normal((6, 6))
+        Eh = np.eye(6) + 0.1 * rng.standard_normal((6, 6))
+        Bh, Ch = rng.standard_normal((6, 2)), rng.standard_normal((2, 6))
+        w, _, Tl = small_eig(Ah, Eh)
+        assert np.all(w.real < 0) and np.any(w.imag)
+        _, ranking = _rank_galerkin(Ah, Eh, Bh)
+        loop = [np.linalg.norm(Tl[l] @ Bh) for l in range(len(w))]
+        np.testing.assert_allclose(ranking.residue_norms, loop, rtol=8 * EPS, atol=0)
+        w, T, Tl = small_eig(spla.solve(Eh, Ah))
+        Bt = spla.solve(Eh, Bh)
+        rb = np.array([np.linalg.norm(Tl[l] @ Bt) for l in range(len(w))])
+        rc = np.array([np.linalg.norm(Ch @ T[:, l]) for l in range(len(w))])
+        _, ranking = _rank_petrov(Ah, Eh, Bh, Ch, Eh.T @ Eh)
+        np.testing.assert_allclose(ranking.residue_norms, np.sqrt(rb * rc),
+                                   rtol=8 * EPS, atol=0)
+
 
 class TestProjectionStrategies:
     def test_eigenvector_aligned_residual(self):

@@ -1317,6 +1317,19 @@ class TestSubnormalFlush:
         assert subnormal(raw_st.V) and subnormal(raw_st.W)
         assert np.all(np.abs(flushed - raw) <= 1e-14 * np.abs(raw))
 
+    def test_bound_is_the_root_of_tiny(self):
+        """Entries below sqrt(tiny) are zeroed, so that a product of two
+        kept entries is never subnormal; one at twice the bound is kept."""
+        from uadi.uadi import _flush_subnormals
+
+        root = np.sqrt(np.finfo(float).tiny)
+        block = np.array([[4.0 * np.finfo(float).tiny, 0.5 * root, 2.0 * root],
+                          [-0.99 * root, -2.0 * root, 1.0]])
+        out = _flush_subnormals(block)
+        assert out is block
+        assert np.array_equal(block, [[0.0, 0.0, 2.0 * root], [0.0, -2.0 * root, 1.0]])
+        assert (2.0 * root) ** 2 >= np.finfo(float).tiny
+
 
 class TestBasisStorage:
     """V and W grow in place; the public names are read-only views of the
@@ -1537,6 +1550,47 @@ class TestFactorsOnRead:
                 assert np.abs(eq.gram - want.T @ want).max() <= 1e-13 * np.abs(eq.gram).max()
                 checked += 1
         assert checked == 14 and not st.degraded
+
+    def test_one_record_read_alone(self, monkeypatch):
+        """``factor`` forms the one record it reads, on the side it names
+        (either Sylvester half), and leaves every other record of that side
+        stale; a second read forms nothing.  The factor equals the one a
+        read of the whole side forms."""
+        import uadi.uadi as engine
+
+        g = rlc_ladder(4000)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        for unit in TestBasisStorage.LADDER_STEPS:
+            uadi_step(st, unit, unit)
+        passes, original = [], engine._Side.form
+
+        def recording(side, eqs=None):
+            stale = [eq for eq in (eqs or (*side.eqs.values(), side.sylv))
+                     if eq is not None and eq.perp is None]
+            if stale:
+                passes.append((side, {id(eq) for eq in stale}))
+            return original(side, eqs)
+
+        def record(state, tag, name):   # the record of tag on side v or w
+            side = getattr(state, name)
+            return side, side.sylv if tag == "sylv" else side.eqs[tag[:-2]]
+
+        monkeypatch.setattr(engine._Side, "form", recording)
+        reads = [("sylv", "w"), ("sylv", "v"), ("ricc_p", "v")]
+        got = []
+        for tag, name in reads:
+            side, eq = record(st, tag, name)
+            got.append(st.factor(tag, side).copy())
+            assert passes[-1] == (side, {id(eq)}) and st.factor(tag, side) is eq.perp
+        assert len(passes) == len(reads)
+        assert st.stale("inf_p") and st.stale("ricc_q") and not st.stale("sylv")
+        fresh = uadi_init(g, g, RLC_PARAMS, "all")
+        for unit in TestBasisStorage.LADDER_STEPS:
+            uadi_step(fresh, unit, unit)
+        for (tag, name), factor in zip(reads, got):
+            fresh.entry(tag)   # every stale record of the sides it reads
+            _, eq = record(fresh, tag, name)
+            assert np.abs(factor - eq.perp).max() <= 1e-15 * np.abs(eq.perp).max()
 
     def test_degraded_family_reports_its_last_good_factor(self, monkeypatch):
         """A family that degrades after a step whose update was never read
