@@ -58,22 +58,22 @@ save (``tools/superlu_panel_sweep.py``).
 Every small Sylvester solve goes through a Schur form.  An extraction
 solves S^T t + t s + U (G^T t) = H against the complex Schur form of S that
 its side holds: column by column (Golub, Nash & Van Loan, IEEE TAC 24(6),
-1979) with one shifted triangular factor per distinct eigenvalue of s,
-shared by every equation of the side, and the rank-p correction U G^T by
-Sherman-Morrison-Woodbury.  The equations of a side that consume the same
-columns go through one call, stacked: each triangular solve and product
-covers all of them, and only the p x p capacitance is per equation.
-Residual norms are read off the factors' Grams, which a caller may hold
-instead of the factors (``gram_norm2``).  Any other F X - X G + H = 0 goes
-through Bartels-Stewart on plain matrices: one Schur form per side,
-eigenvalues read off the Schur diagonals for the separation check, and
-LAPACK trsyl.  A small Lyapunov solve takes a stack of right-hand sides
-against one F, with one Schur form and one trsyl call for all of them.
+1979) with one shifted triangular factor per distinct eigenvalue of s and
+call, shared by every equation of the side, and the rank-p correction
+U G^T by Sherman-Morrison-Woodbury.  The equations of a side that consume
+the same columns go through one call, stacked: each triangular solve and
+product covers all of them, and only the p x p capacitance is per
+equation.  Residual norms are read off the factors' Grams, which a caller
+may hold instead of the factors (``gram_norm2``).  Any other
+F X - X G + H = 0 goes through Bartels-Stewart: one Schur form per side
+(a SchurForm operand, or a matrix factored in the call), eigenvalues read
+off the Schur diagonals for the separation check, and LAPACK trsyl.  A
+small Lyapunov solve of a stack of right-hand sides is one trsyl call.
 """
 
 import bisect
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -657,16 +657,13 @@ def shifted_solve(A, E, shift, rhs):
     return ShiftedFactorization(A, E, shift).solve(rhs)
 
 
-def _check_separation(lam_f, lam_g, scale):
+def _check_separation(lam_f, lam_g, scale=1.0):
+    """SpectraOverlap when lam_f and lam_g share a value within 1e-12 times
+    ``scale`` times their spectral scale, the largest modulus or 1."""
+    scale *= max(np.abs(lam_f).max(initial=0.0), np.abs(lam_g).max(initial=0.0), 1.0)
     gap = np.min(np.abs(lam_f[:, None] - lam_g[None, :]))
     if gap <= 1e-12 * scale:
-        raise SpectraOverlap(
-            f"spectra separated by {gap:.3e} <= 1e-12 * {scale:.3e}"
-        )
-
-
-def _spectral_scale(*lams):
-    return max(max(np.max(np.abs(lam), initial=0.0) for lam in lams), 1.0)
+        raise SpectraOverlap(f"spectra separated by {gap:.3e} <= 1e-12 * {scale:.3e}")
 
 
 def _schur(a):
@@ -687,54 +684,53 @@ def _schur(a):
 
 @dataclass(frozen=True)
 class SchurForm:
-    """A square matrix a with its Schur decomposition a = Z T Z^H and the
-    eigenvalues read off T.  Real input keeps the real quasi-triangular form
-    unless the complex one is asked for, which holds its ``shifted`` factors.
-    """
+    """The Schur decomposition a = Z T Z^H of a square matrix a, with the
+    eigenvalues read off T: real quasi-triangular for real input unless the
+    complex form is asked for."""
 
-    a: np.ndarray
     T: np.ndarray
     Z: np.ndarray
     eigvals: np.ndarray
-    _shifted: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+
+    shape = property(lambda self: self.T.shape, doc="The shape of a.")
+
+    def __len__(self):
+        return len(self.T)
 
     def extended(self, coupling, block):
         """SchurForm of [[a, coupling], [0, b]] from ``block``, the SchurForm
         of b: Z = diag(Z_a, Z_b) keeps T quasi-triangular, so a block
         triangular matrix is factored one diagonal block at a time."""
-        zeros = np.zeros((block.a.shape[0], self.a.shape[0]))
-        return SchurForm(
-            np.block([[self.a, coupling], [zeros, block.a]]),
-            np.block([[self.T, self.Z.conj().T @ coupling @ block.Z],
-                      [zeros, block.T]]),
-            block_diag2(self.Z, block.Z),
-            np.concatenate([self.eigvals, block.eigvals]),
-        )
+        T = block_diag2(self.T, block.T)
+        T[: len(self), len(self):] = self.Z.conj().T @ coupling @ block.Z
+        return SchurForm(T, block_diag2(self.Z, block.Z),
+                         np.concatenate([self.eigvals, block.eigvals]))
 
     def kron(self, n):
         """SchurForm of kron(a, I_n), factor by factor, so every eigenvalue
         repeats exactly n times on T's diagonal."""
         I = np.eye(n)
-        return SchurForm(np.kron(self.a, I), np.kron(self.T, I),
-                         np.kron(self.Z, I), np.repeat(self.eigvals, n))
+        return SchurForm(np.kron(self.T, I), np.kron(self.Z, I),
+                         np.repeat(self.eigvals, n))
 
-    def shifted(self, mu):
-        """T^T + mu I of a triangular T, lower triangular and column-major;
-        made once per mu and held with the form."""
-        if mu not in self._shifted:
-            base = np.array(self.T, dtype=complex, order="C")
-            base.flat[:: len(base) + 1] += mu
-            base.flags.writeable = False
-            self._shifted[mu] = base.T
-        return self._shifted[mu]
+    def block(self, lo, hi):
+        """SchurForm of a[lo:hi, lo:hi], Z block diagonal at lo and hi."""
+        return SchurForm(self.T[lo:hi, lo:hi], self.Z[lo:hi, lo:hi], self.eigvals[lo:hi])
+
+    def __neg__(self):
+        return SchurForm(-self.T, self.Z, -self.eigvals)
+
+    def adjoint(self):
+        """SchurForm of a^H: T^H is upper triangular in reversed order."""
+        return SchurForm(self.T.conj().T[::-1, ::-1], self.Z[:, ::-1],
+                         self.eigvals.conj()[::-1])
 
 
 def schur_form(a, output="real"):
     """SchurForm of a dense square matrix (one LAPACK gees call); with
-    ``output="complex"`` the triangular form of real a, a kept real."""
+    ``output="complex"`` the triangular form of real a."""
     a, = _small_operands(a)
-    return SchurForm(a, *_schur(a.astype(complex) if output == "complex" else a))
+    return SchurForm(*_schur(a.astype(complex) if output == "complex" else a))
 
 
 def _trsyl(r, s, f, trana="N", isgn=1):
@@ -747,23 +743,27 @@ def _trsyl(r, s, f, trana="N", isgn=1):
 
 
 def _small_operands(*arrays):
-    """The operands as 2-D arrays of one float or complex dtype; EigFailure
-    when an entry is not finite."""
-    arrays = [np.atleast_2d(np.asarray(a)) for a in arrays]
-    dtype = np.result_type(*arrays, np.float64)
-    arrays = [a.astype(dtype, copy=False) for a in arrays]
-    if not all(np.isfinite(a).all() for a in arrays):
+    """The operands as 2-D arrays of one float or complex dtype, a SchurForm
+    passed through with its T's dtype counted; EigFailure when an entry is
+    not finite."""
+    mats = [a.T if isinstance(a, SchurForm) else np.atleast_2d(np.asarray(a)) for a in arrays]
+    dtype = np.result_type(*mats, np.float64)
+    if not all(np.isfinite(a).all() for a in mats):
         raise EigFailure("small solve with non-finite coefficients")
-    return arrays
+    return [a if isinstance(a, SchurForm) else m.astype(dtype, copy=False)
+            for a, m in zip(arrays, mats)]
 
 
 def solve_small_sylvester(F, G, H):
-    """Solve F X - X G + H = 0 for dense F (p x p), G (q x q), H (p x q).
+    """Solve F X - X G + H = 0 for F (p x p), G (q x q), H (p x q); F and G
+    each a dense matrix or its SchurForm.
 
-    Bartels-Stewart: one Schur form of each side and LAPACK trsyl.  Raises
-    SpectraOverlap when F and G share an eigenvalue within 1e-12 of the
-    spectral scale, read off the Schur diagonals.  Real data give a real X.
+    Bartels-Stewart: one Schur form of each side, made here for a matrix,
+    and LAPACK trsyl.  Raises SpectraOverlap when F and G share an
+    eigenvalue within 1e-12 of the spectral scale, read off the Schur
+    diagonals.  Real data give a real X (a SchurForm counts as real).
     """
+    real = not any(np.iscomplexobj(a) for a in (F, G, H) if not isinstance(a, SchurForm))
     F, G, H = _small_operands(F, G, H)
     if F.shape[0] != F.shape[1] or G.shape[0] != G.shape[1]:
         raise DimensionMismatch("F and G must be square")
@@ -771,23 +771,28 @@ def solve_small_sylvester(F, G, H):
     if H.shape != (p, q):
         raise DimensionMismatch(f"H has shape {H.shape}, expected {(p, q)}")
     if p == 0 or q == 0:
-        return np.zeros((p, q), dtype=H.dtype)
-    tg, zg, lam_g = _schur(G)
-    tf, zf, lam_f = _schur(F)
-    _check_separation(lam_f, lam_g, _spectral_scale(lam_f, lam_g))
+        return np.zeros((p, q), dtype=float if real else H.dtype)
+    (tg, zg, lam_g), (tf, zf, lam_f) = (
+        (a.T, a.Z, a.eigvals) if isinstance(a, SchurForm) else _schur(a) for a in (G, F))
+    _check_separation(lam_f, lam_g)
     # F X - X G = -H with F = U R U^H, G = Z T Z^H: R Y - Y T = -U^H H Z
     y = _trsyl(tf, tg, zf.conj().T @ (-H @ zg), isgn=-1)
     X = zf @ y @ zg.conj().T
-    X = X if np.iscomplexobj(H) else X.real
+    X = X.real if real else X
     if not np.isfinite(X).all():
         raise SpectraOverlap("small Sylvester solution is not finite")
     return X
 
 
+def _shifted(T, mu):
+    """T^T + mu I of a triangular T, lower triangular and column-major."""
+    return (T + mu * np.eye(len(T))).T
+
+
 def solve_placed_sylvester(form, kp, q, H, U, G=None):
     """Solve S^T t_i + t_i s + U_i (G^T t_i) = H_i for real t_i, i = 1..r,
-    with S the leading q x q block of ``form.a`` and s = S[kp:q, kp:q]: the
-    r equations of one side that consume the same columns kp:q.
+    with S the leading q x q block of ``form``'s matrix and s = S[kp:q, kp:q]:
+    the r equations of one side that consume the same columns kp:q.
 
     ``form`` is the complex Schur form S = Z T Z^H of a real matrix, grown by
     ``extended`` so that Z is block diagonal with blocks ending at kp and q.
@@ -795,8 +800,8 @@ def solve_placed_sylvester(form, kp, q, H, U, G=None):
     of r blocks U_i, each q x p or None (no correction); G is q x p; all real.
     Column j of Y_i = Z^T t_i Z_s, mu = T[kp+j, kp+j], solves
     (T^T + mu I + Z^T U_i G^T conj(Z)) y_ij = (Z^T H_i Z_s)_j - Y_i[:, :j] T[kp:kp+j, kp+j]
-    by Sherman-Morrison-Woodbury on the form's own T^T + mu I (``shifted``;
-    Golub & Van Loan, Matrix Computations, 4th ed., Sec. 2.1.4).  The
+    by Sherman-Morrison-Woodbury on T^T + mu I, formed once per distinct mu
+    (Golub & Van Loan, Matrix Computations, 4th ed., Sec. 2.1.4).  The
     records share everything but their right-hand sides and U_i, so per
     distinct mu one triangular solve covers every U_i, and per column one
     covers every record's right-hand side and one product with
@@ -821,7 +826,7 @@ def solve_placed_sylvester(form, kp, q, H, U, G=None):
     if not np.iscomplexobj(form.T) or any(
             form.Z[:b, b:].any() or form.Z[b:, :b].any() for b in (kp, q)):
         raise ValueError(f"need a complex form, Z block diagonal at {kp}, {q}")
-    Z, T = form.Z[:q, :q], form.T
+    Z, T = form.Z[:q, :q], form.T[:q, :q]
     Zs = Z[kp:, kp:]
     R = Z.T @ H @ Zs
     trtrs, getrf, getrs = spla.get_lapack_funcs(("trtrs", "getrf", "getrs"), (T,))
@@ -841,7 +846,7 @@ def solve_placed_sylvester(form, kp, q, H, U, G=None):
     for j in range(wid):
         mu = T[kp + j, kp + j]
         if mu not in solvers:
-            base, caps = form.shifted(mu)[:q, :q], {}
+            base, caps = _shifted(T, mu), {}
             if fixed:
                 BU = tri(base, ZU)
                 # each record's Gt BU_i, p x p, and its capacitance's LU
@@ -872,7 +877,8 @@ def solve_placed_sylvester(form, kp, q, H, U, G=None):
 
 def solve_small_lyapunov(F, Q):
     """Solve F* X + X F + Q = 0 for Hermitian Q, or for each Q_i of a stack
-    Q (r x n x n); returns Hermitian X of Q's shape.
+    Q (r x n x n), F a dense matrix or its SchurForm; returns Hermitian X of
+    Q's shape.
 
     One Schur form F = Z T Z^H: the separation check reads the eigenvalues
     off its diagonal, and one LAPACK trsyl call solves
@@ -880,6 +886,7 @@ def solve_small_lyapunov(F, Q):
     The result is symmetrized to suppress roundoff drift; real data give a
     real X.
     """
+    real = not np.iscomplexobj(Q) and (isinstance(F, SchurForm) or not np.iscomplexobj(F))
     F, Q = _small_operands(F, Q)
     n = F.shape[0]
     if F.shape != (n, n) or Q.shape[-2:] != (n, n) or Q.ndim > 3:
@@ -889,18 +896,15 @@ def solve_small_lyapunov(F, Q):
     if np.any(asym > 1e-10 * np.linalg.norm(Q, axis=(-2, -1))):
         raise NonHermitianRHS("Q deviates from Hermitian beyond 1e-10 relative")
     if n == 0:
-        return np.zeros_like(Q)
-    t, z, lam = _schur(F)
-    _check_separation(lam.conj(), -lam, 2.0 * _spectral_scale(lam))
+        return np.zeros(Q.shape, dtype=float if real else Q.dtype)
+    t, z, lam = (F.T, F.Z, F.eigvals) if isinstance(F, SchurForm) else _schur(F)
+    _check_separation(lam.conj(), -lam, 2.0)
     Qs = Q.reshape(-1, n, n)
     r = len(Qs)
-    tt = np.zeros((r * n, r * n), dtype=t.dtype)   # diag(t, ..., t)
-    for i in range(0, r * n, n):
-        tt[i:i + n, i:i + n] = t
     c = np.hstack(z.conj().T @ (-Qs @ z))
-    y = _trsyl(t, tt, c, trana="C").reshape(n, r, n).swapaxes(0, 1)
+    y = _trsyl(t, np.kron(np.eye(r), t), c, trana="C").reshape(n, r, n).swapaxes(0, 1)
     X = (z @ y @ z.conj().T).reshape(Q.shape)
-    X = X if np.iscomplexobj(Q) else X.real
+    X = X.real if real else X
     if not np.isfinite(X).all():
         raise SpectraOverlap("small Lyapunov solution is not finite")
     return 0.5 * (X + X.conj().swapaxes(-1, -2))

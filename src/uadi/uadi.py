@@ -9,11 +9,12 @@ and both Sylvester halves; they differ only in pole placement (feedback,
 quadratic weight, companion shift block) and in the rule that grows the
 middle matrix.  Each step advances a side's records together: one stacked
 extraction over the columns they consume, with one small Lyapunov solve for
-every weighted family's new middle block.  A Sylvester half joins its
-side's families, or is a batch of its own when it lags behind them.  A
-numerical failure of the batch's shared solves degrades every record in
-it, one that belongs to a single record (its capacitance, its trailing
-block, its middle block's condition) degrades that record alone.
+every weighted family's new middle block, on its one Schur form of S.  A
+Sylvester half joins its side's families, or is a batch of its own when it
+lags behind them.  A numerical failure of the batch's shared solves
+degrades every record in it, one that belongs to a single record (its
+capacitance, its trailing block, its middle block's condition) degrades
+that record alone.
 
 Each equation is one ``_Eq`` record: its pole placement (feedback fb,
 quadratic weight qk, right-hand-side scaling rr and its inverse rri),
@@ -319,15 +320,6 @@ class _Eq:
     gram: np.ndarray = None
 
 
-def _channel_order(wid, m):
-    """The order of wid basis columns from a unit boundary that lists each
-    input channel's columns together (column j is channel j mod m).  In it
-    a unit's block s = s_1 (x) I_m reads I_m (x) s_1, and S over several
-    units is block diagonal by channel too, so a Schur form of the block
-    does not mix the channels and keeps the zeros between them."""
-    return np.arange(wid).reshape(-1, m).T.ravel()
-
-
 def _advance(side, batch, q):
     """Advance the records of ``side`` in ``batch``, pairs (eq, new) that
     have consumed the same basis prefix kp, over the columns kp:q with one
@@ -341,10 +333,10 @@ def _advance(side, batch, q):
     the new (s, l) block and the side's held Schur form of S; the placed
     matrix -S^T - U G^T, U = L^T fb + [T M T^T G qk; 0] with p columns, is
     not formed.  M grows block-diagonally by ``new`` when given (a Sylvester
-    half's coupling inverse), by the inverse of a small Lyapunov solution,
-    one stacked solve for every record with a quadratic weight ``qk``, or
-    stays the identity, kept as None; so Y grows to [Y; 0] + t new l_c^T,
-    with l_c the new columns of L_c.
+    half's coupling inverse), by the inverse of a small Lyapunov solution on
+    the form's block of s, one stacked solve for every record with a
+    quadratic weight ``qk``, or stays the identity, kept as None; so Y grows
+    to [Y; 0] + t new l_c^T, with l_c the new columns of L_c.
     """
     kp = len(batch[0][0].T)
     wid = q - kp
@@ -371,13 +363,11 @@ def _advance(side, batch, q):
     weighted = [i for i, (eq, _) in enumerate(batch)
                 if eq.qk is not None and i not in failed]
     if weighted:
-        p = _channel_order(wid, side.sys.m)
-        x = G.T @ ts[weighted][:, :, p]   # projected output maps of the new directions
-        qk, lp = np.stack([batch[i][0].qk for i in weighted]), l[:, p]
-        smalls = solve_small_lyapunov(-side.S[kp:q, kp:q][p[:, None], p],
-                                      lp.T @ lp + x.swapaxes(1, 2) @ qk @ x)
-        back = np.argsort(p)
-        for i, small in zip(weighted, smalls[:, back[:, None], back]):
+        x = G.T @ ts[weighted]   # projected output maps of the new directions
+        qk = np.stack([batch[i][0].qk for i in weighted])
+        smalls = solve_small_lyapunov(-side.schur.block(kp, q),
+                                      l.T @ l + x.swapaxes(1, 2) @ qk @ x)
+        for i, small in zip(weighted, smalls):
             news[i], rcond = symmetric_inverse(small)
             if rcond < _MIN_RCOND:
                 failed[i] = ExtractionSingular(
@@ -409,8 +399,8 @@ class _Side:
     the W side of one system (``primal``, G1 = G2) that is the dual of the
     system's restriction, whose A and E the frame holds for both sides.  On
     a pencil that is not banded the frame is all rows and ``fsys`` the
-    system itself.  S's Schur form is built when a record first extracts
-    (``schur``), so the Lyapunov pair alone never builds it.
+    system itself.  S is formed on read from L and the units consumed, its
+    Schur form (``schur``) grown when a record first extracts.
     """
 
     def __init__(self, sys, cache, weight, suffix, primal=None):
@@ -420,7 +410,7 @@ class _Side:
         self.frame = self.sys.frame
         self._fsys = sys
         self._X = _Columns(sys.n)
-        self.S = np.zeros((0, 0))   # grown one diagonal block per unit
+        self.units = []      # the shift units consumed, one per basis block
         self._schur = None   # the form of S's leading units (``schur``)
         self.L = np.zeros((sys.m, 0))
         self.G = np.zeros((0, sys.p))   # X^T C^T
@@ -435,17 +425,26 @@ class _Side:
                     doc="Residual factor of the Lyapunov record, read-only.")
 
     @property
+    def S(self):
+        """S of A X + B L = E X S, formed on read: the units' blocks s on
+        the diagonal, the strict block-upper part of L^T L above them."""
+        S = np.triu(self.L.T @ self.L)
+        for unit, lo, hi in zip(self.units, self.bounds, self.bounds[1:]):
+            S[lo:hi, lo:hi] = lyap_sl(unit, self.sys.m)[0]
+        return S
+
+    @property
     def schur(self):
-        """S's complex Schur form, Z block diagonal at the unit boundaries:
-        held, and caught up on demand with the units S has grown by since,
-        each from its block s = s_1 (x) I_m, whose form repeats each
-        eigenvalue of s_1 exactly m times.  A side whose records never ask
-        (the Lyapunov pair alone) never builds it."""
-        form = self._schur or schur_form(np.zeros((0, 0)))
-        m, i = self.sys.m, self.bounds.index(len(form.a))
-        for lo, hi in zip(self.bounds[i:], self.bounds[i + 1:]):
-            s1 = schur_form(self.S[lo:hi:m, lo:hi:m], output="complex")
-            form = form.extended(self.S[:lo, lo:hi], s1.kron(m))
+        """S's complex Schur form, Z block diagonal at the unit boundaries,
+        caught up on demand with each unit since: its coupling L[:, :lo]^T l
+        and the form of its 1 x 1 or 2 x 2 block times I_m, which keeps the
+        input channels apart.  A side without records never builds it."""
+        form, m = self._schur, self.sys.m
+        i = 0 if form is None else self.bounds.index(len(form))
+        for unit, lo, hi in zip(self.units[i:], self.bounds[i:], self.bounds[i + 1:]):
+            block = schur_form(lyap_sl(unit, 1)[0], output="complex").kron(m)
+            form = block if form is None else form.extended(
+                self.L[:, :lo].T @ self.L[:, lo:hi], block)
         self._schur = form
         return form
 
@@ -471,7 +470,7 @@ class _Side:
 
     def expand(self, unit):
         """Extend the basis by one shift unit with one large shifted solve,
-        then S, L, G and the Lyapunov residual factor."""
+        then L, G and the Lyapunov residual factor."""
         if self.k:   # until its first solve a side is on all n rows
             self.sync()
         sol = self.cache.solve(unit.value, self.perp, framed=True)
@@ -480,8 +479,8 @@ class _Side:
         # the pencil couples the frame to other rows only through its edge
         # rows, where every solve is zero, so E X vanishes off the frame
         assert not block[self.frame.edge].any()
-        s, l = lyap_sl(unit, self.sys.m)
-        self.S = np.block([[self.S, self.L.T @ l], [np.zeros((len(s), len(self.S))), s]])
+        _, l = lyap_sl(unit, self.sys.m)
+        self.units.append(unit)
         self.L = np.hstack([self.L, l])
         self._X.append(block)
         fsys = self.fsys
@@ -519,13 +518,13 @@ class _Side:
 def _sf_side(side, other):
     """Spectral-factor (T, M, Y) of one side, rebuilt on the whole basis
     from the two sides' current X, S, L and G."""
-    eq = side.eqs["sf"]
+    eq, S = side.eqs["sf"], side.S
     # coupled output map: two thin products, no k x k_other cross Gram
     Cm = (other.X @ other.G).T @ side.X + side.sys.D.T @ side.G.T
-    F = -side.S.T - side.L.T @ eq.fb @ Cm
-    T = solve_small_sylvester(F, side.S, side.L.T @ eq.rr @ side.L)
+    F = -S.T - side.L.T @ eq.fb @ Cm
+    T = solve_small_sylvester(F, S, side.L.T @ eq.rr @ side.L)
     Cs = eq.rr @ Cm @ T
-    X = solve_small_lyapunov(-side.S, side.L.T @ side.L - Cs.T @ Cs)
+    X = solve_small_lyapunov(-S, side.L.T @ side.L - Cs.T @ Cs)
     M, rcond = symmetric_inverse(X)
     if rcond < _MIN_RCOND:
         raise ExtractionSingular(
@@ -542,7 +541,6 @@ class UadiState:
         S1, S2 = self.params.resolved(sys1, sys2)
         self.selection = selection
         self.iteration = 0
-        self.alpha_units, self.beta_units = [], []
         self.skipped = {}
         self.degraded = {}
         self.single_system = sys1.same_realization(sys2)
@@ -566,6 +564,8 @@ class UadiState:
                      doc="Residual factor of the controllability Gramian of G1.")
     Cperp = property(lambda self: self.w.frame.scatter(self.w.perp).T,
                      doc="Residual factor (p x n) of the observability Gramian of G2.")
+    alpha_units = property(lambda self: tuple(self.v.units), doc="V side's units, read-only.")
+    beta_units = property(lambda self: tuple(self.w.units), doc="W side's units, read-only.")
     cache1 = property(lambda self: self.v.cache)
     cache2 = property(lambda self: self.w.cache)
     large_solve_count = property(
@@ -640,10 +640,10 @@ class UadiState:
         Each side advances its records not yet degraded in one ``_advance``
         per column range consumed: the families consume the new block, the
         Sylvester half the columns up to the largest unit boundary the two
-        bases share, if that lies past its prefix.  Its coupling d is solved
-        and inverted once, in each side's ``_channel_order``: the V half's
-        new middle block is inv(d), the W half's its transpose; a d whose
-        reciprocal condition is below ``_MIN_COUPLING_RCOND`` degrades
+        bases share, if that lies past its prefix.  Its coupling d, solving
+        Sw^T d + d Sv = Lw^T Lv on the held forms, is inverted once: the V
+        half's new middle block is inv(d), the W half's its transpose; a d
+        whose reciprocal condition is below ``_MIN_COUPLING_RCOND`` degrades
         ``sylv``.  A batch's shared failure is each record's."""
         v, w = self.v, self.w
         out, live = [], [(side, side.k, f + side.suffix, eq, None) for side in (v, w)
@@ -652,16 +652,13 @@ class UadiState:
         if v.sylv is not None and "sylv" not in self.degraded:
             q, kp = max(set(v.bounds) & set(w.bounds)), len(v.sylv.T)
             if q > kp:
-                pv = kp + _channel_order(q - kp, v.sys.m)
-                pw = kp + _channel_order(q - kp, w.sys.m)
                 try:
                     d, rcond = small_inverse(solve_small_sylvester(
-                        -w.S[pw[:, None], pw].T, v.S[pv[:, None], pv],
-                        w.L[:, pw].T @ v.L[:, pv]))
+                        -w.schur.block(kp, q).adjoint(), v.schur.block(kp, q),
+                        w.L[:, kp:q].T @ v.L[:, kp:q]))
                     if rcond < _MIN_COUPLING_RCOND:
                         raise ExtractionSingular(
                             f"Sylvester coupling has reciprocal condition {rcond:.1e}")
-                    d = d[np.argsort(pv)[:, None], np.argsort(pw)]
                     live += [(v, q, "sylv", v.sylv, d), (w, q, "sylv", w.sylv, d.T)]
                 except _NUMERICAL_FAILURES as exc:
                     out.append(("sylv", None, exc))
@@ -695,8 +692,6 @@ class UadiState:
         for side, unit in ((self.v, au), (self.w, bu)):
             side.expand(unit)
         self.v.sync()   # the W side's solve may have grown their shared frame
-        self.alpha_units.append(au)
-        self.beta_units.append(bu)
         self._apply(self._step_outcomes())
         self.iteration += 1
         return self

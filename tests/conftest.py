@@ -33,6 +33,27 @@ def whole_band_solve(A, E, shift, rhs, trans="N"):
     return gttrs(*factors, rhs.astype(factors[1].dtype), trans=trans)[0]
 
 
+def count_shifted(monkeypatch, owner):
+    """Count the shifted factors T^T + mu I that each call of
+    ``owner.solve_placed_sylvester`` forms, one list entry per call; returns
+    the counts and the counting kernel."""
+    import uadi.linalg as linalg
+
+    counts, shifted, placed = [], linalg._shifted, owner.solve_placed_sylvester
+
+    def counted_shifted(*args):
+        counts[-1] += 1
+        return shifted(*args)
+
+    def counted_placed(*args):
+        counts.append(0)
+        return placed(*args)
+
+    monkeypatch.setattr(linalg, "_shifted", counted_shifted)
+    monkeypatch.setattr(owner, "solve_placed_sylvester", counted_placed)
+    return counts, counted_placed
+
+
 def dense_pencil(sys):
     return sys.E.toarray(), sys.A.toarray()
 

@@ -26,7 +26,7 @@ from uadi.linalg import (
 from uadi.realify import ShiftUnit, lyap_sl
 from uadi.systems import StateSpaceSystem, penzl_triple_peak, rlc_ladder
 
-from conftest import assert_multiset_close, whole_band, whole_band_solve
+from conftest import assert_multiset_close, count_shifted, whole_band, whole_band_solve
 
 
 class TestShiftedSolve:
@@ -832,16 +832,18 @@ def _held_form(k, m, units):
     """The complex Schur form of S grown as an engine side grows it, one
     lyap_sl unit block at a time coupled through L^T l, cycling through
     ``units`` until S has at least k columns and ends on ``units[-1]``;
-    with the unit boundaries."""
+    with the unit boundaries and S itself, grown block by block."""
     form, L, bounds = schur_form(np.zeros((0, 0))), np.zeros((m, 0)), [0]
+    S = np.zeros((0, 0))
     while bounds[-1] < k or (len(bounds) - 1) % len(units):
         unit = ShiftUnit(units[(len(bounds) - 1) % len(units)])
-        _, l = lyap_sl(unit, m)
+        s, l = lyap_sl(unit, m)
         block = schur_form(lyap_sl(unit, 1)[0], output="complex").kron(m)
         form = form.extended(L.T @ l, block)
+        S = np.block([[S, L.T @ l], [np.zeros((len(s), len(S))), s]])
         L = np.hstack([L, l])
-        bounds.append(len(form.a))
-    return form, bounds
+        bounds.append(len(S))
+    return form, bounds, S
 
 
 class TestColumnRoute:
@@ -853,27 +855,33 @@ class TestColumnRoute:
     @pytest.mark.parametrize("k", [9, 40, 120])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_agrees_with_bartels_stewart(self, rng, k, m):
+        """Each block given as a matrix and as its complex Schur form."""
         F = _stable_dense(rng, k)
         for s in _narrow_blocks(m):
             H = rng.standard_normal((k, s.shape[0]))
-            X = solve_small_sylvester(F, s, H)
             ref = spla.solve_sylvester(F, -s, -H)
-            assert X.dtype == np.float64
-            assert spla.norm(X - ref) <= 1e-12 * spla.norm(ref)
+            for G in (s, schur_form(s, output="complex")):
+                X = solve_small_sylvester(F, G, H)
+                assert X.dtype == np.float64
+                assert spla.norm(X - ref) <= 1e-12 * spla.norm(ref)
 
     @pytest.mark.parametrize("k", [9, 40, 120])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("last", [-0.7, -0.3 + 2.0j])
-    def test_placed_kernel_agrees(self, rng, k, m, last):
+    def test_placed_kernel_agrees(self, rng, monkeypatch, k, m, last):
         """Against scipy on the formed placed matrix: the last unit, a block
         of several units and a lagging prefix (as a Sylvester group consumes
         them), each for a stack of three records, one with no correction and
         two with rank-p ones, and for each record alone."""
-        form, bounds = _held_form(k, m, [-1.5, -0.2 + 1.0j, -4.0, last])
-        blocks = [(bounds[-2], bounds[-1]), (bounds[-4], bounds[-1]),
-                  (bounds[-4], bounds[-2])]
-        for kp, q in blocks:
-            S, s = form.a[:q, :q], form.a[kp:q, kp:q]
+        form, bounds, S_all = _held_form(k, m, [-1.5, -0.2 + 1.0j, -4.0, last])
+        import uadi.linalg as linalg
+
+        counts, solve_placed_sylvester = count_shifted(monkeypatch, linalg)
+        pair = complex(last).imag != 0
+        blocks = [(bounds[-2], bounds[-1], 1 + pair), (bounds[-4], bounds[-1], 4 + pair),
+                  (bounds[-4], bounds[-2], 3)]
+        for kp, q, distinct in blocks:
+            S, s = S_all[:q, :q], S_all[kp:q, kp:q]
             for p in (1, m + 1):
                 H = rng.standard_normal((3, q, q - kp))
                 G = rng.standard_normal((q, p))
@@ -886,36 +894,37 @@ class TestColumnRoute:
                     assert spla.norm(t[i] - ref) <= 1e-11 * spla.norm(ref)
                     alone, _ = solve_placed_sylvester(form, kp, q, H[i:i + 1], [u], G)
                     assert spla.norm(alone[0] - t[i]) <= 1e-13 * spla.norm(ref)
-        # one factor per distinct eigenvalue of the three units consumed (a
-        # pair has two), shared by every solve above
-        assert len(form._shifted) == 4 + (complex(last).imag != 0)
+                # each call forms one factor per distinct eigenvalue of the
+                # units it consumes (a pair has two), shared by its records
+                assert counts == [distinct] * 4
+                counts.clear()
 
     def test_singular_capacitance(self, rng):
         """A rank-one correction that makes the consumed block's eigenvalue
         mu an eigenvalue of the placed matrix -S^T - u g^T."""
-        form, bounds = _held_form(20, 2, [-1.5, -0.2 + 1.0j, -0.7])
+        form, bounds, S = _held_form(20, 2, [-1.5, -0.2 + 1.0j, -0.7])
         kp, q = bounds[-2], bounds[-1]
         mu = form.T[kp, kp]
         assert mu.imag == 0
-        A = form.a.T + mu.real * np.eye(q)
+        A = S.T + mu.real * np.eye(q)
         g, w = rng.standard_normal((q, 1)), rng.standard_normal(q)
         u = -(A @ w)[:, None] / (g[:, 0] @ w)   # (A + u g^T) w = 0
         H = rng.standard_normal((2, q, q - kp))
         t, failed = solve_placed_sylvester(form, kp, q, H, [None, u], g)
         assert list(failed) == [1] and isinstance(failed[1], SpectraOverlap)
         # the record beside it is solved as if alone
-        ref = spla.solve_sylvester(form.a.T, form.a[kp:, kp:], H[0])
+        ref = spla.solve_sylvester(S.T, S[kp:, kp:], H[0])
         assert spla.norm(t[0] - ref) <= 1e-11 * spla.norm(ref)
 
     def test_unfit_form_raises(self, rng):
         """A real Schur form would have its 2x2 bumps read as triangular, and
         a form with a dense Z would mix the consumed block with the rest;
         both are refused, not solved."""
-        form, bounds = _held_form(20, 2, [-1.5, -0.7, -0.2 + 1.0j])
+        form, bounds, S = _held_form(20, 2, [-1.5, -0.7, -0.2 + 1.0j])
         kp, q = bounds[-2], bounds[-1]
         H = rng.standard_normal((1, q, q - kp))
         dense = schur_form(_stable_dense(rng, q), output="complex")
-        for unfit in (schur_form(form.a), dense):
+        for unfit in (schur_form(S), dense):
             with pytest.raises(ValueError):
                 solve_placed_sylvester(unfit, kp, q, H, [None])
         # the lagging prefix ends inside the held form, at a unit boundary
@@ -950,18 +959,15 @@ class TestSchurReuse:
             S = np.block([[S, C], [np.zeros((s.shape[0], S.shape[0])), s]])
             form = form.extended(C, schur_form(s))
         assert np.allclose(form.Z.T @ form.Z, np.eye(len(S)), atol=1e-14)
-        assert np.array_equal(form.a, S)
         assert spla.norm(form.Z @ form.T @ form.Z.T - S) <= 1e-14 * spla.norm(S)
         assert not np.any(np.tril(form.T, -2))  # quasi-triangular
         assert_multiset_close(form.eigvals, spla.eigvals(S), 1e-10)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_extended_complex_form(self, rng, m):
-        """Unit forms made from the m = 1 block: T triangular, a real, and
-        each unit eigenvalue repeated exactly m times on T's diagonal."""
-        form, bounds = _held_form(4 * m, m, [-0.5, -1 + 3j, -2.0])
-        S = form.a
-        assert not np.iscomplexobj(S)
+        """Unit forms made from the m = 1 block: T triangular, and each unit
+        eigenvalue repeated exactly m times on T's diagonal."""
+        form, bounds, S = _held_form(4 * m, m, [-0.5, -1 + 3j, -2.0])
         assert spla.norm(form.Z.conj().T @ form.Z - np.eye(len(S))) <= 1e-14 * len(S)
         assert spla.norm(form.Z @ form.T @ form.Z.conj().T - S) <= 1e-14 * spla.norm(S)
         assert not np.any(np.tril(form.T, -1))
@@ -1004,17 +1010,20 @@ class TestSmallLyapunov:
     @pytest.mark.parametrize("m", [1, 2])
     def test_stack_equals_one_by_one(self, rng, unit, m):
         """A stack of right-hand sides against the negated block of a real
-        or a pair unit, as the weighted families' middle blocks are solved,
-        gives each Q_i's own solution."""
-        F = -lyap_sl(ShiftUnit(unit), m)[0]
+        or a pair unit, given as a matrix or, as the weighted families'
+        middle blocks are solved, as the negated complex Schur form of the
+        unit's block, gives each Q_i's own solution."""
+        s = lyap_sl(ShiftUnit(unit), m)[0]
+        F = -s
         H = rng.standard_normal((4, len(F), 3))
         Q = H @ H.swapaxes(1, 2)
-        X = solve_small_lyapunov(F, Q)
-        assert X.shape == Q.shape and X.dtype == np.float64
-        for Xi, Qi in zip(X, Q):
-            ref = solve_small_lyapunov(F, Qi)
-            assert spla.norm(Xi - ref) <= 1e-14 * spla.norm(ref)
-            assert np.array_equal(Xi, Xi.T)
+        for op in (F, -schur_form(lyap_sl(ShiftUnit(unit), 1)[0], output="complex").kron(m)):
+            X = solve_small_lyapunov(op, Q)
+            assert X.shape == Q.shape and X.dtype == np.float64
+            for Xi, Qi in zip(X, Q):
+                ref = solve_small_lyapunov(F, Qi)
+                assert spla.norm(Xi - ref) <= 1e-14 * spla.norm(ref)
+                assert np.array_equal(Xi, Xi.T)
         if len(F) > 1:   # one non-Hermitian Q_i is refused
             with pytest.raises(NonHermitianRHS):
                 solve_small_lyapunov(F, np.stack([Q[0], Q[1] + np.triu(Q[1], 1)]))

@@ -4,7 +4,7 @@ import scipy.linalg as spla
 
 from uadi import classic
 from uadi.errors import DimensionMismatch, EquationSkipped, InfeasibleHard
-from uadi.realify import ShiftUnit, expand_units
+from uadi.realify import ShiftUnit, expand_units, lyap_sl
 from uadi.systems import (
     EquationParams,
     StateSpaceSystem,
@@ -24,6 +24,7 @@ from uadi.uadi import (
 
 from conftest import (
     assert_multiset_close,
+    count_shifted,
     equation_residual,
     residual_product,
     whole_band_solve,
@@ -254,18 +255,45 @@ class TestSolveBudget:
 
     @pytest.mark.parametrize("tags", ["ricc_p,ricc_q", "all"])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_one_shifted_factor_per_distinct_eigenvalue(self, tags, m):
+    def test_one_shifted_factor_per_distinct_eigenvalue(self, monkeypatch, tags, m):
         """Every extraction of a side solves against the side's held Schur
-        form, which makes one shifted triangular factor per distinct
-        eigenvalue of the consumed block in a step, however many equations
-        the side carries."""
+        form in one kernel call, which forms one shifted triangular factor
+        per distinct eigenvalue of the consumed block in a step, however
+        many equations the side carries."""
+        import uadi.uadi as engine
+
+        counts, _ = count_shifted(monkeypatch, engine)
         g = rlc_ladder(segments=6) if m == 1 else random_stable_system(30, 2, 2, 7)
         st = uadi_init(g, g, RLC_PARAMS if m == 1 else None, tags)
         for unit, distinct in ((-0.5, 1), (-2 + 4j, 2), (-1.0, 1), (-1 + 1j, 2)):
+            counts.clear()
             uadi_step(st, unit, unit)
-            for side in (st.v, st.w):
-                assert len(side.schur._shifted) == distinct
+            assert counts == [distinct, distinct]   # one call per side
         assert not st.degraded
+
+    def test_one_schur_factorization_per_unit(self, monkeypatch):
+        """With no spectral-factor read, a step's only Schur factorizations
+        are one per side of its new unit's 1 x 1 or 2 x 2 block: the
+        weighted families' middle blocks and the Sylvester coupling solve
+        on the sides' held forms, also at the steps where a lagging
+        Sylvester half fires."""
+        import uadi.linalg as linalg
+
+        orders, schur = [], linalg._schur
+
+        def counted(a):
+            orders.append(a.shape)
+            return schur(a)
+
+        monkeypatch.setattr(linalg, "_schur", counted)
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "all")
+        for a, b in ((-0.5, -1 + 2j), (-1.0, -0.8), (-2 + 1j, -1.5 + 0.5j), (-0.7, -0.9)):
+            orders.clear()
+            uadi_step(st, a, b)
+            want = [(w, w) for w in (ShiftUnit(a).width_factor, ShiftUnit(b).width_factor)]
+            assert sorted(orders) == sorted(want), orders
+        assert len(st.v.sylv.T) == st.v.k and not st.degraded
 
 
 SHIFT_PATTERNS = {
@@ -797,10 +825,11 @@ class TestExtractionKernel:
         """The RLC ladder's two channels never meet: basis column j belongs
         to channel j mod m, and every family's T, M and Y hold exact zeros
         where two channels would meet.  The weighted families' new middle
-        blocks keep them because the small Lyapunov solve takes the block
-        s = s_1 (x) I_m in the order I_m (x) s_1, whose Schur form does not
-        mix the channels; in the given order a pair block's leaves roundoff
-        there at these units, which seeds subnormal residual products."""
+        blocks keep them because the small Lyapunov solve runs on the held
+        Schur form's block, whose factors Z_1 (x) I_m and T_1 (x) I_m do not
+        mix the channels; a Schur form of the pair block made by gees leaves
+        roundoff there at these units, which seeds subnormal residual
+        products."""
         g = rlc_ladder(segments=6)
         st = uadi_init(g, g, RLC_PARAMS, "all")
         for unit in (-1.87, -6.89 - 6.44j, -9.96 + 16.37j, -3.97 + 9.66j, -7.54 + 18.7j):
@@ -821,8 +850,8 @@ class TestExtractionKernel:
     def test_sylvester_coupling_keeps_the_input_channels_apart(self):
         """The Sylvester halves keep the zeros between the RLC ladder's
         channels too, over static-rlc's shift list: the coupling d is solved
-        with each side's block in the order I_m (x) s_1, whose Schur forms do
-        not mix the channels, and put back in the basis order."""
+        on the two sides' held Schur forms' blocks, which do not mix the
+        channels."""
         g = rlc_ladder(segments=6)
         st = uadi_init(g, g, RLC_PARAMS, "all")
         for unit in (-1.8668729544418896, -6.086925121879991,
@@ -839,6 +868,37 @@ class TestExtractionKernel:
             assert not eq.T[apart].any() and not eq.M[apart].any()
             assert not eq.Y[ch[:, None] != np.arange(g.m)].any()
         assert len(st.v.sylv.T) == st.v.k and not st.degraded
+
+    def test_s_depends_on_the_units_alone(self):
+        """Two systems with m = 2 stepped with the same units (a real
+        shift, a pair, the real shift again, another pair) hold the same S,
+        L and Schur form bit for bit.  S is the matrix grown one unit block
+        at a time, Z T Z^H is S, and neither Z nor T has an entry between
+        two input channels."""
+        units, m = (-0.5, -2 + 4j, -0.5, -0.3 + 1j), 2
+        S, L = np.zeros((0, 0)), np.zeros((m, 0))
+        for u in units:
+            s, l = lyap_sl(ShiftUnit(u), m)
+            S = np.block([[S, L.T @ l], [np.zeros((len(s), len(S))), s]])
+            L = np.hstack([L, l])
+        ch = np.arange(len(S)) % m
+        apart = ch[:, None] != ch
+        states = []
+        for g in (rlc_ladder(30), random_stable_system(40, 2, 2, 3)):
+            st = uadi_init(g, g, None, "lyap_p,lyap_q,ricc_p,ricc_q")
+            for u in units:
+                uadi_step(st, u, u)
+            assert not st.degraded
+            states.append(st)
+        for a, b in ((states[0].v, states[1].v), (states[0].w, states[1].w)):
+            for side in (a, b):
+                np.testing.assert_array_equal(side.S, S)
+                np.testing.assert_array_equal(side.L, L)
+            np.testing.assert_array_equal(a.schur.T, b.schur.T)
+            np.testing.assert_array_equal(a.schur.Z, b.schur.Z)
+            form = a.schur
+            assert spla.norm(form.Z @ form.T @ form.Z.conj().T - S) <= 1e-14 * spla.norm(S)
+            assert not form.Z[apart].any() and not form.T[apart].any()
 
     def test_held_products_match_their_factors(self, monkeypatch):
         """Each record's Y, grown block by block, is T M L_c^T recomputed

@@ -12,14 +12,15 @@ the workloads.  Six records then extract that block against the side's held
 Schur form: four with a rank-p Woodbury block U_i and two without, with
 random right-hand sides.  Each round times one ``solve_placed_sylvester``
 call over the six records stacked, and six calls over batches of one, in
-alternating order so that host drift falls on both alike; the form's
-shifted factors are dropped before each, as each step makes new ones.
+alternating order so that host drift falls on both alike; each call forms
+its own shifted factors, as each step does.
 
 The middle-block step is timed the same way: four weighted records' small
 Lyapunov equations -s^T X_i - X_i s + Q_i = 0 on the consumed block s of a
 real unit and of a pair unit (the last blocks of two sides at k = 32), with
 Q_i = l^T l + x_i^T qk_i x_i from random x_i and symmetric qk_i, as one
-stacked ``solve_small_lyapunov`` call and as four calls.
+stacked ``solve_small_lyapunov`` call and as four calls, both against the
+negated block of the side's held Schur form, as the engine solves them.
 
 Prints one JSON object: per k, and per middle block, the median
 milliseconds of each way over the rounds, their ratio, and the largest
@@ -87,7 +88,7 @@ def middle_blocks(rounds, rng, records=4):
         side = side_at(32, last)
         kp, q = side.bounds[-2], side.bounds[-1]
         l, p = side.L[:, kp:q], side.G.shape[1]
-        F = -side.S[kp:q, kp:q]
+        F = -side.schur.block(kp, q)
         x = rng.standard_normal((records, p, q - kp))
         qk = rng.standard_normal((records, p, p))
         Q = l.T @ l + x.swapaxes(1, 2) @ (qk + qk.swapaxes(1, 2)) @ x
@@ -110,11 +111,9 @@ def main(rounds):
         U = [rng.standard_normal(G.shape) if i < 4 else None for i in range(RECORDS)]
 
         def stacked():
-            side.schur._shifted.clear()
             return solve_placed_sylvester(side.schur, kp, q, H, U, G)[0]
 
         def one_by_one():
-            side.schur._shifted.clear()
             return np.stack([
                 solve_placed_sylvester(side.schur, kp, q, H[i:i + 1], [U[i]], G)[0][0]
                 for i in range(RECORDS)])
