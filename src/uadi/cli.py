@@ -64,8 +64,8 @@ class RunConfig:
     tol: float = 1e-8
     restart_cap: int = DEFAULT_CAP
     out: str = None
-    gamma1: float = 2.0
-    gamma2: float = 3.0
+    gamma1: float = EquationParams().gamma1
+    gamma2: float = EquationParams().gamma2
     strict: bool = False
 
     def __post_init__(self):

@@ -685,8 +685,8 @@ def _schur(a):
 @dataclass(frozen=True)
 class SchurForm:
     """The Schur decomposition a = Z T Z^H of a square matrix a, with the
-    eigenvalues read off T: real quasi-triangular for real input unless the
-    complex form is asked for."""
+    eigenvalues read off T: real quasi-triangular for real input, triangular
+    for complex input."""
 
     T: np.ndarray
     Z: np.ndarray
@@ -726,11 +726,11 @@ class SchurForm:
                          self.eigvals.conj()[::-1])
 
 
-def schur_form(a, output="real"):
-    """SchurForm of a dense square matrix (one LAPACK gees call); with
-    ``output="complex"`` the triangular form of real a."""
+def schur_form(a):
+    """SchurForm of a dense square matrix (one LAPACK gees call): real
+    quasi-triangular for a real a, triangular for a complex one."""
     a, = _small_operands(a)
-    return SchurForm(*_schur(a.astype(complex) if output == "complex" else a))
+    return SchurForm(*_schur(a))
 
 
 def _trsyl(r, s, f, trana="N", isgn=1):

@@ -3,11 +3,12 @@
 A shift "unit" is either one real negative shift or one complex shift in the
 open left half-plane standing for itself plus its conjugate.  Every unit
 contributes a real basis block: one column block for a real shift, two for a
-pair.  The (s, l) companion blocks below encode the unit inside the shift
-bookkeeping matrices so that all stored ADI quantities stay real and the
-identity  A V - E V S + B_perp L = 0  holds exactly.  The engine groups
-Sylvester shifts with the lyap_sl blocks of both sides; the reference
-classic.fadi needs no realification, it runs in complex arithmetic.
+pair.  The (s, l) companion blocks a unit carries, at one input channel
+(every channel sees the same shifts), encode it inside the shift bookkeeping
+matrices so that all stored ADI quantities stay real and the identity
+A V - E V S + B_perp L = 0  holds exactly.  The engine groups Sylvester
+shifts with the (S, L) blocks of both sides; the reference classic.fadi
+needs no realification, it runs in complex arithmetic.
 """
 
 import math
@@ -27,19 +28,32 @@ __all__ = [
 
 
 class ShiftUnit:
-    """One real shift or one conjugate pair, always left-half-plane."""
+    """One real shift or one conjugate pair, always left-half-plane, with
+    its one-channel companion blocks ``s`` and ``l``, read-only:
+    Real shift a:        s = -a,                          l = -sqrt(-2a).
+    Conjugate pair:      s = [[-2a, -b g], [b g, 0]],     l = [-2 phi, 0],
+    with a + b i the value, phi = sqrt(-a), delta = a/b, g = sqrt(1 + delta^2).
+    Both satisfy s^T + s = l^T l, which is what keeps the implicit middle
+    matrix equal to the identity.
+    """
 
-    __slots__ = ("value", "is_pair")
+    __slots__ = ("value", "is_pair", "s", "l")
 
     def __init__(self, value):
         value = complex(value)
         check_stable(value)
         self.value = value
         self.is_pair = value.imag != 0.0
+        if self.is_pair:
+            a, b, phi, _, g = _pair_parts(value)
+            self.s = np.array([[-2.0 * a, -b * g], [b * g, 0.0]])
+            self.l = np.array([[-2.0 * phi, 0.0]])
+        else:
+            self.s = np.array([[-value.real]])
+            self.l = np.array([[-math.sqrt(-2.0 * value.real)]])
+        self.s.flags.writeable = self.l.flags.writeable = False
 
-    @property
-    def width_factor(self):
-        return 2 if self.is_pair else 1
+    width_factor = property(lambda self: len(self.s))
 
     def shifts(self):
         if self.is_pair:
@@ -69,16 +83,12 @@ def as_units(shifts):
     i = 0
     while i < len(seq):
         s = seq[i]
-        if s.imag == 0.0:
-            units.append(ShiftUnit(s))
-            i += 1
-        else:
-            if i + 1 >= len(seq) or seq[i + 1] != s.conjugate():
-                raise UnpairedComplexShift(
-                    f"complex shift {s} is not followed by its conjugate"
-                )
-            units.append(ShiftUnit(s))
-            i += 2
+        if s.imag and (i + 1 >= len(seq) or seq[i + 1] != s.conjugate()):
+            raise UnpairedComplexShift(
+                f"complex shift {s} is not followed by its conjugate"
+            )
+        units.append(ShiftUnit(s))
+        i += 2 if s.imag else 1
     return units
 
 
@@ -99,26 +109,10 @@ def _pair_parts(alpha):
 
 
 def lyap_sl(unit, m):
-    """Companion blocks (s, l) of one Lyapunov-ADI unit, realified.
-
-    Real shift a:        s = -a I,  l = -sqrt(-2a) I  (m x m each).
-    Conjugate pair:      s = [[-2a, -b g], [b g, 0]] (x) I,
-                         l = [-2 phi I, 0]           (2m wide),
-    with phi = sqrt(-a), delta = a/b, g = sqrt(1 + delta^2).  Both satisfy
-    s^T + s = l^T l, which is what keeps the implicit middle matrix equal to
-    the identity.
-    """
+    """Companion blocks (s, l) of one Lyapunov-ADI unit on m input
+    channels: the unit's one-channel blocks times I_m."""
     I = np.eye(m)
-    if not unit.is_pair:
-        a = unit.value.real
-        s = -a * I
-        l = -math.sqrt(-2.0 * a) * I
-        return s, l
-    a, b, phi, delta, g = _pair_parts(unit.value)
-    s2 = np.array([[-2.0 * a, -b * g], [b * g, 0.0]])
-    s = np.kron(s2, I)
-    l = np.hstack([-2.0 * phi * I, np.zeros((m, m))])
-    return s, l
+    return np.kron(unit.s, I), np.kron(unit.l, I)
 
 
 def realified_columns(unit, v):

@@ -135,7 +135,7 @@ class EquationParams:
     Lyapunov equations and gamma < 1 flips the quadratic term's sign.
     """
 
-    def __init__(self, S1=None, S2=None, gamma1=2.0, gamma2=2.0):
+    def __init__(self, S1=None, S2=None, gamma1=2.0, gamma2=3.0):
         if gamma1 <= 0 or gamma2 <= 0:
             raise ParseError("gamma1 and gamma2 must be positive")
         self.S1 = None if S1 is None else np.atleast_2d(np.asarray(S1, dtype=float))

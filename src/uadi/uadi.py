@@ -399,8 +399,9 @@ class _Side:
     the W side of one system (``primal``, G1 = G2) that is the dual of the
     system's restriction, whose A and E the frame holds for both sides.  On
     a pencil that is not banded the frame is all rows and ``fsys`` the
-    system itself.  S is formed on read from L and the units consumed, its
-    Schur form (``schur``) grown when a record first extracts.
+    system itself.  S is formed on read, at one channel, from L and the
+    units consumed; its Schur form (``schur``) is grown from each unit's
+    one-channel block when a record first extracts.
     """
 
     def __init__(self, sys, cache, weight, suffix, primal=None):
@@ -426,12 +427,14 @@ class _Side:
 
     @property
     def S(self):
-        """S of A X + B L = E X S, formed on read: the units' blocks s on
-        the diagonal, the strict block-upper part of L^T L above them."""
-        S = np.triu(self.L.T @ self.L)
+        """S of A X + B L = E X S, formed on read at one channel: L is
+        L_1 (x) I_m, so S is S_1 (x) I_m, S_1 the units' blocks s on the
+        diagonal and the strict block-upper part of L_1^T L_1 above them."""
+        m, L1 = self.sys.m, self.L[:1, :: self.sys.m]
+        S1 = np.triu(L1.T @ L1)
         for unit, lo, hi in zip(self.units, self.bounds, self.bounds[1:]):
-            S[lo:hi, lo:hi] = lyap_sl(unit, self.sys.m)[0]
-        return S
+            S1[lo // m:hi // m, lo // m:hi // m] = unit.s
+        return np.kron(S1, np.eye(m))
 
     @property
     def schur(self):
@@ -442,7 +445,7 @@ class _Side:
         form, m = self._schur, self.sys.m
         i = 0 if form is None else self.bounds.index(len(form))
         for unit, lo, hi in zip(self.units[i:], self.bounds[i:], self.bounds[i + 1:]):
-            block = schur_form(lyap_sl(unit, 1)[0], output="complex").kron(m)
+            block = schur_form(unit.s.astype(complex)).kron(m)
             form = block if form is None else form.extended(
                 self.L[:, :lo].T @ self.L[:, lo:hi], block)
         self._schur = form
@@ -517,14 +520,15 @@ class _Side:
 
 def _sf_side(side, other):
     """Spectral-factor (T, M, Y) of one side, rebuilt on the whole basis
-    from the two sides' current X, S, L and G."""
+    from the two sides' current X, S, L and G, on one real Schur form of S."""
     eq, S = side.eqs["sf"], side.S
+    Sf = schur_form(S)
     # coupled output map: two thin products, no k x k_other cross Gram
     Cm = (other.X @ other.G).T @ side.X + side.sys.D.T @ side.G.T
     F = -S.T - side.L.T @ eq.fb @ Cm
-    T = solve_small_sylvester(F, S, side.L.T @ eq.rr @ side.L)
+    T = solve_small_sylvester(F, Sf, side.L.T @ eq.rr @ side.L)
     Cs = eq.rr @ Cm @ T
-    X = solve_small_lyapunov(-S, side.L.T @ side.L - Cs.T @ Cs)
+    X = solve_small_lyapunov(-Sf, side.L.T @ side.L - Cs.T @ Cs)
     M, rcond = symmetric_inverse(X)
     if rcond < _MIN_RCOND:
         raise ExtractionSingular(

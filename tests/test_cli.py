@@ -16,7 +16,7 @@ from uadi.cli import (
     scenario_equivalence,
     scenario_table1,
 )
-from uadi.systems import save_system, random_stable_system
+from uadi.systems import EquationParams, save_system, random_stable_system
 
 
 def static_spec(tmp_path, units):
@@ -48,6 +48,12 @@ class TestBuildSystem:
 
 
 class TestRun:
+    def test_gamma_defaults_agree(self):
+        """``uadi solve`` and the library solve the same bounded-gain
+        equations by default."""
+        cfg, params = RunConfig(), EquationParams()
+        assert (cfg.gamma1, cfg.gamma2) == (params.gamma1, params.gamma2) == (2.0, 3.0)
+
     def test_static_pair_matches_reference_value(self, tmp_path):
         cfg = RunConfig(sys1="illustrative", sys2="illustrative",
                         equations="sylv",

@@ -838,7 +838,7 @@ def _held_form(k, m, units):
     while bounds[-1] < k or (len(bounds) - 1) % len(units):
         unit = ShiftUnit(units[(len(bounds) - 1) % len(units)])
         s, l = lyap_sl(unit, m)
-        block = schur_form(lyap_sl(unit, 1)[0], output="complex").kron(m)
+        block = schur_form(unit.s.astype(complex)).kron(m)
         form = form.extended(L.T @ l, block)
         S = np.block([[S, L.T @ l], [np.zeros((len(s), len(S))), s]])
         L = np.hstack([L, l])
@@ -860,7 +860,7 @@ class TestColumnRoute:
         for s in _narrow_blocks(m):
             H = rng.standard_normal((k, s.shape[0]))
             ref = spla.solve_sylvester(F, -s, -H)
-            for G in (s, schur_form(s, output="complex")):
+            for G in (s, schur_form(s.astype(complex))):
                 X = solve_small_sylvester(F, G, H)
                 assert X.dtype == np.float64
                 assert spla.norm(X - ref) <= 1e-12 * spla.norm(ref)
@@ -923,7 +923,7 @@ class TestColumnRoute:
         form, bounds, S = _held_form(20, 2, [-1.5, -0.7, -0.2 + 1.0j])
         kp, q = bounds[-2], bounds[-1]
         H = rng.standard_normal((1, q, q - kp))
-        dense = schur_form(_stable_dense(rng, q), output="complex")
+        dense = schur_form(_stable_dense(rng, q).astype(complex))
         for unfit in (schur_form(S), dense):
             with pytest.raises(ValueError):
                 solve_placed_sylvester(unfit, kp, q, H, [None])
@@ -1017,7 +1017,7 @@ class TestSmallLyapunov:
         F = -s
         H = rng.standard_normal((4, len(F), 3))
         Q = H @ H.swapaxes(1, 2)
-        for op in (F, -schur_form(lyap_sl(ShiftUnit(unit), 1)[0], output="complex").kron(m)):
+        for op in (F, -schur_form(ShiftUnit(unit).s.astype(complex)).kron(m)):
             X = solve_small_lyapunov(op, Q)
             assert X.shape == Q.shape and X.dtype == np.float64
             for Xi, Qi in zip(X, Q):

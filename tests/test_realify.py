@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,28 @@ def test_pair_block_eigenvalues():
         np.sort_complex(w), np.sort_complex(np.array([-unit.value.conjugate(), -unit.value])),
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("shifts", [[-0.8], [-0.7 + 2.3j, -0.7 - 2.3j],
+                                    [-0.7 - 2.3j, -0.7 + 2.3j]])
+def test_unit_blocks_closed_form(shifts):
+    """A unit carries its one-channel blocks, read-only, in closed form:
+    s = -a and l = -sqrt(-2a) for a real shift a; for a pair a + b i,
+    whichever of the two is given first, s = [[-2a, -b g], [b g, 0]] and
+    l = [-2 phi, 0] with phi = sqrt(-a) and g = sqrt(1 + (a/b)^2).  Its
+    m-channel blocks are those times I_m."""
+    unit, = as_units(shifts)
+    a, b = unit.value.real, unit.value.imag
+    assert b == shifts[0].imag
+    if unit.is_pair:
+        g = math.sqrt(1.0 + (a / b) ** 2)
+        s, l = [[-2.0 * a, -b * g], [b * g, 0.0]], [[-2.0 * math.sqrt(-a), 0.0]]
+    else:
+        s, l = [[-a]], [[-math.sqrt(-2.0 * a)]]
+    np.testing.assert_allclose(unit.s, s, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(unit.l, l, rtol=1e-15, atol=0)
+    for block in (unit.s, unit.l):
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    for got, one in zip(lyap_sl(unit, 3), (unit.s, unit.l)):
+        np.testing.assert_array_equal(got, np.kron(one, np.eye(3)))

@@ -873,14 +873,20 @@ class TestExtractionKernel:
         """Two systems with m = 2 stepped with the same units (a real
         shift, a pair, the real shift again, another pair) hold the same S,
         L and Schur form bit for bit.  S is the matrix grown one unit block
-        at a time, Z T Z^H is S, and neither Z nor T has an entry between
-        two input channels."""
+        at a time, which is S_1 (x) I_m with S_1 grown at one channel, Z T Z^H
+        is S, and none of S, Z and T has an entry between two input
+        channels."""
         units, m = (-0.5, -2 + 4j, -0.5, -0.3 + 1j), 2
         S, L = np.zeros((0, 0)), np.zeros((m, 0))
+        S1, L1 = np.zeros((0, 0)), np.zeros((1, 0))   # at one channel
         for u in units:
             s, l = lyap_sl(ShiftUnit(u), m)
             S = np.block([[S, L.T @ l], [np.zeros((len(s), len(S))), s]])
             L = np.hstack([L, l])
+            s, l = lyap_sl(ShiftUnit(u), 1)
+            S1 = np.block([[S1, L1.T @ l], [np.zeros((len(s), len(S1))), s]])
+            L1 = np.hstack([L1, l])
+        np.testing.assert_array_equal(S, np.kron(S1, np.eye(m)))
         ch = np.arange(len(S)) % m
         apart = ch[:, None] != ch
         states = []
@@ -894,11 +900,33 @@ class TestExtractionKernel:
             for side in (a, b):
                 np.testing.assert_array_equal(side.S, S)
                 np.testing.assert_array_equal(side.L, L)
+                assert not side.S[apart].any()
             np.testing.assert_array_equal(a.schur.T, b.schur.T)
             np.testing.assert_array_equal(a.schur.Z, b.schur.Z)
             form = a.schur
             assert spla.norm(form.Z @ form.T @ form.Z.conj().T - S) <= 1e-14 * spla.norm(S)
             assert not form.Z[apart].any() and not form.T[apart].any()
+
+    def test_s_and_its_form_read_no_lyap_sl(self, monkeypatch):
+        """A side forms S and catches its Schur form up from the units' own
+        one-channel blocks: neither read calls lyap_sl."""
+        import uadi.realify as realify
+        import uadi.uadi as engine
+
+        g = rlc_ladder(segments=8)
+        st = uadi_init(g, g, None, "lyap_p,lyap_q")   # no form held yet
+        for a, b in ((-0.5, -0.6), (-2 + 4j, -1 + 2j), (-1.0, -3.0)):
+            uadi_step(st, a, b)
+
+        def refuse(unit, m):
+            raise AssertionError("lyap_sl called")
+
+        for module in (engine, realify):
+            monkeypatch.setattr(module, "lyap_sl", refuse)
+        for side in (st.v, st.w):
+            S, form = side.S, side.schur
+            assert S.shape == (side.k, side.k) == form.shape
+            assert spla.norm(form.Z @ form.T @ form.Z.conj().T - S) <= 1e-14 * spla.norm(S)
 
     def test_held_products_match_their_factors(self, monkeypatch):
         """Each record's Y, grown block by block, is T M L_c^T recomputed
@@ -1062,6 +1090,29 @@ class TestSpectralFactor:
             assert not st.stale(tag)
             residual_norm(st, tag)
         assert calls == {"v": 1, "w": 1} and not st.degraded
+
+    def test_rebuild_factors_s_once(self, monkeypatch):
+        """A pair rebuild makes one Schur form of each side's S and solves
+        both the Sylvester and the Lyapunov equation on it: among the k x k
+        operands it factors, S or -S appears once per side."""
+        import uadi.linalg as linalg
+
+        g = rlc_ladder(segments=6)
+        st = uadi_init(g, g, RLC_PARAMS, "sf_p,sf_q")
+        for a, b in self.STEPS[:8]:
+            uadi_step(st, a, b)
+        shifts = {"v": st.v.S, "w": st.w.S}
+        factored, original = [], linalg._schur
+
+        def counting(a):
+            factored.extend(name for name, S in shifts.items() if a.shape == S.shape
+                            and (np.array_equal(a, S) or np.array_equal(a, -S)))
+            return original(a)
+
+        monkeypatch.setattr(linalg, "_schur", counting)
+        assert st.stale("sf_p")
+        residual_norm(st, "sf_p")
+        assert sorted(factored) == ["v", "w"] and not st.degraded
 
     @pytest.mark.parametrize("system", ["rlc", "random"])
     def test_coupled_output_map_without_cross_gram(self, system):
